@@ -259,3 +259,110 @@ class TestRichVsFixedWealth:
         assert richnonint(alone, delta, scn.prices(), BUDGET).holds is True
         v = self._at_wallet(alone, delta, scn.prices(), 1)
         assert v.holds is not False and v.lhs_value in (None, Fraction(3))
+
+
+# Every field of the depth-3 verdicts on each bundled scenario: (scenario,
+# relation, outcome, justification, unrestricted, restricted, witness labels,
+# complete, note).  Frozen so that the decision path of both relations,
+# including which sufficient condition fired and its note, cannot drift.
+PINNED_VERDICTS = (
+    ('airdrop_beside_amm.scn', 'nonint', 'holds', 'contract-independent', None, None,
+     (), False, 'token and contract independent'),
+    ('airdrop_beside_amm.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('airdrop_feeds_exchange.scn', 'nonint', 'violated', 'counterexample', '9', '0',
+     ('M:Drop.withdraw()', 'M:Exchange.swap(?1:T)'), False, ''),
+    ('airdrop_feeds_exchange.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('bet_on_amm_oracle.scn', 'nonint', 'violated', 'counterexample', '10', '0',
+     ('M:AMM.swap(?300:ETH, 0)', 'M:Bet.bet(?10:ETH)', 'M:Bet.win()'), False, ''),
+    ('bet_on_amm_oracle.scn', 'richnonint', 'violated', 'counterexample', '10', '0',
+     ('M:AMM.swap(?300:ETH, 0)', 'M:Bet.bet(?10:ETH)', 'M:Bet.win()'), False, ''),
+    ('cell_gate.scn', 'nonint', 'violated', 'counterexample', '1', '0',
+     ('M:X.set(1)', 'M:C.f()'), False, ''),
+    ('cell_gate.scn', 'richnonint', 'violated', 'counterexample', '1', '0',
+     ('M:X.set(1)', 'M:C.f()'), False, ''),
+    ('cell_gate_proxy.scn', 'nonint', 'holds', 'direct-search', '1', '1',
+     (), True, ''),
+    ('cell_gate_proxy.scn', 'richnonint', 'holds', 'direct-search', '1', '1',
+     (), True, ''),
+    ('cell_gated_vault.scn', 'nonint', 'holds', 'stable', None, None,
+     (), False, 'token independent and context stable'),
+    ('cell_gated_vault.scn', 'richnonint', 'violated', 'counterexample', '100', '0',
+     ('M:C.set(?1:T)', 'M:D.f()'), False, ''),
+    ('exchange_round_trip.scn', 'nonint', 'unknown', 'direct-search', '0', '0',
+     (), False, 'no gap found within budget'),
+    ('exchange_round_trip.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('faucet_forwarder.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('faucet_forwarder.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('gated_faucet_pair.scn', 'nonint', 'holds', 'stable', None, None,
+     (), False, 'token independent and context stable'),
+    ('gated_faucet_pair.scn', 'richnonint', 'holds', 'stable', None, None,
+     (), False, 'context observations unchanged by adversary moves'),
+    ('mutex_vaults.scn', 'nonint', 'violated', 'counterexample', '1', '0',
+     ('M:C1.f2()', 'M:C2.g()'), False, ''),
+    ('mutex_vaults.scn', 'richnonint', 'violated', 'counterexample', '1', '0',
+     ('M:C1.f2()', 'M:C2.g()'), False, ''),
+    ('once_cell_droppers.scn', 'nonint', 'violated', 'counterexample', '4', '3',
+     ('M:Var.set(1)', 'M:Drop1.drop2()', 'M:Drop2.drop2()'), False, ''),
+    ('once_cell_droppers.scn', 'richnonint', 'violated', 'counterexample', '4', '3',
+     ('M:Var.set(1)', 'M:Drop1.drop2()', 'M:Drop2.drop2()'), False, ''),
+    ('relay_chain.scn', 'nonint', 'violated', 'counterexample', '99', '0',
+     ('M:C0.f()', 'M:C1.f(?5:T0)', 'M:C2.f(?1:T1)'), False, ''),
+    ('relay_chain.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('two_amms.scn', 'nonint', 'violated', 'counterexample', '1', '0',
+     ('M:AMM1.swap(?3:T0, 0)', 'M:AMM2.swap(?2:T1, 0)'), False, ''),
+    ('two_amms.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('compositions/row1_amm_amm.scn', 'nonint', 'unknown', 'direct-search', '0', '0',
+     (), False, 'no gap found within budget'),
+    ('compositions/row1_amm_amm.scn', 'richnonint', 'holds', 'contract-independent', None, None,
+     (), False, 'disjoint dependency cones'),
+    ('compositions/row2_bet_on_amm.scn', 'nonint', 'unknown', 'direct-search', '0', '0',
+     (), False, 'no gap found within budget'),
+    ('compositions/row2_bet_on_amm.scn', 'richnonint', 'violated', 'counterexample', '10', '0',
+     ('M:AMM.swap(?300:ETH, 0)', 'M:Bet.bet(?10:ETH)', 'M:Bet.win()'), False, ''),
+    ('compositions/row3_bet_on_exchange.scn', 'nonint', 'unknown', 'direct-search', '0', '0',
+     (), False, 'no gap found within budget'),
+    ('compositions/row3_bet_on_exchange.scn', 'richnonint', 'holds', 'stable', None, None,
+     (), False, 'context observations unchanged by adversary moves'),
+    ('compositions/row4_best_swap.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row4_best_swap.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row5_swap_router.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row5_swap_router.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row6_best_swap_router.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row6_best_swap_router.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row7_lp_arbitrage.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row7_lp_arbitrage.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row8_flash_loan_arbitrage.scn', 'nonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+    ('compositions/row8_flash_loan_arbitrage.scn', 'richnonint', 'holds', 'zero-mev', '0', None,
+     (), True, 'nothing extractable from the new contracts'),
+)
+
+
+@pytest.mark.parametrize("row", PINNED_VERDICTS,
+                         ids=lambda r: f"{r[1]}-{r[0].rsplit('/', 1)[-1]}")
+def test_bundled_verdicts_are_pinned(row):
+    name, relation, *want = row
+    scn = load_bundled(name)
+    state, delta = build_state(scn)
+    decide = {"nonint": nonint, "richnonint": richnonint}[relation]
+    v = decide(state, delta, scn.prices(), SearchBudget(max_depth=3))
+    got = [v.outcome, v.justification,
+           None if v.lhs_value is None else str(v.lhs_value),
+           None if v.rhs_value is None else str(v.rhs_value),
+           tuple(tx.label() for tx in v.witness or ()), v.complete, v.note]
+    assert got == want
