@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .ledger import (
-    Account,
-    BlockchainState,
-    PriceMap,
-    Wallet,
-    wealth,
-)
+from .ledger import Account, BlockchainState, PriceMap
 from .search import (
     SearchBudget,
     adversary_moves,
@@ -267,69 +261,66 @@ def _fragment_split(state: BlockchainState, delta: Iterable[Account]) -> tuple:
     return gamma_accs, delta_accs
 
 
+# the notes of the two sufficient conditions tried before any search, keyed
+# by ``wealthy``: (contract independence, context stability)
+_PRECHECK_NOTES = {
+    False: ("token and contract independent", "token independent and context stable"),
+    True: ("disjoint dependency cones", "context observations unchanged by adversary moves"),
+}
+
+
+def _noninterference(state: BlockchainState, delta: Iterable[Account],
+                     prices: PriceMap, budget: SearchBudget, value,
+                     wealthy: bool) -> Verdict:
+    """The verdict pipeline shared by ``nonint`` and ``richnonint``.
+
+    ``value`` is the extractable-loss function compared unrestricted vs
+    delta-restricted.  At the given wealth (not ``wealthy``) the sufficient
+    conditions are tried only under token independence and the stability
+    probe keeps the adversary's wallet; the wealthy pipeline skips the token
+    check and probes with an enriched adversary."""
+    if not check_well_formed(state):
+        raise ValueError(f"{'richnonint' if wealthy else 'nonint'}: "
+                         "composed state is not well-formed")
+    gamma, delta_accs = _fragment_split(state, delta)
+
+    if wealthy or token_independent(state, gamma, delta_accs, budget):
+        indep_note, stable_note = _PRECHECK_NOTES[wealthy]
+        if contract_independent(state, gamma, delta_accs):
+            return Verdict(True, JUST_CONTRACT_INDEP, note=indep_note)
+        status, _ = stable_wrt_adversary(state, gamma, delta_accs, prices, budget,
+                                         wealthy=wealthy)
+        if status == "stable":
+            return Verdict(True, JUST_STABLE, note=stable_note)
+
+    unrestricted = value(state, delta_accs, None, prices, budget)
+    if unrestricted.value == 0 and unrestricted.complete:
+        return Verdict(True, JUST_ZERO_MEV, unrestricted.value, None,
+                       complete=True, note="nothing extractable from the new contracts")
+    restricted = value(state, delta_accs, delta_accs, prices, budget)
+    complete = unrestricted.complete and restricted.complete
+    if unrestricted.value > restricted.value:
+        return Verdict(False, JUST_COUNTEREXAMPLE, unrestricted.value,
+                       restricted.value, unrestricted.witness, complete=complete)
+    return Verdict(True if complete else None, JUST_SEARCH,
+                   unrestricted.value, restricted.value, complete=complete,
+                   note="" if complete else "no gap found within budget")
+
+
 def nonint(state: BlockchainState, delta: Iterable[Account], prices: PriceMap,
            budget: SearchBudget = SearchBudget()) -> Verdict:
     """Non-interference at the given adversary wealth: unrestricted vs
     delta-restricted extractable loss of the delta contracts must agree.
     The restricted value never exceeds the unrestricted one, so only a
     strict unrestricted excess falsifies."""
-    if not check_well_formed(state):
-        raise ValueError("nonint: composed state is not well-formed")
-    gamma, delta_accs = _fragment_split(state, delta)
-
-    if token_independent(state, gamma, delta_accs, budget):
-        if contract_independent(state, gamma, delta_accs):
-            return Verdict(True, JUST_CONTRACT_INDEP,
-                           note="token and contract independent")
-        status, _ = stable_wrt_adversary(state, gamma, delta_accs, prices, budget)
-        if status == "stable":
-            return Verdict(True, JUST_STABLE,
-                           note="token independent and context stable")
-
-    unrestricted = lmev(state, delta_accs, None, prices, budget)
-    if unrestricted.value == 0 and unrestricted.complete:
-        return Verdict(True, JUST_ZERO_MEV, unrestricted.value, None,
-                       complete=True, note="nothing extractable from the new contracts")
-    restricted = lmev(state, delta_accs, delta_accs, prices, budget)
-    if unrestricted.value > restricted.value:
-        return Verdict(False, JUST_COUNTEREXAMPLE, unrestricted.value,
-                       restricted.value, unrestricted.witness,
-                       complete=unrestricted.complete and restricted.complete)
-    complete = unrestricted.complete and restricted.complete
-    return Verdict(True if complete else None, JUST_SEARCH,
-                   unrestricted.value, restricted.value, complete=complete,
-                   note="" if complete else "no gap found within budget")
+    return _noninterference(state, delta, prices, budget, lmev, wealthy=False)
 
 
 def richnonint(state: BlockchainState, delta: Iterable[Account], prices: PriceMap,
                budget: SearchBudget = SearchBudget()) -> Verdict:
     """Wealth-independent non-interference: the wealthy-adversary values of
     the delta contracts, unrestricted vs delta-restricted, must agree."""
-    if not check_well_formed(state):
-        raise ValueError("richnonint: composed state is not well-formed")
-    gamma, delta_accs = _fragment_split(state, delta)
-
-    if contract_independent(state, gamma, delta_accs):
-        return Verdict(True, JUST_CONTRACT_INDEP, note="disjoint dependency cones")
-    status, _ = stable_wrt_adversary(state, gamma, delta_accs, prices, budget,
-                                     wealthy=True)
-    if status == "stable":
-        return Verdict(True, JUST_STABLE,
-                       note="context observations unchanged by adversary moves")
-
-    unrestricted = rlmev(state, delta_accs, None, prices, budget)
-    if unrestricted.value == 0 and unrestricted.complete:
-        return Verdict(True, JUST_ZERO_MEV, unrestricted.value, None,
-                       complete=True, note="nothing extractable from the new contracts")
-    restricted = rlmev(state, delta_accs, delta_accs, prices, budget)
-    if unrestricted.value > restricted.value:
-        return Verdict(False, JUST_COUNTEREXAMPLE, unrestricted.value,
-                       restricted.value, unrestricted.witness,
-                       complete=unrestricted.complete and restricted.complete)
-    complete = unrestricted.complete and restricted.complete
-    return Verdict(True if complete else None, JUST_SEARCH,
-                   unrestricted.value, restricted.value, complete=complete,
-                   note="" if complete else "no gap found within budget")
+    return _noninterference(state, delta, prices, budget, rlmev, wealthy=True)
 
 
 def epsilon_composable(state: BlockchainState, delta: Iterable[Account],

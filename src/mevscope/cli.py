@@ -7,7 +7,8 @@ properties) and ``examples`` (all golden reproductions).
 
 Exit codes: 0 holds / success, 1 violated / reproduction failure, 2 unknown
 or hypothesis-not-met, 3 incomplete result (escalation or memo cap hit),
-10 usage error, 11 scenario error.
+10 usage error, 11 scenario error, 12 internal error (an unexpected
+exception, reported as one line on stderr).
 
 Reports are deterministic byte-for-byte for a fixed scenario and flag set:
 maps are emitted in sorted order, witnesses are canonically tie-broken and
@@ -41,6 +42,7 @@ EXIT_UNKNOWN = 2
 EXIT_INCOMPLETE = 3
 EXIT_USAGE = 10
 EXIT_SCENARIO = 11
+EXIT_INTERNAL = 12
 
 TABLE2_ROWS = (
     ("row1_amm_amm.scn", "holds", "contract-independent"),
@@ -73,10 +75,13 @@ def _witness_json(witness):
     return [tx.label() for tx in witness or ()]
 
 
-def _budget_from(args) -> SearchBudget:
+def _budget(args, scn=None) -> SearchBudget:
+    """The search budget of the flags; under ``--exhaustive`` a scenario's
+    ``ceiling`` bounds the enumerated amounts."""
+    ceiling = scn.ceiling if scn is not None and args.exhaustive else None
     try:
         return SearchBudget(max_depth=args.depth, grid=args.grid,
-                            exhaustive=args.exhaustive)
+                            exhaustive=args.exhaustive, ceiling=ceiling)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -134,9 +139,10 @@ def _verdict_lines(kind: str, v: Verdict) -> list:
 
 
 def _load(args) -> tuple:
+    """(scenario, state, fragment, prices, budget) of a scenario command."""
     scn = load_scenario(args.scenario)
     state, delta = build_state(scn)
-    return scn, state, delta
+    return scn, state, delta, scn.prices(), _budget(args, scn)
 
 
 def _contract_set(state, names, default):
@@ -149,38 +155,45 @@ def _contract_set(state, names, default):
     return accs
 
 
-def _run_value(args, which: str) -> int:
-    scn, state, delta = _load(args)
-    prices = scn.prices()
-    budget = _budget_from(args)
-    if scn.ceiling is not None and budget.exhaustive:
-        budget = SearchBudget(budget.max_depth, budget.grid, True, ceiling=scn.ceiling)
-    observed = _contract_set(state, args.observed, delta)
-    restriction = _contract_set(state, args.restrict, None) if args.restrict else None
-    if which == "lmev":
-        res = lmev(state, observed, restriction, prices, budget)
-    elif which == "rlmev":
-        res = rlmev(state, observed, restriction, prices, budget)
-    else:
+def _scope(args, state, delta) -> tuple:
+    """(observed, restriction) of ``--observed`` / ``--restrict``: the
+    fragment after the split and the whole universe (None) by default."""
+    return (_contract_set(state, args.observed, delta),
+            _contract_set(state, args.restrict, None))
+
+
+def _names(accs) -> list:
+    return sorted(a.name for a in accs)
+
+
+def _run_value(args, search=None) -> int:
+    """``search(state, observed, restriction, prices, budget)`` for the local
+    values; the whole-state ``mev`` has neither an observed set nor a
+    restriction."""
+    scn, state, delta, prices, budget = _load(args)
+    if search is None:
+        observed = restriction = None
         res = global_mev(state, prices, budget)
+    else:
+        observed, restriction = _scope(args, state, delta)
+        res = search(state, observed, restriction, prices, budget)
     exit_code = EXIT_INCOMPLETE if res.warning else EXIT_HOLDS
     report = {
-        "command": which,
+        "command": args.command,
         "scenario": scn.name,
         "budget": _budget_json(budget),
-        "observed": sorted(a.name for a in observed) if which != "mev" else None,
-        "restriction": (sorted(a.name for a in restriction)
-                        if restriction is not None else "universe"),
+        "observed": None if observed is None else _names(observed),
+        "restriction": "universe" if restriction is None else _names(restriction),
         "value": _rat(res.value),
         "witness": _witness_json(res.witness),
         "complete": res.complete,
         "warning": res.warning,
         "exit_code": exit_code,
     }
-    lines = [f"{which} = {res.value}"]
-    if which != "mev":
-        lines.append(f"  observed: {', '.join(sorted(a.name for a in observed)) or '-'}")
-        lines.append("  restriction: " + (", ".join(sorted(a.name for a in restriction))
+    lines = [f"{args.command} = {res.value}"]
+    if observed is not None:
+        lines.append(f"  observed: {', '.join(_names(observed)) or '-'}")
+        lines.append("  restriction: " + (", ".join(_names(restriction))
                                           if restriction is not None else "universe"))
     if res.witness:
         lines.append("  witness:")
@@ -192,40 +205,37 @@ def _run_value(args, which: str) -> int:
     return exit_code
 
 
-def _run_verdict(args, which: str) -> int:
-    scn, state, delta = _load(args)
-    prices = scn.prices()
-    budget = _budget_from(args)
-    if scn.ceiling is not None and budget.exhaustive:
-        budget = SearchBudget(budget.max_depth, budget.grid, True, ceiling=scn.ceiling)
+def _run_verdict(args, decide, extra=()) -> int:
+    """``decide(state, delta, prices, budget) -> Verdict``; ``extra`` adds
+    report fields."""
+    scn, state, delta, prices, budget = _load(args)
     if not delta:
         raise UsageError("scenario has an empty fragment after the split")
-    if which == "nonint":
-        v = nonint(state, delta, prices, budget)
-    elif which == "richnonint":
-        v = richnonint(state, delta, prices, budget)
-    else:
-        v = epsilon_composable(state, delta, Fraction(args.eps), prices, budget)
+    v = decide(state, delta, prices, budget)
     exit_code = _verdict_exit(v)
     report = {
-        "command": which,
+        "command": args.command,
         "scenario": scn.name,
         "budget": _budget_json(budget),
-        "fragment": sorted(a.name for a in delta),
-        **({"epsilon": str(Fraction(args.eps))} if which == "epsilon" else {}),
+        "fragment": _names(delta),
+        **dict(extra),
         "result": _verdict_json(v),
         "exit_code": exit_code,
     }
-    _emit(report, args.format, _verdict_lines(which, v))
+    _emit(report, args.format, _verdict_lines(args.command, v))
     return exit_code
 
 
+def _run_epsilon(args) -> int:
+    def decide(state, delta, prices, budget):
+        return epsilon_composable(state, delta, args.eps, prices, budget)
+
+    return _run_verdict(args, decide, {"epsilon": str(args.eps)})
+
+
 def _run_strip_check(args) -> int:
-    scn, state, delta = _load(args)
-    prices = scn.prices()
-    budget = _budget_from(args)
-    observed = _contract_set(state, args.observed, delta)
-    restriction = _contract_set(state, args.restrict, None) if args.restrict else None
+    scn, state, delta, prices, budget = _load(args)
+    observed, restriction = _scope(args, state, delta)
     rep = verify_stripping(state, observed, restriction, prices, budget)
     exit_code = {"verified": EXIT_HOLDS, "mismatch": EXIT_VIOLATED,
                  "hypothesis-not-met": EXIT_UNKNOWN}[rep.status]
@@ -233,7 +243,7 @@ def _run_strip_check(args) -> int:
         "command": "strip-check",
         "scenario": scn.name,
         "budget": _budget_json(budget),
-        "observed": sorted(a.name for a in observed),
+        "observed": _names(observed),
         "status": rep.status,
         "reason": rep.reason,
         "full_value": _rat(rep.full_value),
@@ -251,7 +261,7 @@ def _run_strip_check(args) -> int:
 
 
 def _run_table2(args) -> int:
-    budget = _budget_from(args)
+    budget = _budget(args)
     rows = []
     lines = ["composition matrix (wealth-independent non-interference)"]
     all_match = True
@@ -284,7 +294,7 @@ def _run_table2(args) -> int:
 
 
 def _run_battery(args) -> int:
-    budget = _budget_from(args)
+    budget = _budget(args)
     rep = structural_battery(budget, seed=args.seed)
     exit_code = EXIT_HOLDS if rep.passed else EXIT_VIOLATED
     lines = ["structural-property battery"]
@@ -318,13 +328,31 @@ def _run_examples(args) -> int:
     return exit_code
 
 
-def _add_common(p) -> None:
-    p.add_argument("--depth", type=int, default=4, help="trace length bound")
-    p.add_argument("--grid", type=int, default=8, help="amount grid resolution")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="signature-driven exhaustive enumeration (micro states)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _eps(text: str) -> Fraction:
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if eps < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return eps
+
+
+# Each handler names the library function it runs inside its body, so the
+# name is looked up in this module when the command runs: a wrapper patched
+# over ``mevscope.cli.nonint`` (say) then sees every call.
+HANDLERS = {
+    "lmev": lambda args: _run_value(args, lmev),
+    "rlmev": lambda args: _run_value(args, rlmev),
+    "mev": lambda args: _run_value(args),
+    "nonint": lambda args: _run_verdict(args, nonint),
+    "richnonint": lambda args: _run_verdict(args, richnonint),
+    "epsilon": _run_epsilon,
+    "strip-check": _run_strip_check,
+    "table2": _run_table2,
+    "battery": _run_battery,
+    "examples": _run_examples,
+}
 
 
 def build_parser() -> _Parser:
@@ -332,33 +360,35 @@ def build_parser() -> _Parser:
                      description="extractable-value and composability analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_cmd(name, help_):
+    def command(name, help_, scenario=True, budget=True, scope=False):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("scenario", help="path to a .scn scenario file")
-        _add_common(p)
+        if scenario:
+            p.add_argument("scenario", help="path to a .scn scenario file")
+        if budget:
+            p.add_argument("--depth", type=int, default=4, help="trace length bound")
+            p.add_argument("--grid", type=int, default=8, help="amount grid resolution")
+            p.add_argument("--exhaustive", action="store_true",
+                           help="signature-driven exhaustive enumeration (micro states)")
+        if scope:
+            p.add_argument("--observed", nargs="+", metavar="NAME",
+                           help="observed contracts (default: the post-split fragment)")
+            p.add_argument("--restrict", nargs="+", metavar="NAME",
+                           help="restrict callable contracts (default: universe)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    for name, help_ in (("lmev", "local extractable loss of the observed contracts"),
-                        ("rlmev", "wealthy-adversary local extractable loss")):
-        p = scenario_cmd(name, help_)
-        p.add_argument("--observed", nargs="+", metavar="NAME",
-                       help="observed contracts (default: the post-split fragment)")
-        p.add_argument("--restrict", nargs="+", metavar="NAME",
-                       help="restrict callable contracts (default: universe)")
-    scenario_cmd("mev", "whole-state extractable value")
-    scenario_cmd("nonint", "non-interference at the given adversary wealth")
-    scenario_cmd("richnonint", "wealth-independent non-interference")
-    p = scenario_cmd("epsilon", "whole-state growth criterion")
-    p.add_argument("--eps", required=True, help="tolerated growth factor (rational)")
-    p = scenario_cmd("strip-check", "dependency-stripping preservation check")
-    p.add_argument("--observed", nargs="+", metavar="NAME")
-    p.add_argument("--restrict", nargs="+", metavar="NAME")
-
-    for name, help_ in (("table2", "run the bundled composition matrix"),
-                        ("battery", "run the structural-property battery"),
-                        ("examples", "run every golden reproduction")):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
+    command("lmev", "local extractable loss of the observed contracts", scope=True)
+    command("rlmev", "wealthy-adversary local extractable loss", scope=True)
+    command("mev", "whole-state extractable value")
+    command("nonint", "non-interference at the given adversary wealth")
+    command("richnonint", "wealth-independent non-interference")
+    command("epsilon", "whole-state growth criterion").add_argument(
+        "--eps", type=_eps, required=True, help="tolerated growth factor (rational)")
+    command("strip-check", "dependency-stripping preservation check", scope=True)
+    command("table2", "run the bundled composition matrix", scenario=False)
+    command("battery", "run the structural-property battery", scenario=False).add_argument(
+        "--seed", type=int, default=0, help="seed for randomized parts")
+    command("examples", "run every golden reproduction", scenario=False, budget=False)
     return parser
 
 
@@ -366,36 +396,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "lmev":
-            return _run_value(args, "lmev")
-        if args.command == "rlmev":
-            return _run_value(args, "rlmev")
-        if args.command == "mev":
-            return _run_value(args, "mev")
-        if args.command in ("nonint", "richnonint", "epsilon"):
-            if args.command == "epsilon":
-                try:
-                    eps = Fraction(args.eps)
-                except (ValueError, ZeroDivisionError):
-                    raise UsageError(f"bad --eps value {args.eps!r}") from None
-                if eps < 0:
-                    raise UsageError("--eps must be non-negative")
-            return _run_verdict(args, args.command)
-        if args.command == "strip-check":
-            return _run_strip_check(args)
-        if args.command == "table2":
-            return _run_table2(args)
-        if args.command == "battery":
-            return _run_battery(args)
-        if args.command == "examples":
-            return _run_examples(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return HANDLERS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -192,10 +192,6 @@ class PriceMap:
     def as_dict(self) -> dict:
         return dict(self.prices)
 
-    @property
-    def all_unit(self) -> bool:
-        return all(p == 1 for _, p in self.prices)
-
 
 class ContractState:
     """(wallet, key-value store) pair for one deployed contract."""
@@ -355,8 +351,8 @@ def genesis(
 def wealth(accounts: Iterable[Account], state: BlockchainState, prices: PriceMap):
     """Price-weighted token total held by ``accounts`` in ``state``.
 
-    Accounts absent from the state contribute zero.  Returns an exact number
-    (int when every price is 1, Fraction otherwise).
+    Accounts absent from the state contribute zero.  Returns an exact
+    Fraction, or the int 0 when the accounts hold nothing.
     """
     total = 0
     for acc in accounts:

@@ -70,14 +70,14 @@ class MevResult:
     warning: Optional[str] = None
 
 
-def _tick_move(state: BlockchainState, targets) -> Optional[Transaction]:
-    if not targets or not state.adversary:
-        return None
-    if not any(state.codes[a].reads_height for a in state.order):
-        return None
-    origin = min(state.adversary)
-    callee = min(targets)
-    return Transaction(origin, callee, TICK_METHOD)
+def _with_tick(state: BlockchainState, targets, moves: list) -> tuple:
+    """``moves`` plus the tick move when a deployed contract reads the height,
+    deduplicated and deterministically ordered."""
+    if (targets and state.adversary
+            and any(state.codes[a].reads_height for a in state.order)):
+        moves.append(Transaction(min(state.adversary), min(targets), TICK_METHOD))
+    uniq = {m.key(): m for m in moves}
+    return tuple(uniq[k] for k in sorted(uniq))
 
 
 def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -> tuple:
@@ -95,11 +95,7 @@ def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -
             continue
         for origin in sorted(state.adversary):
             moves.extend(gen(state, origin, budget))
-    tick = _tick_move(state, targets)
-    if tick is not None:
-        moves.append(tick)
-    uniq = {m.key(): m for m in moves}
-    return tuple(uniq[k] for k in sorted(uniq))
+    return _with_tick(state, targets, moves)
 
 
 def default_ceiling(state: BlockchainState) -> int:
@@ -137,11 +133,7 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
                     attach = Wallet(d)
                     for origin in sorted(state.adversary):
                         moves.append(Transaction(origin, acc, mname, args, attach))
-    tick = _tick_move(state, targets)
-    if tick is not None:
-        moves.append(tick)
-    uniq = {m.key(): m for m in moves}
-    return tuple(uniq[k] for k in sorted(uniq))
+    return _with_tick(state, targets, moves)
 
 
 def _trace_order(trace) -> tuple:
@@ -227,11 +219,15 @@ class _MaxSearch:
         return best(state, measure(state), self.budget.max_depth)
 
 
-def _prepare_sets(state, observed, restriction):
-    deployed = state.deployed
-    obs = frozenset(observed) & deployed
-    restr = None if restriction is None else frozenset(restriction)
-    return obs, restr
+def _certified(engine: _MaxSearch, state: BlockchainState, measure, upper) -> MevResult:
+    """Run ``engine`` from ``state``; the value is exact when it reaches the
+    wealth bound ``upper`` or the enumeration was exhaustive."""
+    value, _, witness = engine.run(state, measure)
+    value = Fraction(value)
+    budget = engine.budget
+    complete = budget.exhaustive or value == upper
+    warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
+    return MevResult(value, witness, complete, budget, warning)
 
 
 def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
@@ -245,15 +241,13 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     """
     if not check_well_formed(state):
         raise ValueError("lmev: state is not well-formed")
-    obs, restr = _prepare_sets(state, observed, restriction)
-    obs_t = tuple(sorted(obs))
+    obs_t = tuple(sorted(frozenset(observed) & state.deployed))
     adv_t = tuple(sorted(state.adversary))
+    restr = None if restriction is None else frozenset(restriction)
     upper = wealth(obs_t, state, prices)
     if upper == 0:
         # nothing to lose: exact by the wealth bound
         return MevResult(Fraction(0), (), True, budget)
-
-    engine = _MaxSearch(state, prices, budget, restr, use_memo)
 
     def measure(s):
         w = wealth(obs_t, s, prices)
@@ -261,11 +255,8 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
         # objective is the observed contracts' loss, so it grows as w falls
         return (-w, adv)
 
-    value, _, witness = engine.run(state, measure)
-    value = Fraction(value)
-    complete = budget.exhaustive or value == upper
-    warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
-    return MevResult(value, witness, complete, budget, warning)
+    return _certified(_MaxSearch(state, prices, budget, restr, use_memo), state,
+                      measure, upper)
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
@@ -279,17 +270,13 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     upper = wealth(tuple(state.order), state, prices)
     if upper == 0 or not adv_t:
         return MevResult(Fraction(0), (), True, budget)
-    engine = _MaxSearch(state, prices, budget, None, use_memo)
 
     def measure(s):
         adv = wealth(adv_t, s, prices)
         return (adv, adv)
 
-    value, _, witness = engine.run(state, measure)
-    value = Fraction(value)
-    complete = budget.exhaustive or value == upper
-    warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
-    return MevResult(value, witness, complete, budget, warning)
+    return _certified(_MaxSearch(state, prices, budget, None, use_memo), state,
+                      measure, upper)
 
 
 def rich_wallet(state: BlockchainState, prices: PriceMap, budget: SearchBudget,
@@ -308,25 +295,37 @@ def with_adversary_wallet(state: BlockchainState, wallet: Wallet) -> BlockchainS
                            state.height, adversary)
 
 
-def stability_probe(state: BlockchainState, observed, restriction,
-                    prices: PriceMap, budget: SearchBudget = SearchBudget()) -> tuple:
-    """The escalation ladder underlying the wealthy-adversary value:
-    ((scale, value), ...) for adversary wallets scale * W0, doubling until a
-    plateau, the wealth bound, or the escalation cap."""
+def _escalate(state: BlockchainState, observed, restriction, prices: PriceMap,
+              budget: SearchBudget) -> tuple:
+    """Run ``lmev`` against adversary wallets scale * W0, doubling the scale
+    until the value plateaus or reaches the observed contracts' wealth.
+    Returns (wealthy-adversary result, ((scale, value), ...) ladder); past
+    ``ESCALATION_CAP`` doublings the result is marked incomplete."""
     obs = frozenset(observed) & state.deployed
     upper = wealth(tuple(sorted(obs)), state, prices)
     ladder = []
-    prev = None
+    prev: Optional[MevResult] = None
     scale = 1
     for _ in range(ESCALATION_CAP + 1):
         rich = with_adversary_wallet(state, rich_wallet(state, prices, budget, scale))
         res = lmev(rich, obs, restriction, prices, budget)
         ladder.append((scale, res.value))
-        if res.value == upper or (prev is not None and res.value == prev):
-            break
-        prev = res.value
+        if res.value == upper:
+            return res, tuple(ladder)
+        if prev is not None and res.value == prev.value:
+            return prev, tuple(ladder)
+        prev = res
         scale *= 2
-    return tuple(ladder)
+    return (MevResult(prev.value, prev.witness, False, budget,
+                      "escalation cap reached without a plateau"), tuple(ladder))
+
+
+def stability_probe(state: BlockchainState, observed, restriction,
+                    prices: PriceMap, budget: SearchBudget = SearchBudget()) -> tuple:
+    """The escalation ladder underlying the wealthy-adversary value:
+    ((scale, value), ...) for adversary wallets scale * W0, doubling until a
+    plateau, the wealth bound, or the escalation cap."""
+    return _escalate(state, observed, restriction, prices, budget)[1]
 
 
 def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
@@ -336,19 +335,4 @@ def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     headroom.  The plateau exists because the observed contracts' wealth
     bounds the loss and the value is monotone in the adversary's wallet; the
     escalation cap is surfaced as an incomplete result, never trusted."""
-    obs = frozenset(observed) & state.deployed
-    upper = wealth(tuple(sorted(obs)), state, prices)
-    prev: Optional[MevResult] = None
-    scale = 1
-    for _ in range(ESCALATION_CAP + 1):
-        rich = with_adversary_wallet(state, rich_wallet(state, prices, budget, scale))
-        res = lmev(rich, obs, restriction, prices, budget)
-        if res.value == upper:
-            return res
-        if prev is not None and res.value == prev.value:
-            return prev
-        prev = res
-        scale *= 2
-    assert prev is not None
-    return MevResult(prev.value, prev.witness, False, budget,
-                     "escalation cap reached without a plateau")
+    return _escalate(state, observed, restriction, prices, budget)[0]

@@ -4,8 +4,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from mevscope import Account, ScenarioError, Wallet
-from mevscope.cli import main
+import mevscope.cli
+from mevscope import Account, ScenarioError, SearchBudget, StrippingReport, Wallet, global_mev
+from mevscope.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from mevscope.goldens import load_bundled, scenario_path
 from mevscope.scenario import build_state, parse_scenario
 
@@ -121,6 +122,8 @@ class TestCli:
         assert code == 1
         code, _ = run_cli("epsilon", _path("mutex_vaults.scn"), "--eps", "-1")
         assert code == 10
+        code, _ = run_cli("epsilon", _path("mutex_vaults.scn"), "--eps", "1/0")
+        assert code == 10
 
     def test_strip_check_statuses(self):
         code, out = run_cli("strip-check", _path("faucet_forwarder.scn"),
@@ -170,3 +173,76 @@ class TestCli:
         bad.write_text("{")
         code, _ = run_cli("nonint", str(bad))
         assert code == 11
+
+
+# every command of the README's "Command line" section, with its flags
+README_COMMANDS = (
+    ("lmev", "relay_chain.scn", "--observed", "C2", "--restrict", "C2"),
+    ("rlmev", "relay_chain.scn", "--observed", "C2", "--restrict", "C2"),
+    ("mev", "relay_chain.scn"),
+    ("nonint", "relay_chain.scn"),
+    ("richnonint", "relay_chain.scn"),
+    ("epsilon", "relay_chain.scn", "--eps", "0"),
+    ("strip-check", "relay_chain.scn", "--observed", "C2", "--restrict", "C2"),
+    ("table2",),
+    ("battery", "--seed", "1"),
+    ("examples",),
+)
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_every_readme_command_runs(argv, fmt):
+    argv = [_path(a) if a.endswith(".scn") else a for a in argv]
+    code, out = run_cli(*argv, "--format", fmt)
+    assert code in (0, 1, 2, 3)
+    if fmt == "text":
+        assert out.strip()
+        return
+    doc = json.loads(out)
+    assert doc["command"] == argv[0] and doc["exit_code"] == code
+    if argv[0] == "mev":
+        scn = load_bundled("relay_chain.scn")
+        state, _ = build_state(scn)
+        res = global_mev(state, scn.prices(), SearchBudget())
+        assert doc["value"] == str(res.value) == "100"
+        assert doc["witness"] == [tx.label() for tx in res.witness]
+        assert doc["complete"] == res.complete
+
+
+@pytest.mark.parametrize("argv", (
+    ("examples", "--depth", "3"),
+    ("table2", "--seed", "1"),
+    ("nonint", "relay_chain.scn", "--seed", "1"),
+    ("mev", "relay_chain.scn", "--observed", "C2"),
+), ids=("examples-depth", "table2-seed", "nonint-seed", "mev-observed"))
+def test_commands_reject_flags_they_do_not_read(argv):
+    argv = [_path(a) if a.endswith(".scn") else a for a in argv]
+    assert run_cli(*argv)[0] == EXIT_USAGE
+
+
+def test_strip_check_applies_the_scenario_ceiling(tmp_path, monkeypatch):
+    doc = json.loads(scenario_path("faucet_forwarder.scn").read_text())
+    doc["ceiling"] = 6
+    path = tmp_path / "ceiling.scn"
+    path.write_text(json.dumps(doc))
+    seen = []
+
+    def capture(state, observed, restriction, prices, budget):
+        seen.append(budget)
+        return StrippingReport("verified", "captured")
+
+    monkeypatch.setattr(mevscope.cli, "verify_stripping", capture)
+    assert run_cli("strip-check", str(path), "--exhaustive")[0] == 0
+    assert [b.ceiling for b in seen] == [6]
+
+
+def test_a_crash_exits_with_the_internal_error_code(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(mevscope.cli, "nonint", boom)
+    assert main(["nonint", _path("relay_chain.scn")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "boom" in err
+    assert err.count("\n") == 1
