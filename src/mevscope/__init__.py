@@ -29,6 +29,7 @@ from .ledger import (
     richer_than,
     total_supply,
     wealth,
+    wealth_units,
 )
 from .scenario import Scenario, ScenarioError, build_state, load_scenario, parse_scenario
 from .search import (

@@ -2,7 +2,10 @@
 
 Token amounts are arbitrary-precision non-negative integers and prices are
 exact rationals, so every aggregate figure (wealth, gain, extractable value)
-is exact and golden-value equality tests are bit-stable.
+is exact and golden-value equality tests are bit-stable.  A ``PriceMap``
+also carries each price as an integer number of units of
+``1 / prices.scale``: ``wealth_units`` sums those plain ints, which is what
+the search compares and adds, and ``wealth`` divides by the scale once.
 
 Wallets are normalised: zero balances are pruned, which makes state equality
 canonical.  The search layer relies on that when memoising on state keys.
@@ -10,9 +13,11 @@ canonical.  The search layer relies on that when memoising on state keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 Token = str
 
@@ -22,24 +27,40 @@ CONTRACT = "contract"
 
 @dataclass(frozen=True, order=True)
 class Account:
-    """A named account.  User and contract namespaces are disjoint."""
+    """A named account.  User and contract namespaces are disjoint.
+
+    ``Account.user`` / ``Account.contract`` return one shared object per
+    name, so the state dicts keyed by accounts find their keys by identity
+    instead of calling ``__eq__``.
+    """
 
     kind: str
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (USER, CONTRACT):
             raise ValueError(f"bad account kind: {self.kind!r}")
         if not self.name:
             raise ValueError("empty account name")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def user(name: str) -> "Account":
-        return Account(USER, name)
+        acc = _USERS.get(name)
+        if acc is None:
+            acc = _USERS[name] = Account(USER, name)
+        return acc
 
     @staticmethod
     def contract(name: str) -> "Account":
-        return Account(CONTRACT, name)
+        acc = _CONTRACTS.get(name)
+        if acc is None:
+            acc = _CONTRACTS[name] = Account(CONTRACT, name)
+        return acc
 
     @property
     def is_user(self) -> bool:
@@ -51,6 +72,11 @@ class Account:
 
     def __str__(self) -> str:
         return self.name
+
+
+# name -> the shared Account of that kind (see ``Account.user``)
+_USERS: dict = {}
+_CONTRACTS: dict = {}
 
 
 # Scalars that may appear in transaction arguments, contract stores and
@@ -88,7 +114,14 @@ class Wallet:
 
     @staticmethod
     def single(token: Token, amount: int) -> "Wallet":
-        return Wallet({token: amount})
+        # the checks of __init__, without its general loop
+        if not isinstance(token, str):
+            raise TypeError(f"token symbol must be str, got {token!r}")
+        if not isinstance(amount, int) or isinstance(amount, bool):
+            raise TypeError(f"token amount must be int, got {amount!r}")
+        if amount < 0:
+            raise ValueError(f"negative balance {amount} for {token}")
+        return Wallet._from_clean({token: amount} if amount else {})
 
     def get(self, token: Token) -> int:
         return self._d.get(token, 0)
@@ -163,14 +196,24 @@ EMPTY_WALLET = Wallet()
 
 @dataclass(frozen=True)
 class PriceMap:
-    """Strictly positive exact-rational price per token type."""
+    """Strictly positive exact-rational price per token type.
+
+    ``scale`` is the least common multiple of the price denominators and
+    ``units[token]`` is ``price(token) * scale``, a positive int.
+    """
 
     prices: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    units: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for tok, p in self.prices:
             if not isinstance(p, Fraction) or p <= 0:
                 raise ValueError(f"price of {tok} must be a positive Fraction")
+        scale = math.lcm(*(p.denominator for _, p in self.prices))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "units", {
+            t: p.numerator * (scale // p.denominator) for t, p in self.prices})
 
     @staticmethod
     def of(mapping: Mapping[Token, object]) -> "PriceMap":
@@ -348,23 +391,35 @@ def genesis(
     return BlockchainState(users, {}, (), {}, height, adversary)
 
 
-def wealth(accounts: Iterable[Account], state: BlockchainState, prices: PriceMap):
-    """Price-weighted token total held by ``accounts`` in ``state``.
+def wealth_units(accounts: Iterable[Account], state: BlockchainState,
+                 prices: PriceMap) -> int:
+    """``wealth`` times ``prices.scale``: an exact int, summed in price units.
 
-    Accounts absent from the state contribute zero.  Returns an exact
-    Fraction, or the int 0 when the accounts hold nothing.
+    Accounts absent from the state contribute zero.
     """
+    units = prices.units
     total = 0
     for acc in accounts:
-        w = state.users.get(acc) if acc.is_user else None
-        if w is None and acc.is_contract:
+        if acc.kind == USER:
+            w = state.users.get(acc)
+        else:
             cs = state.contracts.get(acc)
             w = cs.wallet if cs is not None else None
         if not w:
             continue
-        for tok, n in w.items():
-            total += n * prices.price(tok)
+        for tok, n in w._d.items():
+            u = units.get(tok)
+            if u is None:
+                raise KeyError(f"no price for token {tok!r}")
+            total += n * u
     return total
+
+
+def wealth(accounts: Iterable[Account], state: BlockchainState,
+           prices: PriceMap) -> Fraction:
+    """Price-weighted token total held by ``accounts`` in ``state``, as a
+    Fraction.  Accounts absent from the state contribute zero."""
+    return Fraction(wealth_units(accounts, state, prices), prices.scale)
 
 
 def richer_than(a: BlockchainState, b: BlockchainState) -> bool:

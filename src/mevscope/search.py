@@ -35,6 +35,7 @@ from .ledger import (
     contract_holdings,
     total_supply,
     wealth,
+    wealth_units,
 )
 from .vm import TICK_METHOD, Transaction, check_well_formed, execute, trace_key
 
@@ -136,19 +137,17 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
     return _with_tick(state, targets, moves)
 
 
-def _trace_order(trace) -> tuple:
-    return (len(trace), trace_key(trace))
-
-
-def _better(cand, best, best_tk):
+def _better(cand, best) -> bool:
     """Maximise value, then adversary gain; then prefer the shortest and
-    lexicographically smallest trace."""
+    lexicographically smallest trace.  Trace keys are built only when value,
+    gain and length all tie."""
     if cand[0] != best[0]:
         return cand[0] > best[0]
     if cand[1] != best[1]:
         return cand[1] > best[1]
-    ck = _trace_order(cand[2])
-    return best_tk is None or ck < best_tk
+    if len(cand[2]) != len(best[2]):
+        return len(cand[2]) < len(best[2])
+    return trace_key(cand[2]) < trace_key(best[2])
 
 
 class _MaxSearch:
@@ -162,41 +161,32 @@ class _MaxSearch:
         self.include_height = any(state.codes[a].reads_height for a in state.order)
         self.use_memo = use_memo
         self.memo: dict = {}
-        self.moves_cache: dict = {}
         self.cap = budget.state_cap if budget.state_cap is not None else DEFAULT_STATE_CAP
         self.capped = False
 
-    def moves(self, state):
-        key = (state.core_key(), state.height) if self.include_height else state.core_key()
-        cached = self.moves_cache.get(key)
-        if cached is None:
-            if self.budget.exhaustive:
-                cached = universal_moves(state, self.tokens, self.budget, self.restriction)
-            else:
-                cached = adversary_moves(state, self.restriction, self.budget)
-            if len(self.moves_cache) < self.cap:
-                self.moves_cache[key] = cached
-        return cached
-
     def run(self, state, measure):
-        """``measure(s) -> (objective, adversary wealth)``, computed once per
-        node.  The maximised value of a trace is the end-to-end objective
-        increase.  Ties break on adversary gain, then on the shortest and
-        lexicographically smallest trace."""
+        """``measure(s) -> (objective, adversary wealth)`` in integer price
+        units, computed once per node.  The maximised value of a trace is the
+        end-to-end objective increase.  Ties break on adversary gain, then on
+        the shortest and lexicographically smallest trace."""
         memo = self.memo
+        budget, restriction, tokens = self.budget, self.restriction, self.tokens
+        exhaustive, include_height = budget.exhaustive, self.include_height
+        use_memo, cap = self.use_memo, self.cap
 
         def best(state, m, k):
             if k == 0:
                 return (0, 0, ())
-            mkey = ((state.core_key(), state.height, k) if self.include_height
+            mkey = ((state.core_key(), state.height, k) if include_height
                     else (state.core_key(), k))
-            if self.use_memo:
+            if use_memo:
                 hit = memo.get(mkey)
                 if hit is not None:
                     return hit
+            moves = (universal_moves(state, tokens, budget, restriction) if exhaustive
+                     else adversary_moves(state, restriction, budget))
             top = (0, 0, ())
-            top_tk: Optional[tuple] = (0, ())
-            for tx in self.moves(state):
+            for tx in moves:
                 res = execute(state, tx)
                 if not res.valid and tx.method != TICK_METHOD:
                     continue
@@ -206,26 +196,27 @@ class _MaxSearch:
                 cand = (m2[0] - m[0] + sub[0],
                         m2[1] - m[1] + sub[1],
                         (tx,) + sub[2])
-                if _better(cand, top, top_tk):
+                if _better(cand, top):
                     top = cand
-                    top_tk = _trace_order(top[2])
-            if self.use_memo:
-                if len(memo) < self.cap:
+            if use_memo:
+                if len(memo) < cap:
                     memo[mkey] = top
                 else:
                     self.capped = True
             return top
 
-        return best(state, measure(state), self.budget.max_depth)
+        return best(state, measure(state), budget.max_depth)
 
 
 def _certified(engine: _MaxSearch, state: BlockchainState, measure, upper) -> MevResult:
     """Run ``engine`` from ``state``; the value is exact when it reaches the
-    wealth bound ``upper`` or the enumeration was exhaustive."""
-    value, _, witness = engine.run(state, measure)
-    value = Fraction(value)
+    wealth bound ``upper`` or the enumeration was exhaustive.  ``measure``
+    and ``upper`` are in integer price units; the value is converted back
+    to a Fraction here, once."""
+    units, _, witness = engine.run(state, measure)
     budget = engine.budget
-    complete = budget.exhaustive or value == upper
+    complete = budget.exhaustive or units == upper
+    value = Fraction(units, engine.prices.scale)
     warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
     return MevResult(value, witness, complete, budget, warning)
 
@@ -244,14 +235,14 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     obs_t = tuple(sorted(frozenset(observed) & state.deployed))
     adv_t = tuple(sorted(state.adversary))
     restr = None if restriction is None else frozenset(restriction)
-    upper = wealth(obs_t, state, prices)
+    upper = wealth_units(obs_t, state, prices)
     if upper == 0:
         # nothing to lose: exact by the wealth bound
         return MevResult(Fraction(0), (), True, budget)
 
     def measure(s):
-        w = wealth(obs_t, s, prices)
-        adv = wealth(adv_t, s, prices) if adv_t else 0
+        w = wealth_units(obs_t, s, prices)
+        adv = wealth_units(adv_t, s, prices) if adv_t else 0
         # objective is the observed contracts' loss, so it grows as w falls
         return (-w, adv)
 
@@ -267,12 +258,12 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     adv_t = tuple(sorted(state.adversary))
     # the adversary can only gain what contracts hold; with no adversary
     # accounts there are no craftable transactions at all
-    upper = wealth(tuple(state.order), state, prices)
+    upper = wealth_units(tuple(state.order), state, prices)
     if upper == 0 or not adv_t:
         return MevResult(Fraction(0), (), True, budget)
 
     def measure(s):
-        adv = wealth(adv_t, s, prices)
+        adv = wealth_units(adv_t, s, prices)
         return (adv, adv)
 
     return _certified(_MaxSearch(state, prices, budget, None, use_memo), state,

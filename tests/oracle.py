@@ -2,15 +2,17 @@
 
 Deliberately independent of the engine's search machinery: transactions are
 enumerated straight from the declared method signatures by local code, state
-keys are built locally, and the recursion is a plain maximum with no
-generators, pruning, bounds or tie-breaking.  Only the executor is shared,
-since the executor itself is what defines the semantics under test.
+keys are built locally, wealth is summed locally in Fractions from the
+quoted prices (not in the engine's integer price units), and the recursion
+is a plain maximum with no generators, pruning, bounds or tie-breaking.
+Only the executor is shared, since the executor itself is what defines the
+semantics under test.
 """
 
 import itertools
 from fractions import Fraction
 
-from mevscope import Transaction, Wallet, execute, wealth
+from mevscope import Transaction, Wallet, execute
 from mevscope.vm import TICK_METHOD
 
 
@@ -22,6 +24,20 @@ def state_key(state):
         for a in state.order
     )
     return (users, contracts, state.height)
+
+
+def fraction_wealth(accounts, state, prices) -> Fraction:
+    total = Fraction(0)
+    for acc in accounts:
+        if acc in state.users:
+            wallet = state.users[acc]
+        elif acc in state.contracts:
+            wallet = state.contracts[acc].wallet
+        else:
+            continue
+        for t, n in wallet.items():
+            total += n * prices.price(t)
+    return total
 
 
 def _arg_domain(spec, tokens, accounts, ceiling):
@@ -80,7 +96,7 @@ def brute_lmev(state, observed, restriction, prices, depth, ceiling) -> Fraction
     memo = {}
 
     def w(s):
-        return wealth(obs, s, prices)
+        return fraction_wealth(obs, s, prices)
 
     def rec(s, k):
         if k == 0:

@@ -6,6 +6,7 @@ otherwise; values are exact rationals compared with equality.
 """
 
 import random
+from fractions import Fraction
 
 from mevscope import (
     Account,
@@ -96,13 +97,16 @@ def test_composition_matrix_reproduces():
     print("[PASS] composition matrix: all 8 rows with the expected condition numbers")
 
 
-def test_exhaustive_search_matches_brute_force_oracle():
-    rng = random.Random(90)
+def _oracle_differential(rng, rational_prices):
+    """250 exhaustive micro searches, each checked against ``brute_lmev``."""
     scenarios = 0
     while scenarios < 250:
         light = scenarios % 3 != 2
         state, prices, ceiling = random_micro(
             rng, LIGHT_FAMILIES if light else helpers.MICRO_FAMILIES)
+        if rational_prices:
+            prices = PriceMap.of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
+                                  for t in prices.tokens()})
         depth = rng.choice((2, 3)) if light else rng.choice((2, 2, 3))
         observed = random_observed(rng, state)
         restriction = None if rng.random() < 0.6 else random_observed(rng, state)
@@ -112,12 +116,23 @@ def test_exhaustive_search_matches_brute_force_oracle():
         reference = brute_lmev(state, observed, restriction, prices, depth, ceiling)
         assert engine.value == reference, (
             f"divergence on {state!r} obs={sorted(observed)} "
-            f"restr={restriction and sorted(restriction)} depth={depth}: "
-            f"engine {engine.value} vs oracle {reference}")
+            f"restr={restriction and sorted(restriction)} depth={depth} "
+            f"prices={prices.as_dict()}: engine {engine.value} vs oracle {reference}")
         assert engine.complete
         scenarios += 1
+    return scenarios
+
+
+def test_exhaustive_search_matches_brute_force_oracle():
+    scenarios = _oracle_differential(random.Random(90), rational_prices=False)
     print(f"[PASS] oracle equivalence: {scenarios} exhaustive micro searches "
           "match the brute-force enumeration exactly")
+
+
+def test_exhaustive_search_matches_oracle_at_rational_prices():
+    scenarios = _oracle_differential(random.Random(91), rational_prices=True)
+    print(f"[PASS] oracle equivalence at random rational prices (denominators "
+          f"1-7): {scenarios} exhaustive micro searches match exactly")
 
 
 def test_randomized_search_property_suite():

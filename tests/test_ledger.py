@@ -2,13 +2,17 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from mevscope import Account, PriceMap, Wallet, richer_than, total_supply, wealth
+from mevscope import (Account, BlockchainState, ContractState, PriceMap, Wallet,
+                      genesis, richer_than, total_supply, wealth, wealth_units)
 
 from helpers import M, A, two_pool_state
 
 TOKENS = ("T0", "T1", "T2")
 
 wallets = st.dictionaries(st.sampled_from(TOKENS), st.integers(0, 20), max_size=3).map(Wallet)
+price_maps = st.fixed_dictionaries({
+    t: st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
+    for t in TOKENS}).map(PriceMap.of)
 
 
 def test_wallet_normalises_zeros():
@@ -45,6 +49,25 @@ def test_account_namespaces():
         Account("oracle", "x")
 
 
+def test_named_accounts_are_shared_objects():
+    assert Account.user("M") is Account.user("M")
+    assert Account.contract("AMM1") is Account.contract("AMM1")
+    direct = Account("contract", "AMM1")
+    assert direct == Account.contract("AMM1")
+    assert hash(direct) == hash(Account.contract("AMM1")) == hash(("contract", "AMM1"))
+    state = two_pool_state()
+    assert state.order[0] is Account.contract("AMM1")
+
+
+def test_wallet_single_checks_like_the_constructor():
+    assert Wallet.single("T0", 3) == Wallet({"T0": 3})
+    assert not Wallet.single("T0", 0)
+    for token, amount, err in (("T0", -1, ValueError), ("T0", True, TypeError),
+                               ("T0", 1.0, TypeError), (7, 1, TypeError)):
+        with pytest.raises(err):
+            Wallet.single(token, amount)
+
+
 def test_prices_must_be_positive():
     with pytest.raises(ValueError):
         PriceMap.of({"T0": 0})
@@ -73,6 +96,26 @@ def test_wealth_uses_exact_prices():
     state = two_pool_state()
     prices = PriceMap.of({"T0": 1, "T1": "1/3", "T2": "2/7"})
     assert wealth([Account.contract("AMM2")], state, prices) == Fraction(4, 3) + Fraction(18, 7)
+
+
+@given(st.lists(wallets, min_size=1, max_size=3), wallets, price_maps)
+def test_wealth_units_over_scale_is_the_rational_sum(user_wallets, contract_wallet, prices):
+    users = {Account.user(f"U{i}"): w for i, w in enumerate(user_wallets)}
+    c = Account.contract("C")
+    state = BlockchainState(users, {c: ContractState(contract_wallet)}, (c,), {c: None})
+    accounts = [*users, c]
+    expected = sum((n * prices.price(t) for w in (*user_wallets, contract_wallet)
+                    for t, n in w.items()), Fraction(0))
+    units = wealth_units(accounts, state, prices)
+    assert isinstance(units, int)
+    assert Fraction(units, prices.scale) == expected == wealth(accounts, state, prices)
+    assert all(prices.units[t] == prices.price(t) * prices.scale for t in TOKENS)
+
+
+def test_wealth_units_rejects_unpriced_tokens():
+    state = genesis({M: Wallet({"T9": 1})})
+    with pytest.raises(KeyError):
+        wealth_units([M], state, PriceMap.uniform(TOKENS))
 
 
 def _with_user(state, acc, wallet):

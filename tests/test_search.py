@@ -113,6 +113,16 @@ class TestLmev:
         b = lmev(state, {AMM2}, None, PRICES3, BUDGET, use_memo=False)
         assert (a.value, a.witness) == (b.value, b.witness)
 
+    def test_memo_cap_keeps_value_and_witness_and_warns(self):
+        for state, obs, prices in ((two_pool_state(), {AMM2}, PRICES3),
+                                   (bet_state(), {Account.contract("Bet")},
+                                    PriceMap.uniform(("ETH", "T")))):
+            full = lmev(state, obs, None, prices, SearchBudget(max_depth=3))
+            capped = lmev(state, obs, None, prices, SearchBudget(max_depth=3, state_cap=1))
+            assert (capped.value, capped.witness) == (full.value, full.witness)
+            assert full.warning is None
+            assert capped.warning == "memo cap exceeded; search ran unmemoised"
+
 
 class TestGlobalMev:
     def test_mutex_pair_keeps_whole_state_value_flat(self):
