@@ -17,7 +17,7 @@ from .analysis import (
     without_contracts,
 )
 from .battery import BatteryReport, BatteryRow, structural_battery
-from .catalog import REGISTRY, CatalogEntry, counterexample_contracts, entry
+from .catalog import REGISTRY, CatalogEntry, entry
 from .ledger import (
     Account,
     BlockchainState,

@@ -36,6 +36,8 @@ JUST_STABLE = "stable"
 JUST_SEARCH = "direct-search"
 JUST_COUNTEREXAMPLE = "counterexample"
 
+PROBE_STATE_CAP = 4096   # distinct states the stability probe visits before "unknown"
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -226,7 +228,6 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
 
     base = _enriched(state, budget) if wealthy else state
     base_obs = _observations(base, watched)
-    cap = budget.state_cap if budget.state_cap is not None else 4096
     seen = {base.core_key()}
     frontier = [(base, ())]
     for _ in range(budget.max_depth):
@@ -239,7 +240,7 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
                 key = res.state.core_key()
                 if key in seen:
                     continue
-                if len(seen) >= cap:
+                if len(seen) >= PROBE_STATE_CAP:
                     return ("unknown", None)
                 seen.add(key)
                 here = trace + (tx,)

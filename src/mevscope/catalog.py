@@ -2,13 +2,16 @@
 
 Each entry builds a ``ContractCode`` from named parameters: token symbols,
 integer constants and the instance names of already-deployed dependencies.
-Method behaviours are host-coded Python (there is no contract DSL); scenario
-files refer to entries by their catalog key.
+Parameters are checked once, in ``CatalogEntry.make``, against the entry's
+``ParamSpec`` tuple, so a builder receives every declared parameter (defaults
+filled in) and nothing else.  Method behaviours are host-coded Python (there
+is no contract DSL); scenario files refer to entries by their catalog key.
 
 Every entry also carries the metadata the analysis layers need: a move
 generator proposing candidate adversary transactions, declared in/out token
 sets, the (dependency, method) pairs its code calls, and observation probes
-for stability checking.
+for stability checking.  A move generator is only called while its own
+contract is deployed; it still checks for any dependency it reads.
 
 Move generators derive amounts only from contract reserves and declared
 constants, never from the adversary's wallet.  That makes the proposed move
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .ledger import Account, Token, Wallet
+from .ledger import Account, Wallet
 from .vm import ArgSpec, AttachSpec, ContractCode, MethodDef, Transaction
 
 ZERO_ARG = (ArgSpec("choice", (0,)),)   # guard-only minimum-output argument
@@ -43,10 +46,11 @@ class CatalogEntry:
     key: str
     summary: str
     params: tuple
-    build: Callable[[str, Mapping[str, object]], ContractCode]
+    build: Callable[[str, dict], ContractCode]   # receives checked parameters
 
-    def make(self, name: str, **args) -> ContractCode:
-        return self.build(name, args)
+    def make(self, name: str, /, **args) -> ContractCode:
+        """Build instance ``name``: the one place parameters are checked."""
+        return self.build(name, _take(args, self.params, self.key))
 
 
 def _take(args: Mapping[str, object], params: Sequence[ParamSpec], key: str) -> dict:
@@ -73,11 +77,18 @@ def _grid_amounts(reserve: int, grid: int) -> list:
     return sorted(amounts)
 
 
+def _fixed(acc: Account, *calls):
+    """Generator proposing the same ``(method, args, attached)`` calls to
+    ``acc`` in every state."""
+    def gen(state, origin, budget):
+        return tuple(Transaction(origin, acc, *call) for call in calls)
+    return gen
+
+
 # --- constant-product pool ------------------------------------------------------
 
 
-def _amm_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _AMM_PARAMS, "amm")
+def _amm_build(name: str, p: dict) -> ContractCode:
     t0, t1 = p["t0"], p["t1"]
     if t0 == t1:
         raise ValueError("amm: the two pool tokens must differ")
@@ -124,9 +135,7 @@ def _amm_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.pay_sender(y, tout)
 
     def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
+        cs = state.contracts[acc]
         moves = []
         for tin in (t0, t1):
             for a in _grid_amounts(cs.wallet.get(tin), budget.grid):
@@ -157,14 +166,10 @@ def _amm_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-_AMM_PARAMS = (ParamSpec("t0", "token"), ParamSpec("t1", "token"))
-
-
 # --- airdrop and fixed-rate exchange --------------------------------------------
 
 
-def _airdrop_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _AIRDROP_PARAMS, "airdrop")
+def _airdrop_build(name: str, p: dict) -> ContractCode:
     tout = p["token"]
     acc = Account.contract(name)
 
@@ -175,27 +180,18 @@ def _airdrop_build(name: str, args: Mapping[str, object]) -> ContractCode:
     def withdraw(c):
         c.pay_sender(c.balance(tout), tout)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "withdraw"),)
-
     return ContractCode(
         name=name,
         methods={"withdraw": MethodDef("withdraw", withdraw)},
         constructor=MethodDef("constructor", ctor),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tout}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("withdraw",)),
         probes=(("withdraw", (), Wallet()),),
     )
 
 
-_AIRDROP_PARAMS = (ParamSpec("token", "token"),)
-
-
-def _exchange_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _EXCHANGE_PARAMS, "exchange")
+def _exchange_build(name: str, p: dict) -> ContractCode:
     tout, tin, rate0 = p["tout"], p["tin"], p["rate"]
     if tin == tout:
         raise ValueError("exchange: tin and tout must differ")
@@ -228,9 +224,7 @@ def _exchange_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.pay_sender(x * rate, tout)
 
     def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
+        cs = state.contracts[acc]
         rate = cs.store["rate"]
         moves = []
         cap = cs.wallet.get(tout) // rate if rate else 0
@@ -261,18 +255,10 @@ def _exchange_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-_EXCHANGE_PARAMS = (
-    ParamSpec("tout", "token"),
-    ParamSpec("tin", "token"),
-    ParamSpec("rate", "int"),
-)
-
-
 # --- pot bet against a price oracle ----------------------------------------------
 
 
-def _bet_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _BET_PARAMS, "bet")
+def _bet_build(name: str, p: dict) -> ContractCode:
     oracle, tok, rate, deadline = p["oracle"], p["token"], p["rate"], p["deadline"]
     pot_tok = p["pot_token"]
     acc = Account.contract(name)
@@ -304,9 +290,7 @@ def _bet_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.pay(c.store("owner"), c.balance(pot_tok), pot_tok)
 
     def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
+        cs = state.contracts[acc]
         pot = cs.wallet.get(pot_tok)
         moves = [Transaction(origin, acc, "win"), Transaction(origin, acc, "close")]
         moves.append(Transaction(origin, acc, "bet", (), Wallet.single(pot_tok, pot))
@@ -331,23 +315,12 @@ def _bet_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-_BET_PARAMS = (
-    ParamSpec("oracle", "contract"),
-    ParamSpec("token", "token"),
-    ParamSpec("rate", "int"),
-    ParamSpec("deadline", "int"),
-    ParamSpec("pot_token", "token", required=False, default="ETH"),
-)
-
-
 # --- pool wrappers ---------------------------------------------------------------
 
 
 def _wrapper_gen(acc: Account, deps: tuple, method: str):
     # amounts come from the reserves of the wrapped pools
     def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
         store = state.contracts[acc].store
         toks = [v for k, v in sorted(store.items()) if k.startswith("t")]
         moves = []
@@ -361,8 +334,7 @@ def _wrapper_gen(acc: Account, deps: tuple, method: str):
     return gen
 
 
-def _best_swap_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _TWO_POOL_PARAMS, "best_swap")
+def _best_swap_build(name: str, p: dict) -> ContractCode:
     c0, c1 = p["c0"], p["c1"]
     acc = Account.contract(name)
 
@@ -408,8 +380,7 @@ def _best_swap_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-def _swap_router_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _TWO_POOL_PARAMS, "swap_router")
+def _swap_router_build(name: str, p: dict) -> ContractCode:
     c0, c1 = p["c0"], p["c1"]
     acc = Account.contract(name)
 
@@ -469,14 +440,10 @@ def _swap_router_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-_TWO_POOL_PARAMS = (ParamSpec("c0", "contract"), ParamSpec("c1", "contract"))
-
-
 # --- lending pool and arbitrage wrappers ------------------------------------------
 
 
-def _lp_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _LP_PARAMS, "lending_pool")
+def _lp_build(name: str, p: dict) -> ContractCode:
     tok = p["token"]
     cmin, rliq, imul, fee = p["cmin"], p["rliq"], p["imul"], p["fee"]
     oracle_user = p["oracle"]
@@ -592,9 +559,7 @@ def _lp_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require_final_min(tok, old + c.store("fee"))
 
     def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
+        cs = state.contracts[acc]
         amounts = _grid_amounts(cs.wallet.get(tok), budget.grid)
         moves = [Transaction(origin, acc, "accrue")]
         for a in amounts:
@@ -635,20 +600,18 @@ def _lp_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-_LP_PARAMS = (
-    ParamSpec("token", "token"),
-    ParamSpec("cmin", "int", required=False, default=2),
-    ParamSpec("rliq", "int", required=False, default=2),
-    ParamSpec("imul", "int", required=False, default=2),
-    ParamSpec("fee", "int", required=False, default=0),
-    ParamSpec("oracle", "user", required=False, default="Oracle"),
-)
+def _arb_ctor(c0: str, c1: str, lp: str):
+    def ctor(c):
+        t0, t1 = c.call(c0, "getTokens")
+        c.require(c.call(lp, "getToken") == t0)
+        c.require(c.call(c1, "getTokens") == (t0, t1))
+        c.put("t0", t0)
+        c.put("t1", t1)
+    return ctor
 
 
 def _arb_gen(acc: Account, lp: str):
     def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
         lp_acc = Account.contract(lp)
         reserve = (state.contracts[lp_acc].wallet.get(state.contracts[acc].store["t0"])
                    if lp_acc in state.contracts else 0)
@@ -657,17 +620,9 @@ def _arb_gen(acc: Account, lp: str):
     return gen
 
 
-def _lp_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _ARB_PARAMS, "lp_arbitrage")
+def _lp_arbitrage_build(name: str, p: dict) -> ContractCode:
     c0, c1, lp = p["c0"], p["c1"], p["lp"]
     acc = Account.contract(name)
-
-    def ctor(c):
-        t0, t1 = c.call(c0, "getTokens")
-        c.require(c.call(lp, "getToken") == t0)
-        c.require(c.call(c1, "getTokens") == (t0, t1))
-        c.put("t0", t0)
-        c.put("t1", t1)
 
     def arbitrage(c):
         x = c.arg_int(0)
@@ -682,7 +637,7 @@ def _lp_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCode:
     return ContractCode(
         name=name,
         methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", ctor),
+        constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
         declared_deps=frozenset({c0, c1, lp}),
         intok_decl=None,
         outtok_decl=None,
@@ -693,17 +648,9 @@ def _lp_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCode:
     )
 
 
-def _flash_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _ARB_PARAMS, "flash_loan_arbitrage")
+def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
     c0, c1, lp = p["c0"], p["c1"], p["lp"]
     acc = Account.contract(name)
-
-    def ctor(c):
-        t0, t1 = c.call(c0, "getTokens")
-        c.require(c.call(lp, "getToken") == t0)
-        c.require(c.call(c1, "getTokens") == (t0, t1))
-        c.put("t0", t0)
-        c.put("t1", t1)
 
     def arbitrage(c):
         x = c.arg_int(0)
@@ -718,7 +665,7 @@ def _flash_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCod
     return ContractCode(
         name=name,
         methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", ctor),
+        constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
         declared_deps=frozenset({c0, c1, lp}),
         intok_decl=None,
         outtok_decl=None,
@@ -729,13 +676,6 @@ def _flash_arbitrage_build(name: str, args: Mapping[str, object]) -> ContractCod
     )
 
 
-_ARB_PARAMS = (
-    ParamSpec("c0", "contract"),
-    ParamSpec("c1", "contract"),
-    ParamSpec("lp", "contract"),
-)
-
-
 # --- small stateful vaults used by the verdict test corpus -----------------------
 #
 # These tiny contracts exercise the corner cases of the composability
@@ -744,16 +684,22 @@ _ARB_PARAMS = (
 # integers already stored.
 
 
-def _latch_args(cs) -> list:
-    vals = {0, 1, 2}
-    if cs is not None:
-        vals |= {v for v in cs.store.values()
-                 if isinstance(v, int) and not isinstance(v, bool)}
-    return sorted(vals)
+def _latch_gen(acc: Account, cell: str, method: str):
+    """Generator proposing ``method(v)`` to ``acc`` for every latch value
+    ``v`` of the cell contract named ``cell``."""
+    cell_acc = Account.contract(cell)
+
+    def gen(state, origin, budget):
+        vals = {0, 1, 2}
+        cs = state.contracts.get(cell_acc)
+        if cs is not None:
+            vals |= {v for v in cs.store.values()
+                     if isinstance(v, int) and not isinstance(v, bool)}
+        return tuple(Transaction(origin, acc, method, (v,)) for v in sorted(vals))
+    return gen
 
 
-def _cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    _take(args, (), "cell")
+def _cell_build(name: str, p: dict) -> ContractCode:
     acc = Account.contract(name)
 
     def ctor(c):
@@ -765,24 +711,17 @@ def _cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
     def set_(c):
         c.put("x", c.arg_int(0))
 
-    def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
-        return tuple(Transaction(origin, acc, "set", (v,)) for v in _latch_args(cs))
-
     return ContractCode(
         name=name,
         methods={"get": MethodDef("get", get),
                  "set": MethodDef("set", set_, args=(ArgSpec("int"),))},
         constructor=MethodDef("constructor", ctor),
-        move_generator=gen,
+        move_generator=_latch_gen(acc, name, "set"),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _once_cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    _take(args, (), "once_cell")
+def _once_cell_build(name: str, p: dict) -> ContractCode:
     acc = Account.contract(name)
 
     def ctor(c):
@@ -796,24 +735,17 @@ def _once_cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
         if c.store("x") == 0:
             c.put("x", c.arg_int(0))
 
-    def gen(state, origin, budget):
-        cs = state.contracts.get(acc)
-        if cs is None:
-            return ()
-        return tuple(Transaction(origin, acc, "set", (v,)) for v in _latch_args(cs))
-
     return ContractCode(
         name=name,
         methods={"get": MethodDef("get", get),
                  "set": MethodDef("set", set_, args=(ArgSpec("int"),))},
         constructor=MethodDef("constructor", ctor),
-        move_generator=gen,
+        move_generator=_latch_gen(acc, name, "set"),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _cell_proxy_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("cell", "contract"),), "cell_proxy")
+def _cell_proxy_build(name: str, p: dict) -> ContractCode:
     cell = p["cell"]
     acc = Account.contract(name)
 
@@ -823,25 +755,18 @@ def _cell_proxy_build(name: str, args: Mapping[str, object]) -> ContractCode:
     def set_x(c):
         c.call(cell, "set", (c.arg_int(0),))
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        cs = state.contracts.get(Account.contract(cell))
-        return tuple(Transaction(origin, acc, "set_x", (v,)) for v in _latch_args(cs))
-
     return ContractCode(
         name=name,
         methods={"get_x": MethodDef("get_x", get_x),
                  "set_x": MethodDef("set_x", set_x, args=(ArgSpec("int"),))},
         declared_deps=frozenset({cell}),
         calls_out=frozenset({(cell, "get"), (cell, "set")}),
-        move_generator=gen,
+        move_generator=_latch_gen(acc, cell, "set_x"),
         probes=(("get_x", (), Wallet()),),
     )
 
 
-def _gated_drop_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _GATED_PARAMS, "gated_drop")
+def _gated_drop_build(name: str, p: dict) -> ContractCode:
     cell, tok, amount = p["cell"], p["token"], p["amount"]
     acc = Account.contract(name)
 
@@ -849,11 +774,6 @@ def _gated_drop_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require(c.call(cell, "get") == 1)
         c.pay_sender(amount, tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f"),)
-
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
@@ -861,20 +781,11 @@ def _gated_drop_build(name: str, args: Mapping[str, object]) -> ContractCode:
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f",)),
     )
 
 
-_GATED_PARAMS = (
-    ParamSpec("cell", "contract"),
-    ParamSpec("token", "token"),
-    ParamSpec("amount", "int", required=False, default=1),
-)
-
-
-def _gated_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("cell", "contract"), ParamSpec("token", "token")),
-              "gated_vault")
+def _gated_vault_build(name: str, p: dict) -> ContractCode:
     cell, tok = p["cell"], p["token"]
     acc = Account.contract(name)
 
@@ -882,11 +793,6 @@ def _gated_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require(c.call(cell, "get") == 1)
         c.pay_sender(c.balance(tok), tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f"),)
-
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
@@ -894,12 +800,11 @@ def _gated_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f",)),
     )
 
 
-def _paid_cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("token", "token"),), "paid_cell")
+def _paid_cell_build(name: str, p: dict) -> ContractCode:
     tok = p["token"]
     acc = Account.contract(name)
 
@@ -914,11 +819,6 @@ def _paid_cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require(t == tok and x == 1)
         c.put("x", 1)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "set", (), Wallet.single(tok, 1)),)
-
     return ContractCode(
         name=name,
         methods={"get": MethodDef("get", get),
@@ -926,14 +826,12 @@ def _paid_cell_build(name: str, args: Mapping[str, object]) -> ContractCode:
         constructor=MethodDef("constructor", ctor),
         intok_decl=frozenset({tok}),
         outtok_decl=frozenset(),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("set", (), Wallet.single(tok, 1))),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _dropper_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("var", "contract"), ParamSpec("token", "token")),
-              "dropper")
+def _dropper_build(name: str, p: dict) -> ContractCode:
     var, tok = p["var"], p["token"]
     acc = Account.contract(name)
 
@@ -951,11 +849,6 @@ def _dropper_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.call(var, "set", (2,))
         c.pay_sender(3, tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "drop2"), Transaction(origin, acc, "drop3"))
-
     return ContractCode(
         name=name,
         methods={"drop2": MethodDef("drop2", drop2),
@@ -965,12 +858,11 @@ def _dropper_build(name: str, args: Mapping[str, object]) -> ContractCode:
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(var, "get"), (var, "set")}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("drop2",), ("drop3",)),
     )
 
 
-def _mutex_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("token", "token"),), "mutex_vault")
+def _mutex_vault_build(name: str, p: dict) -> ContractCode:
     tok = p["token"]
     acc = Account.contract(name)
 
@@ -990,11 +882,6 @@ def _mutex_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
     def f3(c):
         return c.store("n")
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f1"), Transaction(origin, acc, "f2"))
-
     return ContractCode(
         name=name,
         methods={"f1": MethodDef("f1", f1), "f2": MethodDef("f2", f2),
@@ -1002,14 +889,12 @@ def _mutex_vault_build(name: str, args: Mapping[str, object]) -> ContractCode:
         constructor=MethodDef("constructor", ctor),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f1",), ("f2",)),
         probes=(("f3", (), Wallet()),),
     )
 
 
-def _mutex_follower_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, (ParamSpec("c1", "contract"), ParamSpec("token", "token")),
-              "mutex_follower")
+def _mutex_follower_build(name: str, p: dict) -> ContractCode:
     c1, tok = p["c1"], p["token"]
     acc = Account.contract(name)
 
@@ -1020,11 +905,6 @@ def _mutex_follower_build(name: str, args: Mapping[str, object]) -> ContractCode
         c.require(c.call(c1, "f3") == 2)
         c.pay_sender(1, tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "g"),)
-
     return ContractCode(
         name=name,
         methods={"g": MethodDef("g", g)},
@@ -1033,41 +913,30 @@ def _mutex_follower_build(name: str, args: Mapping[str, object]) -> ContractCode
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(c1, "f3")}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("g",)),
     )
 
 
-def _faucet_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _FAUCET_PARAMS, "faucet")
+def _faucet_build(name: str, p: dict) -> ContractCode:
     tok, amount = p["token"], p["amount"]
     acc = Account.contract(name)
 
     def f(c):
         c.pay_sender(amount, tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f"),)
-
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f",)),
         probes=(("f", (), Wallet()),),
     )
 
 
-_FAUCET_PARAMS = (ParamSpec("token", "token"), ParamSpec("amount", "int"))
-
-
-def _gated_faucet_build(name: str, args: Mapping[str, object]) -> ContractCode:
+def _gated_faucet_build(name: str, p: dict) -> ContractCode:
     # expected_sender is a stored reference, not a call edge, so it may name
     # a contract deployed later
-    p = _take(args, _FAUCET_PARAMS + (ParamSpec("expected_sender", "str"),),
-              "gated_faucet")
     tok, amount, expected = p["token"], p["amount"], p["expected_sender"]
     acc = Account.contract(name)
 
@@ -1075,36 +944,24 @@ def _gated_faucet_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require(c.sender == Account.contract(expected))
         c.pay_sender(amount, tok)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f"),)
-
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
         sender_agnostic=False,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f",)),
         probes=(("f", (), Wallet()),),
     )
 
 
-def _chained_faucet_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _FAUCET_PARAMS + (ParamSpec("dep", "contract"),),
-              "chained_faucet")
+def _chained_faucet_build(name: str, p: dict) -> ContractCode:
     tok, amount, dep = p["token"], p["amount"], p["dep"]
     acc = Account.contract(name)
 
     def g(c):
         c.call(dep, "f")
         c.pay_sender(amount, tok)
-
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "g"),)
 
     return ContractCode(
         name=name,
@@ -1113,12 +970,11 @@ def _chained_faucet_build(name: str, args: Mapping[str, object]) -> ContractCode
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(dep, "f")}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("g",)),
     )
 
 
-def _relay_build(name: str, args: Mapping[str, object]) -> ContractCode:
-    p = _take(args, _RELAY_PARAMS, "relay")
+def _relay_build(name: str, p: dict) -> ContractCode:
     tin, n_in, tout, n_out = p["tin"], p["amount_in"], p["tout"], p["amount_out"]
     acc = Account.contract(name)
 
@@ -1126,120 +982,86 @@ def _relay_build(name: str, args: Mapping[str, object]) -> ContractCode:
         c.require(c.attached == Wallet.single(tin, n_in))
         c.pay_sender(n_out, tout)
 
-    def gen(state, origin, budget):
-        if acc not in state.contracts:
-            return ()
-        return (Transaction(origin, acc, "f", (), Wallet.single(tin, n_in)),)
-
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f, attach=(AttachSpec((tin,), (n_in,)),))},
         intok_decl=frozenset({tin}),
         outtok_decl=frozenset({tout}),
-        move_generator=gen,
+        move_generator=_fixed(acc, ("f", (), Wallet.single(tin, n_in))),
     )
-
-
-_RELAY_PARAMS = (
-    ParamSpec("tin", "token"),
-    ParamSpec("amount_in", "int"),
-    ParamSpec("tout", "token"),
-    ParamSpec("amount_out", "int"),
-)
 
 
 # --- public registry ---------------------------------------------------------
 
+_TWO_POOL_PARAMS = (ParamSpec("c0", "contract"), ParamSpec("c1", "contract"))
+_ARB_PARAMS = _TWO_POOL_PARAMS + (ParamSpec("lp", "contract"),)
+_CELL_TOKEN_PARAMS = (ParamSpec("cell", "contract"), ParamSpec("token", "token"))
+_FAUCET_PARAMS = (ParamSpec("token", "token"), ParamSpec("amount", "int"))
 
-def amm() -> CatalogEntry:
-    return CatalogEntry("amm", "constant-product two-token pool",
-                        _AMM_PARAMS, _amm_build)
-
-
-def airdrop() -> CatalogEntry:
-    return CatalogEntry("airdrop", "anyone withdraws the whole balance",
-                        _AIRDROP_PARAMS, _airdrop_build)
-
-
-def exchange() -> CatalogEntry:
-    return CatalogEntry("exchange", "fixed-rate swap with an owner-set rate",
-                        _EXCHANGE_PARAMS, _exchange_build)
-
-
-def bet() -> CatalogEntry:
-    return CatalogEntry("bet", "pot bet paid out on an oracle rate threshold",
-                        _BET_PARAMS, _bet_build)
-
-
-def best_swap() -> CatalogEntry:
-    return CatalogEntry("best_swap", "routes a swap to the better of two pools",
-                        _TWO_POOL_PARAMS, _best_swap_build)
-
-
-def swap_router() -> CatalogEntry:
-    return CatalogEntry("swap_router", "chains two pools to swap across a middle token",
-                        _TWO_POOL_PARAMS, _swap_router_build)
-
-
-def lending_pool() -> CatalogEntry:
-    return CatalogEntry("lending_pool",
-                        "deposit/borrow pool with accrual, liquidation and flash loans",
-                        _LP_PARAMS, _lp_build)
-
-
-def lp_arbitrage() -> CatalogEntry:
-    return CatalogEntry("lp_arbitrage",
-                        "borrows, round-trips two pools and keeps the spread",
-                        _ARB_PARAMS, _lp_arbitrage_build)
-
-
-def flash_loan_arbitrage() -> CatalogEntry:
-    return CatalogEntry("flash_loan_arbitrage",
-                        "same round-trip funded by an uncollateralised flash loan",
-                        _ARB_PARAMS, _flash_arbitrage_build)
-
-
-def counterexample_contracts() -> tuple:
-    """Entries for the small vaults used to probe the composability relations."""
-    return (
-        CatalogEntry("cell", "settable integer cell", (), _cell_build),
-        CatalogEntry("once_cell", "write-once integer cell", (), _once_cell_build),
-        CatalogEntry("cell_proxy", "forwards get/set to a cell",
-                     (ParamSpec("cell", "contract"),), _cell_proxy_build),
-        CatalogEntry("gated_drop", "pays a fixed amount while a cell reads 1",
-                     _GATED_PARAMS, _gated_drop_build),
-        CatalogEntry("gated_vault", "pays its whole balance while a cell reads 1",
-                     (ParamSpec("cell", "contract"), ParamSpec("token", "token")),
-                     _gated_vault_build),
-        CatalogEntry("paid_cell", "cell set to 1 against a one-token payment",
-                     (ParamSpec("token", "token"),), _paid_cell_build),
-        CatalogEntry("dropper", "one-shot payout branching on a shared cell",
-                     (ParamSpec("var", "contract"), ParamSpec("token", "token")),
-                     _dropper_build),
-        CatalogEntry("mutex_vault", "one-shot choice latch paying on branch 1",
-                     (ParamSpec("token", "token"),), _mutex_vault_build),
-        CatalogEntry("mutex_follower", "pays only when the latch chose branch 2",
-                     (ParamSpec("c1", "contract"), ParamSpec("token", "token")),
-                     _mutex_follower_build),
-        CatalogEntry("faucet", "pays a fixed amount to any caller",
-                     _FAUCET_PARAMS, _faucet_build),
-        CatalogEntry("gated_faucet", "faucet restricted to one contract sender",
-                     _FAUCET_PARAMS + (ParamSpec("expected_sender", "str"),),
-                     _gated_faucet_build),
-        CatalogEntry("chained_faucet", "drains a faucet, then pays its own amount",
-                     _FAUCET_PARAMS + (ParamSpec("dep", "contract"),),
-                     _chained_faucet_build),
-        CatalogEntry("relay", "fixed amount in, fixed amount out",
-                     _RELAY_PARAMS, _relay_build),
-    )
-
-
-REGISTRY: dict = {
-    e.key: e
-    for e in (amm(), airdrop(), exchange(), bet(), best_swap(), swap_router(),
-              lending_pool(), lp_arbitrage(), flash_loan_arbitrage(),
-              *counterexample_contracts())
-}
+REGISTRY: dict = {e.key: e for e in (
+    CatalogEntry("amm", "constant-product two-token pool",
+                 (ParamSpec("t0", "token"), ParamSpec("t1", "token")), _amm_build),
+    CatalogEntry("airdrop", "anyone withdraws the whole balance",
+                 (ParamSpec("token", "token"),), _airdrop_build),
+    CatalogEntry("exchange", "fixed-rate swap with an owner-set rate",
+                 (ParamSpec("tout", "token"), ParamSpec("tin", "token"),
+                  ParamSpec("rate", "int")), _exchange_build),
+    CatalogEntry("bet", "pot bet paid out on an oracle rate threshold",
+                 (ParamSpec("oracle", "contract"), ParamSpec("token", "token"),
+                  ParamSpec("rate", "int"), ParamSpec("deadline", "int"),
+                  ParamSpec("pot_token", "token", required=False, default="ETH")),
+                 _bet_build),
+    CatalogEntry("best_swap", "routes a swap to the better of two pools",
+                 _TWO_POOL_PARAMS, _best_swap_build),
+    CatalogEntry("swap_router", "chains two pools to swap across a middle token",
+                 _TWO_POOL_PARAMS, _swap_router_build),
+    CatalogEntry("lending_pool",
+                 "deposit/borrow pool with accrual, liquidation and flash loans",
+                 (ParamSpec("token", "token"),
+                  ParamSpec("cmin", "int", required=False, default=2),
+                  ParamSpec("rliq", "int", required=False, default=2),
+                  ParamSpec("imul", "int", required=False, default=2),
+                  ParamSpec("fee", "int", required=False, default=0),
+                  ParamSpec("oracle", "user", required=False, default="Oracle")),
+                 _lp_build),
+    CatalogEntry("lp_arbitrage", "borrows, round-trips two pools and keeps the spread",
+                 _ARB_PARAMS, _lp_arbitrage_build),
+    CatalogEntry("flash_loan_arbitrage",
+                 "same round-trip funded by an uncollateralised flash loan",
+                 _ARB_PARAMS, _flash_arbitrage_build),
+    # the small vaults used to probe the composability relations
+    CatalogEntry("cell", "settable integer cell", (), _cell_build),
+    CatalogEntry("once_cell", "write-once integer cell", (), _once_cell_build),
+    CatalogEntry("cell_proxy", "forwards get/set to a cell",
+                 (ParamSpec("cell", "contract"),), _cell_proxy_build),
+    CatalogEntry("gated_drop", "pays a fixed amount while a cell reads 1",
+                 _CELL_TOKEN_PARAMS
+                 + (ParamSpec("amount", "int", required=False, default=1),),
+                 _gated_drop_build),
+    CatalogEntry("gated_vault", "pays its whole balance while a cell reads 1",
+                 _CELL_TOKEN_PARAMS, _gated_vault_build),
+    CatalogEntry("paid_cell", "cell set to 1 against a one-token payment",
+                 (ParamSpec("token", "token"),), _paid_cell_build),
+    CatalogEntry("dropper", "one-shot payout branching on a shared cell",
+                 (ParamSpec("var", "contract"), ParamSpec("token", "token")),
+                 _dropper_build),
+    CatalogEntry("mutex_vault", "one-shot choice latch paying on branch 1",
+                 (ParamSpec("token", "token"),), _mutex_vault_build),
+    CatalogEntry("mutex_follower", "pays only when the latch chose branch 2",
+                 (ParamSpec("c1", "contract"), ParamSpec("token", "token")),
+                 _mutex_follower_build),
+    CatalogEntry("faucet", "pays a fixed amount to any caller",
+                 _FAUCET_PARAMS, _faucet_build),
+    CatalogEntry("gated_faucet", "faucet restricted to one contract sender",
+                 _FAUCET_PARAMS + (ParamSpec("expected_sender", "str"),),
+                 _gated_faucet_build),
+    CatalogEntry("chained_faucet", "drains a faucet, then pays its own amount",
+                 _FAUCET_PARAMS + (ParamSpec("dep", "contract"),), _chained_faucet_build),
+    CatalogEntry("relay", "fixed amount in, fixed amount out",
+                 (ParamSpec("tin", "token"), ParamSpec("amount_in", "int"),
+                  ParamSpec("tout", "token"), ParamSpec("amount_out", "int")),
+                 _relay_build),
+)}
 
 
 def entry(key: str) -> CatalogEntry:

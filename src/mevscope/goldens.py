@@ -257,10 +257,3 @@ GOLDENS: tuple = (
     ("cell_gated_vault", golden_cell_gated_vault),
     ("once_cell_droppers", golden_once_cell_droppers),
 )
-
-
-def run_goldens() -> list:
-    checks: list = []
-    for _, fn in GOLDENS:
-        checks.extend(fn())
-    return checks

@@ -177,11 +177,6 @@ class Wallet:
         """Pointwise >=."""
         return all(self._d.get(tok, 0) >= n for tok, n in other._d.items())
 
-    def scaled(self, k: int) -> "Wallet":
-        if k < 0:
-            raise ValueError("negative scale")
-        return Wallet._from_clean({t: n * k for t, n in self._d.items()} if k else {})
-
     def pretty(self) -> str:
         if not self._d:
             return "0"

@@ -187,14 +187,13 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text, name=p.name)
 
 
-def _coerce_arg(entry_key: str, spec: catalog.ParamSpec, value, where: str):
+def _coerce_arg(spec: catalog.ParamSpec, value, where: str) -> None:
     if spec.kind == "int":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ScenarioError(f"{where}: {spec.name} must be an int")
     elif spec.kind in ("token", "contract", "user", "str"):
         if not isinstance(value, str):
             raise ScenarioError(f"{where}: {spec.name} must be a string")
-    return value
 
 
 def build_state(scn: Scenario) -> tuple:
@@ -217,14 +216,14 @@ def build_state(scn: Scenario) -> tuple:
             args.setdefault("oracle", scn.oracle_user)
         for spec in entry.params:
             if spec.name in args:
-                _coerce_arg(entry.key, spec, args[spec.name], where)
+                _coerce_arg(spec, args[spec.name], where)
                 if spec.kind == "contract" and args[spec.name] not in deployed_names:
                     raise ScenarioError(
                         f"{where}: dependency {args[spec.name]!r} is not deployed yet")
                 if spec.kind == "token" and args[spec.name] not in {s for s, _ in scn.tokens}:
                     raise ScenarioError(f"{where}: unknown token {args[spec.name]!r}")
         try:
-            code = entry.build(dep.name, args)
+            code = entry.make(dep.name, **args)
         except (ValueError, KeyError) as e:
             raise ScenarioError(f"{where}: {e}") from None
 

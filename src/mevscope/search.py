@@ -40,7 +40,7 @@ from .ledger import (
 from .vm import TICK_METHOD, Transaction, check_well_formed, execute, trace_key
 
 ESCALATION_CAP = 20          # wealthy-adversary wallet doublings before giving up
-DEFAULT_STATE_CAP = 2_000_000
+MEMO_CAP = 2_000_000         # memo entries per search; past it the search runs unmemoised
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class SearchBudget:
     max_depth: int = 4
     grid: int = 8
     exhaustive: bool = False
-    state_cap: Optional[int] = None
     ceiling: Optional[int] = None   # exhaustive-mode amount ceiling
 
     def __post_init__(self) -> None:
@@ -153,15 +152,13 @@ def _better(cand, best) -> bool:
 class _MaxSearch:
     """Shared depth-limited search core (loss or gain objectives)."""
 
-    def __init__(self, state, prices, budget, restriction, use_memo=True):
+    def __init__(self, state, prices, budget, restriction):
         self.prices = prices
         self.budget = budget
         self.restriction = restriction
         self.tokens = prices.tokens()
         self.include_height = any(state.codes[a].reads_height for a in state.order)
-        self.use_memo = use_memo
         self.memo: dict = {}
-        self.cap = budget.state_cap if budget.state_cap is not None else DEFAULT_STATE_CAP
         self.capped = False
 
     def run(self, state, measure):
@@ -172,17 +169,16 @@ class _MaxSearch:
         memo = self.memo
         budget, restriction, tokens = self.budget, self.restriction, self.tokens
         exhaustive, include_height = budget.exhaustive, self.include_height
-        use_memo, cap = self.use_memo, self.cap
+        cap = MEMO_CAP
 
         def best(state, m, k):
             if k == 0:
                 return (0, 0, ())
             mkey = ((state.core_key(), state.height, k) if include_height
                     else (state.core_key(), k))
-            if use_memo:
-                hit = memo.get(mkey)
-                if hit is not None:
-                    return hit
+            hit = memo.get(mkey)
+            if hit is not None:
+                return hit
             moves = (universal_moves(state, tokens, budget, restriction) if exhaustive
                      else adversary_moves(state, restriction, budget))
             top = (0, 0, ())
@@ -198,11 +194,10 @@ class _MaxSearch:
                         (tx,) + sub[2])
                 if _better(cand, top):
                     top = cand
-            if use_memo:
-                if len(memo) < cap:
-                    memo[mkey] = top
-                else:
-                    self.capped = True
+            if len(memo) < cap:
+                memo[mkey] = top
+            else:
+                self.capped = True
             return top
 
         return best(state, measure(state), budget.max_depth)
@@ -222,7 +217,7 @@ def _certified(engine: _MaxSearch, state: BlockchainState, measure, upper) -> Me
 
 
 def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
-         budget: SearchBudget = SearchBudget(), use_memo: bool = True) -> MevResult:
+         budget: SearchBudget = SearchBudget()) -> MevResult:
     """Maximal loss the adversary can inflict on ``observed`` contracts using
     transactions that target only ``restriction`` (None = no restriction).
 
@@ -246,12 +241,11 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
         # objective is the observed contracts' loss, so it grows as w falls
         return (-w, adv)
 
-    return _certified(_MaxSearch(state, prices, budget, restr, use_memo), state,
-                      measure, upper)
+    return _certified(_MaxSearch(state, prices, budget, restr), state, measure, upper)
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
-               budget: SearchBudget = SearchBudget(), use_memo: bool = True) -> MevResult:
+               budget: SearchBudget = SearchBudget()) -> MevResult:
     """Maximal adversary gain over bounded traces (no call restriction)."""
     if not check_well_formed(state):
         raise ValueError("global_mev: state is not well-formed")
@@ -266,8 +260,7 @@ def global_mev(state: BlockchainState, prices: PriceMap,
         adv = wealth_units(adv_t, s, prices)
         return (adv, adv)
 
-    return _certified(_MaxSearch(state, prices, budget, None, use_memo), state,
-                      measure, upper)
+    return _certified(_MaxSearch(state, prices, budget, None), state, measure, upper)
 
 
 def rich_wallet(state: BlockchainState, prices: PriceMap, budget: SearchBudget,

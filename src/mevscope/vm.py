@@ -181,7 +181,9 @@ class ContractCode:
     ``move_generator(state, origin, budget)`` proposes candidate adversary
     transactions targeting this contract; it may read the whole state (it is
     engine metadata, not contract code, so the no-inspection rule does not
-    apply to it).  ``intok_decl`` / ``outtok_decl`` are declared
+    apply to it).  It is called only while this contract is deployed, so it
+    reads its own state unguarded; a dependency's state it must look up
+    first.  ``intok_decl`` / ``outtok_decl`` are declared
     over-approximations of the receivable / sendable token sets; ``None``
     means "unknown, assume every token".  ``calls_out`` lists the
     (dependency name, method) pairs the contract's code may invoke, and
@@ -248,7 +250,7 @@ class _Scratch:
     def _user(self, acc: Account) -> dict:
         d = self.uw.get(acc)
         if d is None:
-            d = dict(self.base.user_wallet(acc).as_dict())
+            d = self.base.user_wallet(acc).as_dict()
             self.uw[acc] = d
         return d
 

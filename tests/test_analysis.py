@@ -116,6 +116,16 @@ class TestStability:
         assert witness and witness[-1].callee == Account.contract("AMM")
         assert witness[-1].method == "swap"
 
+    @pytest.mark.parametrize("wealthy", (False, True))
+    def test_probe_state_cap_gives_unknown(self, monkeypatch, wealthy):
+        from mevscope import analysis
+        state, delta = build_state(load_bundled("bet_on_amm_oracle.scn"))
+        prices = PriceMap.uniform(("ETH", "T"))
+        args = (state, state.deployed - delta, delta, prices, BUDGET)
+        assert stable_wrt_adversary(*args, wealthy=wealthy)[0] == "unstable"
+        monkeypatch.setattr(analysis, "PROBE_STATE_CAP", 1)
+        assert stable_wrt_adversary(*args, wealthy=wealthy) == ("unknown", None)
+
     def test_no_dependency_channel_is_trivially_stable(self):
         st, _ = build_state(load_bundled("compositions/row1_amm_amm.scn"))
         status, _ = stable_wrt_adversary(st, {AMM1}, {AMM2},

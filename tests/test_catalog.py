@@ -1,12 +1,17 @@
 import hashlib
+import json
 import random
+import re
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mevscope import (
+    REGISTRY,
     Account,
+    ScenarioError,
     SearchBudget,
     Transaction,
     Wallet,
@@ -14,6 +19,7 @@ from mevscope import (
     execute,
     build_state,
     execute_trace,
+    parse_scenario,
 )
 from mevscope.goldens import load_bundled
 from mevscope.vm import TICK_METHOD
@@ -350,7 +356,6 @@ class TestGeneratorCoverage:
 
 
 def test_catalog_sender_agnostic_flags():
-    from mevscope import REGISTRY
     flagged_false = {k for k, e in REGISTRY.items()
                      if k == "gated_faucet"}
     for key, e in REGISTRY.items():
@@ -436,3 +441,49 @@ def _move_digest(name: str, grid: int) -> str:
                          ids=lambda v: str(v).rsplit("/", 1)[-1])
 def test_generated_move_sets_are_pinned(name, grid, digest):
     assert _move_digest(name, grid) == digest
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_make_rejects_an_unknown_parameter(key):
+    with pytest.raises(ValueError, match=rf"^{key}: unknown parameters \['bogus'\]$"):
+        REGISTRY[key].make("X", bogus=1)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, e in REGISTRY.items()
+                                       if any(p.required for p in e.params)))
+def test_make_rejects_a_missing_required_parameter(key):
+    first = next(p.name for p in REGISTRY[key].params if p.required)
+    with pytest.raises(ValueError, match=rf"^{key}: missing parameter '{first}'$"):
+        REGISTRY[key].make("X")
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_scenario_deployment_with_an_unknown_arg_names_the_deployment(key):
+    doc = {"deployments": [{"contract": key, "name": "X", "args": {"bogus": 1}}]}
+    with pytest.raises(ScenarioError) as err:
+        build_state(parse_scenario(json.dumps(doc), "s.scn"))
+    assert str(err.value) == f"s.scn: deployments[0] (X): {key}: unknown parameters ['bogus']"
+
+
+def test_readme_catalog_table_matches_the_registry():
+    """The README's catalog table names exactly the registry keys; where a row
+    lists parameters they are the entries' ParamSpec names, the optional ones
+    in brackets."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Contract catalog", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    named = []
+    for cell in rows:
+        keys = re.findall(r"`(\w+)`", cell)
+        named += keys
+        listed = re.search(r"\((.*)\)", cell)
+        if listed is None:
+            continue
+        required, _, optional = listed.group(1).partition("[")
+        want = ([(n.strip(), True) for n in required.split(",") if n.strip()]
+                + [(n.strip(" ]"), False) for n in optional.split(",") if n.strip(" ]")])
+        for key in keys:
+            assert [(p.name, p.required) for p in REGISTRY[key].params] == want, key
+    assert sorted(named) == sorted(REGISTRY)
+    assert len(named) == len(set(named))

@@ -18,6 +18,7 @@ from mevscope import (
     stability_probe,
     wealth,
 )
+from mevscope import search
 
 from helpers import M, A, bet_state, build, random_micro, random_observed, two_pool_state
 
@@ -98,27 +99,30 @@ class TestLmev:
         res = lmev(state, {AMM1, AMM2}, None, PRICES3, BUDGET)
         assert 0 <= res.value <= wealth((AMM1, AMM2), state, PRICES3)
 
-    def test_memoised_and_unmemoised_agree(self):
+    def test_memoised_and_unmemoised_agree(self, monkeypatch):
         rng = random.Random(23)
+        cases = []
         for _ in range(25):
             state, prices, _ = random_micro(rng)
             budget = SearchBudget(max_depth=rng.choice((2, 3)), grid=4)
-            obs = random_observed(rng, state)
-            a = lmev(state, obs, None, prices, budget, use_memo=True)
-            b = lmev(state, obs, None, prices, budget, use_memo=False)
-            assert a.value == b.value and a.witness == b.witness
+            cases.append((state, random_observed(rng, state), prices, budget))
         # and on a bundled scenario at the default budget
-        state = two_pool_state()
-        a = lmev(state, {AMM2}, None, PRICES3, BUDGET, use_memo=True)
-        b = lmev(state, {AMM2}, None, PRICES3, BUDGET, use_memo=False)
-        assert (a.value, a.witness) == (b.value, b.witness)
+        cases.append((two_pool_state(), {AMM2}, PRICES3, BUDGET))
+        memoised = [lmev(state, obs, None, prices, budget)
+                    for state, obs, prices, budget in cases]
+        monkeypatch.setattr(search, "MEMO_CAP", 0)   # cap 0 stores nothing: unmemoised
+        for (state, obs, prices, budget), a in zip(cases, memoised):
+            b = lmev(state, obs, None, prices, budget)
+            assert (a.value, a.witness) == (b.value, b.witness)
 
-    def test_memo_cap_keeps_value_and_witness_and_warns(self):
+    def test_memo_cap_keeps_value_and_witness_and_warns(self, monkeypatch):
         for state, obs, prices in ((two_pool_state(), {AMM2}, PRICES3),
                                    (bet_state(), {Account.contract("Bet")},
                                     PriceMap.uniform(("ETH", "T")))):
             full = lmev(state, obs, None, prices, SearchBudget(max_depth=3))
-            capped = lmev(state, obs, None, prices, SearchBudget(max_depth=3, state_cap=1))
+            with monkeypatch.context() as m:
+                m.setattr(search, "MEMO_CAP", 1)
+                capped = lmev(state, obs, None, prices, SearchBudget(max_depth=3))
             assert (capped.value, capped.witness) == (full.value, full.witness)
             assert full.warning is None
             assert capped.warning == "memo cap exceeded; search ran unmemoised"
