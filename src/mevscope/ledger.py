@@ -347,14 +347,24 @@ class BlockchainState:
 
     # -- functional updates --------------------------------------------------
 
-    def with_height(self, height: int) -> "BlockchainState":
+    @staticmethod
+    def _trusted(users: dict, contracts: dict, order: tuple, codes: dict,
+                 height: int, adversary: frozenset) -> "BlockchainState":
+        # internal fast path: the parts are already canonical (as the
+        # constructor would leave them) and are shared, not copied
         s = BlockchainState.__new__(BlockchainState)
-        s.users = self.users
-        s.contracts = self.contracts
-        s.order = self.order
-        s.codes = self.codes
+        s.users = users
+        s.contracts = contracts
+        s.order = order
+        s.codes = codes
         s.height = height
-        s.adversary = self.adversary
+        s.adversary = adversary
+        s._core = None
+        return s
+
+    def with_height(self, height: int) -> "BlockchainState":
+        s = BlockchainState._trusted(self.users, self.contracts, self.order,
+                                     self.codes, height, self.adversary)
         s._core = self._core
         return s
 

@@ -13,6 +13,16 @@ exception is a distinguished tick move, generated only when a deployed
 contract reads the block height, whose sole effect is advancing the height
 through a rolled-back no-op.
 
+The last ply of a trace is not expanded, so it is scored without building
+the next state: ``vm.execute_delta`` reads the wealth changes off the
+executor's overlay.  Those changes are looked up in a per-search table
+first, which rests on one rule of the model: a transaction's outcome depends
+only on the states of the contracts in its callee's dependency cone
+(``vm.deps``), on the block height when a contract of that cone reads it,
+and on whether the origin can pay the attachment.  Methods read no other
+account (they only credit them), call only declared dependencies, and may
+read the height only when their contract declares ``reads_height``.
+
 Tie-breaking among equal-value witnesses: larger adversary gain first, then
 the shortest and lexicographically smallest trace.  This keeps reports
 reproducible and makes witnesses prefer traces where the attacker also
@@ -37,10 +47,19 @@ from .ledger import (
     wealth,
     wealth_units,
 )
-from .vm import TICK_METHOD, Transaction, check_well_formed, execute, trace_key
+from .vm import (
+    TICK_METHOD,
+    Transaction,
+    check_well_formed,
+    deps,
+    execute,
+    execute_delta,
+    trace_key,
+)
 
 ESCALATION_CAP = 20          # wealthy-adversary wallet doublings before giving up
 MEMO_CAP = 2_000_000         # memo entries per search; past it the search runs unmemoised
+CONE_TABLE_CAP = 256         # cone states per search whose last-ply effects are kept (FIFO)
 
 
 @dataclass(frozen=True)
@@ -149,31 +168,87 @@ def _better(cand, best) -> bool:
     return trace_key(cand[2]) < trace_key(best[2])
 
 
+@dataclass(frozen=True)
+class _Objective:
+    """What a search maximises: ``sign`` times the wealth of ``accounts``,
+    ties broken on the wealth of ``adversary``."""
+
+    accounts: tuple
+    sign: int
+    adversary: tuple
+
+    def measure(self, state: BlockchainState, prices: PriceMap) -> tuple:
+        """(objective, adversary wealth) of ``state`` in integer price units."""
+        return (self.sign * wealth_units(self.accounts, state, prices),
+                wealth_units(self.adversary, state, prices))
+
+
+_MISSING = object()
+
+
 class _MaxSearch:
     """Shared depth-limited search core (loss or gain objectives)."""
 
-    def __init__(self, state, prices, budget, restriction):
+    def __init__(self, state, prices, budget, restriction, objective: _Objective):
         self.prices = prices
         self.budget = budget
         self.restriction = restriction
+        self.objective = objective
         self.tokens = prices.tokens()
         self.include_height = any(state.codes[a].reads_height for a in state.order)
         self.memo: dict = {}
         self.capped = False
+        # callee -> (its dependency cone in deployment order, whether a
+        # contract of the cone reads the height)
+        self.cones: dict = {}
+        for acc in state.order:
+            cone = deps((acc,), state)
+            self.cones[acc] = (tuple(a for a in state.order if a in cone),
+                               any(state.codes[a].reads_height for a in cone))
+        # (callee, cone contract keys, height or None)
+        #   -> {(origin, method, args, attachment): deltas or None}
+        self.effects: dict = {}
 
-    def run(self, state, measure):
-        """``measure(s) -> (objective, adversary wealth)`` in integer price
-        units, computed once per node.  The maximised value of a trace is the
-        end-to-end objective increase.  Ties break on adversary gain, then on
-        the shortest and lexicographically smallest trace."""
+    def _last_ply(self, state, tx):
+        """``(objective change, adversary change)`` of ``tx`` on ``state``
+        in units, or None when ``tx`` is invalid; answered from the effect
+        table when the callee's cone was seen in this state before."""
+        if not state.user_wallet(tx.origin).dominates(tx.attached):
+            return None
+        cone, reads_height = self.cones[tx.callee]
+        contracts = state.contracts
+        ckey = (tx.callee, tuple(contracts[a].key() for a in cone),
+                state.height if reads_height else None)
+        effects = self.effects
+        row = effects.get(ckey)
+        if row is None:
+            if len(effects) >= CONE_TABLE_CAP:
+                del effects[next(iter(effects))]
+            row = effects[ckey] = {}
+        # the callee is in ``ckey``; keying on the other fields instead of the
+        # transaction keeps the row from holding every generated move alive
+        tkey = (tx.origin, tx.method, tx.args, tx.attached.items())
+        d = row.get(tkey, _MISSING)
+        if d is _MISSING:
+            obj = self.objective
+            d = execute_delta(state, tx, (obj.accounts, obj.adversary), self.prices.units)
+            if d is not None:
+                d = (obj.sign * d[0], d[1])
+            row[tkey] = d
+        return d
+
+    def run(self, state):
+        """Maximise over traces from ``state``: the value of a trace is the
+        end-to-end objective increase, in integer price units.  Ties break
+        on adversary gain, then on the shortest and lexicographically
+        smallest trace."""
         memo = self.memo
         budget, restriction, tokens = self.budget, self.restriction, self.tokens
         exhaustive, include_height = budget.exhaustive, self.include_height
+        measure, prices, last_ply = self.objective.measure, self.prices, self._last_ply
         cap = MEMO_CAP
 
         def best(state, m, k):
-            if k == 0:
-                return (0, 0, ())
             mkey = ((state.core_key(), state.height, k) if include_height
                     else (state.core_key(), k))
             hit = memo.get(mkey)
@@ -183,15 +258,23 @@ class _MaxSearch:
                      else adversary_moves(state, restriction, budget))
             top = (0, 0, ())
             for tx in moves:
-                res = execute(state, tx)
-                if not res.valid and tx.method != TICK_METHOD:
-                    continue
-                nxt = res.state
-                m2 = measure(nxt)
-                sub = best(nxt, m2, k - 1)
-                cand = (m2[0] - m[0] + sub[0],
-                        m2[1] - m[1] + sub[1],
-                        (tx,) + sub[2])
+                if k == 1:
+                    d = last_ply(state, tx)
+                    if d is None:
+                        if tx.method != TICK_METHOD:
+                            continue
+                        d = (0, 0)
+                    cand = (d[0], d[1], (tx,))
+                else:
+                    res = execute(state, tx)
+                    if not res.valid and tx.method != TICK_METHOD:
+                        continue
+                    nxt = res.state
+                    m2 = measure(nxt, prices)
+                    sub = best(nxt, m2, k - 1)
+                    cand = (m2[0] - m[0] + sub[0],
+                            m2[1] - m[1] + sub[1],
+                            (tx,) + sub[2])
                 if _better(cand, top):
                     top = cand
             if len(memo) < cap:
@@ -200,15 +283,15 @@ class _MaxSearch:
                 self.capped = True
             return top
 
-        return best(state, measure(state), budget.max_depth)
+        return best(state, measure(state, prices), budget.max_depth)
 
 
-def _certified(engine: _MaxSearch, state: BlockchainState, measure, upper) -> MevResult:
+def _certified(engine: _MaxSearch, state: BlockchainState, upper) -> MevResult:
     """Run ``engine`` from ``state``; the value is exact when it reaches the
-    wealth bound ``upper`` or the enumeration was exhaustive.  ``measure``
-    and ``upper`` are in integer price units; the value is converted back
-    to a Fraction here, once."""
-    units, _, witness = engine.run(state, measure)
+    wealth bound ``upper`` or the enumeration was exhaustive.  ``upper`` is
+    in integer price units; the value is converted back to a Fraction here,
+    once."""
+    units, _, witness = engine.run(state)
     budget = engine.budget
     complete = budget.exhaustive or units == upper
     value = Fraction(units, engine.prices.scale)
@@ -235,13 +318,9 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
         # nothing to lose: exact by the wealth bound
         return MevResult(Fraction(0), (), True, budget)
 
-    def measure(s):
-        w = wealth_units(obs_t, s, prices)
-        adv = wealth_units(adv_t, s, prices) if adv_t else 0
-        # objective is the observed contracts' loss, so it grows as w falls
-        return (-w, adv)
-
-    return _certified(_MaxSearch(state, prices, budget, restr), state, measure, upper)
+    # the objective is the observed contracts' loss: it grows as their wealth falls
+    objective = _Objective(obs_t, -1, adv_t)
+    return _certified(_MaxSearch(state, prices, budget, restr, objective), state, upper)
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
@@ -256,11 +335,8 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     if upper == 0 or not adv_t:
         return MevResult(Fraction(0), (), True, budget)
 
-    def measure(s):
-        adv = wealth_units(adv_t, s, prices)
-        return (adv, adv)
-
-    return _certified(_MaxSearch(state, prices, budget, None), state, measure, upper)
+    objective = _Objective(adv_t, 1, adv_t)
+    return _certified(_MaxSearch(state, prices, budget, None, objective), state, upper)
 
 
 def rich_wallet(state: BlockchainState, prices: PriceMap, budget: SearchBudget,

@@ -305,28 +305,73 @@ class _Scratch:
                 del d[tok]
         return True
 
+    def check_leaks(self) -> None:
+        """Reject a transfer that credited tokens to an undeployed contract
+        (only spot-check probes can reach one)."""
+        contracts = self.base.contracts
+        for acc, d in self.cw.items():
+            if acc not in contracts and any(d.values()):
+                raise ContractBugError(f"tokens leaked to undeployed {acc}")
+
+    def unit_change(self, acc: Account, units: Mapping[Token, int]) -> int:
+        """Wealth change of ``acc`` since the base state, in the integer
+        price units ``units`` gives per token (as ``PriceMap.units``)."""
+        if acc.is_contract:
+            d = self.cw.get(acc)
+            cs = self.base.contracts.get(acc)
+            before = cs.wallet if cs is not None else EMPTY_WALLET
+        else:
+            d = self.uw.get(acc)
+            before = self.base.user_wallet(acc)
+        if d is None:
+            return 0
+        total = 0
+        for tok, n in d.items():
+            diff = n - before.get(tok)
+            if diff:
+                total += diff * _unit(units, tok)
+        for tok, n in before.items():
+            if tok not in d:
+                total -= n * _unit(units, tok)
+        return total
+
     def freeze(self, height: int) -> BlockchainState:
+        """The state the overlay describes.  It is built without
+        re-validation: the base is canonical and the overlay keeps it so,
+        except for user wallets emptied here, which are dropped."""
+        self.check_leaks()
         base = self.base
-        users = dict(base.users)
-        for acc, d in self.uw.items():
-            users[acc] = Wallet._from_clean({t: n for t, n in d.items() if n})
+        users = base.users
+        if self.uw:
+            users = dict(users)
+            for acc, d in self.uw.items():
+                w = {t: n for t, n in d.items() if n}
+                if w or acc in base.adversary:
+                    users[acc] = Wallet._from_clean(w)
+                else:
+                    users.pop(acc, None)
         contracts = base.contracts
         if self.cw or self.st:
             contracts = dict(contracts)
-            for acc in set(self.cw) | set(self.st):
-                if acc not in base.contracts:
-                    if any(self.cw.get(acc, {}).values()):
-                        raise ContractBugError(f"tokens leaked to undeployed {acc}")
-                    continue
-                old = base.contracts[acc]
+            for acc in self.cw.keys() | self.st.keys():
+                old = base.contracts.get(acc)
+                if old is None:
+                    continue   # an undeployed account credited nothing
                 w = old.wallet
-                if acc in self.cw:
-                    w = Wallet._from_clean({t: n for t, n in self.cw[acc].items() if n})
+                d = self.cw.get(acc)
+                if d is not None:
+                    w = Wallet._from_clean({t: n for t, n in d.items() if n})
                 s = self.st.get(acc)
                 contracts[acc] = ContractState(w, s if s is not None else old.store)
-        return BlockchainState(
-            users, contracts, base.order, base.codes, height, base.adversary
-        )
+        return BlockchainState._trusted(users, contracts, base.order, base.codes,
+                                        height, base.adversary)
+
+
+def _unit(units: Mapping[Token, int], token: Token) -> int:
+    u = units.get(token)
+    if u is None:
+        raise KeyError(f"no price for token {token!r}")
+    return u
 
 
 class MethodCtx:
@@ -398,6 +443,12 @@ class MethodCtx:
         return self.ctx.sender
 
     def height(self) -> int:
+        # the search keys its memo and its effect table on the height only
+        # when a contract declares that it reads it
+        if not self._state.codes[self.self_acc].reads_height:
+            raise ContractBugError(
+                f"{self.self_acc} reads the block height without declaring reads_height"
+            )
         return self._state.height
 
     # effects
@@ -462,35 +513,58 @@ def _run_frame(sc: _Scratch, state: BlockchainState, ctx: CallContext,
     return ret
 
 
-def execute(state: BlockchainState, tx: Transaction, want_log: bool = False) -> ExecResult:
-    """Run one top-level transaction; invalidity rolls everything back.
+def _run_tx(state: BlockchainState, tx: Transaction, want_log: bool) -> tuple:
+    """Run one top-level transaction on a scratch overlay of ``state``.
 
-    The block height advances by one either way.
+    Returns (overlay, valid); the overlay is None when the transaction is
+    rejected before it runs.  Of an invalid transaction's overlay only the
+    call log counts: its other changes are rolled back by being dropped.
     """
-    new_height = state.height + 1
-
-    def invalid(log=()) -> ExecResult:
-        return ExecResult(state.with_height(new_height), False, tuple(log))
-
     if tx.callee not in state.contracts:
-        return invalid()
-    code = state.codes[tx.callee]
-    if tx.method not in code.methods:
-        return invalid()
-
+        return None, False
+    if tx.method not in state.codes[tx.callee].methods:
+        return None, False
     sc = _Scratch(state, want_log)
     if not sc.debit(tx.origin, tx.attached):
-        return invalid()
+        return sc, False
     sc.credit(tx.callee, tx.attached)
     ctx = CallContext(tx.origin, tx.origin, 1)
     try:
         _run_frame(sc, state, ctx, tx.callee, tx.method, tx.args, tx.attached)
     except Abort:
-        return invalid(sc.log or ())
+        return sc, False
     for acc, token, minimum in sc.finals:
         if sc.balance(acc, token) < minimum:
-            return invalid(sc.log or ())
-    return ExecResult(sc.freeze(new_height), True, tuple(sc.log or ()))
+            return sc, False
+    return sc, True
+
+
+def execute(state: BlockchainState, tx: Transaction, want_log: bool = False) -> ExecResult:
+    """Run one top-level transaction; invalidity rolls everything back.
+
+    The block height advances by one either way.
+    """
+    sc, valid = _run_tx(state, tx, want_log)
+    log = tuple(sc.log or ()) if sc is not None else ()
+    if not valid:
+        return ExecResult(state.with_height(state.height + 1), False, log)
+    return ExecResult(sc.freeze(state.height + 1), True, log)
+
+
+def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequence[Account]],
+                  units: Mapping[Token, int]) -> Optional[tuple]:
+    """The wealth change ``tx`` makes to each account group of ``groups``,
+    in integer price units (``units`` as ``PriceMap.units``), or None when
+    ``tx`` is invalid.
+
+    Runs the same transaction body as ``execute`` and reads the changes off
+    the overlay instead of building the next state.
+    """
+    sc, valid = _run_tx(state, tx, False)
+    if not valid:
+        return None
+    sc.check_leaks()
+    return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups)
 
 
 def execute_trace(state: BlockchainState, trace: Sequence[Transaction],

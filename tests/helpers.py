@@ -2,7 +2,9 @@
 of micro scenarios (small enough for exhaustive enumeration)."""
 
 import random
+from pathlib import Path
 
+import mevscope
 from mevscope import (
     Account,
     PriceMap,
@@ -15,6 +17,11 @@ from mevscope import (
 
 M = Account.user("M")
 A = Account.user("A")
+
+# every bundled scenario, as ``goldens.load_bundled`` names it
+_SCENARIO_DIR = Path(mevscope.__file__).parent / "scenarios"
+BUNDLED_SCENARIOS = tuple(sorted(p.relative_to(_SCENARIO_DIR).as_posix()
+                                 for p in _SCENARIO_DIR.rglob("*.scn")))
 
 
 def build(users, deployments, adversary=(M,), height=0):

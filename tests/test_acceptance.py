@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from mevscope import (
     Account,
+    BlockchainState,
     PriceMap,
     SearchBudget,
     Wallet,
@@ -263,6 +264,12 @@ def test_vm_invariants_on_randomized_transactions():
         first = execute(state, tx)
         again = execute(state, tx)
         assert first == again                       # determinism
+        nxt = first.state
+        rebuilt = BlockchainState(nxt.users, nxt.contracts, nxt.order, nxt.codes,
+                                  nxt.height, nxt.adversary)
+        assert nxt == rebuilt                       # the executor's states are canonical
+        assert nxt.core_key() == rebuilt.core_key()
+        assert (nxt.users, nxt.contracts) == (rebuilt.users, rebuilt.contracts)
         supply = total_supply(state)
         assert total_supply(first.state) == supply  # per-token conservation
         if not first.valid:

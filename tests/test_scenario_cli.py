@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -5,7 +6,8 @@ from contextlib import redirect_stdout
 import pytest
 
 import mevscope.cli
-from mevscope import Account, ScenarioError, SearchBudget, StrippingReport, Wallet, global_mev
+from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
+                      global_mev)
 from mevscope.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from mevscope.goldens import load_bundled, scenario_path
 from mevscope.scenario import build_state, parse_scenario
@@ -246,3 +248,17 @@ def test_a_crash_exits_with_the_internal_error_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "boom" in err
     assert err.count("\n") == 1
+
+
+def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
+    """A Bet that reads the height without declaring it is a contract bug:
+    the search's memo and effect table would ignore the height it reads."""
+    bet = REGISTRY["bet"]
+
+    def build(name, params):
+        return dataclasses.replace(bet.build(name, params), reads_height=False)
+
+    monkeypatch.setitem(REGISTRY, "bet", dataclasses.replace(bet, build=build))
+    code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))
+    assert code == EXIT_INTERNAL and out == ""
+    assert "Bet reads the block height without declaring reads_height" in capsys.readouterr().err

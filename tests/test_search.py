@@ -2,6 +2,8 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 from mevscope import (
     Account,
     PriceMap,
@@ -9,18 +11,24 @@ from mevscope import (
     Transaction,
     Wallet,
     adversary_moves,
+    build_state,
     deploy,
     entry,
+    execute,
     gain,
     global_mev,
     lmev,
     rlmev,
     stability_probe,
     wealth,
+    wealth_units,
 )
 from mevscope import search
+from mevscope.goldens import load_bundled
+from mevscope.vm import TICK_METHOD, execute_delta
 
-from helpers import M, A, bet_state, build, random_micro, random_observed, two_pool_state
+from helpers import (BUNDLED_SCENARIOS, M, A, bet_state, build, random_micro, random_observed,
+                     two_pool_state)
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 PRICES3 = PriceMap.uniform(("T0", "T1", "T2"))
@@ -126,6 +134,102 @@ class TestLmev:
             assert (capped.value, capped.witness) == (full.value, full.witness)
             assert full.warning is None
             assert capped.warning == "memo cap exceeded; search ran unmemoised"
+
+    def test_effect_table_bound_keeps_results(self, monkeypatch):
+        """With room for one cone state the effect table evicts on almost
+        every new cone; values, witnesses and completeness stay the same."""
+        budget = SearchBudget(max_depth=3)
+        cases = []
+        for name in BUNDLED_SCENARIOS:
+            scn = load_bundled(name)
+            state, delta = build_state(scn)
+            cases.append((state, delta, scn.prices()))
+
+        def run_all():
+            return [(lmev(state, delta, None, prices, budget), global_mev(state, prices, budget))
+                    for state, delta, prices in cases]
+
+        default = run_all()
+        monkeypatch.setattr(search, "CONE_TABLE_CAP", 1)
+        for want, got in zip(default, run_all()):
+            for a, b in zip(want, got):
+                assert (b.value, b.witness, b.complete) == (a.value, a.witness, a.complete)
+
+
+def _within(state, budget, depth):
+    """``state`` and every distinct state up to ``depth`` generated moves
+    away, ticks included (at depth 2, the states the pinned move digests
+    walk)."""
+    seen = {}
+
+    def visit(s, k):
+        seen.setdefault(s.key(), s)
+        if k:
+            for tx in adversary_moves(s, None, budget):
+                res = execute(s, tx)
+                if res.valid or tx.method == TICK_METHOD:
+                    visit(res.state, k - 1)
+
+    visit(state, depth)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda n: n.rsplit("/", 1)[-1])
+def test_last_ply_deltas_match_execute(name):
+    """``execute_delta`` and the search's effect table against ``execute``
+    plus ``wealth_units``, for every generated move and an unaffordable
+    variant of it.  The states are those within two moves of the scenario
+    and, with the first rung's wealthy adversary, those within one move."""
+    scn = load_bundled(name)
+    root, _ = build_state(scn)
+    prices = scn.prices()
+    tok = prices.tokens()[0]
+    adv = tuple(sorted(root.adversary))
+    objective = search._Objective(root.order, -1, adv)
+    for grid in (4, 8):
+        budget = SearchBudget(grid=grid)
+        rich = search.with_adversary_wallet(root, search.rich_wallet(root, prices, budget, 1))
+        # one engine for both roots, so table answers cross states and wallets
+        engine = search._MaxSearch(root, prices, budget, None, objective)
+        for state in _within(root, budget, 2) + _within(rich, budget, 1):
+            for tx in adversary_moves(state, None, budget):
+                res = execute(state, tx)
+                accounts = sorted(set(state.users) | set(res.state.users) | set(state.order))
+                groups = tuple((a,) for a in accounts) + (root.order, adv)
+                got = execute_delta(state, tx, groups, prices.units)
+                assert (got is not None) == res.valid, tx
+                if got is not None:
+                    want = tuple(wealth_units(g, res.state, prices) - wealth_units(g, state, prices)
+                                 for g in groups)
+                    assert got == want, tx
+                    assert engine._last_ply(state, tx) == (-got[-2], got[-1]), tx
+                else:
+                    assert engine._last_ply(state, tx) is None, tx
+                short = state.user_wallet(tx.origin).get(tok) + 1
+                broke = Transaction(tx.origin, tx.callee, tx.method, tx.args,
+                                    tx.attached + Wallet.single(tok, short))
+                assert not execute(state, broke).valid
+                assert execute_delta(state, broke, groups, prices.units) is None
+                assert engine._last_ply(state, broke) is None
+        assert len(engine.effects) <= search.CONE_TABLE_CAP
+
+
+def test_effect_table_keys_the_height_when_the_cone_reads_it():
+    """The Bet reads the height, so ``close`` before and after its deadline
+    are two table entries although the contract states are the same."""
+    state = build({A: {}}, [
+        ("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 600, "T": 600}),
+        ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 2, "deadline": 0},
+         {"ETH": 10}),
+    ], adversary=(A,))
+    bet = Account.contract("Bet")
+    objective = search._Objective((bet,), -1, (A,))
+    engine = search._MaxSearch(state, PriceMap.uniform(("ETH", "T")), BUDGET, None, objective)
+    close = Transaction(A, bet, "close")
+    later = state.with_height(1)
+    assert engine._last_ply(state, close) is None              # at the deadline
+    assert engine._last_ply(later, close) == (10, 10)          # the owner takes the pot
+    assert engine._last_ply(state, close) is None
 
 
 class TestGlobalMev:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mevscope import (
@@ -19,7 +21,7 @@ from mevscope import (
     sender_agnostic_witness,
     total_supply,
 )
-from mevscope.vm import MAX_CALL_DEPTH, TICK_METHOD, ContractCode, MethodDef
+from mevscope.vm import MAX_CALL_DEPTH, TICK_METHOD, ContractBugError, ContractCode, MethodDef
 
 from helpers import M, A, bet_state, build, two_pool_state
 
@@ -284,3 +286,17 @@ def test_sender_agnostic_flags_match_behaviour():
     assert not gated.code(Account.contract("C0")).sender_agnostic
     witness = sender_agnostic_witness(gated, Account.contract("C0"), "f")
     assert witness is not None and "senders" in witness
+
+
+def test_reading_the_height_needs_the_declaration():
+    def peek(c):
+        c.require(c.height() >= 0)
+
+    undeclared = ContractCode(name="Clock", methods={"peek": MethodDef("peek", peek)})
+    declared = dataclasses.replace(undeclared, reads_height=True)
+    peek_tx = Transaction(M, Account.contract("Clock"), "peek")
+    start = genesis({M: Wallet()}, adversary=[M])
+    assert execute(deploy(start, declared, deployer=A), peek_tx).valid
+    with pytest.raises(ContractBugError,
+                       match="^Clock reads the block height without declaring reads_height$"):
+        execute(deploy(start, undeclared, deployer=A), peek_tx)
