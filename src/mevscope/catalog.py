@@ -23,6 +23,7 @@ as invalid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -134,6 +135,19 @@ def _amm_build(name: str, p: dict) -> ContractCode:
         c.require(ymin <= y < bout)
         c.pay_sender(y, tout)
 
+    def loss_bound(cs, units):
+        # k = x*y never falls: swaps floor their output and addLiq only adds.
+        # At fixed prices the cheapest reserves with x*y >= k are worth
+        # 2*sqrt(k*u0*u1), so the pool can lose at most the rest of its
+        # pair value; no other token it may hold ever leaves it
+        x, y = cs.wallet.get(t0), cs.wallet.get(t1)
+        u0, u1 = units[t0], units[t1]
+        floor_sq = 4 * x * y * u0 * u1
+        floor = math.isqrt(floor_sq)
+        if floor * floor < floor_sq:
+            floor += 1
+        return x * u0 + y * u1 - floor
+
     def gen(state, origin, budget):
         cs = state.contracts[acc]
         moves = []
@@ -156,6 +170,7 @@ def _amm_build(name: str, p: dict) -> ContractCode:
         intok_decl=frozenset({t0, t1}),
         outtok_decl=frozenset({t0, t1}),
         move_generator=gen,
+        loss_bound=loss_bound,
         probes=(
             ("getTokens", (), Wallet()),
             ("getRate", (t0,), Wallet()),
@@ -527,7 +542,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         y = int(x * rate_x(c, c.balance(tok)))
         c.require(sget(c, mint_key(c.origin)) >= x and c.balance(tok) >= y)
         c.pay_sender(y, tok)
-        c.put(mint_key(c.origin), c.store(mint_key(c.origin)) - x)
+        c.put(mint_key(c.origin), sget(c, mint_key(c.origin)) - x)
         c.put("M", c.store("M") - x)
         cr = coll(c, c.origin, c.balance(tok))
         c.require(cr is None or cr >= c.store("Cmin"))
@@ -546,7 +561,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         c.require(debt_b * ir > x and cr_b is not None and cr_b < c.store("Cmin"))
         c.require(sget(c, mint_key(b)) >= y)
         c.put(mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
-        c.put(mint_key(b), c.store(mint_key(b)) - y)
+        c.put(mint_key(b), sget(c, mint_key(b)) - y)
         c.put(debt_key(b), debt_b - Fraction(x, ir))
         c.put("D", c.store("D") - Fraction(x, ir))
         cr_after = coll(c, b, c.balance(tok))

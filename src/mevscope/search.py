@@ -27,6 +27,18 @@ Tie-breaking among equal-value witnesses: larger adversary gain first, then
 the shortest and lexicographically smallest trace.  This keeps reports
 reproducible and makes witnesses prefer traces where the attacker also
 banks the damage.
+
+Each node stops searching once its best trace reaches two bounds built from
+the contracts' ``loss_bound`` (``_Objective.bounds``): the objective can
+rise by at most what the observed contracts can still lose (all contracts,
+for the adversary-gain objective), and the adversary can gain at most what
+all contracts together can lose, since supply is conserved and users
+outside the adversary only receive.  Past that point neither value nor gain
+can grow, and an equally long trace starting with a later move sorts after
+the best, so a later move wins only with a strictly shorter trace: the rest
+of the node's moves are searched to that shorter length.  The bounds depend
+on the state alone, so every memo entry, keyed on (state, remaining depth),
+still holds the exact best.
 """
 
 from __future__ import annotations
@@ -182,6 +194,22 @@ class _Objective:
         return (self.sign * wealth_units(self.accounts, state, prices),
                 wealth_units(self.adversary, state, prices))
 
+    def bounds(self, state: BlockchainState, prices: PriceMap) -> tuple:
+        """Upper bounds, in integer price units, on the objective's increase
+        and on the adversary's gain over any trace from ``state``.
+
+        Both rest on the contracts' ``loss_bound``: a loss objective (sign
+        -1, ``accounts`` contracts) gains at most what those contracts can
+        lose; supply is conserved and users outside the adversary only
+        receive, so the whole adversary (the gain objective's ``accounts``)
+        gains at most what all contracts together can lose."""
+        units, codes, contracts = prices.units, state.codes, state.contracts
+        loss = {a: codes[a].loss_bound(contracts[a], units) for a in state.order}
+        total = sum(loss.values())
+        if self.sign < 0:
+            return sum(loss[a] for a in self.accounts), total
+        return total, total
+
 
 _MISSING = object()
 
@@ -245,7 +273,8 @@ class _MaxSearch:
         memo = self.memo
         budget, restriction, tokens = self.budget, self.restriction, self.tokens
         exhaustive, include_height = budget.exhaustive, self.include_height
-        measure, prices, last_ply = self.objective.measure, self.prices, self._last_ply
+        measure, bounds = self.objective.measure, self.objective.bounds
+        prices, last_ply = self.prices, self._last_ply
         cap = MEMO_CAP
 
         def best(state, m, k):
@@ -257,8 +286,12 @@ class _MaxSearch:
             moves = (universal_moves(state, tokens, budget, restriction) if exhaustive
                      else adversary_moves(state, restriction, budget))
             top = (0, 0, ())
+            # the longest trace from here that can still beat ``top``; once
+            # ``top`` reaches both node bounds only a strictly shorter one can
+            span = k
+            node_bounds = None
             for tx in moves:
-                if k == 1:
+                if span == 1:
                     d = last_ply(state, tx)
                     if d is None:
                         if tx.method != TICK_METHOD:
@@ -271,12 +304,18 @@ class _MaxSearch:
                         continue
                     nxt = res.state
                     m2 = measure(nxt, prices)
-                    sub = best(nxt, m2, k - 1)
+                    sub = best(nxt, m2, span - 1)
                     cand = (m2[0] - m[0] + sub[0],
                             m2[1] - m[1] + sub[1],
                             (tx,) + sub[2])
                 if _better(cand, top):
                     top = cand
+                    if node_bounds is None:
+                        node_bounds = bounds(state, prices)
+                    if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
+                        span = len(cand[2]) - 1
+                        if not span:
+                            break
             if len(memo) < cap:
                 memo[mkey] = top
             else:

@@ -174,6 +174,18 @@ class MethodDef:
     attach: tuple = ()   # tuple[AttachSpec, ...]
 
 
+def _unit(units: Mapping[Token, int], token: Token) -> int:
+    u = units.get(token)
+    if u is None:
+        raise KeyError(f"no price for token {token!r}")
+    return u
+
+
+def wealth_bound(cs: ContractState, units: Mapping[Token, int]) -> int:
+    """The default ``loss_bound``: a contract can lose at most what it holds."""
+    return sum(n * _unit(units, tok) for tok, n in cs.wallet.items())
+
+
 @dataclass(frozen=True, eq=False)
 class ContractCode:
     """Behaviour of one contract: methods, dependencies and search metadata.
@@ -188,6 +200,13 @@ class ContractCode:
     means "unknown, assume every token".  ``calls_out`` lists the
     (dependency name, method) pairs the contract's code may invoke, and
     ``probes`` gives observation probes used by stability checking.
+
+    ``loss_bound(cs, units)`` is the most this contract can still lose from
+    its state ``cs`` over any trace, in the integer price units ``units``
+    gives per token (as ``PriceMap.units``).  It may depend on ``cs`` alone,
+    and it must never be exceeded: the search stops expanding a node once
+    its best trace reaches the bounds built from it.  The default is the
+    contract's wealth.
     """
 
     name: str
@@ -201,6 +220,7 @@ class ContractCode:
     calls_out: frozenset = frozenset()
     move_generator: Optional[Callable] = None
     probes: tuple = ()   # tuple[(method, args, attached wallet)]
+    loss_bound: Callable = wealth_bound
 
     @property
     def account(self) -> Account:
@@ -365,13 +385,6 @@ class _Scratch:
                 contracts[acc] = ContractState(w, s if s is not None else old.store)
         return BlockchainState._trusted(users, contracts, base.order, base.codes,
                                         height, base.adversary)
-
-
-def _unit(units: Mapping[Token, int], token: Token) -> int:
-    u = units.get(token)
-    if u is None:
-        raise KeyError(f"no price for token {token!r}")
-    return u
 
 
 class MethodCtx:

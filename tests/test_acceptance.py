@@ -136,6 +136,25 @@ def test_exhaustive_search_matches_oracle_at_rational_prices():
           f"1-7): {scenarios} exhaustive micro searches match exactly")
 
 
+def test_exhaustive_search_matches_oracle_on_bundled_scenarios():
+    """Every bundled scenario at depth 3, amounts up to 3: the fragment
+    observed with the universe and with the fragment callable, and every
+    contract observed with the universe callable."""
+    budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
+    cases = 0
+    for name in helpers.BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        prices = scn.prices()
+        for observed, restriction in ((delta, None), (delta, delta), (state.deployed, None)):
+            engine = lmev(state, observed, restriction, prices, budget)
+            reference = brute_lmev(state, observed, restriction, prices, 3, 3)
+            assert engine.value == reference, (name, sorted(observed), restriction)
+            cases += 1
+    print(f"[PASS] oracle equivalence on the bundled scenarios: {cases} exhaustive "
+          "searches match the brute-force enumeration exactly")
+
+
 def test_randomized_search_property_suite():
     rng = random.Random(4321)
     samples = 0

@@ -262,3 +262,11 @@ def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
     code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))
     assert code == EXIT_INTERNAL and out == ""
     assert "Bet reads the block height without declaring reads_height" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ("compositions/row7_lp_arbitrage.scn",
+                                  "compositions/row8_flash_loan_arbitrage.scn"))
+def test_exhaustive_mev_on_the_lending_pool_rows_runs(name):
+    """``--exhaustive`` proposes ``redeem(0)`` for an origin without a
+    position; the pool reads that position as zero instead of crashing."""
+    assert run_cli("mev", _path(name), "--exhaustive", "--depth", "1")[0] in (0, 1, 2, 3)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import math
+
 from mevscope import (
     Account,
     PriceMap,
@@ -20,6 +22,7 @@ from mevscope import (
     lmev,
     rlmev,
     stability_probe,
+    universal_moves,
     wealth,
     wealth_units,
 )
@@ -230,6 +233,129 @@ def test_effect_table_keys_the_height_when_the_cone_reads_it():
     assert engine._last_ply(state, close) is None              # at the deadline
     assert engine._last_ply(later, close) == (10, 10)          # the owner takes the pot
     assert engine._last_ply(state, close) is None
+
+
+def _loss_bounds(state, prices):
+    return {a: state.codes[a].loss_bound(state.contracts[a], prices.units)
+            for a in state.order}
+
+
+def _random_walk(rng, root, prices, budget, universal, steps):
+    """``root`` and the states after up to ``steps`` random valid moves."""
+    path = [root]
+    state = root
+    for _ in range(steps):
+        moves = list(universal_moves(state, prices.tokens(), budget) if universal
+                     else adversary_moves(state, None, budget))
+        rng.shuffle(moves)
+        for tx in moves:
+            res = execute(state, tx)
+            if res.valid:
+                break
+        else:
+            break
+        state = res.state
+        path.append(state)
+    return path
+
+
+def test_loss_bounds_hold_on_random_walks():
+    """Along random valid move sequences no contract loses more from a
+    visited state than that state's ``loss_bound``, and the adversary gains
+    no more than the sum of the bounds.  Walks start from every bundled
+    scenario (amounts up to 3 for exhaustive moves) and from micro states,
+    at the given wealth and with the first rung's wealthy adversary."""
+    rng = random.Random(606)
+    roots = []
+    for name in BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        roots.append((build_state(scn)[0], scn.prices(), 3))
+    roots += [random_micro(rng) for _ in range(40)]
+    pairs = reached = 0
+    for state, prices, ceiling in roots:
+        budget = SearchBudget(grid=4, ceiling=ceiling)
+        rich = search.with_adversary_wallet(state, search.rich_wallet(state, prices, budget, 1))
+        for root in (state, rich):
+            adv = tuple(sorted(root.adversary))
+            for universal in (False, True):
+                path = _random_walk(rng, root, prices, budget, universal, 6)
+                for i, here in enumerate(path):
+                    bounds = _loss_bounds(here, prices)
+                    for later in path[i + 1:]:
+                        for acc, bound in bounds.items():
+                            loss = (wealth_units((acc,), here, prices)
+                                    - wealth_units((acc,), later, prices))
+                            assert loss <= bound, (acc, here, later)
+                            reached += 0 < loss == bound
+                        gained = (wealth_units(adv, later, prices)
+                                  - wealth_units(adv, here, prices))
+                        assert gained <= sum(bounds.values()), (here, later)
+                        pairs += 1
+    assert pairs > 1000 and reached
+
+
+def test_amm_loss_bound_is_the_no_arbitrage_floor():
+    """A pool holding 1 T0 and 4 T1 at equal prices keeps k >= 4, so it is
+    worth at least 4 and can lose 1; rational prices scale the floor."""
+    state = build({M: {"T0": 1}}, [
+        ("amm", "AMM", {"t0": "T0", "t1": "T1"}, {"T0": 1, "T1": 4}),
+        ("airdrop", "Drop", {"token": "T2"}, {"T2": 3}),
+    ])
+    amm, drop = Account.contract("AMM"), Account.contract("Drop")
+    assert _loss_bounds(state, PRICES3) == {amm: 1, drop: 3}
+    # at prices 2 and 1/2 (4 and 1 units of 1/2) the pair is worth 8, which
+    # is already its floor 2*sqrt(k*4*1) = 8: the pool cannot lose
+    prices = PriceMap.of({"T0": 2, "T1": Fraction(1, 2), "T2": 1})
+    assert _loss_bounds(state, prices) == {amm: 0, drop: 6}
+    swapped = execute(state, Transaction(M, amm, "swap", (0,), Wallet({"T0": 1}))).state
+    assert swapped.contracts[amm].wallet == Wallet({"T0": 2, "T1": 2})
+    assert wealth_units((amm,), state, PRICES3) - wealth_units((amm,), swapped, PRICES3) == 1
+
+
+def test_bound_cut_keeps_every_result(monkeypatch):
+    """The searches with the node bounds made unreachable never cut; they
+    agree with the cut searches on value, witness, completeness and warning
+    over the bundled scenarios at depths 2-4 and over micro states."""
+    cases = []
+    for name in BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        for depth in (2, 3, 4):
+            cases.append((state, delta, scn.prices(), SearchBudget(max_depth=depth)))
+    rng = random.Random(77)
+    for _ in range(40):
+        state, prices, ceiling = random_micro(rng)
+        cases.append((state, random_observed(rng, state), prices,
+                      SearchBudget(max_depth=rng.choice((2, 3)), grid=4,
+                                   exhaustive=rng.random() < 0.5, ceiling=ceiling)))
+    runs = [0]
+
+    def count(fn):
+        def counted(*args):
+            runs[0] += 1
+            return fn(*args)
+        return counted
+
+    def run_all():
+        runs[0] = 0
+        out = [(lmev(state, observed, None, prices, budget),
+                lmev(state, observed, observed, prices, budget),
+                rlmev(state, observed, None, prices, budget),
+                global_mev(state, prices, budget))
+               for state, observed, prices, budget in cases]
+        return out, runs[0]
+
+    monkeypatch.setattr(search, "execute", count(search.execute))
+    monkeypatch.setattr(search, "execute_delta", count(search.execute_delta))
+    cut, cut_runs = run_all()
+    monkeypatch.setattr(search._Objective, "bounds",
+                        lambda self, state, prices: (math.inf, math.inf))
+    full, full_runs = run_all()
+    assert cut_runs < full_runs
+    for want, got in zip(full, cut):
+        for a, b in zip(want, got):
+            assert ((b.value, b.witness, b.complete, b.warning)
+                    == (a.value, a.witness, a.complete, a.warning))
 
 
 class TestGlobalMev:
