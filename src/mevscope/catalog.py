@@ -320,7 +320,6 @@ def _bet_build(name: str, p: dict) -> ContractCode:
             "close": MethodDef("close", close),
         },
         constructor=MethodDef("constructor", ctor),
-        declared_deps=frozenset({oracle}),
         intok_decl=frozenset({pot_tok}),
         outtok_decl=frozenset({pot_tok}),
         reads_height=True,
@@ -385,7 +384,6 @@ def _best_swap_build(name: str, p: dict) -> ContractCode:
             "swap": MethodDef("swap", swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
         },
         constructor=MethodDef("constructor", ctor),
-        declared_deps=frozenset({c0, c1}),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(d, m) for d in (c0, c1)
@@ -445,7 +443,6 @@ def _swap_router_build(name: str, p: dict) -> ContractCode:
             "swap": MethodDef("swap", swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
         },
         constructor=MethodDef("constructor", ctor),
-        declared_deps=frozenset({c0, c1}),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(d, m) for d in (c0, c1)
@@ -477,6 +474,12 @@ def _lp_build(name: str, p: dict) -> ContractCode:
             return c.store(key)
         except KeyError:
             return 0
+
+    def sput(c, key, value):
+        # a position that does not change is not written, so a no-op by an
+        # origin without one leaves the store (and the state's key) as it was
+        if value != sget(c, key):
+            c.put(key, value)
 
     def rate_x(c, n):
         # mint-token exchange rate at pool balance n
@@ -511,7 +514,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         x_rate = rate_x(c, c.balance(tok) - x)
         c.require(x_rate > 0)
         y = int(Fraction(x) / x_rate)
-        c.put(mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
+        sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
         c.put("M", c.store("M") + y)
 
     def borrow(c):
@@ -519,7 +522,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         c.require(c.balance(tok) > x)
         c.pay_sender(x, tok)
         ir = c.store("Ir")
-        c.put(debt_key(c.origin), sget(c, debt_key(c.origin)) + Fraction(x, ir))
+        sput(c, debt_key(c.origin), sget(c, debt_key(c.origin)) + Fraction(x, ir))
         c.put("D", c.store("D") + Fraction(x, ir))
         cr = coll(c, c.origin, c.balance(tok))
         c.require(cr is None or cr >= c.store("Cmin"))
@@ -534,7 +537,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         ir = c.store("Ir")
         debt = sget(c, debt_key(c.origin))
         c.require(debt * ir >= x)
-        c.put(debt_key(c.origin), debt - Fraction(x, ir))
+        sput(c, debt_key(c.origin), debt - Fraction(x, ir))
         c.put("D", c.store("D") - Fraction(x, ir))
 
     def redeem(c):
@@ -542,7 +545,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         y = int(x * rate_x(c, c.balance(tok)))
         c.require(sget(c, mint_key(c.origin)) >= x and c.balance(tok) >= y)
         c.pay_sender(y, tok)
-        c.put(mint_key(c.origin), sget(c, mint_key(c.origin)) - x)
+        sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) - x)
         c.put("M", c.store("M") - x)
         cr = coll(c, c.origin, c.balance(tok))
         c.require(cr is None or cr >= c.store("Cmin"))
@@ -560,9 +563,9 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         cr_b = coll(c, b, c.balance(tok) - x)
         c.require(debt_b * ir > x and cr_b is not None and cr_b < c.store("Cmin"))
         c.require(sget(c, mint_key(b)) >= y)
-        c.put(mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
-        c.put(mint_key(b), sget(c, mint_key(b)) - y)
-        c.put(debt_key(b), debt_b - Fraction(x, ir))
+        sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
+        sput(c, mint_key(b), sget(c, mint_key(b)) - y)
+        sput(c, debt_key(b), debt_b - Fraction(x, ir))
         c.put("D", c.store("D") - Fraction(x, ir))
         cr_after = coll(c, b, c.balance(tok))
         c.require(cr_after is not None and cr_after <= c.store("Cmin"))
@@ -653,7 +656,6 @@ def _lp_arbitrage_build(name: str, p: dict) -> ContractCode:
         name=name,
         methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
         constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
-        declared_deps=frozenset({c0, c1, lp}),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(lp, "getToken"), (lp, "borrow"), (lp, "repay"),
@@ -681,7 +683,6 @@ def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
         name=name,
         methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
         constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
-        declared_deps=frozenset({c0, c1, lp}),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(lp, "getToken"), (lp, "flashLoan"),
@@ -774,7 +775,6 @@ def _cell_proxy_build(name: str, p: dict) -> ContractCode:
         name=name,
         methods={"get_x": MethodDef("get_x", get_x),
                  "set_x": MethodDef("set_x", set_x, args=(ArgSpec("int"),))},
-        declared_deps=frozenset({cell}),
         calls_out=frozenset({(cell, "get"), (cell, "set")}),
         move_generator=_latch_gen(acc, cell, "set_x"),
         probes=(("get_x", (), Wallet()),),
@@ -792,7 +792,6 @@ def _gated_drop_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
-        declared_deps=frozenset({cell}),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
@@ -811,7 +810,6 @@ def _gated_vault_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={"f": MethodDef("f", f)},
-        declared_deps=frozenset({cell}),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
@@ -869,7 +867,6 @@ def _dropper_build(name: str, p: dict) -> ContractCode:
         methods={"drop2": MethodDef("drop2", drop2),
                  "drop3": MethodDef("drop3", drop3)},
         constructor=MethodDef("constructor", ctor),
-        declared_deps=frozenset({var}),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(var, "get"), (var, "set")}),
@@ -924,7 +921,6 @@ def _mutex_follower_build(name: str, p: dict) -> ContractCode:
         name=name,
         methods={"g": MethodDef("g", g)},
         constructor=MethodDef("constructor", ctor),
-        declared_deps=frozenset({c1}),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(c1, "f3")}),
@@ -981,7 +977,6 @@ def _chained_faucet_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={"g": MethodDef("g", g)},
-        declared_deps=frozenset({dep}),
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(dep, "f")}),

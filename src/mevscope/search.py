@@ -3,25 +3,29 @@
 The engine maximises over traces of adversary-crafted transactions, bounded
 by a trace-length budget, with moves proposed by per-contract generators (or
 by exhaustive signature-driven enumeration in micro mode).  Values are
-certified lower bounds of the unbounded-trace quantities; they are exact
-when the result carries ``complete=True``, which happens when the value hits
-the wealth upper bound of the observed contracts or when exhaustive mode ran
-within its caps.
+certified lower bounds of the unbounded-trace quantities.  A result carries
+``complete=True`` when the value hits the wealth upper bound of the observed
+contracts, and is then exact, or when exhaustive mode ran within its caps, and
+is then exact among traces of at most ``max_depth`` transactions (a longer
+trace may still extract more).
 
 Invalid transactions are pruned: they cannot change any gain.  The one
 exception is a distinguished tick move, generated only when a deployed
 contract reads the block height, whose sole effect is advancing the height
 through a rolled-back no-op.
 
-The last ply of a trace is not expanded, so it is scored without building
-the next state: ``vm.execute_delta`` reads the wealth changes off the
-executor's overlay.  Those changes are looked up in a per-search table
-first, which rests on one rule of the model: a transaction's outcome depends
+Every ply is scored the same way: ``vm.execute_delta`` runs the move and
+reads the wealth changes of the objective's accounts and of the adversary off
+the executor's overlay, and a trace's value is the sum of its moves'
+changes.  Only a move that is expanded asks for the next state as well.  The
+last ply is not expanded, so its changes are first looked up in a per-search
+table, which rests on one rule of the model: a transaction's outcome depends
 only on the states of the contracts in its callee's dependency cone
 (``vm.deps``), on the block height when a contract of that cone reads it,
 and on whether the origin can pay the attachment.  Methods read no other
-account (they only credit them), call only declared dependencies, and may
-read the height only when their contract declares ``reads_height``.
+account (they only credit them), call only the methods their ``calls_out``
+lists, and may read the height only when their contract declares
+``reads_height``.
 
 Tie-breaking among equal-value witnesses: larger adversary gain first, then
 the shortest and lexicographically smallest trace.  This keeps reports
@@ -29,7 +33,7 @@ reproducible and makes witnesses prefer traces where the attacker also
 banks the damage.
 
 Each node stops searching once its best trace reaches two bounds built from
-the contracts' ``loss_bound`` (``_Objective.bounds``): the objective can
+the contracts' ``loss_bound`` (``_MaxSearch.bounds``): the objective can
 rise by at most what the observed contracts can still lose (all contracts,
 for the adversary-gain objective), and the adversary can gain at most what
 all contracts together can lose, since supply is conserved and users
@@ -64,7 +68,6 @@ from .vm import (
     Transaction,
     check_well_formed,
     deps,
-    execute,
     execute_delta,
     trace_key,
 )
@@ -180,48 +183,21 @@ def _better(cand, best) -> bool:
     return trace_key(cand[2]) < trace_key(best[2])
 
 
-@dataclass(frozen=True)
-class _Objective:
-    """What a search maximises: ``sign`` times the wealth of ``accounts``,
-    ties broken on the wealth of ``adversary``."""
-
-    accounts: tuple
-    sign: int
-    adversary: tuple
-
-    def measure(self, state: BlockchainState, prices: PriceMap) -> tuple:
-        """(objective, adversary wealth) of ``state`` in integer price units."""
-        return (self.sign * wealth_units(self.accounts, state, prices),
-                wealth_units(self.adversary, state, prices))
-
-    def bounds(self, state: BlockchainState, prices: PriceMap) -> tuple:
-        """Upper bounds, in integer price units, on the objective's increase
-        and on the adversary's gain over any trace from ``state``.
-
-        Both rest on the contracts' ``loss_bound``: a loss objective (sign
-        -1, ``accounts`` contracts) gains at most what those contracts can
-        lose; supply is conserved and users outside the adversary only
-        receive, so the whole adversary (the gain objective's ``accounts``)
-        gains at most what all contracts together can lose."""
-        units, codes, contracts = prices.units, state.codes, state.contracts
-        loss = {a: codes[a].loss_bound(contracts[a], units) for a in state.order}
-        total = sum(loss.values())
-        if self.sign < 0:
-            return sum(loss[a] for a in self.accounts), total
-        return total, total
-
-
 _MISSING = object()
+_LEAF = (0, 0, ())      # (value, gain, trace) of the empty trace
 
 
 class _MaxSearch:
-    """Shared depth-limited search core (loss or gain objectives)."""
+    """Shared depth-limited search core: maximises ``sign`` times the wealth
+    of ``accounts``, ties broken on the adversary's wealth."""
 
-    def __init__(self, state, prices, budget, restriction, objective: _Objective):
+    def __init__(self, state, prices, budget, restriction, accounts: tuple, sign: int):
         self.prices = prices
         self.budget = budget
         self.restriction = restriction
-        self.objective = objective
+        self.accounts = accounts
+        self.sign = sign
+        self.groups = (accounts, tuple(sorted(state.adversary)))
         self.tokens = prices.tokens()
         self.include_height = any(state.codes[a].reads_height for a in state.order)
         self.memo: dict = {}
@@ -234,13 +210,28 @@ class _MaxSearch:
             self.cones[acc] = (tuple(a for a in state.order if a in cone),
                                any(state.codes[a].reads_height for a in cone))
         # (callee, cone contract keys, height or None)
-        #   -> {(origin, method, args, attachment): deltas or None}
+        #   -> {(origin, method, args, attachment): execute_delta's answer}
         self.effects: dict = {}
 
+    def bounds(self, state: BlockchainState) -> tuple:
+        """Upper bounds, in integer price units, on the objective's increase
+        and on the adversary's gain over any trace from ``state``.
+
+        Both rest on the contracts' ``loss_bound``: a loss objective (sign
+        -1, ``accounts`` contracts) gains at most what those contracts can
+        lose; supply is conserved and users outside the adversary only
+        receive, so the whole adversary (the gain objective's ``accounts``)
+        gains at most what all contracts together can lose."""
+        units, codes, contracts = self.prices.units, state.codes, state.contracts
+        loss = {a: codes[a].loss_bound(contracts[a], units) for a in state.order}
+        total = sum(loss.values())
+        if self.sign < 0:
+            return sum(loss[a] for a in self.accounts), total
+        return total, total
+
     def _last_ply(self, state, tx):
-        """``(objective change, adversary change)`` of ``tx`` on ``state``
-        in units, or None when ``tx`` is invalid; answered from the effect
-        table when the callee's cone was seen in this state before."""
+        """``execute_delta(state, tx, self.groups, units)``, answered from the
+        effect table when the callee's cone was seen in this state before."""
         if not state.user_wallet(tx.origin).dominates(tx.attached):
             return None
         cone, reads_height = self.cones[tx.callee]
@@ -258,11 +249,7 @@ class _MaxSearch:
         tkey = (tx.origin, tx.method, tx.args, tx.attached.items())
         d = row.get(tkey, _MISSING)
         if d is _MISSING:
-            obj = self.objective
-            d = execute_delta(state, tx, (obj.accounts, obj.adversary), self.prices.units)
-            if d is not None:
-                d = (obj.sign * d[0], d[1])
-            row[tkey] = d
+            d = row[tkey] = execute_delta(state, tx, self.groups, self.prices.units)
         return d
 
     def run(self, state):
@@ -273,11 +260,11 @@ class _MaxSearch:
         memo = self.memo
         budget, restriction, tokens = self.budget, self.restriction, self.tokens
         exhaustive, include_height = budget.exhaustive, self.include_height
-        measure, bounds = self.objective.measure, self.objective.bounds
-        prices, last_ply = self.prices, self._last_ply
+        groups, units, sign = self.groups, self.prices.units, self.sign
+        bounds, last_ply = self.bounds, self._last_ply
         cap = MEMO_CAP
 
-        def best(state, m, k):
+        def best(state, k):
             mkey = ((state.core_key(), state.height, k) if include_height
                     else (state.core_key(), k))
             hit = memo.get(mkey)
@@ -285,33 +272,25 @@ class _MaxSearch:
                 return hit
             moves = (universal_moves(state, tokens, budget, restriction) if exhaustive
                      else adversary_moves(state, restriction, budget))
-            top = (0, 0, ())
+            top = _LEAF
             # the longest trace from here that can still beat ``top``; once
             # ``top`` reaches both node bounds only a strictly shorter one can
             span = k
             node_bounds = None
             for tx in moves:
-                if span == 1:
-                    d = last_ply(state, tx)
-                    if d is None:
-                        if tx.method != TICK_METHOD:
-                            continue
-                        d = (0, 0)
-                    cand = (d[0], d[1], (tx,))
-                else:
-                    res = execute(state, tx)
-                    if not res.valid and tx.method != TICK_METHOD:
+                step = (last_ply(state, tx) if span == 1
+                        else execute_delta(state, tx, groups, units, True))
+                if step is None:
+                    if tx.method != TICK_METHOD:
                         continue
-                    nxt = res.state
-                    m2 = measure(nxt, prices)
-                    sub = best(nxt, m2, span - 1)
-                    cand = (m2[0] - m[0] + sub[0],
-                            m2[1] - m[1] + sub[1],
-                            (tx,) + sub[2])
+                    step = (0, 0), state.with_height(state.height + 1)
+                (dv, dg), nxt = step
+                sub = best(nxt, span - 1) if span > 1 else _LEAF
+                cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
                 if _better(cand, top):
                     top = cand
                     if node_bounds is None:
-                        node_bounds = bounds(state, prices)
+                        node_bounds = bounds(state)
                     if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                         span = len(cand[2]) - 1
                         if not span:
@@ -322,7 +301,7 @@ class _MaxSearch:
                 self.capped = True
             return top
 
-        return best(state, measure(state, prices), budget.max_depth)
+        return best(state, budget.max_depth)
 
 
 def _certified(engine: _MaxSearch, state: BlockchainState, upper) -> MevResult:
@@ -344,13 +323,13 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     transactions that target only ``restriction`` (None = no restriction).
 
     A certified lower bound of the unbounded-trace quantity; exact when the
-    returned value equals the observed contracts' wealth or in exhaustive
-    mode.  The empty trace clamps the value at zero.
+    returned value equals the observed contracts' wealth, and exact among
+    traces of at most ``max_depth`` transactions in exhaustive mode.  The
+    empty trace clamps the value at zero.
     """
     if not check_well_formed(state):
         raise ValueError("lmev: state is not well-formed")
     obs_t = tuple(sorted(frozenset(observed) & state.deployed))
-    adv_t = tuple(sorted(state.adversary))
     restr = None if restriction is None else frozenset(restriction)
     upper = wealth_units(obs_t, state, prices)
     if upper == 0:
@@ -358,8 +337,7 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
         return MevResult(Fraction(0), (), True, budget)
 
     # the objective is the observed contracts' loss: it grows as their wealth falls
-    objective = _Objective(obs_t, -1, adv_t)
-    return _certified(_MaxSearch(state, prices, budget, restr, objective), state, upper)
+    return _certified(_MaxSearch(state, prices, budget, restr, obs_t, -1), state, upper)
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
@@ -373,9 +351,7 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     upper = wealth_units(tuple(state.order), state, prices)
     if upper == 0 or not adv_t:
         return MevResult(Fraction(0), (), True, budget)
-
-    objective = _Objective(adv_t, 1, adv_t)
-    return _certified(_MaxSearch(state, prices, budget, None, objective), state, upper)
+    return _certified(_MaxSearch(state, prices, budget, None, adv_t, 1), state, upper)
 
 
 def rich_wallet(state: BlockchainState, prices: PriceMap, budget: SearchBudget,

@@ -8,16 +8,16 @@ back.  Valid or not, each top-level transaction advances the block height by
 exactly one; a method executing inside transaction ``i`` observes the height
 left by transaction ``i - 1``.
 
-Contracts may only call methods of contracts deployed before them and listed
-in their declared dependencies, which keeps the call relation a partial
-order and rules out reentrancy.  Methods cannot inspect other accounts
+Contracts may only call methods of contracts deployed before them, and only
+the (dependency, method) pairs they declare, which keeps the call relation a
+partial order and rules out reentrancy.  Methods cannot inspect other accounts
 except through calls; the only way tokens move is attached transfers and
 explicit pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -198,8 +198,11 @@ class ContractCode:
     first.  ``intok_decl`` / ``outtok_decl`` are declared
     over-approximations of the receivable / sendable token sets; ``None``
     means "unknown, assume every token".  ``calls_out`` lists the
-    (dependency name, method) pairs the contract's code may invoke, and
-    ``probes`` gives observation probes used by stability checking.
+    (dependency name, method) pairs the contract's code may invoke; it is
+    the one declaration of call edges, so ``declared_deps`` (the dependency
+    names) is derived from it, and a call to a pair it does not list is a
+    contract bug.  ``probes`` gives observation probes used by stability
+    checking.
 
     ``loss_bound(cs, units)`` is the most this contract can still lose from
     its state ``cs`` over any trace, in the integer price units ``units``
@@ -212,7 +215,6 @@ class ContractCode:
     name: str
     methods: Mapping[str, MethodDef]
     constructor: Optional[MethodDef] = None
-    declared_deps: frozenset = frozenset()
     sender_agnostic: bool = True
     intok_decl: Optional[frozenset] = frozenset()
     outtok_decl: Optional[frozenset] = frozenset()
@@ -221,6 +223,11 @@ class ContractCode:
     move_generator: Optional[Callable] = None
     probes: tuple = ()   # tuple[(method, args, attached wallet)]
     loss_bound: Callable = wealth_bound
+    declared_deps: frozenset = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "declared_deps",
+                           frozenset(dep for dep, _ in self.calls_out))
 
     @property
     def account(self) -> Account:
@@ -255,33 +262,30 @@ class ExecResult:
 class _Scratch:
     """Copy-on-write overlay over a base state, mutated during one transaction."""
 
-    __slots__ = ("base", "uw", "cw", "st", "finals", "log")
+    __slots__ = ("base", "w", "st", "finals", "log")
 
     def __init__(self, base: BlockchainState, want_log: bool):
         self.base = base
-        self.uw: dict = {}   # Account -> dict[token, int]
-        self.cw: dict = {}
+        self.w: dict = {}    # Account -> dict[token, int], users and contracts
         self.st: dict = {}
         self.finals: list = []   # (contract Account, token, minimum)
         self.log: Optional[list] = [] if want_log else None
 
-    # wallet overlays
+    # wallet overlay
 
-    def _user(self, acc: Account) -> dict:
-        d = self.uw.get(acc)
-        if d is None:
-            d = self.base.user_wallet(acc).as_dict()
-            self.uw[acc] = d
-        return d
-
-    def _cwallet(self, acc: Account) -> dict:
-        d = self.cw.get(acc)
-        if d is None:
+    def base_wallet(self, acc: Account) -> Wallet:
+        """``acc``'s wallet in the base state.  Unknown contract accounts (only
+        reachable by spot-check probes) start empty; check_leaks() rejects
+        tokens credited to them."""
+        if acc.is_contract:
             cs = self.base.contracts.get(acc)
-            # unknown contract accounts (only reachable by spot-check probes)
-            # start empty; freeze() rejects leaks into them
-            d = cs.wallet.as_dict() if cs is not None else {}
-            self.cw[acc] = d
+            return cs.wallet if cs is not None else EMPTY_WALLET
+        return self.base.user_wallet(acc)
+
+    def _wallet(self, acc: Account) -> dict:
+        d = self.w.get(acc)
+        if d is None:
+            d = self.w[acc] = self.base_wallet(acc).as_dict()
         return d
 
     def store_of(self, acc: Account) -> dict:
@@ -292,28 +296,22 @@ class _Scratch:
         return d
 
     def balance(self, acc: Account, token: Token) -> int:
-        if acc.is_contract:
-            d = self.cw.get(acc)
-            if d is None:
-                cs = self.base.contracts.get(acc)
-                return cs.wallet.get(token) if cs is not None else 0
-            return d.get(token, 0)
-        d = self.uw.get(acc)
+        d = self.w.get(acc)
         if d is None:
-            return self.base.user_wallet(acc).get(token)
+            return self.base_wallet(acc).get(token)
         return d.get(token, 0)
 
     def credit(self, acc: Account, wallet: Wallet) -> None:
         if not wallet:
             return
-        d = self._cwallet(acc) if acc.is_contract else self._user(acc)
+        d = self._wallet(acc)
         for tok, n in wallet.items():
             d[tok] = d.get(tok, 0) + n
 
     def debit(self, acc: Account, wallet: Wallet) -> bool:
         if not wallet:
             return True
-        d = self._cwallet(acc) if acc.is_contract else self._user(acc)
+        d = self._wallet(acc)
         for tok, n in wallet.items():
             if d.get(tok, 0) < n:
                 return False
@@ -329,22 +327,17 @@ class _Scratch:
         """Reject a transfer that credited tokens to an undeployed contract
         (only spot-check probes can reach one)."""
         contracts = self.base.contracts
-        for acc, d in self.cw.items():
-            if acc not in contracts and any(d.values()):
+        for acc, d in self.w.items():
+            if acc.is_contract and acc not in contracts and any(d.values()):
                 raise ContractBugError(f"tokens leaked to undeployed {acc}")
 
     def unit_change(self, acc: Account, units: Mapping[Token, int]) -> int:
         """Wealth change of ``acc`` since the base state, in the integer
         price units ``units`` gives per token (as ``PriceMap.units``)."""
-        if acc.is_contract:
-            d = self.cw.get(acc)
-            cs = self.base.contracts.get(acc)
-            before = cs.wallet if cs is not None else EMPTY_WALLET
-        else:
-            d = self.uw.get(acc)
-            before = self.base.user_wallet(acc)
+        d = self.w.get(acc)
         if d is None:
             return 0
+        before = self.base_wallet(acc)
         total = 0
         for tok, n in d.items():
             diff = n - before.get(tok)
@@ -360,29 +353,20 @@ class _Scratch:
         re-validation: the base is canonical and the overlay keeps it so,
         except for user wallets emptied here, which are dropped."""
         self.check_leaks()
-        base = self.base
-        users = base.users
-        if self.uw:
-            users = dict(users)
-            for acc, d in self.uw.items():
-                w = {t: n for t, n in d.items() if n}
+        base, st = self.base, self.st
+        users, contracts = dict(base.users), dict(base.contracts)
+        for acc, d in self.w.items():
+            w = Wallet._from_clean({t: n for t, n in d.items() if n})
+            if acc.is_user:
                 if w or acc in base.adversary:
-                    users[acc] = Wallet._from_clean(w)
+                    users[acc] = w
                 else:
                     users.pop(acc, None)
-        contracts = base.contracts
-        if self.cw or self.st:
-            contracts = dict(contracts)
-            for acc in self.cw.keys() | self.st.keys():
-                old = base.contracts.get(acc)
-                if old is None:
-                    continue   # an undeployed account credited nothing
-                w = old.wallet
-                d = self.cw.get(acc)
-                if d is not None:
-                    w = Wallet._from_clean({t: n for t, n in d.items() if n})
-                s = self.st.get(acc)
-                contracts[acc] = ContractState(w, s if s is not None else old.store)
+            elif acc in contracts:   # an undeployed account credited nothing
+                contracts[acc] = ContractState(w, st.get(acc, contracts[acc].store))
+        for acc, s in st.items():
+            if acc not in self.w:
+                contracts[acc] = ContractState(contracts[acc].wallet, s)
         return BlockchainState._trusted(users, contracts, base.order, base.codes,
                                         height, base.adversary)
 
@@ -485,10 +469,9 @@ class MethodCtx:
 
     def call(self, callee_name: str, method: str, args: tuple = (),
              attach: Wallet = EMPTY_WALLET) -> Scalar:
-        code = self._state.codes[self.self_acc]
-        if callee_name not in code.declared_deps:
+        if (callee_name, method) not in self._state.codes[self.self_acc].calls_out:
             raise ContractBugError(
-                f"{self.self_acc} calls undeclared dependency {callee_name!r}"
+                f"{self.self_acc} calls {callee_name}.{method}, which its calls_out does not list"
             )
         callee = Account.contract(callee_name)
         if callee not in self._state.contracts:
@@ -565,19 +548,25 @@ def execute(state: BlockchainState, tx: Transaction, want_log: bool = False) -> 
 
 
 def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequence[Account]],
-                  units: Mapping[Token, int]) -> Optional[tuple]:
-    """The wealth change ``tx`` makes to each account group of ``groups``,
-    in integer price units (``units`` as ``PriceMap.units``), or None when
-    ``tx`` is invalid.
+                  units: Mapping[Token, int], advance: bool = False) -> Optional[tuple]:
+    """``(changes, next state)``, or None when ``tx`` is invalid: the wealth
+    change ``tx`` makes to each account group of ``groups``, in integer
+    price units (``units`` as ``PriceMap.units``), and, only when
+    ``advance``, the state after it (``execute(state, tx).state``; else None).
 
     Runs the same transaction body as ``execute`` and reads the changes off
-    the overlay instead of building the next state.
+    the overlay, so a caller that does not expand the next state never
+    builds it.
     """
     sc, valid = _run_tx(state, tx, False)
     if not valid:
         return None
-    sc.check_leaks()
-    return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups)
+    if advance:
+        nxt = sc.freeze(state.height + 1)
+    else:
+        sc.check_leaks()
+        nxt = None
+    return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups), nxt
 
 
 def execute_trace(state: BlockchainState, trace: Sequence[Transaction],
@@ -747,13 +736,8 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
         except Abort:
             aborted = True
         deltas = {}
-        for acc, d in list(sc.uw.items()) + list(sc.cw.items()):
-            if acc.is_contract and acc in state.contracts:
-                before = state.contracts[acc].wallet
-            elif acc.is_contract:
-                before = EMPTY_WALLET
-            else:
-                before = state.user_wallet(acc)
+        for acc, d in sc.w.items():
+            before = sc.base_wallet(acc)
             keys = set(d) | {t for t, _ in before.items()}
             diff = tuple(sorted(
                 (t, d.get(t, 0) - before.get(t))

@@ -260,6 +260,18 @@ class TestArbitrage:
         assert best == expected
 
 
+def test_lending_pool_noops_leave_the_state_key():
+    """``redeem(0)`` and ``borrow(0)`` by an origin without a position are
+    valid no-ops: they write no zero position, so the search sees the same
+    state again, not a new one."""
+    state, _ = build_state(load_bundled("compositions/row7_lp_arbitrage.scn"))
+    lp = Account.contract("LP")
+    for tx in (Transaction(M, lp, "redeem", (0,)), Transaction(M, lp, "borrow", (0,))):
+        res = execute(state, tx)
+        assert res.valid, tx
+        assert res.state.core_key() == state.core_key(), tx
+
+
 class TestCounterexampleContracts:
     def test_mutex_latch_is_exclusive(self):
         st = build({M: {}}, [("mutex_vault", "C1", {"token": "T"}, {"T": 1}),

@@ -179,40 +179,48 @@ def _within(state, budget, depth):
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda n: n.rsplit("/", 1)[-1])
 def test_last_ply_deltas_match_execute(name):
-    """``execute_delta`` and the search's effect table against ``execute``
-    plus ``wealth_units``, for every generated move and an unaffordable
-    variant of it.  The states are those within two moves of the scenario
-    and, with the first rung's wealthy adversary, those within one move."""
+    """``execute_delta`` at both kinds of ply, and the search's effect table,
+    against ``execute`` plus ``wealth_units``, for every generated move and an
+    unaffordable variant of it.  With ``advance`` the next state is
+    ``execute``'s; without it, the table answers as the direct call.  The
+    states are those within two moves of the scenario and, with the first
+    rung's wealthy adversary, those within one move."""
     scn = load_bundled(name)
     root, _ = build_state(scn)
     prices = scn.prices()
+    units = prices.units
     tok = prices.tokens()[0]
-    adv = tuple(sorted(root.adversary))
-    objective = search._Objective(root.order, -1, adv)
     for grid in (4, 8):
         budget = SearchBudget(grid=grid)
         rich = search.with_adversary_wallet(root, search.rich_wallet(root, prices, budget, 1))
         # one engine for both roots, so table answers cross states and wallets
-        engine = search._MaxSearch(root, prices, budget, None, objective)
+        engine = search._MaxSearch(root, prices, budget, None, root.order, -1)
         for state in _within(root, budget, 2) + _within(rich, budget, 1):
             for tx in adversary_moves(state, None, budget):
                 res = execute(state, tx)
                 accounts = sorted(set(state.users) | set(res.state.users) | set(state.order))
-                groups = tuple((a,) for a in accounts) + (root.order, adv)
-                got = execute_delta(state, tx, groups, prices.units)
+                groups = tuple((a,) for a in accounts) + engine.groups
+                got = execute_delta(state, tx, groups, units, advance=True)
                 assert (got is not None) == res.valid, tx
                 if got is not None:
+                    changes, nxt = got
                     want = tuple(wealth_units(g, res.state, prices) - wealth_units(g, state, prices)
                                  for g in groups)
-                    assert got == want, tx
-                    assert engine._last_ply(state, tx) == (-got[-2], got[-1]), tx
+                    assert changes == want, tx
+                    assert nxt.key() == res.state.key(), tx
+                    assert nxt.core_key() == res.state.core_key(), tx
+                    assert nxt.users == res.state.users, tx
+                    assert execute_delta(state, tx, groups, units) == (changes, None), tx
+                    assert engine._last_ply(state, tx) == (changes[-2:], None), tx
                 else:
+                    assert execute_delta(state, tx, groups, units) is None, tx
                     assert engine._last_ply(state, tx) is None, tx
                 short = state.user_wallet(tx.origin).get(tok) + 1
                 broke = Transaction(tx.origin, tx.callee, tx.method, tx.args,
                                     tx.attached + Wallet.single(tok, short))
                 assert not execute(state, broke).valid
-                assert execute_delta(state, broke, groups, prices.units) is None
+                assert execute_delta(state, broke, groups, units, advance=True) is None
+                assert execute_delta(state, broke, groups, units) is None
                 assert engine._last_ply(state, broke) is None
         assert len(engine.effects) <= search.CONE_TABLE_CAP
 
@@ -226,12 +234,11 @@ def test_effect_table_keys_the_height_when_the_cone_reads_it():
          {"ETH": 10}),
     ], adversary=(A,))
     bet = Account.contract("Bet")
-    objective = search._Objective((bet,), -1, (A,))
-    engine = search._MaxSearch(state, PriceMap.uniform(("ETH", "T")), BUDGET, None, objective)
+    engine = search._MaxSearch(state, PriceMap.uniform(("ETH", "T")), BUDGET, None, (bet,), -1)
     close = Transaction(A, bet, "close")
     later = state.with_height(1)
-    assert engine._last_ply(state, close) is None              # at the deadline
-    assert engine._last_ply(later, close) == (10, 10)          # the owner takes the pot
+    assert engine._last_ply(state, close) is None                  # at the deadline
+    assert engine._last_ply(later, close) == ((-10, 10), None)     # the owner takes the pot
     assert engine._last_ply(state, close) is None
 
 
@@ -345,11 +352,9 @@ def test_bound_cut_keeps_every_result(monkeypatch):
                for state, observed, prices, budget in cases]
         return out, runs[0]
 
-    monkeypatch.setattr(search, "execute", count(search.execute))
     monkeypatch.setattr(search, "execute_delta", count(search.execute_delta))
     cut, cut_runs = run_all()
-    monkeypatch.setattr(search._Objective, "bounds",
-                        lambda self, state, prices: (math.inf, math.inf))
+    monkeypatch.setattr(search._MaxSearch, "bounds", lambda self, state: (math.inf, math.inf))
     full, full_runs = run_all()
     assert cut_runs < full_runs
     for want, got in zip(full, cut):

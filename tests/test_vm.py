@@ -212,7 +212,7 @@ def test_call_depth_cap_invalidates():
             def fwd(c, dep=dep):
                 c.call(dep, "spin")
             code = ContractCode(name=name, methods={"spin": MethodDef("spin", fwd)},
-                                declared_deps=frozenset({dep}))
+                                calls_out=frozenset({(dep, "spin")}))
         codes.append(code)
         prev = name
     st = genesis({M: Wallet()}, adversary=[M])
@@ -300,3 +300,29 @@ def test_reading_the_height_needs_the_declaration():
     with pytest.raises(ContractBugError,
                        match="^Clock reads the block height without declaring reads_height$"):
         execute(deploy(start, undeclared, deployer=A), peek_tx)
+
+
+def test_calls_must_be_listed_in_calls_out():
+    """``calls_out`` is the one declaration of call edges: the dependency set
+    is derived from it, and a call to an unlisted dependency or to an
+    unlisted method of a listed one is a contract bug, not a rollback."""
+    base = ContractCode(name="Base", methods={"f": MethodDef("f", lambda c: 1),
+                                              "g": MethodDef("g", lambda c: 2)})
+
+    def caller(method, dep="Base"):
+        return ContractCode(name="Caller",
+                            methods={"run": MethodDef("run", lambda c: c.call(dep, method))},
+                            calls_out=frozenset({("Base", "f")}))
+
+    assert caller("f").declared_deps == frozenset({"Base"})
+    start = deploy(deploy(genesis({M: Wallet()}, adversary=[M]), base, deployer=A),
+                   ContractCode(name="Other", methods={"f": MethodDef("f", lambda c: 3)}),
+                   deployer=A)
+    run = Transaction(M, Account.contract("Caller"), "run")
+    assert execute(deploy(start, caller("f"), deployer=A), run).valid
+    with pytest.raises(ContractBugError,
+                       match="^Caller calls Base.g, which its calls_out does not list$"):
+        execute(deploy(start, caller("g"), deployer=A), run)
+    with pytest.raises(ContractBugError,
+                       match="^Caller calls Other.f, which its calls_out does not list$"):
+        execute(deploy(start, caller("f", dep="Other"), deployer=A), run)
