@@ -179,7 +179,7 @@ def _observations(state: BlockchainState, watched: Sequence) -> tuple:
     for callee, method, args, attached in watched:
         users = dict(state.users)
         users[prober] = state.user_wallet(prober) + attached
-        probe_state = state.replace(users=users)
+        probe_state = state.with_users(users)
         tx = Transaction(prober, callee, method, args, attached)
         res = execute(probe_state, tx, want_log=True)
         rec = next((r for r in res.trace_log

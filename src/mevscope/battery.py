@@ -6,6 +6,9 @@ wealth": extending or erasing context is safe (under sender-agnostic
 boundaries), while extending the subject fragment, cutting it, or unioning
 two separately-safe fragments is not.  Laws are checked on concrete catalog
 instances; counterexample rows must actively falsify the naive implication.
+Rows 1, 2, 4 and 6 load their base instances from the bundled scenarios
+``compositions/row1_amm_amm.scn``, ``cell_gate_proxy.scn``, ``cell_gate.scn``
+and ``once_cell_droppers.scn``; the extended variants are inline documents.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .analysis import richnonint, without_contracts
 from .ledger import Account
-from .scenario import build_state, parse_scenario
+from .scenario import build_state, bundled, parse_scenario
 from .search import SearchBudget, rlmev
 
 
@@ -39,8 +42,10 @@ class BatteryReport:
         return all(r.passed for r in self.rows)
 
 
-def _state(doc: dict, name: str):
-    return build_state(parse_scenario(json.dumps(doc), name))
+def _state(doc: dict, name: str) -> tuple:
+    """(state, fragment, prices) of an inline scenario document."""
+    scn = parse_scenario(json.dumps(doc), name)
+    return (*build_state(scn), scn.prices())
 
 
 def _doc(tokens, users, deployments, split) -> dict:
@@ -60,17 +65,6 @@ def _amm(name, t0, t1, f0, f1):
             "fund": {t0: f0, t1: f1}, "by": "A"}
 
 
-def _cell_gate_docs(extra_context=(), with_proxy=False):
-    deps = [{"contract": "cell", "name": "X", "by": "A"}]
-    deps = list(extra_context) + deps
-    deps.append({"contract": "gated_drop", "name": "C",
-                 "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"})
-    if with_proxy:
-        deps.append({"contract": "cell_proxy", "name": "Fwd",
-                     "args": {"cell": "X"}, "by": "A"})
-    return deps
-
-
 def structural_battery(budget: SearchBudget = SearchBudget(),
                        seed: int = 0) -> BatteryReport:
     rng = random.Random(seed)
@@ -84,35 +78,29 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
 
     # 1. appending context after the fact cannot break a safe deployment
     #    (the appended contracts may even be adversary-deployed wrappers)
-    base = _doc(["T0", "T1"], _ADV,
-                [_amm("AMM1", "T0", "T1", 6, 6), _amm("AMM2", "T0", "T1", 9, 4)], 1)
-    st, delta = _state(base, "battery-append")
-    prices = parse_scenario(json.dumps(base), "x").prices()
-    v_plain = richnonint(st, delta, prices, budget)
+    v_plain = richnonint(*bundled("compositions/row1_amm_amm.scn"), budget)
     extended = _doc(["T0", "T1"], _ADV,
                     [_amm("AMM1", "T0", "T1", 6, 6),
                      {"contract": "best_swap", "name": "AdvWrap",
                       "args": {"c0": "AMM1", "c1": "AMM1"}, "by": "M"},
                      _amm("AMM2", "T0", "T1", 9, 4)], 2)
-    st2, delta2 = _state(extended, "battery-append-2")
-    v_ext = richnonint(st2, delta2, prices, budget)
+    v_ext = richnonint(*_state(extended, "battery-append-2"), budget)
     law("append-context", "safe stays safe when contracts are appended before the fragment",
         v_plain.holds is True and v_ext.holds is True,
         f"plain={v_plain.outcome}/{v_plain.justification}, "
         f"extended={v_ext.outcome}/{v_ext.justification}")
 
     # 2. prepending unrelated context cannot break a safe deployment
-    gate = _doc(["T"], _ADV, _cell_gate_docs(with_proxy=True), 1)
-    stg, dg = _state(gate, "battery-gate")
-    pg = parse_scenario(json.dumps(gate), "x").prices()
-    v_gate = richnonint(stg, dg, pg, budget)
-    prepended = _doc(["T", "TF"], _ADV, _cell_gate_docs(
-        extra_context=[{"contract": "faucet", "name": "F",
-                        "args": {"token": "TF", "amount": 5},
-                        "fund": {"TF": 5}, "by": "A"}], with_proxy=True), 2)
-    stp, dp = _state(prepended, "battery-prepend")
-    pp = parse_scenario(json.dumps(prepended), "x").prices()
-    v_pre = richnonint(stp, dp, pp, budget)
+    v_gate = richnonint(*bundled("cell_gate_proxy.scn"), budget)
+    prepended = _doc(["T", "TF"], _ADV, [
+        {"contract": "faucet", "name": "F",
+         "args": {"token": "TF", "amount": 5}, "fund": {"TF": 5}, "by": "A"},
+        {"contract": "cell", "name": "X", "by": "A"},
+        {"contract": "gated_drop", "name": "C",
+         "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"},
+        {"contract": "cell_proxy", "name": "Fwd",
+         "args": {"cell": "X"}, "by": "A"}], 2)
+    v_pre = richnonint(*_state(prepended, "battery-prepend"), budget)
     law("prepend-context", "safe stays safe under earlier unrelated contracts",
         v_gate.holds is True and v_pre.holds is True,
         f"plain={v_gate.outcome}, prepended={v_pre.outcome}")
@@ -130,21 +118,16 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
                      "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"},
                     {"contract": "cell_proxy", "name": "Fwd",
                      "args": {"cell": "X"}, "by": "A"}], 2)
-    stb, db = _state(between, "battery-between")
-    pb = parse_scenario(json.dumps(between), "x").prices()
-    v_between = richnonint(stb, db, pb, budget)
+    v_between = richnonint(*_state(between, "battery-between"), budget)
     law("erase-late-context", "safe stays safe when later unrelated context is removed",
         v_between.holds is True and v_gate.holds is True,
         f"with context={v_between.outcome}, without={v_gate.outcome}")
 
     # 4. extending the subject fragment is NOT safe: the empty fragment is
     #    trivially non-interfering, adding the gated vault breaks it
-    empty_doc = _doc(["T"], _ADV, _cell_gate_docs(), 2)   # split after C: delta empty
-    ste, de = _state(empty_doc, "battery-empty-delta")
-    v_empty = richnonint(ste, de, pg, budget)
-    split_doc = _doc(["T"], _ADV, _cell_gate_docs(), 1)   # delta = {C}
-    sts, ds = _state(split_doc, "battery-c-delta")
-    v_c = richnonint(sts, ds, pg, budget)
+    stc, dc, pc = bundled("cell_gate.scn")   # fragment {C}
+    v_empty = richnonint(stc, frozenset(), pc, budget)
+    v_c = richnonint(stc, dc, pc, budget)
     cex("extend-subject", "adding contracts to a safe fragment can interfere",
         v_empty.holds is True and v_c.holds is False,
         f"empty fragment={v_empty.outcome}, extended={v_c.outcome} "
@@ -157,15 +140,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
         f"gate+proxy={v_gate.outcome}, gate alone={v_c.outcome}")
 
     # 6. two separately safe fragments may interfere when deployed together
-    droppers = _doc(["T"], _ADV, [
-        {"contract": "once_cell", "name": "Var", "by": "A"},
-        {"contract": "dropper", "name": "Drop1",
-         "args": {"var": "Var", "token": "T"}, "fund": {"T": 3}, "by": "A"},
-        {"contract": "dropper", "name": "Drop2",
-         "args": {"var": "Var", "token": "T"}, "fund": {"T": 3}, "by": "A"},
-    ], 1)
-    std, _ = _state(droppers, "battery-droppers")
-    pd = parse_scenario(json.dumps(droppers), "x").prices()
+    std, _, pd = bundled("once_cell_droppers.scn")
     d1, d2 = Account.contract("Drop1"), Account.contract("Drop2")
     v1 = richnonint(without_contracts(std, {d2}), {d1}, pd, budget)
     v2 = richnonint(without_contracts(std, {d1}), {d2}, pd, budget)
@@ -175,12 +150,12 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
         f"singles={v1.outcome}/{v2.outcome}, pair={vpair.outcome} "
         f"({vpair.lhs_value} vs {vpair.rhs_value})")
 
-    # 7. even sequential safe deployments do not compose
-    v_seq = richnonint(without_contracts(std, {d2}).replace(), {d1}, pd, budget)
+    # 7. even sequential safe deployments do not compose: the first check is
+    #    row 6's first single
     v_then = richnonint(std, {d2}, pd, budget)
     cex("sequential-deploy", "checking each deployment in sequence still misses joint interference",
-        v_seq.holds is True and v_then.holds is True and vpair.holds is False,
-        f"first={v_seq.outcome}, second-in-context={v_then.outcome}, pair={vpair.outcome}")
+        v1.holds is True and v_then.holds is True and vpair.holds is False,
+        f"first={v1.outcome}, second-in-context={v_then.outcome}, pair={vpair.outcome}")
 
     # 8. union IS safe when the added fragment has nothing to extract
     union_doc = _doc(["ETH", "T", "TA"],
@@ -193,8 +168,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
          "fund": {"ETH": 10}, "by": "A"},
         {"contract": "airdrop", "name": "Empty", "args": {"token": "TA"}, "by": "A"},
     ], 1)
-    stl, _ = _state(union_doc, "battery-zero-union")
-    pl = parse_scenario(json.dumps(union_doc), "x").prices()
+    stl, _, pl = _state(union_doc, "battery-zero-union")
     bet, empty = Account.contract("Bet"), Account.contract("Empty")
     v_bet = richnonint(without_contracts(stl, {empty}), {bet}, pl, budget)
     zero = rlmev(stl, {empty}, None, pl, budget)
@@ -214,8 +188,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
                     {"contract": "best_swap", "name": "AdvWrap",
                      "args": {"c0": "AMM1", "c1": "AMM1"}, "by": "M"},
                     _amm("AMM2", "T0", "T1", f[2], f[3])], 2)
-        st_r, delta_r = _state(doc, "battery-random-append")
-        outcomes.append(richnonint(st_r, delta_r, prices, budget).holds is True)
+        outcomes.append(richnonint(*_state(doc, "battery-random-append"), budget).holds is True)
     law("append-context-random", "rule 1 holds across randomized pool fundings",
         all(outcomes), f"{sum(outcomes)}/5 random instances safe (seed {seed})")
 

@@ -31,9 +31,9 @@ from .analysis import (
     verify_stripping,
 )
 from .battery import structural_battery
-from .goldens import GOLDENS, load_bundled
+from .goldens import GOLDENS
 from .ledger import Account
-from .scenario import ScenarioError, build_state, load_scenario
+from .scenario import ScenarioError, build_state, bundled, load_scenario
 from .search import SearchBudget, global_mev, lmev, rlmev
 
 EXIT_HOLDS = 0
@@ -266,9 +266,7 @@ def _run_table2(args) -> int:
     lines = ["composition matrix (wealth-independent non-interference)"]
     all_match = True
     for fname, expected, expected_just in TABLE2_ROWS:
-        scn = load_bundled(f"compositions/{fname}")
-        state, delta = build_state(scn)
-        v = richnonint(state, delta, scn.prices(), budget)
+        v = richnonint(*bundled(f"compositions/{fname}"), budget)
         match = v.outcome == expected and (
             expected != "holds" or v.justification == expected_just)
         all_match = all_match and match
@@ -315,7 +313,7 @@ def _run_battery(args) -> int:
 def _run_examples(args) -> int:
     checks = []
     lines = []
-    for name, fn in GOLDENS:
+    for fn in GOLDENS:
         for c in fn():
             checks.append({"name": c.name, "ok": c.ok, "detail": c.detail})
             lines.append(f"[{'PASS' if c.ok else 'FAIL'}] {c.name}"

@@ -215,8 +215,8 @@ class PriceMap:
         return PriceMap(tuple(sorted((t, Fraction(p)) for t, p in mapping.items())))
 
     @staticmethod
-    def uniform(tokens: Iterable[Token], price: int = 1) -> "PriceMap":
-        return PriceMap.of({t: Fraction(price) for t in tokens})
+    def uniform(tokens: Iterable[Token]) -> "PriceMap":
+        return PriceMap.of({t: 1 for t in tokens})
 
     def price(self, token: Token) -> Fraction:
         for t, p in self.prices:
@@ -368,16 +368,9 @@ class BlockchainState:
         s._core = self._core
         return s
 
-    def replace(self, *, users=None, contracts=None, order=None, codes=None,
-                height=None, adversary=None) -> "BlockchainState":
-        return BlockchainState(
-            users=self.users if users is None else users,
-            contracts=self.contracts if contracts is None else contracts,
-            order=self.order if order is None else order,
-            codes=self.codes if codes is None else codes,
-            height=self.height if height is None else height,
-            adversary=self.adversary if adversary is None else adversary,
-        )
+    def with_users(self, users: Mapping[Account, Wallet]) -> "BlockchainState":
+        return BlockchainState(users, self.contracts, self.order, self.codes,
+                               self.height, self.adversary)
 
     def __repr__(self) -> str:
         users = " | ".join(f"{a}[{w.pretty()}]" for a, w in sorted(self.users.items()))

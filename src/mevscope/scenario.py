@@ -90,6 +90,13 @@ def _parse_wallet(v, tokens, where: str) -> Wallet:
     return Wallet(v)
 
 
+def _parse_name(d: dict, field: str, where: str, default=None) -> str:
+    v = d.get(field, default)
+    if not isinstance(v, str) or not v:
+        raise ScenarioError(f"{where}: {field} must be a non-empty string, got {v!r}")
+    return v
+
+
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     if not text.strip():
         raise ScenarioError(f"{name}: empty scenario file")
@@ -110,7 +117,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         where = f"{name}: tokens[{i}]"
         if not isinstance(t, dict) or "symbol" not in t:
             raise ScenarioError(f"{where}: expected an object with a symbol")
-        sym = t["symbol"]
+        sym = _parse_name(t, "symbol", where)
         price = _parse_rational(t.get("price", 1), where)
         if price <= 0:
             raise ScenarioError(f"{where}: price must be positive")
@@ -125,7 +132,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         where = f"{name}: users[{i}]"
         if not isinstance(u, dict) or "name" not in u:
             raise ScenarioError(f"{where}: expected an object with a name")
-        users.append((u["name"],
+        users.append((_parse_name(u, "name", where),
                       _parse_wallet(u.get("wallet"), token_set, where),
                       bool(u.get("adversary", False))))
     names = [n for n, _, _ in users]
@@ -140,15 +147,16 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         missing = {"contract", "name"} - set(d)
         if missing:
             raise ScenarioError(f"{where}: missing fields {sorted(missing)}")
-        if d["contract"] not in catalog.REGISTRY:
-            raise ScenarioError(f"{where}: unknown catalog name {d['contract']!r}")
+        contract = _parse_name(d, "contract", where)
+        if contract not in catalog.REGISTRY:
+            raise ScenarioError(f"{where}: unknown catalog name {contract!r}")
         args = d.get("args", {})
         if not isinstance(args, dict):
             raise ScenarioError(f"{where}: args must be an object")
         deployments.append(Deployment(
-            d["contract"], d["name"], tuple(sorted(args.items())),
+            contract, _parse_name(d, "name", where), tuple(sorted(args.items())),
             _parse_wallet(d.get("fund"), token_set, where),
-            d.get("by", "deployer"),
+            _parse_name(d, "by", where, "deployer"),
         ))
     dnames = [d.name for d in deployments]
     if len(set(dnames)) != len(dnames):
@@ -185,6 +193,15 @@ def load_scenario(path) -> Scenario:
     except OSError as e:
         raise ScenarioError(f"{p}: cannot read scenario: {e}") from None
     return parse_scenario(text, name=p.name)
+
+
+def scenario_path(name: str) -> Path:
+    """The bundled scenario ``name``, a path under ``mevscope/scenarios``."""
+    return Path(__file__).parent / "scenarios" / name
+
+
+def load_bundled(name: str) -> Scenario:
+    return load_scenario(scenario_path(name))
 
 
 def _coerce_arg(spec: catalog.ParamSpec, value, where: str) -> None:
@@ -231,7 +248,7 @@ def build_state(scn: Scenario) -> tuple:
         # funding is minted to the deployer as setup, then moved by deploy
         staged_users = dict(state.users)
         staged_users[deployer] = state.user_wallet(deployer) + dep.fund
-        state = state.replace(users=staged_users)
+        state = state.with_users(staged_users)
         try:
             state = deploy(state, code, attached=dep.fund, deployer=deployer)
         except (WellFormednessError, DeployError) as e:
@@ -240,3 +257,9 @@ def build_state(scn: Scenario) -> tuple:
 
     delta = frozenset(Account.contract(d.name) for d in scn.deployments[scn.split:])
     return state, delta
+
+
+def bundled(name: str) -> tuple:
+    """(state, fragment, prices) of the bundled scenario ``name``."""
+    scn = load_bundled(name)
+    return (*build_state(scn), scn.prices())

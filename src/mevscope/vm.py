@@ -569,18 +569,15 @@ def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequ
     return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups), nxt
 
 
-def execute_trace(state: BlockchainState, trace: Sequence[Transaction],
-                  want_log: bool = False) -> ExecResult:
+def execute_trace(state: BlockchainState, trace: Sequence[Transaction]) -> ExecResult:
     """Left fold of ``execute``; invalid transactions roll back and the fold
     continues.  ``valid`` is True only when every transaction was valid."""
     all_valid = True
-    log: list = []
     for tx in trace:
-        res = execute(state, tx, want_log)
+        res = execute(state, tx)
         state = res.state
         all_valid = all_valid and res.valid
-        log.extend(res.trace_log)
-    return ExecResult(state, all_valid, tuple(log))
+    return ExecResult(state, all_valid)
 
 
 def gain(accounts: Iterable[Account], state: BlockchainState,
@@ -594,8 +591,8 @@ def gain(accounts: Iterable[Account], state: BlockchainState,
 # --- deployment and well-formedness -------------------------------------------
 
 
-def deploy(state: BlockchainState, code: ContractCode, constructor_args: tuple = (),
-           attached: Wallet = EMPTY_WALLET, deployer: Optional[Account] = None) -> BlockchainState:
+def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_WALLET,
+           deployer: Optional[Account] = None) -> BlockchainState:
     """Append a contract in deployment order and run its constructor.
 
     The deployer funds ``attached``.  Deployment is scenario setup, not a
@@ -631,7 +628,7 @@ def deploy(state: BlockchainState, code: ContractCode, constructor_args: tuple =
     sc.credit(acc, attached)
     if code.constructor is not None:
         ctx = CallContext(deployer, deployer, 1)
-        mctx = MethodCtx(sc, staged, ctx, acc, tuple(constructor_args), attached)
+        mctx = MethodCtx(sc, staged, ctx, acc, (), attached)
         try:
             code.constructor.fn(mctx)
         except Abort:
@@ -693,37 +690,36 @@ def check_wallet_monotonic(state: BlockchainState, tx: Transaction,
     enriched_users = dict(state.users)
     for acc, w in delta.items():
         enriched_users[acc] = state.user_wallet(acc) + w
-    rich = state.replace(users=enriched_users)
+    rich = state.with_users(enriched_users)
     res = execute(rich, tx)
     if not res.valid:
         return False
     expect_users = dict(base.state.users)
     for acc, w in delta.items():
         expect_users[acc] = base.state.user_wallet(acc) + w
-    expected = base.state.replace(users=expect_users)
+    expected = base.state.with_users(expect_users)
     return res.state == expected
 
 
 def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str,
-                            args: tuple = (), attached: Wallet = EMPTY_WALLET,
-                            origin: Optional[Account] = None,
-                            senders: Optional[Sequence[Account]] = None) -> Optional[str]:
+                            args: tuple = (), attached: Wallet = EMPTY_WALLET) -> Optional[str]:
     """Run one method under several senders (same origin, args, attachment)
     and diff the effects modulo the sender-directed transfer.
 
-    Returns None when every run agrees (the sender-agnostic contract shape)
-    or a short description of the first difference.  The attachment is
-    granted to the callee directly in each run, emulating an already-paid
-    caller, so a phantom contract can stand in as a sender.
+    The origin is the least adversary account (a ``probe`` user when there
+    is none); the senders are the origin, a phantom contract and every
+    contract deployed after the callee.  Returns None when every run agrees
+    (the sender-agnostic contract shape) or a short description of the first
+    difference.  The attachment is granted to the callee directly in each
+    run, emulating an already-paid caller, so a phantom contract can stand
+    in as a sender.
     """
-    if origin is None:
-        origin = min(state.adversary) if state.adversary else Account.user("probe")
-    if senders is None:
-        # legitimate contract senders are callers, hence deployed after the
-        # callee; earlier contracts could collide with store-directed payouts
-        idx = state.deploy_index(callee)
-        senders = [origin, Account.contract("__probe_sender__")]
-        senders += [a for a in state.order if state.deploy_index(a) > idx]
+    origin = min(state.adversary) if state.adversary else Account.user("probe")
+    # legitimate contract senders are callers, hence deployed after the
+    # callee; earlier contracts could collide with store-directed payouts
+    idx = state.deploy_index(callee)
+    senders = [origin, Account.contract("__probe_sender__")]
+    senders += [a for a in state.order if state.deploy_index(a) > idx]
 
     def run(sender: Account):
         sc = _Scratch(state, want_log=False)

@@ -18,7 +18,7 @@ from mevscope import (
 M = Account.user("M")
 A = Account.user("A")
 
-# every bundled scenario, as ``goldens.load_bundled`` names it
+# every bundled scenario, as ``scenario.load_bundled`` names it
 _SCENARIO_DIR = Path(mevscope.__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = tuple(sorted(p.relative_to(_SCENARIO_DIR).as_posix()
                                  for p in _SCENARIO_DIR.rglob("*.scn")))
@@ -32,7 +32,7 @@ def build(users, deployments, adversary=(M,), height=0):
         wallet = Wallet(fund)
         staged = dict(st.users)
         staged[A] = st.user_wallet(A) + wallet
-        st = st.replace(users=staged)
+        st = st.with_users(staged)
         st = deploy(st, entry(key).make(name, **args), attached=wallet, deployer=A)
     return st
 

@@ -34,9 +34,8 @@ from mevscope.goldens import (
     golden_once_cell_droppers,
     golden_relay_chain,
     golden_two_pool_chain,
-    load_bundled,
 )
-from mevscope.scenario import build_state
+from mevscope.scenario import build_state, load_bundled
 
 import helpers
 from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
@@ -194,7 +193,7 @@ def test_randomized_search_property_suite():
         users = dict(state.users)
         users[Account.user("bystander")] = Wallet(
             {t: rng.randint(0, 5) for t in prices.tokens()})
-        assert lmev(state.replace(users=users), observed, None, prices,
+        assert lmev(state.with_users(users), observed, None, prices,
                     budget).value == unrestricted
         checked["bystander"] += 1
 
@@ -202,7 +201,7 @@ def test_randomized_search_property_suite():
         users = dict(state.users)
         users[M] = state.user_wallet(M) + Wallet(
             {t: rng.randint(0, 3) for t in prices.tokens()})
-        assert lmev(state.replace(users=users), observed, None, prices,
+        assert lmev(state.with_users(users), observed, None, prices,
                     budget).value >= unrestricted
         checked["rich"] += 1
 

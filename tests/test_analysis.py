@@ -20,8 +20,7 @@ from mevscope import (
     verify_stripping,
     without_contracts,
 )
-from mevscope.goldens import load_bundled
-from mevscope.scenario import build_state
+from mevscope.scenario import build_state, load_bundled
 
 from helpers import M, A, bet_state, build, two_pool_state
 
@@ -206,7 +205,7 @@ class TestStripping:
                          deployer=M)
         funded = dict(context.users)
         funded[A] = context.user_wallet(A) + Wallet({"T0": 9, "T1": 4})
-        context = context.replace(users=funded)
+        context = context.with_users(funded)
         extended = deploy(context, entry("amm").make("AMM2", t0="T0", t1="T1"),
                           attached=Wallet({"T0": 9, "T1": 4}), deployer=A)
         again = richnonint(extended, delta, scn.prices(), BUDGET)

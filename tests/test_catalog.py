@@ -21,7 +21,7 @@ from mevscope import (
     execute_trace,
     parse_scenario,
 )
-from mevscope.goldens import load_bundled
+from mevscope.scenario import load_bundled
 from mevscope.vm import TICK_METHOD
 
 from helpers import M, A, bet_state, build, two_pool_state

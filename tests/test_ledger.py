@@ -121,7 +121,7 @@ def test_wealth_units_rejects_unpriced_tokens():
 def _with_user(state, acc, wallet):
     users = dict(state.users)
     users[acc] = wallet
-    return state.replace(users=users)
+    return state.with_users(users)
 
 
 def test_richer_than_examples():

@@ -8,9 +8,8 @@ import pytest
 import mevscope.cli
 from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
                       global_mev)
-from mevscope.cli import EXIT_INTERNAL, EXIT_USAGE, main
-from mevscope.goldens import load_bundled, scenario_path
-from mevscope.scenario import build_state, parse_scenario
+from mevscope.cli import EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE, main
+from mevscope.scenario import build_state, load_bundled, parse_scenario, scenario_path
 
 from helpers import M
 
@@ -270,3 +269,25 @@ def test_exhaustive_mev_on_the_lending_pool_rows_runs(name):
     """``--exhaustive`` proposes ``redeem(0)`` for an origin without a
     position; the pool reads that position as zero instead of crashing."""
     assert run_cli("mev", _path(name), "--exhaustive", "--depth", "1")[0] in (0, 1, 2, 3)
+
+
+def _named(tokens=("T", "ETH"), user="M", contract="cell", instance="X", by="M"):
+    return {"tokens": [{"symbol": t} for t in tokens],
+            "users": [{"name": user, "adversary": True}],
+            "deployments": [{"contract": contract, "name": instance, "by": by}]}
+
+
+@pytest.mark.parametrize("field, doc", (
+    ("symbol", _named(tokens=("T", 5))),
+    ("name", _named(user=7)),
+    ("name", _named(user="")),
+    ("name", _named(instance=["X"])),
+    ("contract", _named(contract=["cell"])),
+    ("by", _named(by=3)),
+), ids=("int-symbol", "int-user", "empty-user", "list-instance", "list-contract", "int-by"))
+def test_malformed_names_are_scenario_errors(field, doc, tmp_path):
+    with pytest.raises(ScenarioError, match=f"{field} must be a non-empty string"):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "named.scn"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO

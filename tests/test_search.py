@@ -27,7 +27,7 @@ from mevscope import (
     wealth_units,
 )
 from mevscope import search
-from mevscope.goldens import load_bundled
+from mevscope.scenario import load_bundled
 from mevscope.vm import TICK_METHOD, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, M, A, bet_state, build, random_micro, random_observed,
@@ -457,7 +457,7 @@ class TestSearchMonotonicity:
         state = two_pool_state()
         users = dict(state.users)
         users[Account.user("bystander")] = Wallet({"T0": 50, "T2": 50})
-        bigger = state.replace(users=users)
+        bigger = state.with_users(users)
         assert (lmev(state, {AMM2}, None, PRICES3, BUDGET).value
                 == lmev(bigger, {AMM2}, None, PRICES3, BUDGET).value)
 
@@ -465,6 +465,6 @@ class TestSearchMonotonicity:
         state = two_pool_state()
         users = dict(state.users)
         users[M] = state.user_wallet(M) + Wallet({"T1": 4})
-        richer = state.replace(users=users)
+        richer = state.with_users(users)
         assert (lmev(richer, {AMM2}, None, PRICES3, BUDGET).value
                 >= lmev(state, {AMM2}, None, PRICES3, BUDGET).value)

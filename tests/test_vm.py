@@ -144,8 +144,7 @@ def test_deps_closure():
 
 
 def test_deps_of_the_seven_contract_router_stack():
-    from mevscope.goldens import load_bundled
-    from mevscope.scenario import build_state
+    from mevscope.scenario import build_state, load_bundled
     state, delta = build_state(load_bundled("compositions/row6_best_swap_router.scn"))
     (best,) = delta
     assert len(deps([best], state)) == 7
