@@ -211,6 +211,9 @@ def _coerce_arg(spec: catalog.ParamSpec, value, where: str) -> None:
     elif spec.kind in ("token", "contract", "user", "str"):
         if not isinstance(value, str):
             raise ScenarioError(f"{where}: {spec.name} must be a string")
+        # an empty token or contract name fails its lookup below
+        if not value and spec.kind in ("user", "str"):
+            raise ScenarioError(f"{where}: {spec.name} must be a non-empty string")
 
 
 def build_state(scn: Scenario) -> tuple:

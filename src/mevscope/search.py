@@ -2,12 +2,13 @@
 
 The engine maximises over traces of adversary-crafted transactions, bounded
 by a trace-length budget, with moves proposed by per-contract generators (or
-by exhaustive signature-driven enumeration in micro mode).  Values are
-certified lower bounds of the unbounded-trace quantities.  A result carries
-``complete=True`` when the value hits the wealth upper bound of the observed
-contracts, and is then exact, or when exhaustive mode ran within its caps, and
-is then exact among traces of at most ``max_depth`` transactions (a longer
-trace may still extract more).
+by exhaustive signature-driven enumeration in micro mode, which runs once per
+search for each user set it reaches: see ``_MaxSearch._exhaustive_moves``).
+Values are certified lower bounds of the unbounded-trace quantities.  A
+result carries ``complete=True`` when the value hits the wealth upper bound
+of the observed contracts, and is then exact, or when exhaustive mode ran
+within its caps, and is then exact among traces of at most ``max_depth``
+transactions (a longer trace may still extract more).
 
 Invalid transactions are pruned: they cannot change any gain.  The one
 exception is a distinguished tick move, generated only when a deployed
@@ -145,6 +146,8 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
     every argument tuple from its declared domains and every attachment up
     to the amount ceiling.  Intended for micro states; guard-only arguments
     declare singleton domains, documented on the signatures themselves.
+    The search fills a per-search table from it once for each user set,
+    rather than calling it at every node.
     """
     ceiling = budget.ceiling if budget.ceiling is not None else default_ceiling(state)
     accounts = tuple(sorted(state.users)) + tuple(state.order)
@@ -212,6 +215,8 @@ class _MaxSearch:
         # (callee, cone contract keys, height or None)
         #   -> {(origin, method, args, attachment): execute_delta's answer}
         self.effects: dict = {}
+        # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
+        self.move_table: dict = {}
 
     def bounds(self, state: BlockchainState) -> tuple:
         """Upper bounds, in integer price units, on the objective's increase
@@ -252,16 +257,33 @@ class _MaxSearch:
             d = row[tkey] = execute_delta(state, tx, self.groups, self.prices.units)
         return d
 
+    def _exhaustive_moves(self, state):
+        """``universal_moves(state, ...)``, enumerated once per user set.
+
+        Within one search the enumeration reads the state only through its
+        account domain, the sorted users followed by the deployment order:
+        tokens, restriction, deployed code, adversary and ceiling are fixed,
+        and the default ceiling is the largest token supply, which no
+        transaction changes.  The deployment order is fixed too, so the
+        users alone key the table."""
+        ukey = tuple(sorted(state.users))
+        moves = self.move_table.get(ukey)
+        if moves is None:
+            moves = self.move_table[ukey] = universal_moves(
+                state, self.tokens, self.budget, self.restriction)
+        return moves
+
     def run(self, state):
         """Maximise over traces from ``state``: the value of a trace is the
         end-to-end objective increase, in integer price units.  Ties break
         on adversary gain, then on the shortest and lexicographically
         smallest trace."""
         memo = self.memo
-        budget, restriction, tokens = self.budget, self.restriction, self.tokens
+        budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
         groups, units, sign = self.groups, self.prices.units, self.sign
         bounds, last_ply = self.bounds, self._last_ply
+        exhaustive_moves = self._exhaustive_moves
         cap = MEMO_CAP
 
         def best(state, k):
@@ -270,7 +292,7 @@ class _MaxSearch:
             hit = memo.get(mkey)
             if hit is not None:
                 return hit
-            moves = (universal_moves(state, tokens, budget, restriction) if exhaustive
+            moves = (exhaustive_moves(state) if exhaustive
                      else adversary_moves(state, restriction, budget))
             top = _LEAF
             # the longest trace from here that can still beat ``top``; once

@@ -291,3 +291,23 @@ def test_malformed_names_are_scenario_errors(field, doc, tmp_path):
     path = tmp_path / "named.scn"
     path.write_text(json.dumps(doc))
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+
+
+def _with_arg(name, index, arg, value):
+    doc = json.loads(scenario_path(name).read_text())
+    doc["deployments"][index]["args"][arg] = value
+    return doc
+
+
+@pytest.mark.parametrize("arg, doc", (
+    ("oracle", _with_arg("compositions/row7_lp_arbitrage.scn", 2, "oracle", "")),
+    ("expected_sender", _with_arg("gated_faucet_pair.scn", 0, "expected_sender", "")),
+), ids=("empty-user-arg", "empty-str-arg"))
+def test_empty_deployment_names_are_scenario_errors(arg, doc, tmp_path):
+    """An empty ``user`` argument would crash in ``Account.user``; an empty
+    ``str`` one would build a faucet that can never open."""
+    with pytest.raises(ScenarioError, match=f"{arg} must be a non-empty string"):
+        build_state(parse_scenario(json.dumps(doc)))
+    path = tmp_path / "empty.scn"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO

@@ -8,6 +8,8 @@ import math
 
 from mevscope import (
     Account,
+    ContractCode,
+    MethodDef,
     PriceMap,
     SearchBudget,
     Transaction,
@@ -18,20 +20,24 @@ from mevscope import (
     entry,
     execute,
     gain,
+    genesis,
     global_mev,
     lmev,
+    nonint,
     rlmev,
     stability_probe,
+    total_supply,
     universal_moves,
     wealth,
     wealth_units,
 )
 from mevscope import search
-from mevscope.scenario import load_bundled
-from mevscope.vm import TICK_METHOD, execute_delta
+from mevscope.scenario import bundled, load_bundled
+from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
 
-from helpers import (BUNDLED_SCENARIOS, M, A, bet_state, build, random_micro, random_observed,
-                     two_pool_state)
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
+                     random_observed, two_pool_state)
+from oracle import brute_lmev
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 PRICES3 = PriceMap.uniform(("T0", "T1", "T2"))
@@ -266,6 +272,16 @@ def _random_walk(rng, root, prices, budget, universal, steps):
     return path
 
 
+def _walk_roots(rng):
+    """(state, prices, ceiling) of every bundled scenario, with amounts up
+    to 3 for exhaustive moves, and of 40 micro states."""
+    roots = []
+    for name in BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        roots.append((build_state(scn)[0], scn.prices(), 3))
+    return roots + [random_micro(rng) for _ in range(40)]
+
+
 def test_loss_bounds_hold_on_random_walks():
     """Along random valid move sequences no contract loses more from a
     visited state than that state's ``loss_bound``, and the adversary gains
@@ -273,13 +289,8 @@ def test_loss_bounds_hold_on_random_walks():
     scenario (amounts up to 3 for exhaustive moves) and from micro states,
     at the given wealth and with the first rung's wealthy adversary."""
     rng = random.Random(606)
-    roots = []
-    for name in BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        roots.append((build_state(scn)[0], scn.prices(), 3))
-    roots += [random_micro(rng) for _ in range(40)]
     pairs = reached = 0
-    for state, prices, ceiling in roots:
+    for state, prices, ceiling in _walk_roots(rng):
         budget = SearchBudget(grid=4, ceiling=ceiling)
         rich = search.with_adversary_wallet(state, search.rich_wallet(state, prices, budget, 1))
         for root in (state, rich):
@@ -299,6 +310,25 @@ def test_loss_bounds_hold_on_random_walks():
                         assert gained <= sum(bounds.values()), (here, later)
                         pairs += 1
     assert pairs > 1000 and reached
+
+
+def test_total_supply_is_constant_on_random_walks():
+    """The premise of the exhaustive move table's default ceiling: no
+    transaction changes the total supply, so ``default_ceiling`` is the same
+    at every state a search reaches.  Walks as in the loss-bound test."""
+    rng = random.Random(707)
+    steps = 0
+    for state, prices, ceiling in _walk_roots(rng):
+        budget = SearchBudget(grid=4, ceiling=ceiling)
+        rich = search.with_adversary_wallet(state, search.rich_wallet(state, prices, budget, 1))
+        for root in (state, rich):
+            supply = total_supply(root)
+            for universal in (False, True):
+                for here in _random_walk(rng, root, prices, budget, universal, 6)[1:]:
+                    assert total_supply(here) == supply, here
+                    assert search.default_ceiling(here) == search.default_ceiling(root)
+                    steps += 1
+    assert steps > 500
 
 
 def test_amm_loss_bound_is_the_no_arbitrage_floor():
@@ -361,6 +391,102 @@ def test_bound_cut_keeps_every_result(monkeypatch):
         for a, b in zip(want, got):
             assert ((b.value, b.witness, b.complete, b.warning)
                     == (a.value, a.witness, a.complete, a.warning))
+
+
+def test_move_table_matches_fresh_enumeration(monkeypatch):
+    """The per-search move table against ``universal_moves`` at every node
+    an exhaustive search expands: micro states of every family, every
+    bundled scenario at depth 3 with amounts up to 3, and the
+    ``exchange_round_trip`` non-interference golden, whose exhaustive
+    searches take the default ceiling."""
+    fresh = universal_moves
+    fills = []
+    engines = {}
+    lookup = search._MaxSearch._exhaustive_moves
+
+    def fill(*args):
+        fills.append(args)
+        return fresh(*args)
+
+    def checked(self, state):
+        moves = lookup(self, state)
+        assert moves == fresh(state, self.tokens, self.budget, self.restriction), state
+        engines.setdefault(id(self), [self, 0])[1] += 1
+        return moves
+
+    monkeypatch.setattr(search, "universal_moves", fill)
+    monkeypatch.setattr(search._MaxSearch, "_exhaustive_moves", checked)
+    rng = random.Random(909)
+    for family in MICRO_FAMILIES * 7:
+        state, prices, ceiling = random_micro(rng, (family,))
+        observed = random_observed(rng, state)
+        budget = SearchBudget(max_depth=rng.choice((2, 3)), exhaustive=True, ceiling=ceiling)
+        lmev(state, observed, None, prices, budget)
+        lmev(state, observed, observed, prices, budget)
+        global_mev(state, prices, budget)
+    budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
+    for name in BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        for observed, restriction in ((delta, None), (delta, delta), (state.deployed, None)):
+            lmev(state, observed, restriction, scn.prices(), budget)
+    searches = len(engines)
+    verdict = nonint(*bundled("exchange_round_trip.scn"), SearchBudget(exhaustive=True))
+    assert verdict.outcome == "holds" and verdict.justification == "zero-mev"
+    assert len(engines) > searches
+    # one enumeration per user set of each search, not one per node
+    assert len(fills) == sum(len(e.move_table) for e, _ in engines.values())
+    assert len(fills) < sum(nodes for _, nodes in engines.values())
+
+
+B = Account.user("B")
+
+
+def _tip_jar():
+    """A contract that stores the user ``B``, who starts with an empty
+    wallet and is no adversary: ``tip`` pays B 1 T, and ``boost(to)`` pays
+    2 T only to the stored user.  ``boost(B)`` enters the exhaustive
+    account domain only once a ``tip`` has put B among the state's users."""
+
+    def init(c):
+        c.put("payee", B)
+
+    def tip(c):
+        c.pay(c.store("payee"), 1, "T")
+
+    def boost(c):
+        c.require(c.arg(0) == c.store("payee"))
+        c.pay(c.arg(0), 2, "T")
+
+    return ContractCode(
+        name="Jar",
+        methods={"tip": MethodDef("tip", tip),
+                 "boost": MethodDef("boost", boost, args=(ArgSpec("account"),))},
+        constructor=MethodDef("init", init),
+        outtok_decl=frozenset({"T"}),
+    )
+
+
+def test_move_table_follows_a_growing_user_set():
+    """The user set grows mid-search: the table enumerates again for it,
+    and exhaustive ``lmev`` matches ``brute_lmev``, which rebuilds its moves
+    at every state.  Moves enumerated at the root alone would miss
+    ``boost(B)`` and reach only 2, 3 and 4 at depths 2 to 4."""
+    st = genesis({M: Wallet(), A: Wallet({"T": 9})}, (M,))
+    state = deploy(st, _tip_jar(), attached=Wallet({"T": 9}), deployer=A)
+    jar = Account.contract("Jar")
+    prices = PriceMap.uniform(("T",))
+    assert B not in state.users
+    assert all(tx.method != "boost" or tx.args != (B,)
+               for tx in universal_moves(state, prices.tokens(), SearchBudget(ceiling=2)))
+    for depth, want in ((1, 1), (2, 3), (3, 5), (4, 7)):
+        budget = SearchBudget(max_depth=depth, exhaustive=True, ceiling=2)
+        res = lmev(state, {jar}, None, prices, budget)
+        assert res.value == want == brute_lmev(state, {jar}, None, prices, depth, 2)
+        engine = search._MaxSearch(state, prices, budget, None, (jar,), -1)
+        engine.run(state)
+        users = {(M,)} if depth == 1 else {(M,), tuple(sorted((B, M)))}
+        assert set(engine.move_table) == users
 
 
 class TestGlobalMev:
