@@ -44,7 +44,6 @@ from .search import (
 )
 from .vm import (
     Abort,
-    CallRecord,
     ContractCode,
     DeployError,
     ExecResult,
@@ -58,6 +57,7 @@ from .vm import (
     execute,
     execute_trace,
     gain,
+    probe_call,
     sender_agnostic_witness,
 )
 

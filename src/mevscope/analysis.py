@@ -10,6 +10,12 @@ Verdicts are three-valued.  "holds" is only emitted when a sufficient
 condition fires or when both searched values are complete (wealth bound hit
 or exhaustive enumeration); a budget-limited equality without either yields
 "unknown".  "violated" verdicts always carry a replayable witness.
+
+Two sufficient conditions are tried before any search.  Token independence
+reads only the contracts' declared token sets.  Stability runs each context
+method the new contracts call as the outermost frame of a probe (see
+``vm.probe_call``), in the given state and in the states adversary moves on
+the context reach, and compares what the probes observe.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .search import (
     rich_wallet,
     with_adversary_wallet,
 )
-from .vm import Transaction, check_well_formed, deps, execute
+from .vm import check_well_formed, deps, execute, probe_call
 
 JUST_ZERO_MEV = "zero-mev"
 JUST_CONTRACT_INDEP = "contract-independent"
@@ -107,34 +113,23 @@ def without_contracts(state: BlockchainState, drop: Iterable[Account]) -> Blockc
 # --- token and contract independence ---------------------------------------------
 
 
-def intok_outtok(state: BlockchainState, fragment: Iterable[Account],
-                 budget: SearchBudget = SearchBudget()) -> tuple:
-    """(receivable, sendable) token sets of a contract fragment.
+def intok_outtok(state: BlockchainState, fragment: Iterable[Account]) -> tuple:
+    """(receivable, sendable) token sets of a contract fragment: the union of
+    its contracts' declared sets, where a declared ``None`` means every
+    scenario token.
 
-    Declared over-approximations unioned with anything observed while
-    probing the fragment's own generated moves one step deep; a declared
-    ``None`` means "all scenario tokens".  The result over-approximates the
-    semantic sets, which makes a True token-independence verdict sound.
+    The declarations over-approximate the tokens a contract's frames are
+    attached and pay out (a catalog test checks them against every generated
+    move), which makes a True token-independence verdict sound.  No move is
+    run.
     """
-    frag = frozenset(fragment) & state.deployed
     all_tokens = frozenset(prober_tokens(state))
     intok: set = set()
     outtok: set = set()
-    for acc in frag:
+    for acc in frozenset(fragment) & state.deployed:
         code = state.codes[acc]
         intok |= all_tokens if code.intok_decl is None else code.intok_decl
         outtok |= all_tokens if code.outtok_decl is None else code.outtok_decl
-    probe_state = _enriched(state, budget)
-    for tx in adversary_moves(probe_state, frag, budget):
-        res = execute(probe_state, tx, want_log=True)
-        if not res.valid:
-            continue
-        for rec in res.trace_log:
-            if rec.callee in frag and rec.attached:
-                intok.update(t for t, _ in rec.attached.items())
-            if rec.callee in frag:
-                for _, w in rec.transfers:
-                    outtok.update(t for t, _ in w.items())
     return frozenset(intok), frozenset(outtok)
 
 
@@ -151,10 +146,9 @@ def prober_tokens(state: BlockchainState) -> tuple:
 
 
 def token_independent(state: BlockchainState, frag_a: Iterable[Account],
-                      frag_b: Iterable[Account],
-                      budget: SearchBudget = SearchBudget()) -> bool:
-    in_a, out_a = intok_outtok(state, frag_a, budget)
-    in_b, out_b = intok_outtok(state, frag_b, budget)
+                      frag_b: Iterable[Account]) -> bool:
+    in_a, out_a = intok_outtok(state, frag_a)
+    in_b, out_b = intok_outtok(state, frag_b)
     return not (in_a & out_b) and not (in_b & out_a)
 
 
@@ -172,29 +166,27 @@ def _enriched(state: BlockchainState, budget: SearchBudget) -> BlockchainState:
 
 
 def _observations(state: BlockchainState, watched: Sequence) -> tuple:
-    """Observation triples (valid, return, target transfers) of every probe,
-    run by a wealthy throwaway user so funding never masks behaviour."""
+    """Observation triples (valid, return, transfers) of every probe, each run
+    as the outermost frame for a throwaway user whose attachment is already
+    paid, so funding never masks behaviour.  An observation is valid when the
+    frame completed and the final checks hold; a completed frame whose final
+    check fails still reports what it returned and transferred."""
     prober = Account.user("__prober__")
     obs = []
     for callee, method, args, attached in watched:
-        users = dict(state.users)
-        users[prober] = state.user_wallet(prober) + attached
-        probe_state = state.with_users(users)
-        tx = Transaction(prober, callee, method, args, attached)
-        res = execute(probe_state, tx, want_log=True)
-        rec = next((r for r in res.trace_log
-                    if r.callee == callee and r.method == method), None)
-        obs.append((
-            callee, method, args, attached,
-            res.valid,
-            rec.returned if rec else None,
-            rec.transfers if rec else (),
-        ))
+        sc, frame = probe_call(state, prober, prober, callee, method, args, attached)
+        if frame is None:
+            obs.append((callee, method, args, attached, False, None, ()))
+            continue
+        valid = sc.finals_hold()
+        if valid:
+            sc.check_leaks()
+        obs.append((callee, method, args, attached, valid, *frame))
     return tuple(obs)
 
 
 def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
-                         subject: Iterable[Account], prices: PriceMap,
+                         subject: Iterable[Account],
                          budget: SearchBudget = SearchBudget(),
                          wealthy: bool = False) -> tuple:
     """Bounded falsification of "adversary moves on the context cannot change
@@ -285,12 +277,11 @@ def _noninterference(state: BlockchainState, delta: Iterable[Account],
                          "composed state is not well-formed")
     gamma, delta_accs = _fragment_split(state, delta)
 
-    if wealthy or token_independent(state, gamma, delta_accs, budget):
+    if wealthy or token_independent(state, gamma, delta_accs):
         indep_note, stable_note = _PRECHECK_NOTES[wealthy]
         if contract_independent(state, gamma, delta_accs):
             return Verdict(True, JUST_CONTRACT_INDEP, note=indep_note)
-        status, _ = stable_wrt_adversary(state, gamma, delta_accs, prices, budget,
-                                         wealthy=wealthy)
+        status, _ = stable_wrt_adversary(state, gamma, delta_accs, budget, wealthy=wealthy)
         if status == "stable":
             return Verdict(True, JUST_STABLE, note=stable_note)
 

@@ -57,7 +57,6 @@ class Scenario:
     deployments: tuple
     split: int             # deployments[:split] form the context
     block_height: int = 0
-    oracle_user: str = "Oracle"
     ceiling: Optional[int] = None
 
     def prices(self) -> PriceMap:
@@ -108,7 +107,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{name}: top level must be an object")
     unknown = set(doc) - {"tokens", "users", "deployments", "split",
-                          "block_height", "oracle_user", "ceiling", "comment"}
+                          "block_height", "ceiling", "comment"}
     if unknown:
         raise ScenarioError(f"{name}: unknown fields {sorted(unknown)}")
 
@@ -181,7 +180,6 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         deployments=tuple(deployments),
         split=split,
         block_height=height,
-        oracle_user=doc.get("oracle_user", "Oracle"),
         ceiling=ceiling,
     )
 
@@ -232,8 +230,6 @@ def build_state(scn: Scenario) -> tuple:
         where = f"{scn.name}: deployments[{i}] ({dep.name})"
         entry = catalog.REGISTRY[dep.contract]
         args = dep.args_dict()
-        if dep.contract == "lending_pool":
-            args.setdefault("oracle", scn.oracle_user)
         for spec in entry.params:
             if spec.name in args:
                 _coerce_arg(spec, args[spec.name], where)

@@ -101,7 +101,6 @@ class MevResult:
     value: Fraction
     witness: tuple
     complete: bool
-    budget: SearchBudget
     warning: Optional[str] = None
 
 
@@ -332,11 +331,10 @@ def _certified(engine: _MaxSearch, state: BlockchainState, upper) -> MevResult:
     in integer price units; the value is converted back to a Fraction here,
     once."""
     units, _, witness = engine.run(state)
-    budget = engine.budget
-    complete = budget.exhaustive or units == upper
+    complete = engine.budget.exhaustive or units == upper
     value = Fraction(units, engine.prices.scale)
     warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
-    return MevResult(value, witness, complete, budget, warning)
+    return MevResult(value, witness, complete, warning)
 
 
 def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
@@ -356,7 +354,7 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     upper = wealth_units(obs_t, state, prices)
     if upper == 0:
         # nothing to lose: exact by the wealth bound
-        return MevResult(Fraction(0), (), True, budget)
+        return MevResult(Fraction(0), (), True)
 
     # the objective is the observed contracts' loss: it grows as their wealth falls
     return _certified(_MaxSearch(state, prices, budget, restr, obs_t, -1), state, upper)
@@ -372,7 +370,7 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     # accounts there are no craftable transactions at all
     upper = wealth_units(tuple(state.order), state, prices)
     if upper == 0 or not adv_t:
-        return MevResult(Fraction(0), (), True, budget)
+        return MevResult(Fraction(0), (), True)
     return _certified(_MaxSearch(state, prices, budget, None, adv_t, 1), state, upper)
 
 
@@ -413,7 +411,7 @@ def _escalate(state: BlockchainState, observed, restriction, prices: PriceMap,
             return prev, tuple(ladder)
         prev = res
         scale *= 2
-    return (MevResult(prev.value, prev.witness, False, budget,
+    return (MevResult(prev.value, prev.witness, False,
                       "escalation cap reached without a plateau"), tuple(ladder))
 
 

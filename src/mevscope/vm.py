@@ -235,25 +235,9 @@ class ContractCode:
 
 
 @dataclass(frozen=True)
-class CallRecord:
-    """Observation of one call frame: what happened, observable from outside."""
-
-    callee: Account
-    method: str
-    args: tuple
-    attached: Wallet
-    sender: Account
-    origin: Account
-    returned: Scalar
-    transfers: tuple   # tuple[(recipient Account, Wallet)]
-    aborted: bool
-
-
-@dataclass(frozen=True)
 class ExecResult:
     state: BlockchainState
     valid: bool
-    trace_log: tuple = ()
 
 
 # --- scratch working copy -----------------------------------------------------
@@ -262,14 +246,13 @@ class ExecResult:
 class _Scratch:
     """Copy-on-write overlay over a base state, mutated during one transaction."""
 
-    __slots__ = ("base", "w", "st", "finals", "log")
+    __slots__ = ("base", "w", "st", "finals")
 
-    def __init__(self, base: BlockchainState, want_log: bool):
+    def __init__(self, base: BlockchainState):
         self.base = base
         self.w: dict = {}    # Account -> dict[token, int], users and contracts
         self.st: dict = {}
         self.finals: list = []   # (contract Account, token, minimum)
-        self.log: Optional[list] = [] if want_log else None
 
     # wallet overlay
 
@@ -321,6 +304,13 @@ class _Scratch:
                 d[tok] = left
             else:
                 del d[tok]
+        return True
+
+    def finals_hold(self) -> bool:
+        """Every deferred final check registered so far holds."""
+        for acc, token, minimum in self.finals:
+            if self.balance(acc, token) < minimum:
+                return False
         return True
 
     def check_leaks(self) -> None:
@@ -486,65 +476,70 @@ class MethodCtx:
             raise Abort()
         self._sc.credit(callee, attach)
         inner = CallContext(self.ctx.origin, self.self_acc, self.ctx.depth + 1)
-        return _run_frame(self._sc, self._state, inner, callee, method, tuple(args), attach)
+        return _run_frame(self._sc, self._state, inner, callee, method, tuple(args), attach)[0]
 
 
 def _run_frame(sc: _Scratch, state: BlockchainState, ctx: CallContext,
-               callee: Account, method: str, args: tuple, attached: Wallet) -> Scalar:
-    code = state.codes[callee]
-    mdef = code.methods.get(method)
+               callee: Account, method: str, args: tuple, attached: Wallet) -> tuple:
+    """Run one call frame: (its return value, the transfers it made itself)."""
+    mdef = state.codes[callee].methods.get(method)
     if mdef is None:
         raise Abort()
     mctx = MethodCtx(sc, state, ctx, callee, args, attached)
-    try:
-        ret = mdef.fn(mctx)
-    except Abort:
-        if sc.log is not None:
-            sc.log.append(CallRecord(callee, method, args, attached, ctx.sender,
-                                     ctx.origin, None, (), True))
-        raise
-    if sc.log is not None:
-        sc.log.append(CallRecord(callee, method, args, attached, ctx.sender,
-                                 ctx.origin, ret, tuple(mctx._transfers), False))
-    return ret
+    return mdef.fn(mctx), mctx._transfers
 
 
-def _run_tx(state: BlockchainState, tx: Transaction, want_log: bool) -> tuple:
-    """Run one top-level transaction on a scratch overlay of ``state``.
-
-    Returns (overlay, valid); the overlay is None when the transaction is
-    rejected before it runs.  Of an invalid transaction's overlay only the
-    call log counts: its other changes are rolled back by being dropped.
-    """
+def _run_tx(state: BlockchainState, tx: Transaction) -> Optional[_Scratch]:
+    """Run one top-level transaction on a scratch overlay of ``state``: the
+    overlay, or None when the transaction is invalid (its changes are rolled
+    back by being dropped)."""
     if tx.callee not in state.contracts:
-        return None, False
+        return None
     if tx.method not in state.codes[tx.callee].methods:
-        return None, False
-    sc = _Scratch(state, want_log)
+        return None
+    sc = _Scratch(state)
     if not sc.debit(tx.origin, tx.attached):
-        return sc, False
+        return None
     sc.credit(tx.callee, tx.attached)
     ctx = CallContext(tx.origin, tx.origin, 1)
     try:
         _run_frame(sc, state, ctx, tx.callee, tx.method, tx.args, tx.attached)
     except Abort:
-        return sc, False
-    for acc, token, minimum in sc.finals:
-        if sc.balance(acc, token) < minimum:
-            return sc, False
-    return sc, True
+        return None
+    return sc if sc.finals_hold() else None
 
 
-def execute(state: BlockchainState, tx: Transaction, want_log: bool = False) -> ExecResult:
+def execute(state: BlockchainState, tx: Transaction) -> ExecResult:
     """Run one top-level transaction; invalidity rolls everything back.
 
     The block height advances by one either way.
     """
-    sc, valid = _run_tx(state, tx, want_log)
-    log = tuple(sc.log or ()) if sc is not None else ()
-    if not valid:
-        return ExecResult(state.with_height(state.height + 1), False, log)
-    return ExecResult(sc.freeze(state.height + 1), True, log)
+    sc = _run_tx(state, tx)
+    if sc is None:
+        return ExecResult(state.with_height(state.height + 1), False)
+    return ExecResult(sc.freeze(state.height + 1), True)
+
+
+def probe_call(state: BlockchainState, origin: Account, sender: Account, callee: Account,
+               method: str, args: tuple = (), attached: Wallet = EMPTY_WALLET) -> tuple:
+    """Run ``callee.method(args)`` as the outermost frame on a fresh overlay
+    of ``state``, called by ``sender`` on behalf of ``origin``.
+
+    The attachment is credited to the callee directly, emulating an
+    already-paid caller, so any account (even an undeployed contract) can
+    stand in as the sender.  Returns ``(overlay, frame)``: ``frame`` is None
+    when the frame aborted, else (its return value, the transfers it made
+    itself).  No final check runs; ``overlay.finals_hold()`` tells whether
+    they would pass.
+    """
+    sc = _Scratch(state)
+    sc.credit(callee, attached)
+    try:
+        ret, transfers = _run_frame(sc, state, CallContext(origin, sender, 1), callee,
+                                    method, tuple(args), attached)
+    except Abort:
+        return sc, None
+    return sc, (ret, tuple(transfers))
 
 
 def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequence[Account]],
@@ -558,8 +553,8 @@ def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequ
     the overlay, so a caller that does not expand the next state never
     builds it.
     """
-    sc, valid = _run_tx(state, tx, False)
-    if not valid:
+    sc = _run_tx(state, tx)
+    if sc is None:
         return None
     if advance:
         nxt = sc.freeze(state.height + 1)
@@ -622,7 +617,7 @@ def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_
         state.height,
         state.adversary,
     )
-    sc = _Scratch(staged, want_log=False)
+    sc = _Scratch(staged)
     if not sc.debit(deployer, attached):
         raise DeployError(f"deployer {deployer} cannot fund {attached.pretty()}")
     sc.credit(acc, attached)
@@ -633,9 +628,8 @@ def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_
             code.constructor.fn(mctx)
         except Abort:
             raise DeployError(f"constructor of {code.name!r} aborted") from None
-    for facc, token, minimum in sc.finals:
-        if sc.balance(facc, token) < minimum:
-            raise DeployError(f"constructor of {code.name!r} failed a final check")
+    if not sc.finals_hold():
+        raise DeployError(f"constructor of {code.name!r} failed a final check")
     return sc.freeze(state.height)
 
 
@@ -712,7 +706,7 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
     (the sender-agnostic contract shape) or a short description of the first
     difference.  The attachment is granted to the callee directly in each
     run, emulating an already-paid caller, so a phantom contract can stand
-    in as a sender.
+    in as a sender.  No final check runs.
     """
     origin = min(state.adversary) if state.adversary else Account.user("probe")
     # legitimate contract senders are callers, hence deployed after the
@@ -722,15 +716,7 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
     senders += [a for a in state.order if state.deploy_index(a) > idx]
 
     def run(sender: Account):
-        sc = _Scratch(state, want_log=False)
-        sc.credit(callee, attached)
-        ctx = CallContext(origin, sender, 1)
-        aborted = False
-        ret: Scalar = None
-        try:
-            ret = _run_frame(sc, state, ctx, callee, method, tuple(args), attached)
-        except Abort:
-            aborted = True
+        sc, frame = probe_call(state, origin, sender, callee, method, args, attached)
         deltas = {}
         for acc, d in sc.w.items():
             before = sc.base_wallet(acc)
@@ -744,7 +730,8 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
                 key = "<sender>" if acc == sender else f"{acc.kind}:{acc.name}"
                 deltas[key] = diff
         stores = {acc.name: tuple(sorted(d.items())) for acc, d in sc.st.items()}
-        return aborted, ret, tuple(sorted(deltas.items())), tuple(sorted(stores.items()))
+        ret = None if frame is None else frame[0]
+        return frame is None, ret, tuple(sorted(deltas.items())), tuple(sorted(stores.items()))
 
     runs = [(s, run(s)) for s in senders]
     first_sender, first = runs[0]

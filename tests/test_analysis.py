@@ -20,7 +20,8 @@ from mevscope import (
     verify_stripping,
     without_contracts,
 )
-from mevscope.scenario import build_state, load_bundled
+from mevscope.analysis import _observations
+from mevscope.scenario import build_state, bundled, load_bundled
 
 from helpers import M, A, bet_state, build, two_pool_state
 
@@ -100,17 +101,14 @@ class TestContractIndependence:
 class TestStability:
     def test_fixed_rate_oracle_is_stable(self):
         state, delta = build_state(load_bundled("compositions/row3_bet_on_exchange.scn"))
-        prices = PriceMap.uniform(("ETH", "T"))
         status, witness = stable_wrt_adversary(
-            state, {Account.contract("Exchange")}, delta, prices, BUDGET, wealthy=True)
+            state, {Account.contract("Exchange")}, delta, BUDGET, wealthy=True)
         assert status == "stable" and witness is None
 
     def test_pool_oracle_is_unstable_with_a_swap_witness(self):
         state = bet_state()
-        prices = PriceMap.uniform(("ETH", "T"))
         status, witness = stable_wrt_adversary(
-            state, {Account.contract("AMM")}, {Account.contract("Bet")},
-            prices, BUDGET, wealthy=True)
+            state, {Account.contract("AMM")}, {Account.contract("Bet")}, BUDGET, wealthy=True)
         assert status == "unstable"
         assert witness and witness[-1].callee == Account.contract("AMM")
         assert witness[-1].method == "swap"
@@ -119,17 +117,48 @@ class TestStability:
     def test_probe_state_cap_gives_unknown(self, monkeypatch, wealthy):
         from mevscope import analysis
         state, delta = build_state(load_bundled("bet_on_amm_oracle.scn"))
-        prices = PriceMap.uniform(("ETH", "T"))
-        args = (state, state.deployed - delta, delta, prices, BUDGET)
+        args = (state, state.deployed - delta, delta, BUDGET)
         assert stable_wrt_adversary(*args, wealthy=wealthy)[0] == "unstable"
         monkeypatch.setattr(analysis, "PROBE_STATE_CAP", 1)
         assert stable_wrt_adversary(*args, wealthy=wealthy) == ("unknown", None)
 
     def test_no_dependency_channel_is_trivially_stable(self):
         st, _ = build_state(load_bundled("compositions/row1_amm_amm.scn"))
-        status, _ = stable_wrt_adversary(st, {AMM1}, {AMM2},
-                                         PriceMap.uniform(("T0", "T1")), BUDGET)
+        status, _ = stable_wrt_adversary(st, {AMM1}, {AMM2}, BUDGET)
         assert status == "stable"
+
+
+def _probe_observations(name: str, contract: str) -> dict:
+    """{(method, args, attached): (valid, return value, transfers)} of the
+    stability probes of ``contract`` in the bundled scenario ``name``."""
+    state, _, _ = bundled(name)
+    acc = Account.contract(contract)
+    watched = [(acc, m, args, att) for m, args, att in state.codes[acc].probes]
+    return {obs[1:4]: obs[4:] for obs in _observations(state, watched)}
+
+
+PROBER = Account.user("__prober__")
+
+
+class TestObservations:
+    def test_an_aborting_probe_observes_nothing(self):
+        obs = _probe_observations("compositions/row7_lp_arbitrage.scn", "LP")
+        assert obs[("borrow", (1,), Wallet())] == (False, None, ())
+        assert obs[("repay", (), Wallet({"T0": 1}))] == (False, None, ())
+
+    def test_a_completed_probe_reports_its_return_value_and_transfers(self):
+        obs = _probe_observations("airdrop_feeds_exchange.scn", "Exchange")
+        assert obs[("getRate", ("T",), Wallet())] == (True, 10, ())
+        assert obs[("swap", (), Wallet({"T": 1}))] \
+            == (True, None, ((PROBER, Wallet({"ETH": 10})),))
+
+    def test_a_failed_final_check_keeps_the_frame_transfers(self):
+        """``flashLoan(1)`` completes but is never repaid: the observation is
+        invalid, yet it still reports the loan paid to the prober."""
+        obs = _probe_observations("compositions/row7_lp_arbitrage.scn", "LP")
+        assert obs[("flashLoan", (1,), Wallet())] \
+            == (False, None, ((PROBER, Wallet({"T0": 1})),))
+        assert obs[("getToken", (), Wallet())] == (True, "T0", ())
 
 
 class TestVerdicts:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -20,11 +21,14 @@ from mevscope import (
     build_state,
     execute_trace,
     parse_scenario,
+    probe_call,
 )
+from mevscope import vm
+from mevscope.analysis import _enriched, prober_tokens
 from mevscope.scenario import load_bundled
 from mevscope.vm import TICK_METHOD
 
-from helpers import M, A, bet_state, build, two_pool_state
+from helpers import BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state
 
 AMM = Account.contract("AMM")
 BUDGET = SearchBudget(max_depth=4, grid=8)
@@ -60,10 +64,10 @@ class TestAmm:
 
     def test_rate_is_an_exact_rational(self):
         st = amm_state(900, 400, t0="ETH", t1="T")
-        res = execute(st, Transaction(M, AMM, "getRate", ("ETH",)), want_log=True)
-        assert res.valid
-        assert res.trace_log[0].returned == Fraction(900, 400)
-        assert res.trace_log[0].returned > 2   # integer truncation would say 2 > 2 is false
+        assert execute(st, Transaction(M, AMM, "getRate", ("ETH",))).valid
+        _, (rate, _) = probe_call(st, M, M, AMM, "getRate", ("ETH",))
+        assert rate == Fraction(900, 400)
+        assert rate > 2   # integer truncation would say 2 > 2 is false
 
     def test_add_liq_requires_matching_ratio(self):
         st = amm_state(6, 6, {"T0": 2, "T1": 2})
@@ -187,8 +191,7 @@ class TestWrappers:
     def test_best_swap_routes_to_the_better_pool(self):
         best, _ = wrapper_states()
         wrap = Account.contract("Wrap")
-        res = execute(best, Transaction(M, wrap, "swap", (0,), Wallet({"T0": 3})),
-                      want_log=True)
+        res = execute(best, Transaction(M, wrap, "swap", (0,), Wallet({"T0": 3})))
         assert res.valid
         # pool 2 quotes 9/4 for T0, pool 1 quotes 1: pool 1 pays more T1 out
         assert res.state.contract_state(Account.contract("AMM1")).wallet \
@@ -499,3 +502,125 @@ def test_readme_catalog_table_matches_the_registry():
             assert [(p.name, p.required) for p in REGISTRY[key].params] == want, key
     assert sorted(named) == sorted(REGISTRY)
     assert len(named) == len(set(named))
+
+
+# --- declared token sets cover every generated flow -------------------------------
+#
+# Token independence reads only the declared ``intok_decl`` / ``outtok_decl``
+# sets, so they must over-approximate what the code does.  These tests run
+# every valid generated move, at three grids, on the enriched state of each
+# start state and of a short random walk from it, and record the tokens
+# attached into each frame and paid out of it.
+
+FLOW_GRIDS = (4, 8, 16)
+WALK_STEPS = 3
+
+
+def _record_flows(states) -> dict:
+    """{contract: (tokens attached into its frames, tokens it paid out)} over
+    every valid generated move at each grid of ``FLOW_GRIDS`` on the enriched
+    ``states``."""
+    flows: dict = {}
+    frame: list = []
+    run_frame, pay = vm._run_frame, vm.MethodCtx.pay
+
+    def recording_run_frame(sc, state, ctx, callee, method, args, attached):
+        frame.append((callee, 0, attached.tokens()))
+        return run_frame(sc, state, ctx, callee, method, args, attached)
+
+    def recording_pay(self, recipient, amount, token):
+        pay(self, recipient, amount, token)
+        if amount:
+            frame.append((self.self_acc, 1, (token,)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vm, "_run_frame", recording_run_frame)
+        mp.setattr(vm.MethodCtx, "pay", recording_pay)
+        for state in states:
+            for grid in FLOW_GRIDS:
+                budget = SearchBudget(grid=grid)
+                rich = _enriched(state, budget)
+                for tx in adversary_moves(rich, None, budget):
+                    frame.clear()
+                    if not execute(rich, tx).valid:
+                        continue
+                    for acc, side, tokens in frame:
+                        flows.setdefault(acc, (set(), set()))[side].update(tokens)
+    return flows
+
+
+def _walk(state, rng) -> list:
+    """The enriched ``state`` and the states of one random walk of up to
+    ``WALK_STEPS`` valid adversary moves from it."""
+    budget = SearchBudget(grid=8)
+    states = [_enriched(state, budget)]
+    for _ in range(WALK_STEPS):
+        valid = [res.state for res in (execute(states[-1], tx)
+                                       for tx in adversary_moves(states[-1], None, budget))
+                 if res.valid]
+        if not valid:
+            break
+        states.append(rng.choice(valid))
+    return states
+
+
+def _assert_within_declarations(state, flows) -> None:
+    everything = frozenset(prober_tokens(state))
+    for acc, (ins, outs) in flows.items():
+        code = state.codes[acc]
+        assert ins <= (everything if code.intok_decl is None else code.intok_decl), \
+            (acc, "receives", ins)
+        assert outs <= (everything if code.outtok_decl is None else code.outtok_decl), \
+            (acc, "sends", outs)
+
+
+def _arbitrage_gap_state(key: str):
+    """An arbitrage wrapper over two pools with a price gap and a lending pool
+    M has deposited into: ``arbitrage`` can succeed here, which no short walk
+    from the bundled rows' equal-rate pools reaches."""
+    st = build({M: {"T0": 10}}, [
+        ("amm", "AMM1", {"t0": "T0", "t1": "T1"}, {"T0": 4, "T1": 16}),
+        ("amm", "AMM2", {"t0": "T0", "t1": "T1"}, {"T0": 16, "T1": 4}),
+        ("lending_pool", "LP", {"token": "T0"}, {"T0": 19}),
+        (key, "Arb", {"c0": "AMM1", "c1": "AMM2", "lp": "LP"}, {}),
+    ])
+    deposit = Transaction(M, Account.contract("LP"), "deposit", (), Wallet({"T0": 10}))
+    return execute(st, deposit).state
+
+
+@functools.lru_cache(maxsize=None)
+def _start_flows(start: str) -> tuple:
+    """(state, {instance name: catalog key}, flows) of a bundled scenario or,
+    for a catalog key, of its arbitrage gap state."""
+    if start in REGISTRY:
+        state = _arbitrage_gap_state(start)
+        keys = {"AMM1": "amm", "AMM2": "amm", "LP": "lending_pool", "Arb": start}
+    else:
+        state, _ = build_state(load_bundled(start))
+        keys = {d.name: d.contract for d in load_bundled(start).deployments}
+    return state, keys, _record_flows(_walk(state, random.Random(start)))
+
+
+FLOW_STARTS = BUNDLED_SCENARIOS + ("lp_arbitrage", "flash_loan_arbitrage")
+
+
+@pytest.mark.parametrize("start", FLOW_STARTS, ids=lambda v: v.rsplit("/", 1)[-1])
+def test_declared_token_sets_cover_the_generated_flows(start):
+    state, _, flows = _start_flows(start)
+    _assert_within_declarations(state, flows)
+
+
+@pytest.mark.parametrize("family", MICRO_FAMILIES, ids=lambda f: f.__name__.lstrip("_"))
+def test_declared_token_sets_cover_the_micro_flows(family):
+    rng = random.Random(family.__name__)
+    for _ in range(3):
+        state = family(rng)[0]
+        _assert_within_declarations(state, _record_flows(_walk(state, rng)))
+
+
+def test_the_checked_flows_reach_every_catalog_entry():
+    reached = set()
+    for start in FLOW_STARTS:
+        _, keys, flows = _start_flows(start)
+        reached.update(keys[acc.name] for acc in flows)
+    assert reached == set(REGISTRY)

@@ -311,3 +311,15 @@ def test_empty_deployment_names_are_scenario_errors(arg, doc, tmp_path):
     path = tmp_path / "empty.scn"
     path.write_text(json.dumps(doc))
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+
+
+def test_a_top_level_oracle_user_is_an_unknown_field(tmp_path):
+    """The lending pool's accruing user is its own ``oracle`` argument; a
+    scenario-wide ``oracle_user`` is not a field."""
+    doc = json.loads(scenario_path("compositions/row7_lp_arbitrage.scn").read_text())
+    doc["oracle_user"] = "Oracle"
+    with pytest.raises(ScenarioError, match=r"unknown fields \['oracle_user'\]"):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "oracle_user.scn"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO

@@ -18,6 +18,7 @@ from mevscope import (
     execute_trace,
     gain,
     genesis,
+    probe_call,
     sender_agnostic_witness,
     total_supply,
 )
@@ -170,7 +171,7 @@ def test_missing_dependency_breaks_well_formedness():
 
 def test_determinism():
     state = two_pool_state()
-    assert execute(state, SWAP1, want_log=True) == execute(state, SWAP1, want_log=True)
+    assert execute(state, SWAP1) == execute(state, SWAP1)
 
 
 def test_conservation_per_token():
@@ -224,12 +225,15 @@ def test_call_depth_cap_invalidates():
     assert execute(st, shallow).valid
 
 
-def test_trace_log_records_observations():
-    res = execute(two_pool_state(), SWAP1, want_log=True)
-    (rec,) = res.trace_log
-    assert rec.callee == AMM1 and rec.method == "swap"
-    assert rec.transfers == ((M, Wallet({"T1": 2})),)
-    assert not rec.aborted
+def test_probe_call_reports_the_outermost_frame():
+    state = two_pool_state()
+    sc, frame = probe_call(state, M, M, AMM1, "swap", (0,), Wallet({"T0": 3}))
+    assert frame == (None, ((M, Wallet({"T1": 2})),))
+    assert sc.finals_hold()
+    # the attachment is credited to the callee, not debited from anyone
+    assert sc.freeze(state.height).user_wallet(M) == Wallet({"T0": 3, "T1": 2})
+    _, aborted = probe_call(state, M, M, AMM1, "swap", (3,), Wallet({"T0": 3}))
+    assert aborted is None
 
 
 def test_wallet_monotonic_spot_check():
