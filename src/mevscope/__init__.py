@@ -17,7 +17,7 @@ from .analysis import (
     without_contracts,
 )
 from .battery import BatteryReport, BatteryRow, structural_battery
-from .catalog import REGISTRY, CatalogEntry, entry
+from .catalog import REGISTRY, CatalogEntry
 from .ledger import (
     Account,
     BlockchainState,
@@ -26,7 +26,6 @@ from .ledger import (
     Token,
     Wallet,
     genesis,
-    richer_than,
     total_supply,
     wealth,
     wealth_units,
@@ -50,15 +49,12 @@ from .vm import (
     MethodDef,
     Transaction,
     WellFormednessError,
-    check_wallet_monotonic,
     check_well_formed,
     deploy,
     deps,
     execute,
     execute_trace,
-    gain,
     probe_call,
-    sender_agnostic_witness,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -82,29 +82,27 @@ def strip(state: BlockchainState, keep: Iterable[Account]) -> BlockchainState:
     deployment order.  User wallets are preserved.
     """
     closure = deps(keep, state)
-    order = tuple(a for a in state.order if a in closure)
-    return BlockchainState(
-        state.users,
-        {a: state.contracts[a] for a in order},
-        order,
-        {a: state.codes[a] for a in order},
-        state.height,
-        state.adversary,
-    )
+    return _sub_state(state, tuple(a for a in state.order if a in closure))
 
 
 def without_contracts(state: BlockchainState, drop: Iterable[Account]) -> BlockchainState:
     """Remove a suffix fragment (no remaining contract may depend on it)."""
     dropset = frozenset(drop)
-    keep = [a for a in state.order if a not in dropset]
+    keep = tuple(a for a in state.order if a not in dropset)
     for a in keep:
         if any(Account.contract(n) in dropset for n in state.codes[a].declared_deps):
             raise ValueError(f"{a} depends on a dropped contract")
+    return _sub_state(state, keep)
+
+
+def _sub_state(state: BlockchainState, order: tuple) -> BlockchainState:
+    """``state`` with only the contracts of ``order``, a subsequence of its
+    deployment order."""
     return BlockchainState(
         state.users,
-        {a: state.contracts[a] for a in keep},
-        tuple(keep),
-        {a: state.codes[a] for a in keep},
+        {a: state.contracts[a] for a in order},
+        order,
+        {a: state.codes[a] for a in order},
         state.height,
         state.adversary,
     )

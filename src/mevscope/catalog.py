@@ -1073,9 +1073,3 @@ REGISTRY: dict = {e.key: e for e in (
                  _relay_build),
 )}
 
-
-def entry(key: str) -> CatalogEntry:
-    try:
-        return REGISTRY[key]
-    except KeyError:
-        raise KeyError(f"unknown catalog entry {key!r}") from None

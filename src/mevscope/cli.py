@@ -6,9 +6,11 @@ composition matrix over the bundled scenarios), ``battery`` (structural
 properties) and ``examples`` (all golden reproductions).
 
 Exit codes: 0 holds / success, 1 violated / reproduction failure, 2 unknown
-or hypothesis-not-met, 3 incomplete result (escalation or memo cap hit),
-10 usage error, 11 scenario error, 12 internal error (an unexpected
-exception, reported as one line on stderr).
+or hypothesis-not-met, 3 incomplete value (only ``lmev``, ``rlmev`` and
+``mev``, when a memo or escalation cap was hit: verdicts and ``strip-check``
+map only their outcome, and ``analysis._noninterference`` drops the
+searches' warnings; see ROADMAP item 4), 10 usage error, 11 scenario error,
+12 internal error (an unexpected exception, reported as one line on stderr).
 
 Reports are deterministic byte-for-byte for a fixed scenario and flag set:
 maps are emitted in sorted order, witnesses are canonically tie-broken and

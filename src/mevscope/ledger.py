@@ -160,19 +160,6 @@ class Wallet:
             d[tok] = d.get(tok, 0) + n
         return Wallet._from_clean(d)
 
-    def minus(self, other: "Wallet") -> Optional["Wallet"]:
-        """Pointwise subtraction; None if any balance would go negative."""
-        d = dict(self._d)
-        for tok, n in other._d.items():
-            left = d.get(tok, 0) - n
-            if left < 0:
-                return None
-            if left:
-                d[tok] = left
-            else:
-                d.pop(tok, None)
-        return Wallet._from_clean(d)
-
     def dominates(self, other: "Wallet") -> bool:
         """Pointwise >=."""
         return all(self._d.get(tok, 0) >= n for tok, n in other._d.items())
@@ -314,9 +301,6 @@ class BlockchainState:
     def contract_state(self, acc: Account) -> ContractState:
         return self.contracts[acc]
 
-    def code(self, acc: Account):
-        return self.codes[acc]
-
     @property
     def deployed(self) -> frozenset:
         return frozenset(self.order)
@@ -420,27 +404,11 @@ def wealth(accounts: Iterable[Account], state: BlockchainState,
     return Fraction(wealth_units(accounts, state, prices), prices.scale)
 
 
-def richer_than(a: BlockchainState, b: BlockchainState) -> bool:
-    """True iff ``a`` pointwise dominates ``b`` on user wallets.
-
-    Both states must share the same contract part (and height); the relation
-    is undefined otherwise.
-    """
-    if a.order != b.order or a.contracts != b.contracts:
-        raise ValueError("richer_than: states differ in their contract parts")
-    if a.height != b.height or a.adversary != b.adversary:
-        raise ValueError("richer_than: states differ outside user wallets")
-    domain = set(a.users) | set(b.users)
-    return all(a.user_wallet(u).dominates(b.user_wallet(u)) for u in domain)
-
-
 def total_supply(state: BlockchainState) -> Wallet:
     """Per-token unit totals across every wallet in the state."""
-    acc = Wallet()
+    acc = contract_holdings(state)
     for w in state.users.values():
         acc = acc + w
-    for cs in state.contracts.values():
-        acc = acc + cs.wallet
     return acc
 
 

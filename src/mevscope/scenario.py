@@ -84,9 +84,27 @@ def _parse_wallet(v, tokens, where: str) -> Wallet:
     for tok, n in v.items():
         if tok not in tokens:
             raise ScenarioError(f"{where}: unknown token {tok!r}")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ScenarioError(f"{where}: amount for {tok} must be a non-negative int")
     return Wallet(v)
+
+
+def _check_fields(d: dict, allowed: set, where: str) -> None:
+    unknown = set(d) - allowed
+    if unknown:
+        raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _list(doc: dict, field: str, name: str) -> list:
+    v = doc.get(field, [])
+    if not isinstance(v, list):
+        raise ScenarioError(f"{name}: {field} must be a list")
+    return v
+
+
+def _is_int(v) -> bool:
+    # JSON true / false are Python bools, which are ints
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_name(d: dict, field: str, where: str, default=None) -> str:
@@ -106,16 +124,15 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                             f"{e.msg}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{name}: top level must be an object")
-    unknown = set(doc) - {"tokens", "users", "deployments", "split",
-                          "block_height", "ceiling", "comment"}
-    if unknown:
-        raise ScenarioError(f"{name}: unknown fields {sorted(unknown)}")
+    _check_fields(doc, {"tokens", "users", "deployments", "split", "block_height",
+                        "ceiling", "comment"}, name)
 
     tokens = []
-    for i, t in enumerate(doc.get("tokens", ())):
+    for i, t in enumerate(_list(doc, "tokens", name)):
         where = f"{name}: tokens[{i}]"
         if not isinstance(t, dict) or "symbol" not in t:
             raise ScenarioError(f"{where}: expected an object with a symbol")
+        _check_fields(t, {"symbol", "price"}, where)
         sym = _parse_name(t, "symbol", where)
         price = _parse_rational(t.get("price", 1), where)
         if price <= 0:
@@ -127,22 +144,26 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     token_set = set(symbols)
 
     users = []
-    for i, u in enumerate(doc.get("users", ())):
+    for i, u in enumerate(_list(doc, "users", name)):
         where = f"{name}: users[{i}]"
         if not isinstance(u, dict) or "name" not in u:
             raise ScenarioError(f"{where}: expected an object with a name")
+        _check_fields(u, {"name", "wallet", "adversary"}, where)
+        adversary = u.get("adversary", False)
+        if not isinstance(adversary, bool):
+            raise ScenarioError(f"{where}: adversary must be a boolean, got {adversary!r}")
         users.append((_parse_name(u, "name", where),
-                      _parse_wallet(u.get("wallet"), token_set, where),
-                      bool(u.get("adversary", False))))
+                      _parse_wallet(u.get("wallet"), token_set, where), adversary))
     names = [n for n, _, _ in users]
     if len(set(names)) != len(names):
         raise ScenarioError(f"{name}: duplicate user names")
 
     deployments = []
-    for i, d in enumerate(doc.get("deployments", ())):
+    for i, d in enumerate(_list(doc, "deployments", name)):
         where = f"{name}: deployments[{i}]"
         if not isinstance(d, dict):
             raise ScenarioError(f"{where}: expected an object")
+        _check_fields(d, {"contract", "name", "args", "fund", "by"}, where)
         missing = {"contract", "name"} - set(d)
         if missing:
             raise ScenarioError(f"{where}: missing fields {sorted(missing)}")
@@ -164,13 +185,13 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{name}: instance names collide with user names")
 
     split = doc.get("split", len(deployments))
-    if not isinstance(split, int) or not (0 <= split <= len(deployments)):
+    if not _is_int(split) or not (0 <= split <= len(deployments)):
         raise ScenarioError(f"{name}: split must be an int in 0..{len(deployments)}")
     height = doc.get("block_height", 0)
-    if not isinstance(height, int) or height < 0:
+    if not _is_int(height) or height < 0:
         raise ScenarioError(f"{name}: block_height must be a non-negative int")
     ceiling = doc.get("ceiling")
-    if ceiling is not None and (not isinstance(ceiling, int) or ceiling < 1):
+    if ceiling is not None and (not _is_int(ceiling) or ceiling < 1):
         raise ScenarioError(f"{name}: ceiling must be a positive int")
 
     return Scenario(
@@ -204,7 +225,7 @@ def load_bundled(name: str) -> Scenario:
 
 def _coerce_arg(spec: catalog.ParamSpec, value, where: str) -> None:
     if spec.kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ScenarioError(f"{where}: {spec.name} must be an int")
     elif spec.kind in ("token", "contract", "user", "str"):
         if not isinstance(value, str):

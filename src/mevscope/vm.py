@@ -26,11 +26,9 @@ from .ledger import (
     Account,
     BlockchainState,
     ContractState,
-    PriceMap,
     Scalar,
     Token,
     Wallet,
-    wealth,
 )
 
 MAX_CALL_DEPTH = 16
@@ -257,9 +255,8 @@ class _Scratch:
     # wallet overlay
 
     def base_wallet(self, acc: Account) -> Wallet:
-        """``acc``'s wallet in the base state.  Unknown contract accounts (only
-        reachable by spot-check probes) start empty; check_leaks() rejects
-        tokens credited to them."""
+        """``acc``'s wallet in the base state.  Undeployed contract accounts
+        start empty; check_leaks() rejects tokens credited to them."""
         if acc.is_contract:
             cs = self.base.contracts.get(acc)
             return cs.wallet if cs is not None else EMPTY_WALLET
@@ -314,8 +311,8 @@ class _Scratch:
         return True
 
     def check_leaks(self) -> None:
-        """Reject a transfer that credited tokens to an undeployed contract
-        (only spot-check probes can reach one)."""
+        """Reject a transfer that credited tokens to an undeployed contract:
+        a catalog bug, or a ``probe_call`` whose sender is not deployed."""
         contracts = self.base.contracts
         for acc, d in self.w.items():
             if acc.is_contract and acc not in contracts and any(d.values()):
@@ -526,11 +523,12 @@ def probe_call(state: BlockchainState, origin: Account, sender: Account, callee:
     of ``state``, called by ``sender`` on behalf of ``origin``.
 
     The attachment is credited to the callee directly, emulating an
-    already-paid caller, so any account (even an undeployed contract) can
-    stand in as the sender.  Returns ``(overlay, frame)``: ``frame`` is None
-    when the frame aborted, else (its return value, the transfers it made
-    itself).  No final check runs; ``overlay.finals_hold()`` tells whether
-    they would pass.
+    already-paid caller, so the sender need not hold it: the stability
+    probes send as a user, and the sender-agnostic check in
+    ``tests/model_checks.py`` also as an undeployed contract.  Returns
+    ``(overlay, frame)``: ``frame`` is None when the frame aborted, else (its
+    return value, the transfers it made itself).  No final check runs;
+    ``overlay.finals_hold()`` tells whether they would pass.
     """
     sc = _Scratch(state)
     sc.credit(callee, attached)
@@ -573,14 +571,6 @@ def execute_trace(state: BlockchainState, trace: Sequence[Transaction]) -> ExecR
         state = res.state
         all_valid = all_valid and res.valid
     return ExecResult(state, all_valid)
-
-
-def gain(accounts: Iterable[Account], state: BlockchainState,
-         trace: Sequence[Transaction], prices: PriceMap):
-    """Wealth delta of ``accounts`` after firing ``trace`` from ``state``."""
-    accs = tuple(accounts)
-    end = execute_trace(state, trace).state
-    return wealth(accs, end, prices) - wealth(accs, state, prices)
 
 
 # --- deployment and well-formedness -------------------------------------------
@@ -666,81 +656,3 @@ def check_well_formed(state: BlockchainState) -> bool:
     if user_names & {a.name for a in state.order}:
         return False
     return all(a in state.users for a in state.adversary)
-
-
-# --- model-assumption spot checks ----------------------------------------------
-
-
-def check_wallet_monotonic(state: BlockchainState, tx: Transaction,
-                           delta: Mapping[Account, Wallet]) -> bool:
-    """Spot check: enriching user wallets by ``delta`` preserves the effect
-    of a valid ``tx`` up to the enrichment."""
-    base = execute(state, tx)
-    if not base.valid:
-        raise ValueError("check_wallet_monotonic: tx is invalid in the base state")
-    for acc in delta:
-        if not acc.is_user:
-            raise ValueError("delta must enrich user wallets")
-    enriched_users = dict(state.users)
-    for acc, w in delta.items():
-        enriched_users[acc] = state.user_wallet(acc) + w
-    rich = state.with_users(enriched_users)
-    res = execute(rich, tx)
-    if not res.valid:
-        return False
-    expect_users = dict(base.state.users)
-    for acc, w in delta.items():
-        expect_users[acc] = base.state.user_wallet(acc) + w
-    expected = base.state.with_users(expect_users)
-    return res.state == expected
-
-
-def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str,
-                            args: tuple = (), attached: Wallet = EMPTY_WALLET) -> Optional[str]:
-    """Run one method under several senders (same origin, args, attachment)
-    and diff the effects modulo the sender-directed transfer.
-
-    The origin is the least adversary account (a ``probe`` user when there
-    is none); the senders are the origin, a phantom contract and every
-    contract deployed after the callee.  Returns None when every run agrees
-    (the sender-agnostic contract shape) or a short description of the first
-    difference.  The attachment is granted to the callee directly in each
-    run, emulating an already-paid caller, so a phantom contract can stand
-    in as a sender.  No final check runs.
-    """
-    origin = min(state.adversary) if state.adversary else Account.user("probe")
-    # legitimate contract senders are callers, hence deployed after the
-    # callee; earlier contracts could collide with store-directed payouts
-    idx = state.deploy_index(callee)
-    senders = [origin, Account.contract("__probe_sender__")]
-    senders += [a for a in state.order if state.deploy_index(a) > idx]
-
-    def run(sender: Account):
-        sc, frame = probe_call(state, origin, sender, callee, method, args, attached)
-        deltas = {}
-        for acc, d in sc.w.items():
-            before = sc.base_wallet(acc)
-            keys = set(d) | {t for t, _ in before.items()}
-            diff = tuple(sorted(
-                (t, d.get(t, 0) - before.get(t))
-                for t in keys
-                if d.get(t, 0) != before.get(t)
-            ))
-            if diff:
-                key = "<sender>" if acc == sender else f"{acc.kind}:{acc.name}"
-                deltas[key] = diff
-        stores = {acc.name: tuple(sorted(d.items())) for acc, d in sc.st.items()}
-        ret = None if frame is None else frame[0]
-        return frame is None, ret, tuple(sorted(deltas.items())), tuple(sorted(stores.items()))
-
-    runs = [(s, run(s)) for s in senders]
-    first_sender, first = runs[0]
-    labels = ("aborted", "return value", "token deltas", "store writes")
-    for sender, other in runs[1:]:
-        if other == first:
-            continue
-        for name, x, y in zip(labels, first, other):
-            if x != y:
-                return (f"{name} differ between senders "
-                        f"{first_sender} and {sender}: {x!r} vs {y!r}")
-    return None

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import mevscope
 from mevscope import (
+    REGISTRY,
     Account,
     PriceMap,
     Wallet,
     deploy,
-    entry,
     genesis,
     total_supply,
 )
@@ -33,7 +33,7 @@ def build(users, deployments, adversary=(M,), height=0):
         staged = dict(st.users)
         staged[A] = st.user_wallet(A) + wallet
         st = st.with_users(staged)
-        st = deploy(st, entry(key).make(name, **args), attached=wallet, deployer=A)
+        st = deploy(st, REGISTRY[key].make(name, **args), attached=wallet, deployer=A)
     return st
 
 

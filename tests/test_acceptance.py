@@ -17,7 +17,6 @@ from mevscope import (
     adversary_moves,
     execute,
     lmev,
-    sender_agnostic_witness,
     stability_probe,
     structural_battery,
     total_supply,
@@ -39,6 +38,7 @@ from mevscope.scenario import build_state, load_bundled
 
 import helpers
 from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
+from model_checks import sender_agnostic_witness
 from oracle import brute_lmev
 
 BUDGET = SearchBudget(max_depth=4, grid=8)

@@ -2,13 +2,13 @@ import pytest
 from fractions import Fraction
 
 from mevscope import (
+    REGISTRY,
     Account,
     PriceMap,
     SearchBudget,
     Wallet,
     contract_independent,
     deploy,
-    entry,
     epsilon_composable,
     intok_outtok,
     nonint,
@@ -217,8 +217,8 @@ class TestStripping:
         scn = load_bundled("compositions/row6_best_swap_router.scn")
         state, delta = build_state(scn)
         # extra pools nobody depends on
-        state = deploy(state, entry("amm").make("X1", t0="T0", t1="T1"), deployer=A)
-        state = deploy(state, entry("amm").make("X2", t0="T2", t1="T3"), deployer=A)
+        state = deploy(state, REGISTRY["amm"].make("X1", t0="T0", t1="T1"), deployer=A)
+        state = deploy(state, REGISTRY["amm"].make("X2", t0="T2", t1="T3"), deployer=A)
         rep = verify_stripping(state, delta, None, scn.prices(), BUDGET)
         assert rep.status == "verified"
         v_full = richnonint(state, delta, scn.prices(), BUDGET)
@@ -230,12 +230,12 @@ class TestStripping:
         state, delta = build_state(scn)
         base = richnonint(state, delta, scn.prices(), BUDGET)
         context = without_contracts(state, delta)
-        context = deploy(context, entry("best_swap").make("AdvWrap", c0="AMM1", c1="AMM1"),
+        context = deploy(context, REGISTRY["best_swap"].make("AdvWrap", c0="AMM1", c1="AMM1"),
                          deployer=M)
         funded = dict(context.users)
         funded[A] = context.user_wallet(A) + Wallet({"T0": 9, "T1": 4})
         context = context.with_users(funded)
-        extended = deploy(context, entry("amm").make("AMM2", t0="T0", t1="T1"),
+        extended = deploy(context, REGISTRY["amm"].make("AMM2", t0="T0", t1="T1"),
                           attached=Wallet({"T0": 9, "T1": 4}), deployer=A)
         again = richnonint(extended, delta, scn.prices(), BUDGET)
         assert base.outcome == again.outcome == "holds"

@@ -1,14 +1,21 @@
 """The benchmark under ``perfbench/`` wraps functions of mevscope by name;
 every one it names must still exist, or the traced run silently loses a
-layer."""
+layer.  Conversely, every name the package exports must have a caller
+outside the tests; test-only checks live under ``tests/``."""
 
+import ast
 import importlib
 import importlib.util
+import re
+import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import mevscope
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _wrapped() -> tuple:
@@ -23,3 +30,24 @@ def _wrapped() -> tuple:
                          [pytest.param(*w, id=w[0]) for w in _wrapped()])
 def test_every_wrapped_function_resolves(span, module, function):
     assert callable(getattr(importlib.import_module(module), function, None)), span
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Another module of the package uses each exported name (bare,
+    imported or as ``module.name``), or the benchmark names it
+    (``mevscope.name`` or a wrapped function)."""
+    modules = {n for n in mevscope.__all__ if isinstance(getattr(mevscope, n), types.ModuleType)}
+    used = {function for _, _, function in _wrapped()}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used.update(re.findall(r"\bmevscope\.(\w+)", path.read_text(encoding="utf-8")))
+    for path in Path(mevscope.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                used.add(node.attr)
+    assert sorted(set(mevscope.__all__) - modules - used) == []

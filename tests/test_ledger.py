@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from mevscope import (Account, BlockchainState, ContractState, PriceMap, Wallet,
-                      genesis, richer_than, total_supply, wealth, wealth_units)
+                      genesis, total_supply, wealth, wealth_units)
 
 from helpers import M, A, two_pool_state
 
@@ -29,18 +29,12 @@ def test_wallet_rejects_negative_amounts():
 def test_wallet_arithmetic():
     w = Wallet({"T0": 2}) + Wallet({"T0": 1, "T1": 5})
     assert w == Wallet({"T0": 3, "T1": 5})
-    assert w.minus(Wallet({"T1": 6})) is None
-    assert w.minus(Wallet({"T0": 3})) == Wallet({"T1": 5})
 
 
 @given(wallets, wallets)
-def test_wallet_add_then_minus_roundtrips(a, b):
-    assert (a + b).minus(b) == a
-
-
-@given(wallets, wallets)
-def test_dominates_iff_minus_defined(a, b):
-    assert a.dominates(b) == ((a.minus(b)) is not None)
+def test_add_and_dominates_are_pointwise(a, b):
+    assert all((a + b).get(t) == a.get(t) + b.get(t) for t in TOKENS)
+    assert a.dominates(b) == all(a.get(t) >= b.get(t) for t in TOKENS)
 
 
 def test_account_namespaces():
@@ -116,41 +110,6 @@ def test_wealth_units_rejects_unpriced_tokens():
     state = genesis({M: Wallet({"T9": 1})})
     with pytest.raises(KeyError):
         wealth_units([M], state, PriceMap.uniform(TOKENS))
-
-
-def _with_user(state, acc, wallet):
-    users = dict(state.users)
-    users[acc] = wallet
-    return state.with_users(users)
-
-
-def test_richer_than_examples():
-    s = two_pool_state()
-    assert richer_than(s, s)
-    up = _with_user(s, M, s.user_wallet(M) + Wallet({"T0": 1}))
-    assert richer_than(up, s) and not richer_than(s, up)
-    sideways = _with_user(s, M, Wallet({"T0": 2, "T1": 1}))
-    assert not richer_than(sideways, s) and not richer_than(s, sideways)
-
-
-def test_richer_than_needs_matching_contract_parts():
-    s = two_pool_state()
-    with pytest.raises(ValueError):
-        richer_than(s, s.with_height(3))
-
-
-@given(wallets, wallets, wallets)
-def test_richer_than_is_a_partial_order(wa, wb, wc):
-    base = two_pool_state()
-    sa, sb, sc = (_with_user(base, M, w) for w in (wa, wb, wc))
-    # reflexive
-    assert richer_than(sa, sa)
-    # antisymmetric
-    if richer_than(sa, sb) and richer_than(sb, sa):
-        assert sa == sb
-    # transitive
-    if richer_than(sa, sb) and richer_than(sb, sc):
-        assert richer_than(sa, sc)
 
 
 def test_total_supply():

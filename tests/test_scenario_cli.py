@@ -323,3 +323,37 @@ def test_a_top_level_oracle_user_is_an_unknown_field(tmp_path):
     path = tmp_path / "oracle_user.scn"
     path.write_text(json.dumps(doc))
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+
+
+def _amended(fields, part=None, index=0):
+    doc = json.loads(scenario_path("two_amms.scn").read_text())
+    (doc if part is None else doc[part][index]).update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("match, doc", (
+    ("adversary must be a boolean", _amended({"adversary": "false"}, "users")),
+    ("adversary must be a boolean", _amended({"adversary": [1]}, "users")),
+    ("tokens must be a list", _amended({"tokens": 5})),
+    ("users must be a list", _amended({"users": {"name": "M"}})),
+    ("deployments must be a list", _amended({"deployments": None})),
+    ("split must be an int", _amended({"split": True})),
+    ("block_height must be a non-negative int", _amended({"block_height": True})),
+    ("ceiling must be a positive int", _amended({"ceiling": True})),
+    (r"tokens\[0\]: unknown fields \['prize'\]", _amended({"prize": 2}, "tokens")),
+    (r"users\[0\]: unknown fields \['adversery'\]", _amended({"adversery": True}, "users")),
+    (r"deployments\[1\]: unknown fields \['fnud'\]", _amended({"fnud": {}}, "deployments", 1)),
+), ids=("string-adversary", "list-adversary", "int-tokens", "object-users",
+        "null-deployments", "bool-split", "bool-block-height",
+        "bool-ceiling", "unknown-token-field", "unknown-user-field",
+        "unknown-deployment-field"))
+def test_malformed_fields_are_scenario_errors(match, doc, tmp_path):
+    """A wrongly typed or misspelt field must not parse as some other
+    scenario or crash: a truthy non-boolean is no adversary flag, JSON
+    ``true`` is no int, a list field must be a list, and a key no object
+    defines is a typo."""
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "malformed.scn"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO

@@ -7,6 +7,7 @@ import pytest
 import math
 
 from mevscope import (
+    REGISTRY,
     Account,
     ContractCode,
     MethodDef,
@@ -17,9 +18,7 @@ from mevscope import (
     adversary_moves,
     build_state,
     deploy,
-    entry,
     execute,
-    gain,
     genesis,
     global_mev,
     lmev,
@@ -37,6 +36,7 @@ from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
                      random_observed, two_pool_state)
+from model_checks import gain
 from oracle import brute_lmev
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
@@ -562,7 +562,7 @@ class TestRichAdversary:
         ])
         budget = SearchBudget(max_depth=3, grid=8)
         before = rlmev(st, {AMM1}, None, PriceMap.uniform(("T0", "T1")), budget)
-        extended = deploy(st, entry("best_swap").make("Wrap", c0="AMM1", c1="AMM2"),
+        extended = deploy(st, REGISTRY["best_swap"].make("Wrap", c0="AMM1", c1="AMM2"),
                           deployer=A)
         after = rlmev(extended, {AMM1}, None, PriceMap.uniform(("T0", "T1")), budget)
         assert before.value == after.value > 0

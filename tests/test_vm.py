@@ -3,28 +3,26 @@ import dataclasses
 import pytest
 
 from mevscope import (
+    REGISTRY,
     Account,
     DeployError,
     PriceMap,
     Transaction,
     Wallet,
     WellFormednessError,
-    check_wallet_monotonic,
     check_well_formed,
     deploy,
     deps,
-    entry,
     execute,
     execute_trace,
-    gain,
     genesis,
     probe_call,
-    sender_agnostic_witness,
     total_supply,
 )
 from mevscope.vm import MAX_CALL_DEPTH, TICK_METHOD, ContractBugError, ContractCode, MethodDef
 
 from helpers import M, A, bet_state, build, two_pool_state
+from model_checks import check_wallet_monotonic, gain, sender_agnostic_witness
 
 PRICES = PriceMap.uniform(("T0", "T1", "T2"))
 AMM1 = Account.contract("AMM1")
@@ -100,7 +98,7 @@ def test_gain_sums_to_zero_over_all_accounts():
 
 def test_deploy_appends_funded_contract():
     st = genesis({A: Wallet({"T0": 6, "T1": 6})})
-    st = deploy(st, entry("amm").make("AMM1", t0="T0", t1="T1"),
+    st = deploy(st, REGISTRY["amm"].make("AMM1", t0="T0", t1="T1"),
                 attached=Wallet({"T0": 6, "T1": 6}), deployer=A)
     assert st.contract_state(AMM1).wallet == Wallet({"T0": 6, "T1": 6})
     assert st.user_wallet(A) == Wallet()
@@ -109,28 +107,28 @@ def test_deploy_appends_funded_contract():
 
 def test_deploy_requires_dependencies():
     st = genesis({A: Wallet({"ETH": 10})})
-    bet = entry("bet").make("Bet", oracle="AMM", token="T", rate=2, deadline=9)
+    bet = REGISTRY["bet"].make("Bet", oracle="AMM", token="T", rate=2, deadline=9)
     with pytest.raises(WellFormednessError):
         deploy(st, bet, attached=Wallet({"ETH": 10}), deployer=A)
 
 
 def test_follower_cannot_deploy_before_its_latch():
     st = genesis({A: Wallet({"T": 2})})
-    follower = entry("mutex_follower").make("C2", c1="C1", token="T")
+    follower = REGISTRY["mutex_follower"].make("C2", c1="C1", token="T")
     with pytest.raises(WellFormednessError):
         deploy(st, follower, attached=Wallet({"T": 1}), deployer=A)
 
 
 def test_aborting_constructor_is_a_deploy_error():
     st = genesis({A: Wallet({"T": 5})})
-    vault = entry("mutex_vault").make("C1", token="T")
+    vault = REGISTRY["mutex_vault"].make("C1", token="T")
     with pytest.raises(DeployError):
         deploy(st, vault, attached=Wallet({"T": 5}), deployer=A)  # needs exactly 1
 
 
 def test_unfunded_deployer_is_a_deploy_error():
     st = genesis({A: Wallet()})
-    code = entry("amm").make("AMM1", t0="T0", t1="T1")
+    code = REGISTRY["amm"].make("AMM1", t0="T0", t1="T1")
     with pytest.raises(DeployError):
         deploy(st, code, attached=Wallet({"T0": 1}), deployer=A)
 
@@ -286,7 +284,7 @@ def test_sender_agnostic_flags_match_behaviour():
          {"T": 5}),
         ("chained_faucet", "C1", {"dep": "C0", "token": "T", "amount": 5}, {}),
     ])
-    assert not gated.code(Account.contract("C0")).sender_agnostic
+    assert not gated.codes[Account.contract("C0")].sender_agnostic
     witness = sender_agnostic_witness(gated, Account.contract("C0"), "f")
     assert witness is not None and "senders" in witness
 
