@@ -31,10 +31,23 @@ def test_wallet_arithmetic():
     assert w == Wallet({"T0": 3, "T1": 5})
 
 
+def _minus(a, b):
+    """Pointwise a - b, read through `get`; None where b exceeds a."""
+    toks = set(a.tokens()) | set(b.tokens())
+    if any(a.get(t) < b.get(t) for t in toks):
+        return None
+    return Wallet({t: a.get(t) - b.get(t) for t in toks})
+
+
 @given(wallets, wallets)
-def test_add_and_dominates_are_pointwise(a, b):
-    assert all((a + b).get(t) == a.get(t) + b.get(t) for t in TOKENS)
-    assert a.dominates(b) == all(a.get(t) >= b.get(t) for t in TOKENS)
+def test_wallet_add_then_minus_roundtrips(a, b):
+    assert (a + b).tokens() == tuple(sorted(set(a.tokens()) | set(b.tokens())))
+    assert _minus(a + b, b) == a
+
+
+@given(wallets, wallets)
+def test_dominates_iff_minus_defined(a, b):
+    assert a.dominates(b) == (_minus(a, b) is not None)
 
 
 def test_account_namespaces():
