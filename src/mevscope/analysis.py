@@ -261,15 +261,15 @@ _PRECHECK_NOTES = {
 
 
 def _noninterference(state: BlockchainState, delta: Iterable[Account],
-                     prices: PriceMap, budget: SearchBudget, value,
-                     wealthy: bool) -> Verdict:
+                     prices: PriceMap, budget: SearchBudget, wealthy: bool) -> Verdict:
     """The verdict pipeline shared by ``nonint`` and ``richnonint``.
 
-    ``value`` is the extractable-loss function compared unrestricted vs
-    delta-restricted.  At the given wealth (not ``wealthy``) the sufficient
-    conditions are tried only under token independence and the stability
-    probe keeps the adversary's wallet; the wealthy pipeline skips the token
-    check and probes with an enriched adversary."""
+    The searches compare the extractable loss unrestricted vs
+    delta-restricted: ``rlmev`` when ``wealthy``, else ``lmev``.  At the
+    given wealth (not ``wealthy``) the sufficient conditions are tried only
+    under token independence and the stability probe keeps the adversary's
+    wallet; the wealthy pipeline skips the token check and probes with an
+    enriched adversary."""
     if not check_well_formed(state):
         raise ValueError(f"{'richnonint' if wealthy else 'nonint'}: "
                          "composed state is not well-formed")
@@ -283,6 +283,7 @@ def _noninterference(state: BlockchainState, delta: Iterable[Account],
         if status == "stable":
             return Verdict(True, JUST_STABLE, note=stable_note)
 
+    value = rlmev if wealthy else lmev
     unrestricted = value(state, delta_accs, None, prices, budget)
     if unrestricted.value == 0 and unrestricted.complete:
         return Verdict(True, JUST_ZERO_MEV, unrestricted.value, None,
@@ -303,14 +304,14 @@ def nonint(state: BlockchainState, delta: Iterable[Account], prices: PriceMap,
     delta-restricted extractable loss of the delta contracts must agree.
     The restricted value never exceeds the unrestricted one, so only a
     strict unrestricted excess falsifies."""
-    return _noninterference(state, delta, prices, budget, lmev, wealthy=False)
+    return _noninterference(state, delta, prices, budget, wealthy=False)
 
 
 def richnonint(state: BlockchainState, delta: Iterable[Account], prices: PriceMap,
                budget: SearchBudget = SearchBudget()) -> Verdict:
     """Wealth-independent non-interference: the wealthy-adversary values of
     the delta contracts, unrestricted vs delta-restricted, must agree."""
-    return _noninterference(state, delta, prices, budget, rlmev, wealthy=True)
+    return _noninterference(state, delta, prices, budget, wealthy=True)
 
 
 def epsilon_composable(state: BlockchainState, delta: Iterable[Account],

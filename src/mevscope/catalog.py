@@ -159,14 +159,12 @@ def _amm_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "addLiq": MethodDef("addLiq", add_liq,
-                                attach=(AttachSpec((t0,)), AttachSpec((t1,)))),
-            "getTokens": MethodDef("getTokens", get_tokens),
-            "getRate": MethodDef("getRate", get_rate, args=(ArgSpec("token"),)),
-            "swap": MethodDef("swap", swap, args=ZERO_ARG,
-                              attach=(AttachSpec((t0, t1)),)),
+            "addLiq": MethodDef(add_liq, attach=(AttachSpec((t0,)), AttachSpec((t1,)))),
+            "getTokens": MethodDef(get_tokens),
+            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
+            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec((t0, t1)),)),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=frozenset({t0, t1}),
         outtok_decl=frozenset({t0, t1}),
         move_generator=gen,
@@ -197,8 +195,8 @@ def _airdrop_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"withdraw": MethodDef("withdraw", withdraw)},
-        constructor=MethodDef("constructor", ctor),
+        methods={"withdraw": MethodDef(withdraw)},
+        constructor=ctor,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tout}),
         move_generator=_fixed(acc, ("withdraw",)),
@@ -252,13 +250,12 @@ def _exchange_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "getTokens": MethodDef("getTokens", get_tokens),
-            "getRate": MethodDef("getRate", get_rate,
-                                 args=(ArgSpec("choice", (tin,)),)),
-            "setRate": MethodDef("setRate", set_rate, args=(ArgSpec("int"),)),
-            "swap": MethodDef("swap", swap, attach=(AttachSpec((tin,)),)),
+            "getTokens": MethodDef(get_tokens),
+            "getRate": MethodDef(get_rate, args=(ArgSpec("choice", (tin,)),)),
+            "setRate": MethodDef(set_rate, args=(ArgSpec("int"),)),
+            "swap": MethodDef(swap, attach=(AttachSpec((tin,)),)),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=frozenset({tin}),
         outtok_decl=frozenset({tout}),
         move_generator=gen,
@@ -315,11 +312,11 @@ def _bet_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "bet": MethodDef("bet", bet, attach=(AttachSpec((pot_tok,)),)),
-            "win": MethodDef("win", win),
-            "close": MethodDef("close", close),
+            "bet": MethodDef(bet, attach=(AttachSpec((pot_tok,)),)),
+            "win": MethodDef(win),
+            "close": MethodDef(close),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=frozenset({pot_tok}),
         outtok_decl=frozenset({pot_tok}),
         reads_height=True,
@@ -379,11 +376,11 @@ def _best_swap_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "getTokens": MethodDef("getTokens", get_tokens),
-            "getRate": MethodDef("getRate", get_rate, args=(ArgSpec("token"),)),
-            "swap": MethodDef("swap", swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
+            "getTokens": MethodDef(get_tokens),
+            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
+            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(d, m) for d in (c0, c1)
@@ -438,11 +435,11 @@ def _swap_router_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "getTokens": MethodDef("getTokens", get_tokens),
-            "getRate": MethodDef("getRate", get_rate, args=(ArgSpec("token"),)),
-            "swap": MethodDef("swap", swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
+            "getTokens": MethodDef(get_tokens),
+            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
+            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(d, m) for d in (c0, c1)
@@ -597,18 +594,17 @@ def _lp_build(name: str, p: dict) -> ContractCode:
     return ContractCode(
         name=name,
         methods={
-            "getToken": MethodDef("getToken", get_token),
-            "deposit": MethodDef("deposit", deposit, attach=(AttachSpec((tok,)),)),
-            "borrow": MethodDef("borrow", borrow, args=(ArgSpec("int"),)),
-            "accrue": MethodDef("accrue", accrue),
-            "repay": MethodDef("repay", repay, attach=(AttachSpec((tok,)),)),
-            "redeem": MethodDef("redeem", redeem, args=(ArgSpec("int"),)),
-            "liquidate": MethodDef("liquidate", liquidate,
-                                   args=(ArgSpec("account"),),
+            "getToken": MethodDef(get_token),
+            "deposit": MethodDef(deposit, attach=(AttachSpec((tok,)),)),
+            "borrow": MethodDef(borrow, args=(ArgSpec("int"),)),
+            "accrue": MethodDef(accrue),
+            "repay": MethodDef(repay, attach=(AttachSpec((tok,)),)),
+            "redeem": MethodDef(redeem, args=(ArgSpec("int"),)),
+            "liquidate": MethodDef(liquidate, args=(ArgSpec("account"),),
                                    attach=(AttachSpec((tok,)),)),
-            "flashLoan": MethodDef("flashLoan", flash_loan, args=(ArgSpec("int"),)),
+            "flashLoan": MethodDef(flash_loan, args=(ArgSpec("int"),)),
         },
-        constructor=MethodDef("constructor", ctor),
+        constructor=ctor,
         intok_decl=frozenset({tok}),
         outtok_decl=frozenset({tok}),
         move_generator=gen,
@@ -654,8 +650,8 @@ def _lp_arbitrage_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
+        methods={"arbitrage": MethodDef(arbitrage, args=(ArgSpec("int"),))},
+        constructor=_arb_ctor(c0, c1, lp),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(lp, "getToken"), (lp, "borrow"), (lp, "repay"),
@@ -681,8 +677,8 @@ def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"arbitrage": MethodDef("arbitrage", arbitrage, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", _arb_ctor(c0, c1, lp)),
+        methods={"arbitrage": MethodDef(arbitrage, args=(ArgSpec("int"),))},
+        constructor=_arb_ctor(c0, c1, lp),
         intok_decl=None,
         outtok_decl=None,
         calls_out=frozenset({(lp, "getToken"), (lp, "flashLoan"),
@@ -729,9 +725,9 @@ def _cell_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"get": MethodDef("get", get),
-                 "set": MethodDef("set", set_, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", ctor),
+        methods={"get": MethodDef(get),
+                 "set": MethodDef(set_, args=(ArgSpec("int"),))},
+        constructor=ctor,
         move_generator=_latch_gen(acc, name, "set"),
         probes=(("get", (), Wallet()),),
     )
@@ -753,9 +749,9 @@ def _once_cell_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"get": MethodDef("get", get),
-                 "set": MethodDef("set", set_, args=(ArgSpec("int"),))},
-        constructor=MethodDef("constructor", ctor),
+        methods={"get": MethodDef(get),
+                 "set": MethodDef(set_, args=(ArgSpec("int"),))},
+        constructor=ctor,
         move_generator=_latch_gen(acc, name, "set"),
         probes=(("get", (), Wallet()),),
     )
@@ -773,8 +769,8 @@ def _cell_proxy_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"get_x": MethodDef("get_x", get_x),
-                 "set_x": MethodDef("set_x", set_x, args=(ArgSpec("int"),))},
+        methods={"get_x": MethodDef(get_x),
+                 "set_x": MethodDef(set_x, args=(ArgSpec("int"),))},
         calls_out=frozenset({(cell, "get"), (cell, "set")}),
         move_generator=_latch_gen(acc, cell, "set_x"),
         probes=(("get_x", (), Wallet()),),
@@ -791,7 +787,7 @@ def _gated_drop_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef("f", f)},
+        methods={"f": MethodDef(f)},
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
@@ -809,7 +805,7 @@ def _gated_vault_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef("f", f)},
+        methods={"f": MethodDef(f)},
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(cell, "get")}),
@@ -834,9 +830,9 @@ def _paid_cell_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"get": MethodDef("get", get),
-                 "set": MethodDef("set", set_, attach=(AttachSpec((tok,), (1,)),))},
-        constructor=MethodDef("constructor", ctor),
+        methods={"get": MethodDef(get),
+                 "set": MethodDef(set_, attach=(AttachSpec((tok,), (1,)),))},
+        constructor=ctor,
         intok_decl=frozenset({tok}),
         outtok_decl=frozenset(),
         move_generator=_fixed(acc, ("set", (), Wallet.single(tok, 1))),
@@ -864,9 +860,8 @@ def _dropper_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"drop2": MethodDef("drop2", drop2),
-                 "drop3": MethodDef("drop3", drop3)},
-        constructor=MethodDef("constructor", ctor),
+        methods={"drop2": MethodDef(drop2), "drop3": MethodDef(drop3)},
+        constructor=ctor,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(var, "get"), (var, "set")}),
@@ -896,9 +891,8 @@ def _mutex_vault_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f1": MethodDef("f1", f1), "f2": MethodDef("f2", f2),
-                 "f3": MethodDef("f3", f3)},
-        constructor=MethodDef("constructor", ctor),
+        methods={"f1": MethodDef(f1), "f2": MethodDef(f2), "f3": MethodDef(f3)},
+        constructor=ctor,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         move_generator=_fixed(acc, ("f1",), ("f2",)),
@@ -919,8 +913,8 @@ def _mutex_follower_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"g": MethodDef("g", g)},
-        constructor=MethodDef("constructor", ctor),
+        methods={"g": MethodDef(g)},
+        constructor=ctor,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(c1, "f3")}),
@@ -937,7 +931,7 @@ def _faucet_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef("f", f)},
+        methods={"f": MethodDef(f)},
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         move_generator=_fixed(acc, ("f",)),
@@ -957,7 +951,7 @@ def _gated_faucet_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef("f", f)},
+        methods={"f": MethodDef(f)},
         sender_agnostic=False,
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
@@ -976,7 +970,7 @@ def _chained_faucet_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"g": MethodDef("g", g)},
+        methods={"g": MethodDef(g)},
         intok_decl=frozenset(),
         outtok_decl=frozenset({tok}),
         calls_out=frozenset({(dep, "f")}),
@@ -994,7 +988,7 @@ def _relay_build(name: str, p: dict) -> ContractCode:
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef("f", f, attach=(AttachSpec((tin,), (n_in,)),))},
+        methods={"f": MethodDef(f, attach=(AttachSpec((tin,), (n_in,)),))},
         intok_decl=frozenset({tin}),
         outtok_decl=frozenset({tout}),
         move_generator=_fixed(acc, ("f", (), Wallet.single(tin, n_in))),

@@ -12,6 +12,10 @@ map only their outcome, and ``analysis._noninterference`` drops the
 searches' warnings; see ROADMAP item 4), 10 usage error, 11 scenario error,
 12 internal error (an unexpected exception, reported as one line on stderr).
 
+Each handler returns ``(exit code, fields, lines)``: the command's report
+fields and its text lines.  ``main`` alone frames every report with
+``command`` and ``exit_code`` and prints it as JSON or as the lines.
+
 Reports are deterministic byte-for-byte for a fixed scenario and flag set:
 maps are emitted in sorted order, witnesses are canonically tie-broken and
 no volatile data (time, paths, ids) is included.
@@ -150,6 +154,8 @@ def _load(args) -> tuple:
 def _contract_set(state, names, default):
     if names is None:
         return default
+    if not all(names):
+        raise UsageError("empty contract name")
     accs = frozenset(Account.contract(n) for n in names)
     missing = sorted(a.name for a in accs - state.deployed)
     if missing:
@@ -168,7 +174,7 @@ def _names(accs) -> list:
     return sorted(a.name for a in accs)
 
 
-def _run_value(args, search=None) -> int:
+def _run_value(args, search=None) -> tuple:
     """``search(state, observed, restriction, prices, budget)`` for the local
     values; the whole-state ``mev`` has neither an observed set nor a
     restriction."""
@@ -179,9 +185,7 @@ def _run_value(args, search=None) -> int:
     else:
         observed, restriction = _scope(args, state, delta)
         res = search(state, observed, restriction, prices, budget)
-    exit_code = EXIT_INCOMPLETE if res.warning else EXIT_HOLDS
-    report = {
-        "command": args.command,
+    fields = {
         "scenario": scn.name,
         "budget": _budget_json(budget),
         "observed": None if observed is None else _names(observed),
@@ -190,7 +194,6 @@ def _run_value(args, search=None) -> int:
         "witness": _witness_json(res.witness),
         "complete": res.complete,
         "warning": res.warning,
-        "exit_code": exit_code,
     }
     lines = [f"{args.command} = {res.value}"]
     if observed is not None:
@@ -203,46 +206,40 @@ def _run_value(args, search=None) -> int:
     lines.append(f"  complete: {res.complete}")
     if res.warning:
         lines.append(f"  warning: {res.warning}")
-    _emit(report, args.format, lines)
-    return exit_code
+    return EXIT_INCOMPLETE if res.warning else EXIT_HOLDS, fields, lines
 
 
-def _run_verdict(args, decide, extra=()) -> int:
+def _run_verdict(args, decide, extra=()) -> tuple:
     """``decide(state, delta, prices, budget) -> Verdict``; ``extra`` adds
     report fields."""
     scn, state, delta, prices, budget = _load(args)
     if not delta:
         raise UsageError("scenario has an empty fragment after the split")
     v = decide(state, delta, prices, budget)
-    exit_code = _verdict_exit(v)
-    report = {
-        "command": args.command,
+    fields = {
         "scenario": scn.name,
         "budget": _budget_json(budget),
         "fragment": _names(delta),
         **dict(extra),
         "result": _verdict_json(v),
-        "exit_code": exit_code,
     }
-    _emit(report, args.format, _verdict_lines(args.command, v))
-    return exit_code
+    return _verdict_exit(v), fields, _verdict_lines(args.command, v)
 
 
-def _run_epsilon(args) -> int:
+def _run_epsilon(args) -> tuple:
     def decide(state, delta, prices, budget):
         return epsilon_composable(state, delta, args.eps, prices, budget)
 
     return _run_verdict(args, decide, {"epsilon": str(args.eps)})
 
 
-def _run_strip_check(args) -> int:
+def _run_strip_check(args) -> tuple:
     scn, state, delta, prices, budget = _load(args)
     observed, restriction = _scope(args, state, delta)
     rep = verify_stripping(state, observed, restriction, prices, budget)
     exit_code = {"verified": EXIT_HOLDS, "mismatch": EXIT_VIOLATED,
                  "hypothesis-not-met": EXIT_UNKNOWN}[rep.status]
-    report = {
-        "command": "strip-check",
+    fields = {
         "scenario": scn.name,
         "budget": _budget_json(budget),
         "observed": _names(observed),
@@ -250,7 +247,6 @@ def _run_strip_check(args) -> int:
         "reason": rep.reason,
         "full_value": _rat(rep.full_value),
         "stripped_value": _rat(rep.stripped_value),
-        "exit_code": exit_code,
     }
     lines = [
         f"strip-check: {rep.status}",
@@ -258,11 +254,10 @@ def _run_strip_check(args) -> int:
         f"  full value:     {rep.full_value}",
         f"  stripped value: {rep.stripped_value}",
     ]
-    _emit(report, args.format, lines)
-    return exit_code
+    return exit_code, fields, lines
 
 
-def _run_table2(args) -> int:
+def _run_table2(args) -> tuple:
     budget = _budget(args)
     rows = []
     lines = ["composition matrix (wealth-independent non-interference)"]
@@ -285,34 +280,27 @@ def _run_table2(args) -> int:
             "expected": expected,
             "match": match,
         })
-    exit_code = EXIT_HOLDS if all_match else EXIT_VIOLATED
     lines.append("all rows match" if all_match else "MISMATCH against expectations")
-    report = {"command": "table2", "budget": _budget_json(budget),
-              "rows": rows, "exit_code": exit_code}
-    _emit(report, args.format, lines)
-    return exit_code
+    return (EXIT_HOLDS if all_match else EXIT_VIOLATED,
+            {"budget": _budget_json(budget), "rows": rows}, lines)
 
 
-def _run_battery(args) -> int:
+def _run_battery(args) -> tuple:
     budget = _budget(args)
     rep = structural_battery(budget, seed=args.seed)
-    exit_code = EXIT_HOLDS if rep.passed else EXIT_VIOLATED
     lines = ["structural-property battery"]
     for r in rep.rows:
         lines.append(f"  [{'PASS' if r.passed else 'FAIL'}] {r.row} ({r.kind}): {r.claim}")
         lines.append(f"         {r.detail}")
-    report = {
-        "command": "battery",
+    fields = {
         "budget": _budget_json(budget, args.seed),
         "rows": [{"row": r.row, "kind": r.kind, "claim": r.claim,
                   "passed": r.passed, "detail": r.detail} for r in rep.rows],
-        "exit_code": exit_code,
     }
-    _emit(report, args.format, lines)
-    return exit_code
+    return EXIT_HOLDS if rep.passed else EXIT_VIOLATED, fields, lines
 
 
-def _run_examples(args) -> int:
+def _run_examples(args) -> tuple:
     checks = []
     lines = []
     for fn in GOLDENS:
@@ -320,12 +308,9 @@ def _run_examples(args) -> int:
             checks.append({"name": c.name, "ok": c.ok, "detail": c.detail})
             lines.append(f"[{'PASS' if c.ok else 'FAIL'}] {c.name}"
                          + ("" if c.ok else f" ({c.detail})"))
-    ok = all(c["ok"] for c in checks)
-    exit_code = EXIT_HOLDS if ok else EXIT_VIOLATED
     lines.append(f"{sum(c['ok'] for c in checks)}/{len(checks)} golden checks passed")
-    report = {"command": "examples", "checks": checks, "exit_code": exit_code}
-    _emit(report, args.format, lines)
-    return exit_code
+    exit_code = EXIT_HOLDS if all(c["ok"] for c in checks) else EXIT_VIOLATED
+    return exit_code, {"checks": checks}, lines
 
 
 def _eps(text: str) -> Fraction:
@@ -338,30 +323,14 @@ def _eps(text: str) -> Fraction:
     return eps
 
 
-# Each handler names the library function it runs inside its body, so the
-# name is looked up in this module when the command runs: a wrapper patched
-# over ``mevscope.cli.nonint`` (say) then sees every call.
-HANDLERS = {
-    "lmev": lambda args: _run_value(args, lmev),
-    "rlmev": lambda args: _run_value(args, rlmev),
-    "mev": lambda args: _run_value(args),
-    "nonint": lambda args: _run_verdict(args, nonint),
-    "richnonint": lambda args: _run_verdict(args, richnonint),
-    "epsilon": _run_epsilon,
-    "strip-check": _run_strip_check,
-    "table2": _run_table2,
-    "battery": _run_battery,
-    "examples": _run_examples,
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mevscope",
                      description="extractable-value and composability analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_, scenario=True, budget=True, scope=False):
+    def command(name, help_, run, scenario=True, budget=True, scope=False):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         if scenario:
             p.add_argument("scenario", help="path to a .scn scenario file")
         if budget:
@@ -377,18 +346,28 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    command("lmev", "local extractable loss of the observed contracts", scope=True)
-    command("rlmev", "wealthy-adversary local extractable loss", scope=True)
-    command("mev", "whole-state extractable value")
-    command("nonint", "non-interference at the given adversary wealth")
-    command("richnonint", "wealth-independent non-interference")
-    command("epsilon", "whole-state growth criterion").add_argument(
+    # Each handler names the library function it runs inside its body, so
+    # the name is looked up in this module when the command runs: a wrapper
+    # patched over ``mevscope.cli.nonint`` (say) then sees every call.
+    command("lmev", "local extractable loss of the observed contracts",
+            lambda args: _run_value(args, lmev), scope=True)
+    command("rlmev", "wealthy-adversary local extractable loss",
+            lambda args: _run_value(args, rlmev), scope=True)
+    command("mev", "whole-state extractable value", _run_value)
+    command("nonint", "non-interference at the given adversary wealth",
+            lambda args: _run_verdict(args, nonint))
+    command("richnonint", "wealth-independent non-interference",
+            lambda args: _run_verdict(args, richnonint))
+    command("epsilon", "whole-state growth criterion", _run_epsilon).add_argument(
         "--eps", type=_eps, required=True, help="tolerated growth factor (rational)")
-    command("strip-check", "dependency-stripping preservation check", scope=True)
-    command("table2", "run the bundled composition matrix", scenario=False)
-    command("battery", "run the structural-property battery", scenario=False).add_argument(
-        "--seed", type=int, default=0, help="seed for randomized parts")
-    command("examples", "run every golden reproduction", scenario=False, budget=False)
+    command("strip-check", "dependency-stripping preservation check", _run_strip_check,
+            scope=True)
+    command("table2", "run the bundled composition matrix", _run_table2, scenario=False)
+    command("battery", "run the structural-property battery", _run_battery,
+            scenario=False).add_argument("--seed", type=int, default=0,
+                                         help="seed for randomized parts")
+    command("examples", "run every golden reproduction", _run_examples, scenario=False,
+            budget=False)
     return parser
 
 
@@ -396,7 +375,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return HANDLERS[args.command](args)
+        exit_code, fields, lines = args.run(args)
+        _emit({"command": args.command, **fields, "exit_code": exit_code}, args.format, lines)
+        return exit_code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -227,6 +227,9 @@ def _coerce_arg(spec: catalog.ParamSpec, value, where: str) -> None:
     if spec.kind == "int":
         if not _is_int(value):
             raise ScenarioError(f"{where}: {spec.name} must be an int")
+        # no catalog amount, rate, deadline or fee means anything below 0
+        if value < 0:
+            raise ScenarioError(f"{where}: {spec.name} must be a non-negative int")
     elif spec.kind in ("token", "contract", "user", "str"):
         if not isinstance(value, str):
             raise ScenarioError(f"{where}: {spec.name} must be a string")

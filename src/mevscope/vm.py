@@ -121,13 +121,6 @@ def trace_key(trace: Sequence[Transaction]) -> tuple:
     return tuple(tx.key() for tx in trace)
 
 
-@dataclass(frozen=True)
-class CallContext:
-    origin: Account
-    sender: Account
-    depth: int
-
-
 # --- method metadata ---------------------------------------------------------
 #
 # Each method carries a declarative signature used by the exhaustive move
@@ -166,7 +159,6 @@ class AttachSpec:
 
 @dataclass(frozen=True, eq=False)
 class MethodDef:
-    name: str
     fn: Callable
     args: tuple = ()     # tuple[ArgSpec, ...]
     attach: tuple = ()   # tuple[AttachSpec, ...]
@@ -187,6 +179,10 @@ def wealth_bound(cs: ContractState, units: Mapping[Token, int]) -> int:
 @dataclass(frozen=True, eq=False)
 class ContractCode:
     """Behaviour of one contract: methods, dependencies and search metadata.
+
+    A method is named by its key in ``methods``.  ``constructor`` is the
+    plain function ``deploy`` calls with the new contract's ``MethodCtx``;
+    it has no signature, since the move enumerator reads only ``methods``.
 
     ``move_generator(state, origin, budget)`` proposes candidate adversary
     transactions targeting this contract; it may read the whole state (it is
@@ -212,7 +208,7 @@ class ContractCode:
 
     name: str
     methods: Mapping[str, MethodDef]
-    constructor: Optional[MethodDef] = None
+    constructor: Optional[Callable] = None
     sender_agnostic: bool = True
     intok_decl: Optional[frozenset] = frozenset()
     outtok_decl: Optional[frozenset] = frozenset()
@@ -362,17 +358,21 @@ class MethodCtx:
     """Execution context handed to contract method bodies.
 
     This is the whole surface a method may touch: its own balance and store,
-    its arguments and attached tokens, explicit token transfers, inner calls
-    to declared dependencies, deferred final checks and the block height.
+    its arguments and attached tokens, the transaction's ``origin``, its
+    direct caller ``sender``, explicit token transfers, inner calls to
+    declared dependencies, deferred final checks and the block height.
+    ``depth`` is the frame's call depth, 1 for the outermost frame.
     """
 
-    __slots__ = ("_sc", "_state", "ctx", "self_acc", "args", "attached", "_transfers")
+    __slots__ = ("_sc", "origin", "sender", "depth", "self_acc", "args", "attached",
+                 "_transfers")
 
-    def __init__(self, sc: _Scratch, state: BlockchainState, ctx: CallContext,
+    def __init__(self, sc: _Scratch, origin: Account, sender: Account, depth: int,
                  self_acc: Account, args: tuple, attached: Wallet):
         self._sc = sc
-        self._state = state
-        self.ctx = ctx
+        self.origin = origin
+        self.sender = sender
+        self.depth = depth
         self.self_acc = self_acc
         self.args = args
         self.attached = attached
@@ -418,22 +418,15 @@ class MethodCtx:
     def put(self, key: str, value: Scalar) -> None:
         self._sc.store_of(self.self_acc)[key] = value
 
-    @property
-    def origin(self) -> Account:
-        return self.ctx.origin
-
-    @property
-    def sender(self) -> Account:
-        return self.ctx.sender
-
     def height(self) -> int:
         # the search keys its memo and its effect table on the height only
         # when a contract declares that it reads it
-        if not self._state.codes[self.self_acc].reads_height:
+        state = self._sc.base
+        if not state.codes[self.self_acc].reads_height:
             raise ContractBugError(
                 f"{self.self_acc} reads the block height without declaring reads_height"
             )
-        return self._state.height
+        return state.height
 
     # effects
 
@@ -449,40 +442,41 @@ class MethodCtx:
         self._transfers.append((recipient, w))
 
     def pay_sender(self, amount: int, token: Token) -> None:
-        self.pay(self.ctx.sender, amount, token)
+        self.pay(self.sender, amount, token)
 
     def require_final_min(self, token: Token, minimum: int) -> None:
         self._sc.finals.append((self.self_acc, token, minimum))
 
     def call(self, callee_name: str, method: str, args: tuple = (),
              attach: Wallet = EMPTY_WALLET) -> Scalar:
-        if (callee_name, method) not in self._state.codes[self.self_acc].calls_out:
+        sc, state = self._sc, self._sc.base
+        if (callee_name, method) not in state.codes[self.self_acc].calls_out:
             raise ContractBugError(
                 f"{self.self_acc} calls {callee_name}.{method}, which its calls_out does not list"
             )
         callee = Account.contract(callee_name)
-        if callee not in self._state.contracts:
+        if callee not in state.contracts:
             raise Abort()
-        if self._state.deploy_index(callee) >= self._state.deploy_index(self.self_acc):
+        if state.deploy_index(callee) >= state.deploy_index(self.self_acc):
             raise ContractBugError(
                 f"{self.self_acc} calls {callee_name}, which is not deployed earlier"
             )
-        if self.ctx.depth + 1 > MAX_CALL_DEPTH:
+        if self.depth + 1 > MAX_CALL_DEPTH:
             raise Abort()
-        if not self._sc.debit(self.self_acc, attach):
+        if not sc.debit(self.self_acc, attach):
             raise Abort()
-        self._sc.credit(callee, attach)
-        inner = CallContext(self.ctx.origin, self.self_acc, self.ctx.depth + 1)
-        return _run_frame(self._sc, self._state, inner, callee, method, tuple(args), attach)[0]
+        sc.credit(callee, attach)
+        return _run_frame(sc, self.origin, self.self_acc, self.depth + 1, callee, method,
+                          tuple(args), attach)[0]
 
 
-def _run_frame(sc: _Scratch, state: BlockchainState, ctx: CallContext,
+def _run_frame(sc: _Scratch, origin: Account, sender: Account, depth: int,
                callee: Account, method: str, args: tuple, attached: Wallet) -> tuple:
     """Run one call frame: (its return value, the transfers it made itself)."""
-    mdef = state.codes[callee].methods.get(method)
+    mdef = sc.base.codes[callee].methods.get(method)
     if mdef is None:
         raise Abort()
-    mctx = MethodCtx(sc, state, ctx, callee, args, attached)
+    mctx = MethodCtx(sc, origin, sender, depth, callee, args, attached)
     return mdef.fn(mctx), mctx._transfers
 
 
@@ -498,9 +492,8 @@ def _run_tx(state: BlockchainState, tx: Transaction) -> Optional[_Scratch]:
     if not sc.debit(tx.origin, tx.attached):
         return None
     sc.credit(tx.callee, tx.attached)
-    ctx = CallContext(tx.origin, tx.origin, 1)
     try:
-        _run_frame(sc, state, ctx, tx.callee, tx.method, tx.args, tx.attached)
+        _run_frame(sc, tx.origin, tx.origin, 1, tx.callee, tx.method, tx.args, tx.attached)
     except Abort:
         return None
     return sc if sc.finals_hold() else None
@@ -533,8 +526,8 @@ def probe_call(state: BlockchainState, origin: Account, sender: Account, callee:
     sc = _Scratch(state)
     sc.credit(callee, attached)
     try:
-        ret, transfers = _run_frame(sc, state, CallContext(origin, sender, 1), callee,
-                                    method, tuple(args), attached)
+        ret, transfers = _run_frame(sc, origin, sender, 1, callee, method, tuple(args),
+                                    attached)
     except Abort:
         return sc, None
     return sc, (ret, tuple(transfers))
@@ -612,10 +605,8 @@ def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_
         raise DeployError(f"deployer {deployer} cannot fund {attached.pretty()}")
     sc.credit(acc, attached)
     if code.constructor is not None:
-        ctx = CallContext(deployer, deployer, 1)
-        mctx = MethodCtx(sc, staged, ctx, acc, (), attached)
         try:
-            code.constructor.fn(mctx)
+            code.constructor(MethodCtx(sc, deployer, deployer, 1, acc, (), attached))
         except Abort:
             raise DeployError(f"constructor of {code.name!r} aborted") from None
     if not sc.finals_hold():

@@ -524,9 +524,9 @@ def _record_flows(states) -> dict:
     frame: list = []
     run_frame, pay = vm._run_frame, vm.MethodCtx.pay
 
-    def recording_run_frame(sc, state, ctx, callee, method, args, attached):
+    def recording_run_frame(sc, origin, sender, depth, callee, method, args, attached):
         frame.append((callee, 0, attached.tokens()))
-        return run_frame(sc, state, ctx, callee, method, args, attached)
+        return run_frame(sc, origin, sender, depth, callee, method, args, attached)
 
     def recording_pay(self, recipient, amount, token):
         pay(self, recipient, amount, token)

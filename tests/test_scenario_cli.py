@@ -1,14 +1,17 @@
+import argparse
 import dataclasses
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 import mevscope.cli
 from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
                       global_mev)
-from mevscope.cli import EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE, main
+from mevscope.cli import EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE, build_parser, main
 from mevscope.scenario import build_state, load_bundled, parse_scenario, scenario_path
 
 from helpers import M
@@ -165,8 +168,11 @@ class TestCli:
                             "restriction", "value", "witness", "complete"}
         assert doc["value"] == "1"
 
-    def test_usage_error_exit_code(self):
-        code, _ = run_cli("lmev", _path("two_amms.scn"), "--observed", "NOPE")
+    @pytest.mark.parametrize("flag, name", (("--observed", "NOPE"), ("--observed", ""),
+                                            ("--restrict", "")),
+                             ids=("undeployed", "empty-observed", "empty-restrict"))
+    def test_usage_error_exit_code(self, flag, name):
+        code, _ = run_cli("lmev", _path("two_amms.scn"), flag, name)
         assert code == 10
 
     def test_scenario_error_exit_code(self, tmp_path):
@@ -189,6 +195,18 @@ README_COMMANDS = (
     ("battery", "--seed", "1"),
     ("examples",),
 )
+
+
+def test_the_readme_command_block_lists_every_subcommand():
+    """The parser's subcommands are exactly the ``mevscope X`` lines of the
+    README's "Command line" block, and ``README_COMMANDS`` runs each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = re.findall(r"^mevscope (\S+)", block, re.M)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(documented)
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -309,6 +327,21 @@ def test_empty_deployment_names_are_scenario_errors(arg, doc, tmp_path):
     with pytest.raises(ScenarioError, match=f"{arg} must be a non-empty string"):
         build_state(parse_scenario(json.dumps(doc)))
     path = tmp_path / "empty.scn"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+
+
+@pytest.mark.parametrize("arg, doc", (
+    ("amount", _with_arg("faucet_forwarder.scn", 0, "amount", -1)),
+    ("amount", _with_arg("cell_gate.scn", 1, "amount", -1)),
+    ("amount_out", _with_arg("relay_chain.scn", 1, "amount_out", -1)),
+), ids=("faucet", "gated-drop", "relay"))
+def test_negative_int_deployment_args_are_scenario_errors(arg, doc, tmp_path):
+    """No catalog ``int`` parameter means anything below 0; a negative one
+    would build a contract whose first payout crashes the search."""
+    with pytest.raises(ScenarioError, match=f"{arg} must be a non-negative int"):
+        build_state(parse_scenario(json.dumps(doc)))
+    path = tmp_path / "negative.scn"
     path.write_text(json.dumps(doc))
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
 

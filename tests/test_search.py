@@ -460,9 +460,9 @@ def _tip_jar():
 
     return ContractCode(
         name="Jar",
-        methods={"tip": MethodDef("tip", tip),
-                 "boost": MethodDef("boost", boost, args=(ArgSpec("account"),))},
-        constructor=MethodDef("init", init),
+        methods={"tip": MethodDef(tip),
+                 "boost": MethodDef(boost, args=(ArgSpec("account"),))},
+        constructor=init,
         outtok_decl=frozenset({"T"}),
     )
 

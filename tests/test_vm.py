@@ -204,12 +204,12 @@ def test_call_depth_cap_invalidates():
         if prev is None:
             def base(c):
                 c.require(True)
-            code = ContractCode(name=name, methods={"spin": MethodDef("spin", base)})
+            code = ContractCode(name=name, methods={"spin": MethodDef(base)})
         else:
             dep = prev
             def fwd(c, dep=dep):
                 c.call(dep, "spin")
-            code = ContractCode(name=name, methods={"spin": MethodDef("spin", fwd)},
+            code = ContractCode(name=name, methods={"spin": MethodDef(fwd)},
                                 calls_out=frozenset({(dep, "spin")}))
         codes.append(code)
         prev = name
@@ -293,7 +293,7 @@ def test_reading_the_height_needs_the_declaration():
     def peek(c):
         c.require(c.height() >= 0)
 
-    undeclared = ContractCode(name="Clock", methods={"peek": MethodDef("peek", peek)})
+    undeclared = ContractCode(name="Clock", methods={"peek": MethodDef(peek)})
     declared = dataclasses.replace(undeclared, reads_height=True)
     peek_tx = Transaction(M, Account.contract("Clock"), "peek")
     start = genesis({M: Wallet()}, adversary=[M])
@@ -307,17 +307,17 @@ def test_calls_must_be_listed_in_calls_out():
     """``calls_out`` is the one declaration of call edges: the dependency set
     is derived from it, and a call to an unlisted dependency or to an
     unlisted method of a listed one is a contract bug, not a rollback."""
-    base = ContractCode(name="Base", methods={"f": MethodDef("f", lambda c: 1),
-                                              "g": MethodDef("g", lambda c: 2)})
+    base = ContractCode(name="Base", methods={"f": MethodDef(lambda c: 1),
+                                              "g": MethodDef(lambda c: 2)})
 
     def caller(method, dep="Base"):
         return ContractCode(name="Caller",
-                            methods={"run": MethodDef("run", lambda c: c.call(dep, method))},
+                            methods={"run": MethodDef(lambda c: c.call(dep, method))},
                             calls_out=frozenset({("Base", "f")}))
 
     assert caller("f").declared_deps == frozenset({"Base"})
     start = deploy(deploy(genesis({M: Wallet()}, adversary=[M]), base, deployer=A),
-                   ContractCode(name="Other", methods={"f": MethodDef("f", lambda c: 3)}),
+                   ContractCode(name="Other", methods={"f": MethodDef(lambda c: 3)}),
                    deployer=A)
     run = Transaction(M, Account.contract("Caller"), "run")
     assert execute(deploy(start, caller("f"), deployer=A), run).valid
