@@ -4,14 +4,17 @@ Each entry builds a ``ContractCode`` from named parameters: token symbols,
 integer constants and the instance names of already-deployed dependencies.
 Parameters are checked once, in ``CatalogEntry.make``, against the entry's
 ``ParamSpec`` tuple, so a builder receives every declared parameter (defaults
-filled in) and nothing else.  Method behaviours are host-coded Python (there
-is no contract DSL); scenario files refer to entries by their catalog key.
+filled in) as a keyword and nothing else.  Method behaviours are host-coded
+Python (there is no contract DSL); scenario files refer to entries by their
+catalog key.
 
 Every entry also carries the metadata the analysis layers need: a move
-generator proposing candidate adversary transactions, declared in/out token
-sets, the (dependency, method) pairs its code calls, and observation probes
-for stability checking.  A move generator is only called while its own
-contract is deployed; it still checks for any dependency it reads.
+generator, declared in/out token sets, the (dependency, method) pairs its
+code calls, and observation probes for stability checking.  A move generator
+proposes ``(method[, args[, attached]])`` calls to its own contract's
+account, and the search sends each of them from every adversary account.  It
+is only called while its own contract is deployed; it still checks for any
+dependency it reads.
 
 Move generators derive amounts only from contract reserves and declared
 constants, never from the adversary's wallet.  That makes the proposed move
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .ledger import Account, Wallet
-from .vm import ArgSpec, AttachSpec, ContractCode, MethodDef, Transaction
+from .vm import ArgSpec, AttachSpec, ContractCode, MethodDef
 
 ZERO_ARG = (ArgSpec("choice", (0,)),)   # guard-only minimum-output argument
 
@@ -47,11 +50,11 @@ class CatalogEntry:
     key: str
     summary: str
     params: tuple
-    build: Callable[[str, dict], ContractCode]   # receives checked parameters
+    build: Callable[..., ContractCode]   # receives checked parameters as keywords
 
     def make(self, name: str, /, **args) -> ContractCode:
         """Build instance ``name``: the one place parameters are checked."""
-        return self.build(name, _take(args, self.params, self.key))
+        return self.build(name, **_take(args, self.params, self.key))
 
 
 def _take(args: Mapping[str, object], params: Sequence[ParamSpec], key: str) -> dict:
@@ -70,6 +73,10 @@ def _take(args: Mapping[str, object], params: Sequence[ParamSpec], key: str) -> 
 
 
 def _grid_amounts(reserve: int, grid: int) -> list:
+    if grid >= reserve:
+        # the floors of reserve * k / grid rise by at most 1 per step, so
+        # they reach every amount from 1 to the reserve
+        return list(range(1, reserve + 1))
     amounts = {1} if reserve > 0 else set()
     for k in range(1, grid + 1):
         a = reserve * k // grid
@@ -78,22 +85,20 @@ def _grid_amounts(reserve: int, grid: int) -> list:
     return sorted(amounts)
 
 
-def _fixed(acc: Account, *calls):
-    """Generator proposing the same ``(method, args, attached)`` calls to
-    ``acc`` in every state."""
-    def gen(state, origin, budget):
-        return tuple(Transaction(origin, acc, *call) for call in calls)
+def _fixed(*calls):
+    """Generator proposing the same ``(method[, args[, attached]])`` calls in
+    every state."""
+    def gen(state, acc, budget):
+        return calls
     return gen
 
 
 # --- constant-product pool ------------------------------------------------------
 
 
-def _amm_build(name: str, p: dict) -> ContractCode:
-    t0, t1 = p["t0"], p["t1"]
+def _amm_build(name: str, t0, t1) -> ContractCode:
     if t0 == t1:
         raise ValueError("amm: the two pool tokens must differ")
-    acc = Account.contract(name)
 
     def ctor(c):
         c.require(not (set(c.attached.tokens()) - {t0, t1}))
@@ -148,13 +153,10 @@ def _amm_build(name: str, p: dict) -> ContractCode:
             floor += 1
         return x * u0 + y * u1 - floor
 
-    def gen(state, origin, budget):
-        cs = state.contracts[acc]
-        moves = []
-        for tin in (t0, t1):
-            for a in _grid_amounts(cs.wallet.get(tin), budget.grid):
-                moves.append(Transaction(origin, acc, "swap", (0,), Wallet.single(tin, a)))
-        return moves
+    def gen(state, acc, budget):
+        wallet = state.contracts[acc].wallet
+        return [("swap", (0,), Wallet.single(tin, a))
+                for tin in (t0, t1) for a in _grid_amounts(wallet.get(tin), budget.grid)]
 
     return ContractCode(
         name=name,
@@ -182,39 +184,33 @@ def _amm_build(name: str, p: dict) -> ContractCode:
 # --- airdrop and fixed-rate exchange --------------------------------------------
 
 
-def _airdrop_build(name: str, p: dict) -> ContractCode:
-    tout = p["token"]
-    acc = Account.contract(name)
-
+def _airdrop_build(name: str, token) -> ContractCode:
     def ctor(c):
-        c.require(not (set(c.attached.tokens()) - {tout}))
-        c.put("tout", tout)
+        c.require(not (set(c.attached.tokens()) - {token}))
+        c.put("tout", token)
 
     def withdraw(c):
-        c.pay_sender(c.balance(tout), tout)
+        c.pay_sender(c.balance(token), token)
 
     return ContractCode(
         name=name,
         methods={"withdraw": MethodDef(withdraw)},
         constructor=ctor,
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tout}),
-        move_generator=_fixed(acc, ("withdraw",)),
+        outtok_decl=frozenset({token}),
+        move_generator=_fixed(("withdraw",)),
         probes=(("withdraw", (), Wallet()),),
     )
 
 
-def _exchange_build(name: str, p: dict) -> ContractCode:
-    tout, tin, rate0 = p["tout"], p["tin"], p["rate"]
+def _exchange_build(name: str, tout, tin, rate) -> ContractCode:
     if tin == tout:
         raise ValueError("exchange: tin and tout must differ")
-    if not isinstance(rate0, int) or rate0 <= 0:
+    if not isinstance(rate, int) or rate <= 0:
         raise ValueError("exchange: rate must be a positive int")
-    acc = Account.contract(name)
 
     def ctor(c):
         c.require(not (set(c.attached.tokens()) - {tout}))
-        c.put("rate", rate0)
+        c.put("rate", rate)
         c.put("tout", tout)
         c.put("tin", tin)
         c.put("owner", c.origin)
@@ -232,20 +228,16 @@ def _exchange_build(name: str, p: dict) -> ContractCode:
 
     def swap(c):
         t, x = c.attached_single()
-        rate = c.store("rate")
-        c.require(t == tin and c.balance(tout) >= x * rate)
-        c.pay_sender(x * rate, tout)
+        y = x * c.store("rate")
+        c.require(t == tin and c.balance(tout) >= y)
+        c.pay_sender(y, tout)
 
-    def gen(state, origin, budget):
+    def gen(state, acc, budget):
         cs = state.contracts[acc]
-        rate = cs.store["rate"]
-        moves = []
-        cap = cs.wallet.get(tout) // rate if rate else 0
-        for a in _grid_amounts(cap, budget.grid):
-            moves.append(Transaction(origin, acc, "swap", (), Wallet.single(tin, a)))
-        for v in sorted({0, 1, 2, rate}):
-            moves.append(Transaction(origin, acc, "setRate", (v,)))
-        return moves
+        now = cs.store["rate"]
+        cap = cs.wallet.get(tout) // now if now else 0
+        return ([("swap", (), Wallet.single(tin, a)) for a in _grid_amounts(cap, budget.grid)]
+                + [("setRate", (v,)) for v in sorted({0, 1, 2, now})])
 
     return ContractCode(
         name=name,
@@ -270,15 +262,11 @@ def _exchange_build(name: str, p: dict) -> ContractCode:
 # --- pot bet against a price oracle ----------------------------------------------
 
 
-def _bet_build(name: str, p: dict) -> ContractCode:
-    oracle, tok, rate, deadline = p["oracle"], p["token"], p["rate"], p["deadline"]
-    pot_tok = p["pot_token"]
-    acc = Account.contract(name)
-
+def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractCode:
     def ctor(c):
-        c.require(tok != pot_tok)
-        c.require(c.call(oracle, "getTokens") == (pot_tok, tok))
-        c.put("tok", tok)
+        c.require(token != pot_token)
+        c.require(c.call(oracle, "getTokens") == (pot_token, token))
+        c.put("tok", token)
         c.put("rate", rate)
         c.put("owner", c.origin)
         c.put("deadline", deadline)
@@ -286,39 +274,36 @@ def _bet_build(name: str, p: dict) -> ContractCode:
 
     def bet(c):
         # the stake must match the pot as it was before this call
-        x = c.attached.get(pot_tok)
-        c.require(not (set(c.attached.tokens()) - {pot_tok}))
-        pot_before = c.balance(pot_tok) - x
+        x = c.attached.get(pot_token)
+        c.require(not (set(c.attached.tokens()) - {pot_token}))
+        pot_before = c.balance(pot_token) - x
         c.require(c.store("player") is None and x == pot_before)
         c.put("player", c.origin)
 
     def win(c):
         c.require(c.height() <= c.store("deadline") and c.origin == c.store("player"))
-        c.require(c.call(oracle, "getRate", (pot_tok,)) > c.store("rate"))
-        c.pay(c.store("player"), c.balance(pot_tok), pot_tok)
+        c.require(c.call(oracle, "getRate", (pot_token,)) > c.store("rate"))
+        c.pay(c.store("player"), c.balance(pot_token), pot_token)
 
     def close(c):
         c.require(c.height() > c.store("deadline") and c.origin == c.store("owner"))
-        c.pay(c.store("owner"), c.balance(pot_tok), pot_tok)
+        c.pay(c.store("owner"), c.balance(pot_token), pot_token)
 
-    def gen(state, origin, budget):
-        cs = state.contracts[acc]
-        pot = cs.wallet.get(pot_tok)
-        moves = [Transaction(origin, acc, "win"), Transaction(origin, acc, "close")]
-        moves.append(Transaction(origin, acc, "bet", (), Wallet.single(pot_tok, pot))
-                     if pot else Transaction(origin, acc, "bet"))
-        return moves
+    def gen(state, acc, budget):
+        pot = state.contracts[acc].wallet.get(pot_token)
+        return [("win",), ("close",),
+                ("bet", (), Wallet.single(pot_token, pot)) if pot else ("bet",)]
 
     return ContractCode(
         name=name,
         methods={
-            "bet": MethodDef(bet, attach=(AttachSpec((pot_tok,)),)),
+            "bet": MethodDef(bet, attach=(AttachSpec((pot_token,)),)),
             "win": MethodDef(win),
             "close": MethodDef(close),
         },
         constructor=ctor,
-        intok_decl=frozenset({pot_tok}),
-        outtok_decl=frozenset({pot_tok}),
+        intok_decl=frozenset({pot_token}),
+        outtok_decl=frozenset({pot_token}),
         reads_height=True,
         calls_out=frozenset({(oracle, "getRate"), (oracle, "getTokens")}),
         move_generator=gen,
@@ -329,26 +314,40 @@ def _bet_build(name: str, p: dict) -> ContractCode:
 # --- pool wrappers ---------------------------------------------------------------
 
 
-def _wrapper_gen(acc: Account, deps: tuple, method: str):
-    # amounts come from the reserves of the wrapped pools
-    def gen(state, origin, budget):
-        store = state.contracts[acc].store
-        toks = [v for k, v in sorted(store.items()) if k.startswith("t")]
-        moves = []
-        for t in toks:
-            reserve = max((state.contracts[Account.contract(d)].wallet.get(t)
-                           for d in deps if Account.contract(d) in state.contracts),
-                          default=0)
-            for a in _grid_amounts(reserve, budget.grid):
-                moves.append(Transaction(origin, acc, method, (0,), Wallet.single(t, a)))
-        return moves
-    return gen
+def _pool_wrapper(name: str, c0, c1, ctor, get_tokens, get_rate, swap) -> ContractCode:
+    """A swap wrapper over the pools ``c0`` and ``c1``, whose constructor
+    stores the tokens it swaps under keys starting with ``t``."""
+    pools = (Account.contract(c0), Account.contract(c1))
+
+    def gen(state, acc, budget):
+        # amounts come from the reserves of the wrapped pools
+        calls = []
+        for k, t in sorted(state.contracts[acc].store.items()):
+            if k.startswith("t"):
+                reserve = max((state.contracts[d].wallet.get(t)
+                               for d in pools if d in state.contracts), default=0)
+                calls += [("swap", (0,), Wallet.single(t, a))
+                          for a in _grid_amounts(reserve, budget.grid)]
+        return calls
+
+    return ContractCode(
+        name=name,
+        methods={
+            "getTokens": MethodDef(get_tokens),
+            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
+            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
+        },
+        constructor=ctor,
+        intok_decl=None,
+        outtok_decl=None,
+        calls_out=frozenset({(d, m) for d in (c0, c1)
+                             for m in ("getTokens", "getRate", "swap")}),
+        move_generator=gen,
+        probes=(("getTokens", (), Wallet()),),
+    )
 
 
-def _best_swap_build(name: str, p: dict) -> ContractCode:
-    c0, c1 = p["c0"], p["c1"]
-    acc = Account.contract(name)
-
+def _best_swap_build(name: str, c0, c1) -> ContractCode:
     def ctor(c):
         pair = c.call(c0, "getTokens")
         c.require(pair == c.call(c1, "getTokens"))
@@ -373,27 +372,10 @@ def _best_swap_build(name: str, p: dict) -> ContractCode:
         c.call(target, "swap", (ymin,), Wallet.single(t, x))
         c.pay_sender(c.balance(tout), tout)
 
-    return ContractCode(
-        name=name,
-        methods={
-            "getTokens": MethodDef(get_tokens),
-            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
-            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
-        },
-        constructor=ctor,
-        intok_decl=None,
-        outtok_decl=None,
-        calls_out=frozenset({(d, m) for d in (c0, c1)
-                             for m in ("getTokens", "getRate", "swap")}),
-        move_generator=_wrapper_gen(acc, (c0, c1), "swap"),
-        probes=(("getTokens", (), Wallet()),),
-    )
+    return _pool_wrapper(name, c0, c1, ctor, get_tokens, get_rate, swap)
 
 
-def _swap_router_build(name: str, p: dict) -> ContractCode:
-    c0, c1 = p["c0"], p["c1"]
-    acc = Account.contract(name)
-
+def _swap_router_build(name: str, c0, c1) -> ContractCode:
     def ctor(c):
         t0, t1 = c.call(c0, "getTokens")
         t1b, t2 = c.call(c1, "getTokens")
@@ -432,33 +414,15 @@ def _swap_router_build(name: str, p: dict) -> ContractCode:
         else:
             c.abort()
 
-    return ContractCode(
-        name=name,
-        methods={
-            "getTokens": MethodDef(get_tokens),
-            "getRate": MethodDef(get_rate, args=(ArgSpec("token"),)),
-            "swap": MethodDef(swap, args=ZERO_ARG, attach=(AttachSpec(None),)),
-        },
-        constructor=ctor,
-        intok_decl=None,
-        outtok_decl=None,
-        calls_out=frozenset({(d, m) for d in (c0, c1)
-                             for m in ("getTokens", "getRate", "swap")}),
-        move_generator=_wrapper_gen(acc, (c0, c1), "swap"),
-        probes=(("getTokens", (), Wallet()),),
-    )
+    return _pool_wrapper(name, c0, c1, ctor, get_tokens, get_rate, swap)
 
 
 # --- lending pool and arbitrage wrappers ------------------------------------------
 
 
-def _lp_build(name: str, p: dict) -> ContractCode:
-    tok = p["token"]
-    cmin, rliq, imul, fee = p["cmin"], p["rliq"], p["imul"], p["fee"]
-    oracle_user = p["oracle"]
+def _lp_build(name: str, token, cmin, rliq, imul, fee, oracle) -> ContractCode:
     if rliq <= 1 or imul <= 1:
         raise ValueError("lending_pool: rliq and imul must exceed 1")
-    acc = Account.contract(name)
 
     def mint_key(a: Account) -> str:
         return f"mint:{a.name}"
@@ -493,7 +457,7 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         return (sget(c, mint_key(a)) * rate_x(c, n)) / (debt * c.store("Ir"))
 
     def ctor(c):
-        c.require(not (set(c.attached.tokens()) - {tok}))
+        c.require(not (set(c.attached.tokens()) - {token}))
         c.put("Cmin", cmin)
         c.put("Rliq", rliq)
         c.put("Ir", 1)
@@ -503,12 +467,12 @@ def _lp_build(name: str, p: dict) -> ContractCode:
         c.put("fee", fee)
 
     def get_token(c):
-        return tok
+        return token
 
     def deposit(c):
         t, x = c.attached_single()
-        c.require(t == tok)
-        x_rate = rate_x(c, c.balance(tok) - x)
+        c.require(t == token)
+        x_rate = rate_x(c, c.balance(token) - x)
         c.require(x_rate > 0)
         y = int(Fraction(x) / x_rate)
         sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
@@ -516,21 +480,21 @@ def _lp_build(name: str, p: dict) -> ContractCode:
 
     def borrow(c):
         x = c.arg_int(0)
-        c.require(c.balance(tok) > x)
-        c.pay_sender(x, tok)
+        c.require(c.balance(token) > x)
+        c.pay_sender(x, token)
         ir = c.store("Ir")
         sput(c, debt_key(c.origin), sget(c, debt_key(c.origin)) + Fraction(x, ir))
         c.put("D", c.store("D") + Fraction(x, ir))
-        cr = coll(c, c.origin, c.balance(tok))
+        cr = coll(c, c.origin, c.balance(token))
         c.require(cr is None or cr >= c.store("Cmin"))
 
     def accrue(c):
-        c.require(c.origin == Account.user(oracle_user))
+        c.require(c.origin == Account.user(oracle))
         c.put("Ir", c.store("Ir") * c.store("Imul"))
 
     def repay(c):
         t, x = c.attached_single()
-        c.require(t == tok)
+        c.require(t == token)
         ir = c.store("Ir")
         debt = sget(c, debt_key(c.origin))
         c.require(debt * ir >= x)
@@ -539,105 +503,107 @@ def _lp_build(name: str, p: dict) -> ContractCode:
 
     def redeem(c):
         x = c.arg_int(0)
-        y = int(x * rate_x(c, c.balance(tok)))
-        c.require(sget(c, mint_key(c.origin)) >= x and c.balance(tok) >= y)
-        c.pay_sender(y, tok)
+        y = int(x * rate_x(c, c.balance(token)))
+        c.require(sget(c, mint_key(c.origin)) >= x and c.balance(token) >= y)
+        c.pay_sender(y, token)
         sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) - x)
         c.put("M", c.store("M") - x)
-        cr = coll(c, c.origin, c.balance(tok))
+        cr = coll(c, c.origin, c.balance(token))
         c.require(cr is None or cr >= c.store("Cmin"))
 
     def liquidate(c):
         t, x = c.attached_single()
-        c.require(t == tok)
+        c.require(t == token)
         b = c.arg(0)
         c.require(isinstance(b, Account))
-        x_rate = rate_x(c, c.balance(tok) - x)
+        x_rate = rate_x(c, c.balance(token) - x)
         c.require(x_rate > 0)
         y = int(Fraction(x) / x_rate * c.store("Rliq"))
         ir = c.store("Ir")
         debt_b = sget(c, debt_key(b))
-        cr_b = coll(c, b, c.balance(tok) - x)
+        cr_b = coll(c, b, c.balance(token) - x)
         c.require(debt_b * ir > x and cr_b is not None and cr_b < c.store("Cmin"))
         c.require(sget(c, mint_key(b)) >= y)
         sput(c, mint_key(c.origin), sget(c, mint_key(c.origin)) + y)
         sput(c, mint_key(b), sget(c, mint_key(b)) - y)
         sput(c, debt_key(b), debt_b - Fraction(x, ir))
         c.put("D", c.store("D") - Fraction(x, ir))
-        cr_after = coll(c, b, c.balance(tok))
+        cr_after = coll(c, b, c.balance(token))
         c.require(cr_after is not None and cr_after <= c.store("Cmin"))
 
     def flash_loan(c):
         x = c.arg_int(0)
-        old = c.balance(tok)
-        c.pay_sender(x, tok)
-        c.require_final_min(tok, old + c.store("fee"))
+        old = c.balance(token)
+        c.pay_sender(x, token)
+        c.require_final_min(token, old + c.store("fee"))
 
-    def gen(state, origin, budget):
+    def gen(state, acc, budget):
         cs = state.contracts[acc]
-        amounts = _grid_amounts(cs.wallet.get(tok), budget.grid)
-        moves = [Transaction(origin, acc, "accrue")]
+        amounts = _grid_amounts(cs.wallet.get(token), budget.grid)
+        calls = [("accrue",)]
         for a in amounts:
-            moves.append(Transaction(origin, acc, "deposit", (), Wallet.single(tok, a)))
-            moves.append(Transaction(origin, acc, "borrow", (a,)))
-            moves.append(Transaction(origin, acc, "repay", (), Wallet.single(tok, a)))
-            moves.append(Transaction(origin, acc, "redeem", (a,)))
-            moves.append(Transaction(origin, acc, "flashLoan", (a,)))
+            calls += [("deposit", (), Wallet.single(token, a)), ("borrow", (a,)),
+                      ("repay", (), Wallet.single(token, a)), ("redeem", (a,)),
+                      ("flashLoan", (a,))]
         debtors = sorted(k.split(":", 1)[1] for k, v in cs.store.items()
                          if k.startswith("debt:") and v)
-        for dname in debtors:
-            for a in amounts:
-                moves.append(Transaction(origin, acc, "liquidate",
-                                         (Account.user(dname),), Wallet.single(tok, a)))
-        return moves
+        calls += [("liquidate", (Account.user(d),), Wallet.single(token, a))
+                  for d in debtors for a in amounts]
+        return calls
 
     return ContractCode(
         name=name,
         methods={
             "getToken": MethodDef(get_token),
-            "deposit": MethodDef(deposit, attach=(AttachSpec((tok,)),)),
+            "deposit": MethodDef(deposit, attach=(AttachSpec((token,)),)),
             "borrow": MethodDef(borrow, args=(ArgSpec("int"),)),
             "accrue": MethodDef(accrue),
-            "repay": MethodDef(repay, attach=(AttachSpec((tok,)),)),
+            "repay": MethodDef(repay, attach=(AttachSpec((token,)),)),
             "redeem": MethodDef(redeem, args=(ArgSpec("int"),)),
             "liquidate": MethodDef(liquidate, args=(ArgSpec("account"),),
-                                   attach=(AttachSpec((tok,)),)),
+                                   attach=(AttachSpec((token,)),)),
             "flashLoan": MethodDef(flash_loan, args=(ArgSpec("int"),)),
         },
         constructor=ctor,
-        intok_decl=frozenset({tok}),
-        outtok_decl=frozenset({tok}),
+        intok_decl=frozenset({token}),
+        outtok_decl=frozenset({token}),
         move_generator=gen,
         probes=(("getToken", (), Wallet()), ("borrow", (1,), Wallet()),
                 ("flashLoan", (1,), Wallet()),
-                ("repay", (), Wallet.single(tok, 1))),
+                ("repay", (), Wallet.single(token, 1))),
     )
 
 
-def _arb_ctor(c0: str, c1: str, lp: str):
+def _arbitrage(name: str, c0, c1, lp, arbitrage, lends) -> ContractCode:
+    """A round trip over the pools ``c0`` and ``c1``, funded through the
+    lending pool ``lp``'s ``lends`` methods."""
+    lender = Account.contract(lp)
+
     def ctor(c):
         t0, t1 = c.call(c0, "getTokens")
         c.require(c.call(lp, "getToken") == t0)
         c.require(c.call(c1, "getTokens") == (t0, t1))
         c.put("t0", t0)
         c.put("t1", t1)
-    return ctor
+
+    def gen(state, acc, budget):
+        reserve = (state.contracts[lender].wallet.get(state.contracts[acc].store["t0"])
+                   if lender in state.contracts else 0)
+        return [("arbitrage", (a,)) for a in _grid_amounts(reserve, budget.grid)]
+
+    return ContractCode(
+        name=name,
+        methods={"arbitrage": MethodDef(arbitrage, args=(ArgSpec("int"),))},
+        constructor=ctor,
+        intok_decl=None,
+        outtok_decl=None,
+        calls_out=frozenset({(lp, m) for m in ("getToken",) + lends}
+                            | {(d, m) for d in (c0, c1) for m in ("getTokens", "swap")}),
+        move_generator=gen,
+    )
 
 
-def _arb_gen(acc: Account, lp: str):
-    def gen(state, origin, budget):
-        lp_acc = Account.contract(lp)
-        reserve = (state.contracts[lp_acc].wallet.get(state.contracts[acc].store["t0"])
-                   if lp_acc in state.contracts else 0)
-        return tuple(Transaction(origin, acc, "arbitrage", (a,))
-                     for a in _grid_amounts(reserve, budget.grid))
-    return gen
-
-
-def _lp_arbitrage_build(name: str, p: dict) -> ContractCode:
-    c0, c1, lp = p["c0"], p["c1"], p["lp"]
-    acc = Account.contract(name)
-
+def _lp_arbitrage_build(name: str, c0, c1, lp) -> ContractCode:
     def arbitrage(c):
         x = c.arg_int(0)
         t0, t1 = c.store("t0"), c.store("t1")
@@ -648,23 +614,10 @@ def _lp_arbitrage_build(name: str, p: dict) -> ContractCode:
         c.require(c.balance(t0) > 0)
         c.pay_sender(c.balance(t0), t0)
 
-    return ContractCode(
-        name=name,
-        methods={"arbitrage": MethodDef(arbitrage, args=(ArgSpec("int"),))},
-        constructor=_arb_ctor(c0, c1, lp),
-        intok_decl=None,
-        outtok_decl=None,
-        calls_out=frozenset({(lp, "getToken"), (lp, "borrow"), (lp, "repay"),
-                             (c0, "getTokens"), (c0, "swap"),
-                             (c1, "getTokens"), (c1, "swap")}),
-        move_generator=_arb_gen(acc, lp),
-    )
+    return _arbitrage(name, c0, c1, lp, arbitrage, ("borrow", "repay"))
 
 
-def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
-    c0, c1, lp = p["c0"], p["c1"], p["lp"]
-    acc = Account.contract(name)
-
+def _flash_arbitrage_build(name: str, c0, c1, lp) -> ContractCode:
     def arbitrage(c):
         x = c.arg_int(0)
         t0, t1 = c.store("t0"), c.store("t1")
@@ -675,17 +628,7 @@ def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
         c.pay_sender(c.balance(t0), t0)
         # the lender's deferred balance check fires when the transaction ends
 
-    return ContractCode(
-        name=name,
-        methods={"arbitrage": MethodDef(arbitrage, args=(ArgSpec("int"),))},
-        constructor=_arb_ctor(c0, c1, lp),
-        intok_decl=None,
-        outtok_decl=None,
-        calls_out=frozenset({(lp, "getToken"), (lp, "flashLoan"),
-                             (c0, "getTokens"), (c0, "swap"),
-                             (c1, "getTokens"), (c1, "swap")}),
-        move_generator=_arb_gen(acc, lp),
-    )
+    return _arbitrage(name, c0, c1, lp, arbitrage, ("flashLoan",))
 
 
 # --- small stateful vaults used by the verdict test corpus -----------------------
@@ -696,24 +639,22 @@ def _flash_arbitrage_build(name: str, p: dict) -> ContractCode:
 # integers already stored.
 
 
-def _latch_gen(acc: Account, cell: str, method: str):
-    """Generator proposing ``method(v)`` to ``acc`` for every latch value
-    ``v`` of the cell contract named ``cell``."""
+def _latch_gen(cell: str, method: str):
+    """Generator proposing ``method(v)`` for every latch value ``v`` of the
+    cell contract named ``cell``."""
     cell_acc = Account.contract(cell)
 
-    def gen(state, origin, budget):
+    def gen(state, acc, budget):
         vals = {0, 1, 2}
         cs = state.contracts.get(cell_acc)
         if cs is not None:
             vals |= {v for v in cs.store.values()
                      if isinstance(v, int) and not isinstance(v, bool)}
-        return tuple(Transaction(origin, acc, method, (v,)) for v in sorted(vals))
+        return tuple((method, (v,)) for v in sorted(vals))
     return gen
 
 
-def _cell_build(name: str, p: dict) -> ContractCode:
-    acc = Account.contract(name)
-
+def _cell_build(name: str) -> ContractCode:
     def ctor(c):
         c.put("x", 0)
 
@@ -728,14 +669,12 @@ def _cell_build(name: str, p: dict) -> ContractCode:
         methods={"get": MethodDef(get),
                  "set": MethodDef(set_, args=(ArgSpec("int"),))},
         constructor=ctor,
-        move_generator=_latch_gen(acc, name, "set"),
+        move_generator=_latch_gen(name, "set"),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _once_cell_build(name: str, p: dict) -> ContractCode:
-    acc = Account.contract(name)
-
+def _once_cell_build(name: str) -> ContractCode:
     def ctor(c):
         c.put("x", 0)
 
@@ -752,15 +691,12 @@ def _once_cell_build(name: str, p: dict) -> ContractCode:
         methods={"get": MethodDef(get),
                  "set": MethodDef(set_, args=(ArgSpec("int"),))},
         constructor=ctor,
-        move_generator=_latch_gen(acc, name, "set"),
+        move_generator=_latch_gen(name, "set"),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _cell_proxy_build(name: str, p: dict) -> ContractCode:
-    cell = p["cell"]
-    acc = Account.contract(name)
-
+def _cell_proxy_build(name: str, cell) -> ContractCode:
     def get_x(c):
         return c.call(cell, "get")
 
@@ -772,51 +708,40 @@ def _cell_proxy_build(name: str, p: dict) -> ContractCode:
         methods={"get_x": MethodDef(get_x),
                  "set_x": MethodDef(set_x, args=(ArgSpec("int"),))},
         calls_out=frozenset({(cell, "get"), (cell, "set")}),
-        move_generator=_latch_gen(acc, cell, "set_x"),
+        move_generator=_latch_gen(cell, "set_x"),
         probes=(("get_x", (), Wallet()),),
     )
 
 
-def _gated_drop_build(name: str, p: dict) -> ContractCode:
-    cell, tok, amount = p["cell"], p["token"], p["amount"]
-    acc = Account.contract(name)
-
+def _gated_drop_build(name: str, cell, token, amount) -> ContractCode:
     def f(c):
         c.require(c.call(cell, "get") == 1)
-        c.pay_sender(amount, tok)
+        c.pay_sender(amount, token)
 
     return ContractCode(
         name=name,
         methods={"f": MethodDef(f)},
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
+        outtok_decl=frozenset({token}),
         calls_out=frozenset({(cell, "get")}),
-        move_generator=_fixed(acc, ("f",)),
+        move_generator=_fixed(("f",)),
     )
 
 
-def _gated_vault_build(name: str, p: dict) -> ContractCode:
-    cell, tok = p["cell"], p["token"]
-    acc = Account.contract(name)
-
+def _gated_vault_build(name: str, cell, token) -> ContractCode:
     def f(c):
         c.require(c.call(cell, "get") == 1)
-        c.pay_sender(c.balance(tok), tok)
+        c.pay_sender(c.balance(token), token)
 
     return ContractCode(
         name=name,
         methods={"f": MethodDef(f)},
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
+        outtok_decl=frozenset({token}),
         calls_out=frozenset({(cell, "get")}),
-        move_generator=_fixed(acc, ("f",)),
+        move_generator=_fixed(("f",)),
     )
 
 
-def _paid_cell_build(name: str, p: dict) -> ContractCode:
-    tok = p["token"]
-    acc = Account.contract(name)
-
+def _paid_cell_build(name: str, token) -> ContractCode:
     def ctor(c):
         c.put("x", 0)
 
@@ -825,62 +750,54 @@ def _paid_cell_build(name: str, p: dict) -> ContractCode:
 
     def set_(c):
         t, x = c.attached_single()
-        c.require(t == tok and x == 1)
+        c.require(t == token and x == 1)
         c.put("x", 1)
 
     return ContractCode(
         name=name,
         methods={"get": MethodDef(get),
-                 "set": MethodDef(set_, attach=(AttachSpec((tok,), (1,)),))},
+                 "set": MethodDef(set_, attach=(AttachSpec((token,), (1,)),))},
         constructor=ctor,
-        intok_decl=frozenset({tok}),
-        outtok_decl=frozenset(),
-        move_generator=_fixed(acc, ("set", (), Wallet.single(tok, 1))),
+        intok_decl=frozenset({token}),
+        move_generator=_fixed(("set", (), Wallet.single(token, 1))),
         probes=(("get", (), Wallet()),),
     )
 
 
-def _dropper_build(name: str, p: dict) -> ContractCode:
-    var, tok = p["var"], p["token"]
-    acc = Account.contract(name)
-
+def _dropper_build(name: str, var, token) -> ContractCode:
     def ctor(c):
         c.put("b", 0)
 
     def drop2(c):
         c.require(c.store("b") == 0 and c.call(var, "get") == 1)
         c.put("b", 1)
-        c.pay_sender(2, tok)
+        c.pay_sender(2, token)
 
     def drop3(c):
         c.require(c.store("b") == 0 and c.call(var, "get") == 0)
         c.put("b", 1)
         c.call(var, "set", (2,))
-        c.pay_sender(3, tok)
+        c.pay_sender(3, token)
 
     return ContractCode(
         name=name,
         methods={"drop2": MethodDef(drop2), "drop3": MethodDef(drop3)},
         constructor=ctor,
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
+        outtok_decl=frozenset({token}),
         calls_out=frozenset({(var, "get"), (var, "set")}),
-        move_generator=_fixed(acc, ("drop2",), ("drop3",)),
+        move_generator=_fixed(("drop2",), ("drop3",)),
     )
 
 
-def _mutex_vault_build(name: str, p: dict) -> ContractCode:
-    tok = p["token"]
-    acc = Account.contract(name)
-
+def _mutex_vault_build(name: str, token) -> ContractCode:
     def ctor(c):
-        c.require(c.attached.get(tok) == 1 and len(c.attached.items()) == 1)
+        c.require(c.attached.get(token) == 1 and len(c.attached.items()) == 1)
         c.put("n", 0)
 
     def f1(c):
         c.require(c.store("n") == 0)
         c.put("n", 1)
-        c.pay_sender(1, tok)
+        c.pay_sender(1, token)
 
     def f2(c):
         c.require(c.store("n") == 0)
@@ -893,105 +810,85 @@ def _mutex_vault_build(name: str, p: dict) -> ContractCode:
         name=name,
         methods={"f1": MethodDef(f1), "f2": MethodDef(f2), "f3": MethodDef(f3)},
         constructor=ctor,
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
-        move_generator=_fixed(acc, ("f1",), ("f2",)),
+        outtok_decl=frozenset({token}),
+        move_generator=_fixed(("f1",), ("f2",)),
         probes=(("f3", (), Wallet()),),
     )
 
 
-def _mutex_follower_build(name: str, p: dict) -> ContractCode:
-    c1, tok = p["c1"], p["token"]
-    acc = Account.contract(name)
-
+def _mutex_follower_build(name: str, c1, token) -> ContractCode:
     def ctor(c):
-        c.require(c.attached.get(tok) == 1 and len(c.attached.items()) == 1)
+        c.require(c.attached.get(token) == 1 and len(c.attached.items()) == 1)
 
     def g(c):
         c.require(c.call(c1, "f3") == 2)
-        c.pay_sender(1, tok)
+        c.pay_sender(1, token)
 
     return ContractCode(
         name=name,
         methods={"g": MethodDef(g)},
         constructor=ctor,
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
+        outtok_decl=frozenset({token}),
         calls_out=frozenset({(c1, "f3")}),
-        move_generator=_fixed(acc, ("g",)),
+        move_generator=_fixed(("g",)),
     )
 
 
-def _faucet_build(name: str, p: dict) -> ContractCode:
-    tok, amount = p["token"], p["amount"]
-    acc = Account.contract(name)
-
+def _faucet_build(name: str, token, amount) -> ContractCode:
     def f(c):
-        c.pay_sender(amount, tok)
+        c.pay_sender(amount, token)
 
     return ContractCode(
         name=name,
         methods={"f": MethodDef(f)},
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
-        move_generator=_fixed(acc, ("f",)),
+        outtok_decl=frozenset({token}),
+        move_generator=_fixed(("f",)),
         probes=(("f", (), Wallet()),),
     )
 
 
-def _gated_faucet_build(name: str, p: dict) -> ContractCode:
+def _gated_faucet_build(name: str, token, amount, expected_sender) -> ContractCode:
     # expected_sender is a stored reference, not a call edge, so it may name
     # a contract deployed later
-    tok, amount, expected = p["token"], p["amount"], p["expected_sender"]
-    acc = Account.contract(name)
-
     def f(c):
-        c.require(c.sender == Account.contract(expected))
-        c.pay_sender(amount, tok)
+        c.require(c.sender == Account.contract(expected_sender))
+        c.pay_sender(amount, token)
 
     return ContractCode(
         name=name,
         methods={"f": MethodDef(f)},
         sender_agnostic=False,
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
-        move_generator=_fixed(acc, ("f",)),
+        outtok_decl=frozenset({token}),
+        move_generator=_fixed(("f",)),
         probes=(("f", (), Wallet()),),
     )
 
 
-def _chained_faucet_build(name: str, p: dict) -> ContractCode:
-    tok, amount, dep = p["token"], p["amount"], p["dep"]
-    acc = Account.contract(name)
-
+def _chained_faucet_build(name: str, token, amount, dep) -> ContractCode:
     def g(c):
         c.call(dep, "f")
-        c.pay_sender(amount, tok)
+        c.pay_sender(amount, token)
 
     return ContractCode(
         name=name,
         methods={"g": MethodDef(g)},
-        intok_decl=frozenset(),
-        outtok_decl=frozenset({tok}),
+        outtok_decl=frozenset({token}),
         calls_out=frozenset({(dep, "f")}),
-        move_generator=_fixed(acc, ("g",)),
+        move_generator=_fixed(("g",)),
     )
 
 
-def _relay_build(name: str, p: dict) -> ContractCode:
-    tin, n_in, tout, n_out = p["tin"], p["amount_in"], p["tout"], p["amount_out"]
-    acc = Account.contract(name)
-
+def _relay_build(name: str, tin, amount_in, tout, amount_out) -> ContractCode:
     def f(c):
-        c.require(c.attached == Wallet.single(tin, n_in))
-        c.pay_sender(n_out, tout)
+        c.require(c.attached == Wallet.single(tin, amount_in))
+        c.pay_sender(amount_out, tout)
 
     return ContractCode(
         name=name,
-        methods={"f": MethodDef(f, attach=(AttachSpec((tin,), (n_in,)),))},
+        methods={"f": MethodDef(f, attach=(AttachSpec((tin,), (amount_in,)),))},
         intok_decl=frozenset({tin}),
         outtok_decl=frozenset({tout}),
-        move_generator=_fixed(acc, ("f", (), Wallet.single(tin, n_in))),
+        move_generator=_fixed(("f", (), Wallet.single(tin, amount_in))),
     )
 
 

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import catalog
 from .ledger import Account, PriceMap, Wallet, genesis

@@ -76,6 +76,9 @@ from .vm import (
 ESCALATION_CAP = 20          # wealthy-adversary wallet doublings before giving up
 MEMO_CAP = 2_000_000         # memo entries per search; past it the search runs unmemoised
 CONE_TABLE_CAP = 256         # cone states per search whose last-ply effects are kept (FIFO)
+# ``_MaxSearch.run`` recurses once per ply: keep the deepest search well under
+# CPython's default limit of 1,000 frames
+MAX_SEARCH_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class SearchBudget:
     ceiling: Optional[int] = None   # exhaustive-mode amount ceiling
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_SEARCH_DEPTH:
+            raise ValueError(f"max_depth must be between 1 and {MAX_SEARCH_DEPTH}")
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
 
@@ -117,18 +120,18 @@ def _with_tick(state: BlockchainState, targets, moves: list) -> tuple:
 def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -> tuple:
     """Candidate adversary transactions targeting contracts in ``restriction``
     (None meaning the whole universe), deduplicated and deterministically
-    ordered.  Every returned transaction has an adversary origin."""
+    ordered: every call a targeted contract's generator proposes, sent from
+    every adversary account."""
     deployed = state.deployed
     targets = deployed if restriction is None else (frozenset(restriction) & deployed)
+    origins = sorted(state.adversary)
     moves = []
     for acc in state.order:
-        if acc not in targets:
-            continue
         gen = state.codes[acc].move_generator
-        if gen is None:
-            continue
-        for origin in sorted(state.adversary):
-            moves.extend(gen(state, origin, budget))
+        if acc in targets and gen is not None:
+            calls = gen(state, acc, budget)
+            for origin in origins:
+                moves += [Transaction(origin, acc, *call) for call in calls]
     return _with_tick(state, targets, moves)
 
 

@@ -184,19 +184,20 @@ class ContractCode:
     plain function ``deploy`` calls with the new contract's ``MethodCtx``;
     it has no signature, since the move enumerator reads only ``methods``.
 
-    ``move_generator(state, origin, budget)`` proposes candidate adversary
-    transactions targeting this contract; it may read the whole state (it is
-    engine metadata, not contract code, so the no-inspection rule does not
-    apply to it).  It is called only while this contract is deployed, so it
-    reads its own state unguarded; a dependency's state it must look up
-    first.  ``intok_decl`` / ``outtok_decl`` are declared
-    over-approximations of the receivable / sendable token sets; ``None``
-    means "unknown, assume every token".  ``calls_out`` lists the
-    (dependency name, method) pairs the contract's code may invoke; it is
-    the one declaration of call edges, so ``declared_deps`` (the dependency
-    names) is derived from it, and a call to a pair it does not list is a
-    contract bug.  ``probes`` gives observation probes used by stability
-    checking.
+    ``move_generator(state, acc, budget)`` proposes candidate adversary
+    calls ``(method[, args[, attached]])`` to this contract, whose account
+    is ``acc``; the search sends each of them from every adversary account.
+    It may read the whole state (it is engine metadata, not contract code,
+    so the no-inspection rule does not apply to it).  It is called only
+    while this contract is deployed, so it reads its own state unguarded; a
+    dependency's state it must look up first.  ``intok_decl`` /
+    ``outtok_decl`` are declared over-approximations of the receivable /
+    sendable token sets; ``None`` means "unknown, assume every token".
+    ``calls_out`` lists the (dependency name, method) pairs the contract's
+    code may invoke; it is the one declaration of call edges, so
+    ``declared_deps`` (the dependency names) is derived from it, and a call
+    to a pair it does not list is a contract bug.  ``probes`` gives
+    observation probes used by stability checking.
 
     ``loss_bound(cs, units)`` is the most this contract can still lose from
     its state ``cs`` over any trace, in the integer price units ``units``
@@ -570,7 +571,7 @@ def execute_trace(state: BlockchainState, trace: Sequence[Transaction]) -> ExecR
 
 
 def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_WALLET,
-           deployer: Optional[Account] = None) -> BlockchainState:
+           *, deployer: Account) -> BlockchainState:
     """Append a contract in deployment order and run its constructor.
 
     The deployer funds ``attached``.  Deployment is scenario setup, not a
@@ -587,8 +588,6 @@ def deploy(state: BlockchainState, code: ContractCode, attached: Wallet = EMPTY_
         raise WellFormednessError(
             f"contract {code.name!r} depends on undeployed {', '.join(missing)}"
         )
-    if deployer is None:
-        deployer = Account.user("deployer")
     if not deployer.is_user:
         raise ValueError("deployer must be a user account")
 

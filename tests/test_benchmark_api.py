@@ -51,3 +51,23 @@ def test_every_export_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
                 used.add(node.attr)
     assert sorted(set(mevscope.__all__) - modules - used) == []
+
+
+def test_no_package_module_keeps_an_unused_import():
+    """Each module of the package other than ``__init__.py`` (which
+    re-exports) reads every name it imports."""
+    unused = []
+    for path in sorted(Path(mevscope.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []

@@ -23,7 +23,7 @@ from mevscope import (
     parse_scenario,
     probe_call,
 )
-from mevscope import vm
+from mevscope import catalog, vm
 from mevscope.analysis import _enriched, prober_tokens
 from mevscope.scenario import load_bundled
 from mevscope.vm import TICK_METHOD
@@ -456,6 +456,16 @@ def _move_digest(name: str, grid: int) -> str:
                          ids=lambda v: str(v).rsplit("/", 1)[-1])
 def test_generated_move_sets_are_pinned(name, grid, digest):
     assert _move_digest(name, grid) == digest
+
+
+def test_grid_amounts_match_the_multiples_formula():
+    """The proposed amounts are the positive floors of ``reserve * k / grid``
+    for k = 1..grid, plus 1; the ``grid >= reserve`` shortcut included."""
+    for reserve in range(0, 40):
+        for grid in range(1, 60):
+            floors = {reserve * k // grid for k in range(1, grid + 1)}
+            want = sorted(({1} if reserve > 0 else set()) | {a for a in floors if a > 0})
+            assert catalog._grid_amounts(reserve, grid) == want, (reserve, grid)
 
 
 @pytest.mark.parametrize("key", sorted(REGISTRY))

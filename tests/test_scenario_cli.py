@@ -168,11 +168,14 @@ class TestCli:
                             "restriction", "value", "witness", "complete"}
         assert doc["value"] == "1"
 
-    @pytest.mark.parametrize("flag, name", (("--observed", "NOPE"), ("--observed", ""),
-                                            ("--restrict", "")),
-                             ids=("undeployed", "empty-observed", "empty-restrict"))
-    def test_usage_error_exit_code(self, flag, name):
-        code, _ = run_cli("lmev", _path("two_amms.scn"), flag, name)
+    @pytest.mark.parametrize("command, scenario, flag, value", (
+        ("lmev", "two_amms.scn", "--observed", "NOPE"),
+        ("lmev", "two_amms.scn", "--observed", ""),
+        ("lmev", "two_amms.scn", "--restrict", ""),
+        ("mev", "airdrop_beside_amm.scn", "--depth", "1200"),
+    ), ids=("undeployed", "empty-observed", "empty-restrict", "depth-over-bound"))
+    def test_usage_error_exit_code(self, command, scenario, flag, value):
+        code, _ = run_cli(command, _path(scenario), flag, value)
         assert code == 10
 
     def test_scenario_error_exit_code(self, tmp_path):
@@ -272,8 +275,8 @@ def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
     the search's memo and effect table would ignore the height it reads."""
     bet = REGISTRY["bet"]
 
-    def build(name, params):
-        return dataclasses.replace(bet.build(name, params), reads_height=False)
+    def build(name, **params):
+        return dataclasses.replace(bet.build(name, **params), reads_height=False)
 
     monkeypatch.setitem(REGISTRY, "bet", dataclasses.replace(bet, build=build))
     code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))

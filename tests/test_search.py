@@ -553,6 +553,20 @@ class TestRichAdversary:
         ladder = stability_probe(st, {Account.contract("D")}, None, prices, BUDGET)
         assert ladder[-1][1] == 100
 
+    def test_escalation_cap_gives_an_incomplete_result(self, monkeypatch, capsys):
+        """With no doubling allowed, the one rung neither plateaus nor
+        reaches AMM2's wealth: the value is kept but marked incomplete."""
+        monkeypatch.setattr(search, "ESCALATION_CAP", 0)
+        state, delta, prices = bundled("two_amms.scn")
+        res = rlmev(state, delta, None, prices, BUDGET)
+        assert (res.value, res.complete) == (1, False)
+        assert res.warning == "escalation cap reached without a plateau"
+        assert stability_probe(state, delta, None, prices, BUDGET) == ((1, 1),)
+        from mevscope.cli import EXIT_INCOMPLETE, main
+        from mevscope.scenario import scenario_path
+        assert main(["rlmev", str(scenario_path("two_amms.scn"))]) == EXIT_INCOMPLETE
+        assert "escalation cap reached without a plateau" in capsys.readouterr().out
+
     def test_appending_contracts_leaves_old_rich_value_unchanged(self):
         # later deployments cannot affect what is extractable from earlier
         # ones; the observed pool is unbalanced so there is a real value
