@@ -9,7 +9,9 @@ takes the wealthy-adversary value, which is wallet-independent.
 Verdicts are three-valued.  "holds" is only emitted when a sufficient
 condition fires or when both searched values are complete (wealth bound hit
 or exhaustive enumeration); a budget-limited equality without either yields
-"unknown".  "violated" verdicts always carry a replayable witness.
+"unknown".  "violated" verdicts always carry a witness; a ``richnonint``
+witness is found against an escalated adversary wallet, so it may not
+replay from the given state.
 
 Two sufficient conditions are tried before any search.  Token independence
 reads only the contracts' declared token sets.  Stability runs each context
@@ -34,7 +36,7 @@ from .search import (
     rich_wallet,
     with_adversary_wallet,
 )
-from .vm import check_well_formed, deps, execute, probe_call
+from .vm import Transaction, check_well_formed, deps, execute, probe_call
 
 JUST_ZERO_MEV = "zero-mev"
 JUST_CONTRACT_INDEP = "contract-independent"
@@ -43,6 +45,7 @@ JUST_SEARCH = "direct-search"
 JUST_COUNTEREXAMPLE = "counterexample"
 
 PROBE_STATE_CAP = 4096   # distinct states the stability probe visits before "unknown"
+_PROBER = Account.user("__prober__")   # a throwaway user that signs every probe
 
 
 @dataclass(frozen=True)
@@ -163,23 +166,23 @@ def _enriched(state: BlockchainState, budget: SearchBudget) -> BlockchainState:
     return with_adversary_wallet(state, rich_wallet(state, prices, budget, 1))
 
 
-def _observations(state: BlockchainState, watched: Sequence) -> tuple:
-    """Observation triples (valid, return, transfers) of every probe, each run
-    as the outermost frame for a throwaway user whose attachment is already
-    paid, so funding never masks behaviour.  An observation is valid when the
-    frame completed and the final checks hold; a completed frame whose final
-    check fails still reports what it returned and transferred."""
-    prober = Account.user("__prober__")
+def _observations(state: BlockchainState, watched: Sequence[Transaction]) -> tuple:
+    """Observations (probe, valid, return, transfers) of every probe, each
+    run as the outermost frame with its attachment already paid, so funding
+    never masks behaviour.  An observation is valid when the frame completed
+    and the final checks hold; a completed frame whose final check fails
+    still reports what it returned and transferred."""
     obs = []
-    for callee, method, args, attached in watched:
-        sc, frame = probe_call(state, prober, prober, callee, method, args, attached)
+    for tx in watched:
+        sc, frame = probe_call(state, tx.origin, tx.origin, tx.callee, tx.method, tx.args,
+                               tx.attached)
         if frame is None:
-            obs.append((callee, method, args, attached, False, None, ()))
+            obs.append((tx, False, None, ()))
             continue
         valid = sc.finals_hold()
         if valid:
             sc.check_leaks()
-        obs.append((callee, method, args, attached, valid, *frame))
+        obs.append((tx, valid, *frame))
     return tuple(obs)
 
 
@@ -206,8 +209,8 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
             dep = Account.contract(dep_name)
             if dep not in ctx_accs:
                 continue
-            probes = [(dep, m, args, att)
-                      for m, args, att in state.codes[dep].probes if m == method]
+            probes = [Transaction(_PROBER, dep, *call)
+                      for call in state.codes[dep].probes if call[0] == method]
             if not probes:
                 missing.append((dep_name, method))
             watched.extend(probes)

@@ -65,6 +65,29 @@ def _amm(name, t0, t1, f0, f1):
             "fund": {t0: f0, t1: f1}, "by": "A"}
 
 
+def _appended_pools(f0, f1, f2, f3) -> dict:
+    """Pools AMM1 and AMM2 over T0/T1, funded (f0, f1) and (f2, f3), with an
+    adversary-deployed wrapper AdvWrap over AMM1 between them; the fragment
+    is AMM2."""
+    return _doc(["T0", "T1"], _ADV,
+                [_amm("AMM1", "T0", "T1", f0, f1),
+                 {"contract": "best_swap", "name": "AdvWrap",
+                  "args": {"c0": "AMM1", "c1": "AMM1"}, "by": "M"},
+                 _amm("AMM2", "T0", "T1", f2, f3)], 2)
+
+
+# the faucet F, unrelated to the gate fragment: the cell X, the gated drop C
+# over it and the proxy Fwd
+_FAUCET, _CELL, _GATE, _PROXY = (
+    {"contract": "faucet", "name": "F",
+     "args": {"token": "TF", "amount": 5}, "fund": {"TF": 5}, "by": "A"},
+    {"contract": "cell", "name": "X", "by": "A"},
+    {"contract": "gated_drop", "name": "C",
+     "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"},
+    {"contract": "cell_proxy", "name": "Fwd", "args": {"cell": "X"}, "by": "A"},
+)
+
+
 def structural_battery(budget: SearchBudget = SearchBudget(),
                        seed: int = 0) -> BatteryReport:
     rng = random.Random(seed)
@@ -79,12 +102,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
     # 1. appending context after the fact cannot break a safe deployment
     #    (the appended contracts may even be adversary-deployed wrappers)
     v_plain = richnonint(*bundled("compositions/row1_amm_amm.scn"), budget)
-    extended = _doc(["T0", "T1"], _ADV,
-                    [_amm("AMM1", "T0", "T1", 6, 6),
-                     {"contract": "best_swap", "name": "AdvWrap",
-                      "args": {"c0": "AMM1", "c1": "AMM1"}, "by": "M"},
-                     _amm("AMM2", "T0", "T1", 9, 4)], 2)
-    v_ext = richnonint(*_state(extended, "battery-append-2"), budget)
+    v_ext = richnonint(*_state(_appended_pools(6, 6, 9, 4), "battery-append-2"), budget)
     law("append-context", "safe stays safe when contracts are appended before the fragment",
         v_plain.holds is True and v_ext.holds is True,
         f"plain={v_plain.outcome}/{v_plain.justification}, "
@@ -92,14 +110,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
 
     # 2. prepending unrelated context cannot break a safe deployment
     v_gate = richnonint(*bundled("cell_gate_proxy.scn"), budget)
-    prepended = _doc(["T", "TF"], _ADV, [
-        {"contract": "faucet", "name": "F",
-         "args": {"token": "TF", "amount": 5}, "fund": {"TF": 5}, "by": "A"},
-        {"contract": "cell", "name": "X", "by": "A"},
-        {"contract": "gated_drop", "name": "C",
-         "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"},
-        {"contract": "cell_proxy", "name": "Fwd",
-         "args": {"cell": "X"}, "by": "A"}], 2)
+    prepended = _doc(["T", "TF"], _ADV, [_FAUCET, _CELL, _GATE, _PROXY], 2)
     v_pre = richnonint(*_state(prepended, "battery-prepend"), budget)
     law("prepend-context", "safe stays safe under earlier unrelated contracts",
         v_gate.holds is True and v_pre.holds is True,
@@ -110,14 +121,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
     law("erase-context", "safe stays safe when unrelated context is removed",
         v_pre.holds is True and v_gate.holds is True,
         f"with context={v_pre.outcome}, without={v_gate.outcome}")
-    between = _doc(["T", "TF"], _ADV,
-                   [{"contract": "cell", "name": "X", "by": "A"},
-                    {"contract": "faucet", "name": "F",
-                     "args": {"token": "TF", "amount": 5}, "fund": {"TF": 5}, "by": "A"},
-                    {"contract": "gated_drop", "name": "C",
-                     "args": {"cell": "X", "token": "T"}, "fund": {"T": 1}, "by": "A"},
-                    {"contract": "cell_proxy", "name": "Fwd",
-                     "args": {"cell": "X"}, "by": "A"}], 2)
+    between = _doc(["T", "TF"], _ADV, [_CELL, _FAUCET, _GATE, _PROXY], 2)
     v_between = richnonint(*_state(between, "battery-between"), budget)
     law("erase-late-context", "safe stays safe when later unrelated context is removed",
         v_between.holds is True and v_gate.holds is True,
@@ -182,12 +186,7 @@ def structural_battery(budget: SearchBudget = SearchBudget(),
     #    context deployed by the adversary itself
     outcomes = []
     for _ in range(5):
-        f = [rng.randint(2, 9) for _ in range(4)]
-        doc = _doc(["T0", "T1"], _ADV,
-                   [_amm("AMM1", "T0", "T1", f[0], f[1]),
-                    {"contract": "best_swap", "name": "AdvWrap",
-                     "args": {"c0": "AMM1", "c1": "AMM1"}, "by": "M"},
-                    _amm("AMM2", "T0", "T1", f[2], f[3])], 2)
+        doc = _appended_pools(*[rng.randint(2, 9) for _ in range(4)])
         outcomes.append(richnonint(*_state(doc, "battery-random-append"), budget).holds is True)
     law("append-context-random", "rule 1 holds across randomized pool fundings",
         all(outcomes), f"{sum(outcomes)}/5 random instances safe (seed {seed})")

@@ -10,10 +10,11 @@ catalog key.
 
 Every entry also carries the metadata the analysis layers need: a move
 generator, declared in/out token sets, the (dependency, method) pairs its
-code calls, and observation probes for stability checking.  A move generator
-proposes ``(method[, args[, attached]])`` calls to its own contract's
-account, and the search sends each of them from every adversary account.  It
-is only called while its own contract is deployed; it still checks for any
+code calls, and observation probes for stability checking.  Generated moves
+and probes are ``(method[, args[, attached]])`` calls to the contract's own
+account: the search sends each move from every adversary account, the
+stability check each probe from one throwaway user.  A generator is only
+called while its own contract is deployed; it still checks for any
 dependency it reads.
 
 Move generators derive amounts only from contract reserves and declared
@@ -172,9 +173,9 @@ def _amm_build(name: str, t0, t1) -> ContractCode:
         move_generator=gen,
         loss_bound=loss_bound,
         probes=(
-            ("getTokens", (), Wallet()),
-            ("getRate", (t0,), Wallet()),
-            ("getRate", (t1,), Wallet()),
+            ("getTokens",),
+            ("getRate", (t0,)),
+            ("getRate", (t1,)),
             ("swap", (0,), Wallet.single(t0, 1)),
             ("swap", (0,), Wallet.single(t1, 1)),
         ),
@@ -198,7 +199,7 @@ def _airdrop_build(name: str, token) -> ContractCode:
         constructor=ctor,
         outtok_decl=frozenset({token}),
         move_generator=_fixed(("withdraw",)),
-        probes=(("withdraw", (), Wallet()),),
+        probes=(("withdraw",),),
     )
 
 
@@ -252,8 +253,8 @@ def _exchange_build(name: str, tout, tin, rate) -> ContractCode:
         outtok_decl=frozenset({tout}),
         move_generator=gen,
         probes=(
-            ("getTokens", (), Wallet()),
-            ("getRate", (tin,), Wallet()),
+            ("getTokens",),
+            ("getRate", (tin,)),
             ("swap", (), Wallet.single(tin, 1)),
         ),
     )
@@ -307,7 +308,7 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         reads_height=True,
         calls_out=frozenset({(oracle, "getRate"), (oracle, "getTokens")}),
         move_generator=gen,
-        probes=(("win", (), Wallet()),),
+        probes=(("win",),),
     )
 
 
@@ -343,7 +344,7 @@ def _pool_wrapper(name: str, c0, c1, ctor, get_tokens, get_rate, swap) -> Contra
         calls_out=frozenset({(d, m) for d in (c0, c1)
                              for m in ("getTokens", "getRate", "swap")}),
         move_generator=gen,
-        probes=(("getTokens", (), Wallet()),),
+        probes=(("getTokens",),),
     )
 
 
@@ -568,8 +569,7 @@ def _lp_build(name: str, token, cmin, rliq, imul, fee, oracle) -> ContractCode:
         intok_decl=frozenset({token}),
         outtok_decl=frozenset({token}),
         move_generator=gen,
-        probes=(("getToken", (), Wallet()), ("borrow", (1,), Wallet()),
-                ("flashLoan", (1,), Wallet()),
+        probes=(("getToken",), ("borrow", (1,)), ("flashLoan", (1,)),
                 ("repay", (), Wallet.single(token, 1))),
     )
 
@@ -654,46 +654,50 @@ def _latch_gen(cell: str, method: str):
     return gen
 
 
-def _cell_build(name: str) -> ContractCode:
+def _cell(name: str, set_: MethodDef, move_generator, **fields) -> ContractCode:
+    """An integer cell ``x``, 0 when deployed, read by ``get`` and written by
+    ``set_``; ``fields`` are further ``ContractCode`` fields."""
     def ctor(c):
         c.put("x", 0)
 
     def get(c):
         return c.store("x")
-
-    def set_(c):
-        c.put("x", c.arg_int(0))
 
     return ContractCode(
         name=name,
-        methods={"get": MethodDef(get),
-                 "set": MethodDef(set_, args=(ArgSpec("int"),))},
+        methods={"get": MethodDef(get), "set": set_},
         constructor=ctor,
-        move_generator=_latch_gen(name, "set"),
-        probes=(("get", (), Wallet()),),
+        move_generator=move_generator,
+        probes=(("get",),),
+        **fields,
     )
 
 
+def _cell_build(name: str) -> ContractCode:
+    def set_(c):
+        c.put("x", c.arg_int(0))
+
+    return _cell(name, MethodDef(set_, args=(ArgSpec("int"),)), _latch_gen(name, "set"))
+
+
 def _once_cell_build(name: str) -> ContractCode:
-    def ctor(c):
-        c.put("x", 0)
-
-    def get(c):
-        return c.store("x")
-
     def set_(c):
         # write-once: later writes are silently ignored
         if c.store("x") == 0:
             c.put("x", c.arg_int(0))
 
-    return ContractCode(
-        name=name,
-        methods={"get": MethodDef(get),
-                 "set": MethodDef(set_, args=(ArgSpec("int"),))},
-        constructor=ctor,
-        move_generator=_latch_gen(name, "set"),
-        probes=(("get", (), Wallet()),),
-    )
+    return _cell(name, MethodDef(set_, args=(ArgSpec("int"),)), _latch_gen(name, "set"))
+
+
+def _paid_cell_build(name: str, token) -> ContractCode:
+    def set_(c):
+        t, x = c.attached_single()
+        c.require(t == token and x == 1)
+        c.put("x", 1)
+
+    return _cell(name, MethodDef(set_, attach=(AttachSpec((token,), (1,)),)),
+                 _fixed(("set", (), Wallet.single(token, 1))),
+                 intok_decl=frozenset({token}))
 
 
 def _cell_proxy_build(name: str, cell) -> ContractCode:
@@ -709,59 +713,31 @@ def _cell_proxy_build(name: str, cell) -> ContractCode:
                  "set_x": MethodDef(set_x, args=(ArgSpec("int"),))},
         calls_out=frozenset({(cell, "get"), (cell, "set")}),
         move_generator=_latch_gen(cell, "set_x"),
-        probes=(("get_x", (), Wallet()),),
+        probes=(("get_x",),),
+    )
+
+
+def _gated(name: str, cell, token, payout) -> ContractCode:
+    """Pays the sender ``payout(c)`` of ``token`` while ``cell`` reads 1."""
+    def f(c):
+        c.require(c.call(cell, "get") == 1)
+        c.pay_sender(payout(c), token)
+
+    return ContractCode(
+        name=name,
+        methods={"f": MethodDef(f)},
+        outtok_decl=frozenset({token}),
+        calls_out=frozenset({(cell, "get")}),
+        move_generator=_fixed(("f",)),
     )
 
 
 def _gated_drop_build(name: str, cell, token, amount) -> ContractCode:
-    def f(c):
-        c.require(c.call(cell, "get") == 1)
-        c.pay_sender(amount, token)
-
-    return ContractCode(
-        name=name,
-        methods={"f": MethodDef(f)},
-        outtok_decl=frozenset({token}),
-        calls_out=frozenset({(cell, "get")}),
-        move_generator=_fixed(("f",)),
-    )
+    return _gated(name, cell, token, lambda c: amount)
 
 
 def _gated_vault_build(name: str, cell, token) -> ContractCode:
-    def f(c):
-        c.require(c.call(cell, "get") == 1)
-        c.pay_sender(c.balance(token), token)
-
-    return ContractCode(
-        name=name,
-        methods={"f": MethodDef(f)},
-        outtok_decl=frozenset({token}),
-        calls_out=frozenset({(cell, "get")}),
-        move_generator=_fixed(("f",)),
-    )
-
-
-def _paid_cell_build(name: str, token) -> ContractCode:
-    def ctor(c):
-        c.put("x", 0)
-
-    def get(c):
-        return c.store("x")
-
-    def set_(c):
-        t, x = c.attached_single()
-        c.require(t == token and x == 1)
-        c.put("x", 1)
-
-    return ContractCode(
-        name=name,
-        methods={"get": MethodDef(get),
-                 "set": MethodDef(set_, attach=(AttachSpec((token,), (1,)),))},
-        constructor=ctor,
-        intok_decl=frozenset({token}),
-        move_generator=_fixed(("set", (), Wallet.single(token, 1))),
-        probes=(("get", (), Wallet()),),
-    )
+    return _gated(name, cell, token, lambda c: c.balance(token))
 
 
 def _dropper_build(name: str, var, token) -> ContractCode:
@@ -812,7 +788,7 @@ def _mutex_vault_build(name: str, token) -> ContractCode:
         constructor=ctor,
         outtok_decl=frozenset({token}),
         move_generator=_fixed(("f1",), ("f2",)),
-        probes=(("f3", (), Wallet()),),
+        probes=(("f3",),),
     )
 
 
@@ -843,7 +819,7 @@ def _faucet_build(name: str, token, amount) -> ContractCode:
         methods={"f": MethodDef(f)},
         outtok_decl=frozenset({token}),
         move_generator=_fixed(("f",)),
-        probes=(("f", (), Wallet()),),
+        probes=(("f",),),
     )
 
 
@@ -860,7 +836,7 @@ def _gated_faucet_build(name: str, token, amount, expected_sender) -> ContractCo
         sender_agnostic=False,
         outtok_decl=frozenset({token}),
         move_generator=_fixed(("f",)),
-        probes=(("f", (), Wallet()),),
+        probes=(("f",),),
     )
 
 

@@ -14,7 +14,7 @@ canonical.  The search layer relies on that when memoising on state keys.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -137,12 +137,6 @@ class Wallet:
     def as_dict(self) -> dict:
         return dict(self._d)
 
-    def __iter__(self) -> Iterator[Token]:
-        return iter(sorted(self._d))
-
-    def __len__(self) -> int:
-        return len(self._d)
-
     def __bool__(self) -> bool:
         return bool(self._d)
 
@@ -213,9 +207,6 @@ class PriceMap:
 
     def tokens(self) -> tuple:
         return tuple(t for t, _ in self.prices)
-
-    def as_dict(self) -> dict:
-        return dict(self.prices)
 
 
 class ContractState:

@@ -122,6 +122,8 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{name}: parse error at line {e.lineno}, column {e.colno}: "
                             f"{e.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{name}: parse error: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{name}: top level must be an object")
     _check_fields(doc, {"tokens", "users", "deployments", "split", "block_height",
@@ -209,7 +211,7 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{p}: cannot read scenario: {e}") from None
     return parse_scenario(text, name=p.name)
 

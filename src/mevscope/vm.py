@@ -74,8 +74,6 @@ def _scalar_key(v: Scalar) -> tuple:
 
 
 def _fmt_scalar(v: Scalar) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, Account):
         return v.name
     return repr(v) if isinstance(v, str) else str(v)
@@ -196,8 +194,8 @@ class ContractCode:
     ``calls_out`` lists the (dependency name, method) pairs the contract's
     code may invoke; it is the one declaration of call edges, so
     ``declared_deps`` (the dependency names) is derived from it, and a call
-    to a pair it does not list is a contract bug.  ``probes`` gives
-    observation probes used by stability checking.
+    to a pair it does not list is a contract bug.  ``probes`` are
+    the stability check's observation calls, in the move generator's shape.
 
     ``loss_bound(cs, units)`` is the most this contract can still lose from
     its state ``cs`` over any trace, in the integer price units ``units``
@@ -216,7 +214,7 @@ class ContractCode:
     reads_height: bool = False
     calls_out: frozenset = frozenset()
     move_generator: Optional[Callable] = None
-    probes: tuple = ()   # tuple[(method, args, attached wallet)]
+    probes: tuple = ()   # tuple[(method[, args[, attached]])]
     loss_bound: Callable = wealth_bound
     declared_deps: frozenset = field(init=False)
 

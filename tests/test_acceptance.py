@@ -117,7 +117,7 @@ def _oracle_differential(rng, rational_prices):
         assert engine.value == reference, (
             f"divergence on {state!r} obs={sorted(observed)} "
             f"restr={restriction and sorted(restriction)} depth={depth} "
-            f"prices={prices.as_dict()}: engine {engine.value} vs oracle {reference}")
+            f"prices={dict(prices.prices)}: engine {engine.value} vs oracle {reference}")
         assert engine.complete
         scenarios += 1
     return scenarios

@@ -6,6 +6,7 @@ from mevscope import (
     Account,
     PriceMap,
     SearchBudget,
+    Transaction,
     Wallet,
     contract_independent,
     deploy,
@@ -128,16 +129,17 @@ class TestStability:
         assert status == "stable"
 
 
+PROBER = Account.user("__prober__")
+
+
 def _probe_observations(name: str, contract: str) -> dict:
     """{(method, args, attached): (valid, return value, transfers)} of the
     stability probes of ``contract`` in the bundled scenario ``name``."""
     state, _, _ = bundled(name)
     acc = Account.contract(contract)
-    watched = [(acc, m, args, att) for m, args, att in state.codes[acc].probes]
-    return {obs[1:4]: obs[4:] for obs in _observations(state, watched)}
-
-
-PROBER = Account.user("__prober__")
+    watched = [Transaction(PROBER, acc, *call) for call in state.codes[acc].probes]
+    return {(tx.method, tx.args, tx.attached): tuple(rest)
+            for tx, *rest in _observations(state, watched)}
 
 
 class TestObservations:

@@ -10,9 +10,10 @@ import pytest
 
 import mevscope.cli
 from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
-                      global_mev)
+                      global_mev, verify_stripping)
 from mevscope.cli import EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE, build_parser, main
-from mevscope.scenario import build_state, load_bundled, parse_scenario, scenario_path
+from mevscope.scenario import (build_state, load_bundled, load_scenario, parse_scenario,
+                               scenario_path)
 
 from helpers import M
 
@@ -284,6 +285,24 @@ def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
     assert "Bet reads the block height without declaring reads_height" in capsys.readouterr().err
 
 
+def test_a_lying_sender_agnostic_flag_is_a_strip_check_mismatch(monkeypatch):
+    """C0 pays only C1 yet claims to be sender-agnostic: the hypothesis
+    check passes, so stripping C1 away shows as a value mismatch."""
+    faucet = REGISTRY["gated_faucet"]
+
+    def build(name, **params):
+        return dataclasses.replace(faucet.build(name, **params), sender_agnostic=True)
+
+    monkeypatch.setitem(REGISTRY, "gated_faucet", dataclasses.replace(faucet, build=build))
+    scn = load_bundled("gated_faucet_pair.scn")
+    state, _ = build_state(scn)
+    rep = verify_stripping(state, {Account.contract("C0")}, None, scn.prices(), SearchBudget())
+    assert rep.status == "mismatch"
+    assert (rep.full_value, rep.stripped_value) == (5, 0)
+    code, out = run_cli("strip-check", _path("gated_faucet_pair.scn"), "--observed", "C0")
+    assert code == 1 and "strip-check: mismatch" in out
+
+
 @pytest.mark.parametrize("name", ("compositions/row7_lp_arbitrage.scn",
                                   "compositions/row8_flash_loan_arbitrage.scn"))
 def test_exhaustive_mev_on_the_lending_pool_rows_runs(name):
@@ -392,4 +411,18 @@ def test_malformed_fields_are_scenario_errors(match, doc, tmp_path):
         parse_scenario(json.dumps(doc))
     path = tmp_path / "malformed.scn"
     path.write_text(json.dumps(doc))
+    assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+
+
+@pytest.mark.parametrize("match, data", (
+    ("cannot read scenario", b"\xff\xfe{}"),
+    ("parse error: nested too deeply", b"[" * 100_000 + b"]" * 100_000),
+), ids=("not-utf8", "nested-too-deeply"))
+def test_unreadable_scenario_files_are_scenario_errors(match, data, tmp_path):
+    """Bytes that are not UTF-8, or JSON nested past the parser's recursion
+    limit, are a scenario error, not an internal one."""
+    path = tmp_path / "unreadable.scn"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(path)
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
