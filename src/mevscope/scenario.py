@@ -122,6 +122,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{name}: parse error at line {e.lineno}, column {e.colno}: "
                             f"{e.msg}") from None
+    except ValueError as e:
+        # e.g. an integer literal past the interpreter's digit limit
+        raise ScenarioError(f"{name}: parse error: {e}") from None
     except RecursionError:
         raise ScenarioError(f"{name}: parse error: nested too deeply") from None
     if not isinstance(doc, dict):

@@ -41,9 +41,13 @@ all contracts together can lose, since supply is conserved and users
 outside the adversary only receive.  Past that point neither value nor gain
 can grow, and an equally long trace starting with a later move sorts after
 the best, so a later move wins only with a strictly shorter trace: the rest
-of the node's moves are searched to that shorter length.  The bounds depend
-on the state alone, so every memo entry, keyed on (state, remaining depth),
-still holds the exact best.
+of the node's moves are searched to that shorter length.  The same bounds,
+taken one ply earlier, cut children (branch and bound, Land & Doig 1960):
+before searching the state an expanded move leads to, the node skips it when
+the move's change plus that state's bounds cannot beat the node's best so
+far, on value or, at a tied value, on gain.  The bounds depend on the state
+alone, and a skipped child is never stored, so every memo entry, keyed on
+(state, remaining depth), still holds the exact best.
 """
 
 from __future__ import annotations
@@ -279,7 +283,13 @@ class _MaxSearch:
         """Maximise over traces from ``state``: the value of a trace is the
         end-to-end objective increase, in integer price units.  Ties break
         on adversary gain, then on the shortest and lexicographically
-        smallest trace."""
+        smallest trace.
+
+        Two cuts read ``bounds`` and change no result.  The span cut: once
+        the best reaches the node's bounds, only shorter traces are sought.
+        The child cut: an expanded move whose changes plus the next state's
+        bounds cannot beat the best (on value, or on gain at a tied value)
+        is not searched further."""
         memo = self.memo
         budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
@@ -309,7 +319,15 @@ class _MaxSearch:
                         continue
                     step = (0, 0), state.with_height(state.height + 1)
                 (dv, dg), nxt = step
-                sub = best(nxt, span - 1) if span > 1 else _LEAF
+                if span > 1:
+                    # the child cut
+                    vb, gb = bounds(nxt)
+                    need = top[0] - sign * dv
+                    if vb < need or (vb == need and gb + dg < top[1]):
+                        continue
+                    sub = best(nxt, span - 1)
+                else:
+                    sub = _LEAF
                 cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
                 if _better(cand, top):
                     top = cand

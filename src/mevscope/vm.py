@@ -201,7 +201,8 @@ class ContractCode:
     its state ``cs`` over any trace, in the integer price units ``units``
     gives per token (as ``PriceMap.units``).  It may depend on ``cs`` alone,
     and it must never be exceeded: the search stops expanding a node once
-    its best trace reaches the bounds built from it.  The default is the
+    its best trace reaches the bounds built from it, and skips a move whose
+    next state's bounds cannot beat the node's best.  The default is the
     contract's wealth.
     """
 

@@ -110,17 +110,20 @@ def _oracle_differential(rng, rational_prices):
         depth = rng.choice((2, 3)) if light else rng.choice((2, 2, 3))
         observed = random_observed(rng, state)
         restriction = None if rng.random() < 0.6 else random_observed(rng, state)
-        budget = SearchBudget(max_depth=depth, grid=4, exhaustive=True,
-                              ceiling=ceiling)
-        engine = lmev(state, observed, restriction, prices, budget)
-        reference = brute_lmev(state, observed, restriction, prices, depth, ceiling)
-        assert engine.value == reference, (
-            f"divergence on {state!r} obs={sorted(observed)} "
-            f"restr={restriction and sorted(restriction)} depth={depth} "
-            f"prices={dict(prices.prices)}: engine {engine.value} vs oracle {reference}")
-        assert engine.complete
+        _check_against_oracle(state, observed, restriction, prices, depth, ceiling)
         scenarios += 1
     return scenarios
+
+
+def _check_against_oracle(state, observed, restriction, prices, depth, ceiling):
+    budget = SearchBudget(max_depth=depth, grid=4, exhaustive=True, ceiling=ceiling)
+    engine = lmev(state, observed, restriction, prices, budget)
+    reference = brute_lmev(state, observed, restriction, prices, depth, ceiling)
+    assert engine.value == reference, (
+        f"divergence on {state!r} obs={sorted(observed)} "
+        f"restr={restriction and sorted(restriction)} depth={depth} "
+        f"prices={dict(prices.prices)}: engine {engine.value} vs oracle {reference}")
+    assert engine.complete
 
 
 def test_exhaustive_search_matches_brute_force_oracle():
@@ -133,6 +136,22 @@ def test_exhaustive_search_matches_oracle_at_rational_prices():
     scenarios = _oracle_differential(random.Random(91), rational_prices=True)
     print(f"[PASS] oracle equivalence at random rational prices (denominators "
           f"1-7): {scenarios} exhaustive micro searches match exactly")
+
+
+def test_exhaustive_search_matches_oracle_at_depth_4():
+    """60 exhaustive micro searches at depth 4 over every family, every
+    other one at random rational prices.  At this depth the child cut skips
+    expanded plies, not only last ones; it fires on the pool and bet
+    families, whose loss bounds are tight."""
+    rng = random.Random(92)
+    for case in range(60):
+        state, prices, ceiling = random_micro(rng)
+        if case % 2:
+            prices = PriceMap.of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
+                                  for t in prices.tokens()})
+        observed = random_observed(rng, state)
+        restriction = None if rng.random() < 0.6 else random_observed(rng, state)
+        _check_against_oracle(state, observed, restriction, prices, 4, ceiling)
 
 
 def test_exhaustive_search_matches_oracle_on_bundled_scenarios():

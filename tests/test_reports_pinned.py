@@ -9,6 +9,10 @@ alter a report re-pins the table in a commit of its own; regenerate it with
     PYTHONPATH=src python tests/test_reports_pinned.py
 
 and paste the printed ``PINNED`` literal over the one below.
+
+Five deeper JSON reports are pinned beside them (``DEEP_PINNED``): the
+stress queries at depths 5 and 6 and at ``--grid 16``, where the search's
+cuts prune the most.  The same command prints their literal too.
 """
 
 import hashlib
@@ -39,6 +43,23 @@ def report_argvs():
     return runs
 
 
+# the deep stress queries: (command, scenario, extra flags)
+DEEP_QUERIES = (
+    ("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"),
+    ("nonint", "bet_on_amm_oracle.scn", "--depth", "6"),
+    ("nonint", "bet_on_amm_oracle.scn", "--grid", "16"),
+    ("rlmev", "two_amms.scn", "--depth", "5"),
+    ("strip-check", "two_amms.scn", "--depth", "5"),
+)
+
+
+def deep_report_argvs():
+    """{report id: argv} of the deep JSON reports."""
+    return {f"{' '.join(q)} json": [q[0], str(_SCENARIO_DIR / q[1]), *q[2:],
+                                    "--format", "json"]
+            for q in DEEP_QUERIES}
+
+
 def digest(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -53,6 +74,11 @@ def test_the_300_reports_are_unchanged():
     changed = {rid: (PINNED.get(rid), d) for rid, d in got.items() if PINNED.get(rid) != d}
     assert not changed, f"{len(changed)} reports changed (pinned, got): {changed}"
     assert set(PINNED) == set(got)
+
+
+def test_the_deep_reports_are_unchanged():
+    got = {rid: digest(argv) for rid, argv in deep_report_argvs().items()}
+    assert got == DEEP_PINNED
 
 
 PINNED = {
@@ -359,8 +385,18 @@ PINNED = {
 }
 
 
+DEEP_PINNED = {
+    'richnonint bet_on_amm_oracle.scn --depth 5 json': (1, '4a23d4ccff00e936'),
+    'nonint bet_on_amm_oracle.scn --depth 6 json': (1, '00f8fdf0f4e7c1cf'),
+    'nonint bet_on_amm_oracle.scn --grid 16 json': (1, '63c1c2b4818e54b5'),
+    'rlmev two_amms.scn --depth 5 json': (0, '397f9fc23c8162a5'),
+    'strip-check two_amms.scn --depth 5 json': (0, 'ddef349b71a42c1d'),
+}
+
+
 if __name__ == "__main__":
-    print("PINNED = {")
-    for rid, argv in report_argvs().items():
-        print(f"    {rid!r}: {digest(argv)!r},")
-    print("}")
+    for table, argvs in (("PINNED", report_argvs()), ("DEEP_PINNED", deep_report_argvs())):
+        print(f"{table} = {{")
+        for rid, argv in argvs.items():
+            print(f"    {rid!r}: {digest(argv)!r},")
+        print("}")

@@ -333,6 +333,23 @@ def test_malformed_names_are_scenario_errors(field, doc, tmp_path):
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
 
 
+def test_an_overlong_integer_literal_is_a_scenario_error(tmp_path):
+    """A 5,000-digit ``split`` exceeds CPython's integer string conversion
+    limit inside ``json.loads``; the loader reports it as a scenario error.
+    Malformed JSON keeps its line and column."""
+    doc = json.loads(scenario_path("two_amms.scn").read_text())
+    text = json.dumps(doc).replace('"split": 1', '"split": ' + "9" * 5000)
+    assert "9" * 5000 in text
+    path = tmp_path / "long_split.scn"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="long_split.scn: "):
+        load_scenario(path)
+    code, out = run_cli("lmev", str(path))
+    assert code == EXIT_SCENARIO, out
+    with pytest.raises(ScenarioError, match="parse error at line 1, column 12"):
+        parse_scenario('{"split": 1')
+
+
 def _with_arg(name, index, arg, value):
     doc = json.loads(scenario_path(name).read_text())
     doc["deployments"][index]["args"][arg] = value

@@ -1,5 +1,7 @@
+import io
 import random
 
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,8 @@ from mevscope import (
     wealth_units,
 )
 from mevscope import search
-from mevscope.scenario import bundled, load_bundled
+from mevscope.cli import main as cli_main
+from mevscope.scenario import bundled, load_bundled, scenario_path
 from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
@@ -350,9 +353,11 @@ def test_amm_loss_bound_is_the_no_arbitrage_floor():
 
 
 def test_bound_cut_keeps_every_result(monkeypatch):
-    """The searches with the node bounds made unreachable never cut; they
-    agree with the cut searches on value, witness, completeness and warning
-    over the bundled scenarios at depths 2-4 and over micro states."""
+    """With ``_MaxSearch.bounds`` patched to infinity neither cut fires: no
+    node's best reaches its bounds (the span cut) and no child's bounds fall
+    short of the node's best (the child cut).  Those searches agree with the
+    cut ones on value, witness, completeness and warning over the bundled
+    scenarios at depths 2-4 and over micro states, and run more executes."""
     cases = []
     for name in BUNDLED_SCENARIOS:
         scn = load_bundled(name)
@@ -391,6 +396,29 @@ def test_bound_cut_keeps_every_result(monkeypatch):
         for a, b in zip(want, got):
             assert ((b.value, b.witness, b.complete, b.warning)
                     == (a.value, a.witness, a.complete, a.warning))
+
+
+@pytest.mark.parametrize("argv, most", (
+    # before the child cut (span cut only): 4,028, 1,163 and 2,038 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 2_820),
+    (("rlmev", "two_amms.scn"), 938),
+    (("strip-check", "two_amms.scn"), 1_458),
+), ids=("nonint-depth-6", "rlmev", "strip-check"))
+def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
+    """The child cut fires: these queries make at most the pinned number of
+    ``execute_delta`` calls, against the larger count with the span cut
+    alone."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return execute_delta(*args)
+
+    monkeypatch.setattr(search, "execute_delta", counted)
+    cmd, scn, *flags = argv
+    with redirect_stdout(io.StringIO()):
+        cli_main([cmd, str(scenario_path(scn)), *flags])
+    assert 0 < calls[0] <= most
 
 
 def test_move_table_matches_fresh_enumeration(monkeypatch):
