@@ -10,9 +10,10 @@ alter a report re-pins the table in a commit of its own; regenerate it with
 
 and paste the printed ``PINNED`` literal over the one below.
 
-Five deeper JSON reports are pinned beside them (``DEEP_PINNED``): the
-stress queries at depths 5 and 6 and at ``--grid 16``, where the search's
-cuts prune the most.  The same command prints their literal too.
+Nine deeper JSON reports are pinned beside them (``DEEP_PINNED``): the
+stress queries at depths 5 to 8 and at ``--grid 16``, where the search's
+cuts prune the most and its visiting order matters most.  The same command
+prints their literal too.
 """
 
 import hashlib
@@ -50,6 +51,10 @@ DEEP_QUERIES = (
     ("nonint", "bet_on_amm_oracle.scn", "--grid", "16"),
     ("rlmev", "two_amms.scn", "--depth", "5"),
     ("strip-check", "two_amms.scn", "--depth", "5"),
+    ("richnonint", "bet_on_amm_oracle.scn", "--depth", "7"),
+    ("nonint", "bet_on_amm_oracle.scn", "--depth", "8"),
+    ("mev", "bet_on_amm_oracle.scn", "--depth", "5"),
+    ("rlmev", "two_amms.scn", "--depth", "6"),
 )
 
 
@@ -391,6 +396,10 @@ DEEP_PINNED = {
     'nonint bet_on_amm_oracle.scn --grid 16 json': (1, '63c1c2b4818e54b5'),
     'rlmev two_amms.scn --depth 5 json': (0, '397f9fc23c8162a5'),
     'strip-check two_amms.scn --depth 5 json': (0, 'ddef349b71a42c1d'),
+    'richnonint bet_on_amm_oracle.scn --depth 7 json': (1, 'f96f15dfde224b05'),
+    'nonint bet_on_amm_oracle.scn --depth 8 json': (1, '724ed3aee07fc0cf'),
+    'mev bet_on_amm_oracle.scn --depth 5 json': (0, 'ceba77bd85c01b2c'),
+    'rlmev two_amms.scn --depth 6 json': (0, '47069546c209db14'),
 }
 
 
