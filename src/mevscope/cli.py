@@ -10,7 +10,9 @@ or hypothesis-not-met, 3 incomplete value (only ``lmev``, ``rlmev`` and
 ``mev``, when a memo or escalation cap was hit: verdicts and ``strip-check``
 map only their outcome, and ``analysis._noninterference`` drops the
 searches' warnings; see ROADMAP item 4), 10 usage error, 11 scenario error,
-12 internal error (an unexpected exception, reported as one line on stderr).
+12 internal error (an unexpected exception, reported as one line on stderr),
+141 stdout closed by its reader before the report was written (the code a
+shell reports for a process killed by SIGPIPE; nothing is printed).
 
 Each handler returns ``(exit code, fields, lines)``: the command's report
 fields and its text lines.  ``main`` alone frames every report with
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -49,6 +52,7 @@ EXIT_INCOMPLETE = 3
 EXIT_USAGE = 10
 EXIT_SCENARIO = 11
 EXIT_INTERNAL = 12
+EXIT_CLOSED_STDOUT = 141
 
 TABLE2_ROWS = (
     ("row1_amm_amm.scn", "holds", "contract-independent"),
@@ -371,13 +375,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that the
+    interpreter's exit flush of what is still buffered for a reader that
+    has gone does not raise again (the "Note on SIGPIPE" of Python's
+    ``signal`` docs).  A stdout without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         exit_code, fields, lines = args.run(args)
         _emit({"command": args.command, **fields, "exit_code": exit_code}, args.format, lines)
+        # a closed pipe shows here, not in the interpreter's exit flush
+        sys.stdout.flush()
         return exit_code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_CLOSED_STDOUT
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,26 +33,33 @@ the shortest and lexicographically smallest trace.  This keeps reports
 reproducible and makes witnesses prefer traces where the attacker also
 banks the damage.
 
-Each node stops searching once its best trace reaches two bounds built from
-the contracts' ``loss_bound`` (``_MaxSearch.bounds``): the objective can
-rise by at most what the observed contracts can still lose (all contracts,
-for the adversary-gain objective), and the adversary can gain at most what
-all contracts together can lose, since supply is conserved and users
-outside the adversary only receive.  Past that point neither value nor gain
-can grow, and an equally long trace starting with a later move sorts after
-the best, so a later move wins only with a strictly shorter trace: the rest
-of the node's moves are searched to that shorter length.  The same bounds,
-taken one ply earlier, cut children (branch and bound, Land & Doig 1960):
-before searching the state an expanded move leads to, the node skips it when
-the move's change plus that state's bounds cannot beat the node's best so
-far, on value or, at a tied value, on gain.  The bounds depend on the state
-alone, and a skipped child is never stored, so every memo entry, keyed on
-(state, remaining depth), still holds the exact best.
+Two cuts read two bounds built from the contracts' ``loss_bound``
+(``_MaxSearch.bounds``): the objective can rise by at most what the observed
+contracts can still lose (all contracts, for the adversary-gain objective),
+and the adversary can gain at most what all contracts together can lose,
+since supply is conserved and users outside the adversary only receive.
+The child cut (branch and bound, Land & Doig 1960) skips the state an
+expanded move leads to when the move's change plus that state's bounds
+cannot beat the node's best so far, on value or, at a tied value, on gain.
+How much it skips depends on how early the best gets high (Knuth & Moore
+1975), so an expanded node runs all its moves first and visits the children
+best-first, by that optimistic value and gain; once one child is cut, every
+later one is too.  The span cut: once a node's best reaches both bounds with
+a trace of length L, neither value nor gain can grow, so a later trace wins
+only by being shorter, or as long with a smaller trace key.  A move whose
+key sorts before the best's first move then starts traces of at most L
+moves, any other of at most L - 1, and a last-ply node skips the moves whose
+key sorts after its best's.  Both cuts compare values and move keys, never
+positions, so the result does not depend on the order moves are visited in.
+The bounds depend on the state alone, and a cut child is never stored, so
+every memo entry, keyed on (state, remaining depth), still holds the exact
+best.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -285,11 +292,22 @@ class _MaxSearch:
         on adversary gain, then on the shortest and lexicographically
         smallest trace.
 
-        Two cuts read ``bounds`` and change no result.  The span cut: once
-        the best reaches the node's bounds, only shorter traces are sought.
-        The child cut: an expanded move whose changes plus the next state's
-        bounds cannot beat the best (on value, or on gain at a tied value)
-        is not searched further."""
+        An expanded node (two or more plies left) runs every move first and
+        visits the children best-first: by decreasing optimistic value (the
+        move's change plus the next state's ``bounds``), then optimistic
+        gain, then move order.  A last-ply node scores its moves in move
+        order through the effect table.
+
+        Two cuts read ``bounds`` and change no result, whatever the visiting
+        order.  The child cut: a child whose optimistic value and gain
+        cannot beat the best (on value, or on gain at a tied value) is not
+        searched, and, visited best-first, neither is any later one.  The
+        span cut: once the best reaches the node's bounds with a trace of
+        length L, a later trace wins only by being shorter, or as long with
+        a smaller key.  So a move whose key sorts before the best's first
+        move is searched to L - 1 further plies and any other move to L - 2;
+        a move left 0 further plies is scored as a one-move trace, and one
+        left -1 is skipped."""
         memo = self.memo
         budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
@@ -297,6 +315,8 @@ class _MaxSearch:
         bounds, last_ply = self.bounds, self._last_ply
         exhaustive_moves = self._exhaustive_moves
         cap = MEMO_CAP
+        # an expanded child's visiting order: (optimistic value, optimistic gain)
+        optimistic = operator.itemgetter(0, 1)
 
         def best(state, k):
             mkey = ((state.core_key(), state.height, k) if include_height
@@ -307,36 +327,57 @@ class _MaxSearch:
             moves = (exhaustive_moves(state) if exhaustive
                      else adversary_moves(state, restriction, budget))
             top = _LEAF
-            # the longest trace from here that can still beat ``top``; once
-            # ``top`` reaches both node bounds only a strictly shorter one can
-            span = k
             node_bounds = None
-            for tx in moves:
-                step = (last_ply(state, tx) if span == 1
-                        else execute_delta(state, tx, groups, units, True))
-                if step is None:
-                    if tx.method != TICK_METHOD:
+            # once ``top`` reaches both node bounds: its length and the key
+            # of its first move (the span cut)
+            length = first = None
+            if k == 1:
+                for tx in moves:
+                    if first is not None and tx.key() > first:
                         continue
-                    step = (0, 0), state.with_height(state.height + 1)
-                (dv, dg), nxt = step
-                if span > 1:
-                    # the child cut
+                    step = last_ply(state, tx)
+                    if step is None:
+                        if tx.method != TICK_METHOD:
+                            continue
+                        step = (0, 0), None
+                    (dv, dg), _ = step
+                    cand = (sign * dv, dg, (tx,))
+                    if _better(cand, top):
+                        top = cand
+                        if node_bounds is None:
+                            node_bounds = bounds(state)
+                        if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
+                            first = tx.key()
+            else:
+                children = []
+                for tx in moves:
+                    step = execute_delta(state, tx, groups, units, True)
+                    if step is None:
+                        if tx.method != TICK_METHOD:
+                            continue
+                        step = (0, 0), state.with_height(state.height + 1)
+                    (dv, dg), nxt = step
                     vb, gb = bounds(nxt)
-                    need = top[0] - sign * dv
-                    if vb < need or (vb == need and gb + dg < top[1]):
-                        continue
-                    sub = best(nxt, span - 1)
-                else:
-                    sub = _LEAF
-                cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
-                if _better(cand, top):
-                    top = cand
-                    if node_bounds is None:
-                        node_bounds = bounds(state)
-                    if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
-                        span = len(cand[2]) - 1
-                        if not span:
-                            break
+                    children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
+                # best-first; the sort is stable, so ties keep move order
+                children.sort(key=optimistic, reverse=True)
+                for vo, go, tx, dv, dg, nxt in children:
+                    # the child cut, for this child and every later one
+                    if vo < top[0] or (vo == top[0] and go < top[1]):
+                        break
+                    further = k - 1
+                    if first is not None:
+                        further = length - 1 if tx.key() < first else length - 2
+                        if further < 0:
+                            continue
+                    sub = best(nxt, further) if further else _LEAF
+                    cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
+                    if _better(cand, top):
+                        top = cand
+                        if node_bounds is None:
+                            node_bounds = bounds(state)
+                        if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
+                            length, first = len(cand[2]), tx.key()
             if len(memo) < cap:
                 memo[mkey] = top
             else:

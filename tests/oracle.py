@@ -1,18 +1,23 @@
-"""Brute-force reference for the bounded extractable-loss value.
+"""Brute-force references for the bounded extractable-loss value and witness.
 
-Deliberately independent of the engine's search machinery: transactions are
-enumerated straight from the declared method signatures by local code, state
-keys are built locally, wealth is summed locally in Fractions from the
-quoted prices (not in the engine's integer price units), and the recursion
-is a plain maximum with no generators, pruning, bounds or tie-breaking.
-Only the executor is shared, since the executor itself is what defines the
-semantics under test.
+Deliberately independent of the engine's search machinery: state keys are
+built locally, wealth is summed locally in Fractions from the quoted prices
+(not in the engine's integer price units), and each recursion is a plain
+maximum with no pruning, bounds, effect table or escalation.  The executor
+is shared, since the executor itself is what defines the semantics under
+test.
+
+``brute_lmev`` enumerates transactions straight from the declared method
+signatures by local code and returns the value alone.  ``brute_best``
+recurses over the move generators (``search.adversary_moves``), which define
+the move space of every generator-mode search, and breaks ties locally, so
+it checks witnesses too.
 """
 
 import itertools
 from fractions import Fraction
 
-from mevscope import Transaction, Wallet, execute
+from mevscope import Transaction, Wallet, adversary_moves, execute
 from mevscope.vm import TICK_METHOD
 
 
@@ -116,3 +121,50 @@ def brute_lmev(state, observed, restriction, prices, depth, ceiling) -> Fraction
         return best
 
     return Fraction(rec(state, depth))
+
+
+def _beats(cand, best) -> bool:
+    """Larger value, then larger adversary gain, then the shorter trace,
+    then the smaller trace key."""
+    if cand[:2] != best[:2]:
+        return cand[:2] > best[:2]
+    if len(cand[2]) != len(best[2]):
+        return len(cand[2]) < len(best[2])
+    return [tx.key() for tx in cand[2]] < [tx.key() for tx in best[2]]
+
+
+def brute_best(state, observed, restriction, prices, budget) -> tuple:
+    """``(value, witness)`` of ``lmev(state, observed, restriction, prices,
+    budget)`` in generator mode, by plain recursion to ``budget.max_depth``
+    transactions over ``search.adversary_moves``."""
+    deployed = set(state.order)
+    obs = [a for a in sorted(observed) if a in deployed]
+    adversary = sorted(state.adversary)
+    if fraction_wealth(obs, state, prices) == 0:
+        # nothing to lose: ``lmev`` answers with the empty trace
+        return Fraction(0), ()
+    memo = {}
+
+    def rec(s, k):
+        if k == 0:
+            return 0, 0, ()
+        key = (state_key(s), k)
+        if key in memo:
+            return memo[key]
+        lost, held = fraction_wealth(obs, s, prices), fraction_wealth(adversary, s, prices)
+        best = (0, 0, ())
+        for tx in adversary_moves(s, restriction, budget):
+            r = execute(s, tx)
+            if not r.valid and tx.method != TICK_METHOD:
+                continue
+            value, gain, trace = rec(r.state, k - 1)
+            cand = (lost - fraction_wealth(obs, r.state, prices) + value,
+                    fraction_wealth(adversary, r.state, prices) - held + gain,
+                    (tx,) + trace)
+            if _beats(cand, best):
+                best = cand
+        memo[key] = best
+        return best
+
+    value, _, witness = rec(state, budget.max_depth)
+    return Fraction(value), witness

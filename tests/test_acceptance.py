@@ -35,11 +35,12 @@ from mevscope.goldens import (
     golden_two_pool_chain,
 )
 from mevscope.scenario import build_state, load_bundled
+from mevscope.search import rich_wallet, with_adversary_wallet
 
 import helpers
 from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
 from model_checks import sender_agnostic_witness
-from oracle import brute_lmev
+from oracle import brute_best, brute_lmev
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 
@@ -171,6 +172,28 @@ def test_exhaustive_search_matches_oracle_on_bundled_scenarios():
             cases += 1
     print(f"[PASS] oracle equivalence on the bundled scenarios: {cases} exhaustive "
           "searches match the brute-force enumeration exactly")
+
+
+def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
+    """Every bundled scenario at depth 3, the fragment observed with the
+    universe callable, at the scenario's own adversary wallet and at the
+    first wealthy rung: ``lmev`` and ``brute_best`` agree on the value and
+    on the witness.  This checks every cut and the visiting order against
+    a search that has neither."""
+    budget = SearchBudget(max_depth=3)
+    cases = 0
+    for name in helpers.BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        prices = scn.prices()
+        rich = with_adversary_wallet(state, rich_wallet(state, prices, budget, 1))
+        for start in (state, rich):
+            engine = lmev(start, delta, None, prices, budget)
+            reference = brute_best(start, delta, None, prices, budget)
+            assert (engine.value, engine.witness) == reference, (name, start is rich)
+            cases += 1
+    print(f"[PASS] witness oracle on the bundled scenarios: {cases} generator-mode "
+          "searches match the brute-force value and witness")
 
 
 def test_randomized_search_property_suite():

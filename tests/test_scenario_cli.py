@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 import mevscope.cli
 from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
                       global_mev, verify_stripping)
-from mevscope.cli import EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE, build_parser, main
+from mevscope.cli import (EXIT_CLOSED_STDOUT, EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE,
+                          build_parser, main)
 from mevscope.scenario import (build_state, load_bundled, load_scenario, parse_scenario,
                                scenario_path)
 
@@ -269,6 +273,40 @@ def test_a_crash_exits_with_the_internal_error_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "boom" in err
     assert err.count("\n") == 1
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_not_an_internal_error(capsys):
+    for fmt in ("json", "text"):
+        with redirect_stdout(_ClosedStdout()):
+            code = main(["rlmev", _path("two_amms.scn"), "--format", fmt])
+        assert code == EXIT_CLOSED_STDOUT
+        assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_closes_first_sees_the_closed_stdout_code():
+    """The command line, with a pipe whose read end is closed before the
+    process starts: the exit flush raises nothing more and stderr stays
+    empty."""
+    src = str(Path(mevscope.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mevscope.cli", "rlmev", _path("two_amms.scn"),
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, b"")
 
 
 def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):

@@ -352,17 +352,15 @@ def test_amm_loss_bound_is_the_no_arbitrage_floor():
     assert wealth_units((amm,), state, PRICES3) - wealth_units((amm,), swapped, PRICES3) == 1
 
 
-def test_bound_cut_keeps_every_result(monkeypatch):
-    """With ``_MaxSearch.bounds`` patched to infinity neither cut fires: no
-    node's best reaches its bounds (the span cut) and no child's bounds fall
-    short of the node's best (the child cut).  Those searches agree with the
-    cut ones on value, witness, completeness and warning over the bundled
-    scenarios at depths 2-4 and over micro states, and run more executes."""
+def _search_cases():
+    """(state, observed, prices, budget): the bundled scenarios at depths
+    1-4, observing the fragment, and 40 micro states (seed 77), half of
+    them searched exhaustively."""
     cases = []
     for name in BUNDLED_SCENARIOS:
         scn = load_bundled(name)
         state, delta = build_state(scn)
-        for depth in (2, 3, 4):
+        for depth in (1, 2, 3, 4):
             cases.append((state, delta, scn.prices(), SearchBudget(max_depth=depth)))
     rng = random.Random(77)
     for _ in range(40):
@@ -370,44 +368,85 @@ def test_bound_cut_keeps_every_result(monkeypatch):
         cases.append((state, random_observed(rng, state), prices,
                       SearchBudget(max_depth=rng.choice((2, 3)), grid=4,
                                    exhaustive=rng.random() < 0.5, ceiling=ceiling)))
+    return cases
+
+
+def _four_searches(cases) -> list:
+    """(value, witness, complete, warning) of ``lmev``, restricted ``lmev``,
+    ``rlmev`` and ``global_mev`` on each case."""
+    return [tuple((r.value, r.witness, r.complete, r.warning)
+                  for r in (lmev(state, observed, None, prices, budget),
+                            lmev(state, observed, observed, prices, budget),
+                            rlmev(state, observed, None, prices, budget),
+                            global_mev(state, prices, budget)))
+            for state, observed, prices, budget in cases]
+
+
+def test_bound_cut_keeps_every_result(monkeypatch):
+    """With ``_MaxSearch.bounds`` patched to infinity neither cut fires: no
+    node's best reaches its bounds (the span cut) and no child's bounds fall
+    short of the node's best (the child cut).  Those searches agree with the
+    cut ones on value, witness, completeness and warning over the bundled
+    scenarios at depths 1-4 and over micro states, and run more executes."""
+    cases = _search_cases()
     runs = [0]
 
-    def count(fn):
-        def counted(*args):
-            runs[0] += 1
-            return fn(*args)
-        return counted
+    def counted(*args):
+        runs[0] += 1
+        return execute_delta(*args)
 
-    def run_all():
-        runs[0] = 0
-        out = [(lmev(state, observed, None, prices, budget),
-                lmev(state, observed, observed, prices, budget),
-                rlmev(state, observed, None, prices, budget),
-                global_mev(state, prices, budget))
-               for state, observed, prices, budget in cases]
-        return out, runs[0]
-
-    monkeypatch.setattr(search, "execute_delta", count(search.execute_delta))
-    cut, cut_runs = run_all()
+    monkeypatch.setattr(search, "execute_delta", counted)
+    cut = _four_searches(cases)
+    cut_runs, runs[0] = runs[0], 0
     monkeypatch.setattr(search._MaxSearch, "bounds", lambda self, state: (math.inf, math.inf))
-    full, full_runs = run_all()
-    assert cut_runs < full_runs
+    full = _four_searches(cases)
+    assert cut_runs < runs[0]
     for want, got in zip(full, cut):
-        for a, b in zip(want, got):
-            assert ((b.value, b.witness, b.complete, b.warning)
-                    == (a.value, a.witness, a.complete, a.warning))
+        assert got == want
+
+
+def test_results_do_not_depend_on_move_order(monkeypatch):
+    """With the moves of every node (generated and exhaustive) in reverse
+    move-key order, and then in three seeded random orders, the four
+    searches of ``_search_cases`` give the same value, witness,
+    completeness and warning as in move-key order: the best-first sort
+    breaks ties on position, and the span cut and the last-ply stop compare
+    move keys, not positions.  Reverse order is the one a stop on position
+    gets wrong: the first move it meets that reaches the bounds has the
+    largest key."""
+    cases = _search_cases()
+    want = _four_searches(cases)
+
+    def reordered(enumerate_moves, order):
+        return lambda *args: order(enumerate_moves(*args))
+
+    def shuffle(rng):
+        return lambda moves: tuple(rng.sample(moves, len(moves)))
+
+    orders = {"reversed": lambda moves: moves[::-1],
+              **{f"seed {seed}": shuffle(random.Random(seed)) for seed in (1, 2, 3)}}
+    for name, order in orders.items():
+        with monkeypatch.context() as m:
+            m.setattr(search, "adversary_moves", reordered(search.adversary_moves, order))
+            m.setattr(search._MaxSearch, "_exhaustive_moves",
+                      reordered(search._MaxSearch._exhaustive_moves, order))
+            got = _four_searches(cases)
+        for case, a, b in zip(cases, want, got):
+            assert b == a, (name, case)
 
 
 @pytest.mark.parametrize("argv, most", (
-    # before the child cut (span cut only): 4,028, 1,163 and 2,038 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 2_820),
-    (("rlmev", "two_amms.scn"), 938),
-    (("strip-check", "two_amms.scn"), 1_458),
-), ids=("nonint-depth-6", "rlmev", "strip-check"))
+    # span cut only: 4,028, 1,163, 2,038 and 31,172 executes; with the child
+    # cut in move-key order: 2,820, 938, 1,458 and 21,387
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 1_843),
+    (("rlmev", "two_amms.scn"), 317),
+    (("strip-check", "two_amms.scn"), 528),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 12_627),
+), ids=("nonint-depth-6", "rlmev", "strip-check", "richnonint-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
-    """The child cut fires: these queries make at most the pinned number of
-    ``execute_delta`` calls, against the larger count with the span cut
-    alone."""
+    """The child cut fires early: visiting children best-first, these
+    queries make at most the pinned number of ``execute_delta`` calls,
+    against larger counts in move-key order or with the span cut alone."""
     calls = [0]
 
     def counted(*args):
