@@ -18,15 +18,7 @@ through a rolled-back no-op.
 Every ply is scored the same way: ``vm.execute_delta`` runs the move and
 reads the wealth changes of the objective's accounts and of the adversary off
 the executor's overlay, and a trace's value is the sum of its moves'
-changes.  Only a move that is expanded asks for the next state as well.  The
-last ply is not expanded, so its changes are first looked up in a per-search
-table, which rests on one rule of the model: a transaction's outcome depends
-only on the states of the contracts in its callee's dependency cone
-(``vm.deps``), on the block height when a contract of that cone reads it,
-and on whether the origin can pay the attachment.  Methods read no other
-account (they only credit them), call only the methods their ``calls_out``
-lists, and may read the height only when their contract declares
-``reads_height``.
+changes.  Only a move that is expanded asks for the next state as well.
 
 Tie-breaking among equal-value witnesses: larger adversary gain first, then
 the shortest and lexicographically smallest trace.  This keeps reports
@@ -79,14 +71,12 @@ from .vm import (
     TICK_METHOD,
     Transaction,
     check_well_formed,
-    deps,
     execute_delta,
     trace_key,
 )
 
 ESCALATION_CAP = 20          # wealthy-adversary wallet doublings before giving up
 MEMO_CAP = 2_000_000         # memo entries per search; past it the search runs unmemoised
-CONE_TABLE_CAP = 256         # cone states per search whose last-ply effects are kept (FIFO)
 # ``_MaxSearch.run`` recurses once per ply: keep the deepest search well under
 # CPython's default limit of 1,000 frames
 MAX_SEARCH_DEPTH = 256
@@ -199,7 +189,6 @@ def _better(cand, best) -> bool:
     return trace_key(cand[2]) < trace_key(best[2])
 
 
-_MISSING = object()
 _LEAF = (0, 0, ())      # (value, gain, trace) of the empty trace
 
 
@@ -218,16 +207,6 @@ class _MaxSearch:
         self.include_height = any(state.codes[a].reads_height for a in state.order)
         self.memo: dict = {}
         self.capped = False
-        # callee -> (its dependency cone in deployment order, whether a
-        # contract of the cone reads the height)
-        self.cones: dict = {}
-        for acc in state.order:
-            cone = deps((acc,), state)
-            self.cones[acc] = (tuple(a for a in state.order if a in cone),
-                               any(state.codes[a].reads_height for a in cone))
-        # (callee, cone contract keys, height or None)
-        #   -> {(origin, method, args, attachment): execute_delta's answer}
-        self.effects: dict = {}
         # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
         self.move_table: dict = {}
 
@@ -246,29 +225,6 @@ class _MaxSearch:
         if self.sign < 0:
             return sum(loss[a] for a in self.accounts), total
         return total, total
-
-    def _last_ply(self, state, tx):
-        """``execute_delta(state, tx, self.groups, units)``, answered from the
-        effect table when the callee's cone was seen in this state before."""
-        if not state.user_wallet(tx.origin).dominates(tx.attached):
-            return None
-        cone, reads_height = self.cones[tx.callee]
-        contracts = state.contracts
-        ckey = (tx.callee, tuple(contracts[a].key() for a in cone),
-                state.height if reads_height else None)
-        effects = self.effects
-        row = effects.get(ckey)
-        if row is None:
-            if len(effects) >= CONE_TABLE_CAP:
-                del effects[next(iter(effects))]
-            row = effects[ckey] = {}
-        # the callee is in ``ckey``; keying on the other fields instead of the
-        # transaction keeps the row from holding every generated move alive
-        tkey = (tx.origin, tx.method, tx.args, tx.attached.items())
-        d = row.get(tkey, _MISSING)
-        if d is _MISSING:
-            d = row[tkey] = execute_delta(state, tx, self.groups, self.prices.units)
-        return d
 
     def _exhaustive_moves(self, state):
         """``universal_moves(state, ...)``, enumerated once per user set.
@@ -296,7 +252,7 @@ class _MaxSearch:
         visits the children best-first: by decreasing optimistic value (the
         move's change plus the next state's ``bounds``), then optimistic
         gain, then move order.  A last-ply node scores its moves in move
-        order through the effect table.
+        order.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -312,7 +268,7 @@ class _MaxSearch:
         budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
         groups, units, sign = self.groups, self.prices.units, self.sign
-        bounds, last_ply = self.bounds, self._last_ply
+        bounds = self.bounds
         exhaustive_moves = self._exhaustive_moves
         cap = MEMO_CAP
         # an expanded child's visiting order: (optimistic value, optimistic gain)
@@ -335,7 +291,7 @@ class _MaxSearch:
                 for tx in moves:
                     if first is not None and tx.key() > first:
                         continue
-                    step = last_ply(state, tx)
+                    step = execute_delta(state, tx, groups, units)
                     if step is None:
                         if tx.method != TICK_METHOD:
                             continue

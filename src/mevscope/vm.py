@@ -419,8 +419,8 @@ class MethodCtx:
         self._sc.store_of(self.self_acc)[key] = value
 
     def height(self) -> int:
-        # the search keys its memo and its effect table on the height only
-        # when a contract declares that it reads it
+        # the search keys its memo on the height only when a contract
+        # declares that it reads it
         state = self._sc.base
         if not state.codes[self.self_acc].reads_height:
             raise ContractBugError(

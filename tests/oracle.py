@@ -3,9 +3,8 @@
 Deliberately independent of the engine's search machinery: state keys are
 built locally, wealth is summed locally in Fractions from the quoted prices
 (not in the engine's integer price units), and each recursion is a plain
-maximum with no pruning, bounds, effect table or escalation.  The executor
-is shared, since the executor itself is what defines the semantics under
-test.
+maximum with no pruning, bounds or escalation.  The executor is shared,
+since the executor itself is what defines the semantics under test.
 
 ``brute_lmev`` enumerates transactions straight from the declared method
 signatures by local code and returns the value alone.  ``brute_best``

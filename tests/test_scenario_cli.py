@@ -311,7 +311,7 @@ def test_a_reader_that_closes_first_sees_the_closed_stdout_code():
 
 def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
     """A Bet that reads the height without declaring it is a contract bug:
-    the search's memo and effect table would ignore the height it reads."""
+    the search's memo would ignore the height it reads."""
     bet = REGISTRY["bet"]
 
     def build(name, **params):

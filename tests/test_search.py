@@ -147,26 +147,6 @@ class TestLmev:
             assert full.warning is None
             assert capped.warning == "memo cap exceeded; search ran unmemoised"
 
-    def test_effect_table_bound_keeps_results(self, monkeypatch):
-        """With room for one cone state the effect table evicts on almost
-        every new cone; values, witnesses and completeness stay the same."""
-        budget = SearchBudget(max_depth=3)
-        cases = []
-        for name in BUNDLED_SCENARIOS:
-            scn = load_bundled(name)
-            state, delta = build_state(scn)
-            cases.append((state, delta, scn.prices()))
-
-        def run_all():
-            return [(lmev(state, delta, None, prices, budget), global_mev(state, prices, budget))
-                    for state, delta, prices in cases]
-
-        default = run_all()
-        monkeypatch.setattr(search, "CONE_TABLE_CAP", 1)
-        for want, got in zip(default, run_all()):
-            for a, b in zip(want, got):
-                assert (b.value, b.witness, b.complete) == (a.value, a.witness, a.complete)
-
 
 def _within(state, budget, depth):
     """``state`` and every distinct state up to ``depth`` generated moves
@@ -188,27 +168,28 @@ def _within(state, budget, depth):
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda n: n.rsplit("/", 1)[-1])
 def test_last_ply_deltas_match_execute(name):
-    """``execute_delta`` at both kinds of ply, and the search's effect table,
-    against ``execute`` plus ``wealth_units``, for every generated move and an
-    unaffordable variant of it.  With ``advance`` the next state is
-    ``execute``'s; without it, the table answers as the direct call.  The
-    states are those within two moves of the scenario and, with the first
-    rung's wealthy adversary, those within one move."""
+    """``execute_delta`` at both kinds of ply against ``execute`` plus
+    ``wealth_units``, for every generated move and an unaffordable variant
+    of it, with the search's two objective groups among the account groups.
+    With ``advance`` the next state is ``execute``'s; without it, the
+    changes are the same.  The states are those within two moves of the
+    scenario and, with the first rung's wealthy adversary, those within one
+    move."""
     scn = load_bundled(name)
     root, _ = build_state(scn)
     prices = scn.prices()
     units = prices.units
     tok = prices.tokens()[0]
+    # the groups of the loss search over every contract
+    objective = (root.order, tuple(sorted(root.adversary)))
     for grid in (4, 8):
         budget = SearchBudget(grid=grid)
         rich = search.with_adversary_wallet(root, search.rich_wallet(root, prices, budget, 1))
-        # one engine for both roots, so table answers cross states and wallets
-        engine = search._MaxSearch(root, prices, budget, None, root.order, -1)
         for state in _within(root, budget, 2) + _within(rich, budget, 1):
             for tx in adversary_moves(state, None, budget):
                 res = execute(state, tx)
                 accounts = sorted(set(state.users) | set(res.state.users) | set(state.order))
-                groups = tuple((a,) for a in accounts) + engine.groups
+                groups = tuple((a,) for a in accounts) + objective
                 got = execute_delta(state, tx, groups, units, advance=True)
                 assert (got is not None) == res.valid, tx
                 if got is not None:
@@ -220,35 +201,31 @@ def test_last_ply_deltas_match_execute(name):
                     assert nxt.core_key() == res.state.core_key(), tx
                     assert nxt.users == res.state.users, tx
                     assert execute_delta(state, tx, groups, units) == (changes, None), tx
-                    assert engine._last_ply(state, tx) == (changes[-2:], None), tx
                 else:
                     assert execute_delta(state, tx, groups, units) is None, tx
-                    assert engine._last_ply(state, tx) is None, tx
                 short = state.user_wallet(tx.origin).get(tok) + 1
                 broke = Transaction(tx.origin, tx.callee, tx.method, tx.args,
                                     tx.attached + Wallet.single(tok, short))
                 assert not execute(state, broke).valid
                 assert execute_delta(state, broke, groups, units, advance=True) is None
                 assert execute_delta(state, broke, groups, units) is None
-                assert engine._last_ply(state, broke) is None
-        assert len(engine.effects) <= search.CONE_TABLE_CAP
 
 
-def test_effect_table_keys_the_height_when_the_cone_reads_it():
-    """The Bet reads the height, so ``close`` before and after its deadline
-    are two table entries although the contract states are the same."""
+def test_execute_delta_reads_the_height_the_bet_reads():
+    """The Bet reads the height, so ``close`` is invalid at its deadline and
+    valid one block later, although the contract states are the same."""
     state = build({A: {}}, [
         ("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 600, "T": 600}),
         ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 2, "deadline": 0},
          {"ETH": 10}),
     ], adversary=(A,))
     bet = Account.contract("Bet")
-    engine = search._MaxSearch(state, PriceMap.uniform(("ETH", "T")), BUDGET, None, (bet,), -1)
+    units = PriceMap.uniform(("ETH", "T")).units
+    groups = ((bet,), (A,))
     close = Transaction(A, bet, "close")
     later = state.with_height(1)
-    assert engine._last_ply(state, close) is None                  # at the deadline
-    assert engine._last_ply(later, close) == ((-10, 10), None)     # the owner takes the pot
-    assert engine._last_ply(state, close) is None
+    assert execute_delta(state, close, groups, units) is None                # at the deadline
+    assert execute_delta(later, close, groups, units) == ((-10, 10), None)   # the owner takes the pot
 
 
 def _loss_bounds(state, prices):
@@ -436,17 +413,17 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, most", (
-    # span cut only: 4,028, 1,163, 2,038 and 31,172 executes; with the child
-    # cut in move-key order: 2,820, 938, 1,458 and 21,387
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 1_843),
-    (("rlmev", "two_amms.scn"), 317),
-    (("strip-check", "two_amms.scn"), 528),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 12_627),
+    # with the child cut off (its ``break`` a no-op): 9,373, 879, 1,745 and
+    # 39,900 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 4_555),
+    (("rlmev", "two_amms.scn"), 452),
+    (("strip-check", "two_amms.scn"), 673),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 16_646),
 ), ids=("nonint-depth-6", "rlmev", "strip-check", "richnonint-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
     """The child cut fires early: visiting children best-first, these
     queries make at most the pinned number of ``execute_delta`` calls,
-    against larger counts in move-key order or with the span cut alone."""
+    against about twice as many or more with the child cut off."""
     calls = [0]
 
     def counted(*args):
