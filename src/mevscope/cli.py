@@ -14,9 +14,11 @@ searches' warnings; see ROADMAP item 4), 10 usage error, 11 scenario error,
 141 stdout closed by its reader before the report was written (the code a
 shell reports for a process killed by SIGPIPE; nothing is printed).
 
-Each handler returns ``(exit code, fields, lines)``: the command's report
-fields and its text lines.  ``main`` alone frames every report with
-``command`` and ``exit_code`` and prints it as JSON or as the lines.
+``main`` builds only the subparser of the command it runs, since building
+all ten cost more than a typical query (``build_parser``).  Each handler
+returns ``(exit code, fields, lines)``: the command's report fields and its
+text lines.  ``main`` alone frames every report with ``command`` and
+``exit_code`` and prints it as JSON or as the lines.
 
 Reports are deterministic byte-for-byte for a fixed scenario and flag set:
 maps are emitted in sorted order, witnesses are canonically tie-broken and
@@ -327,12 +329,19 @@ def _eps(text: str) -> Fraction:
     return eps
 
 
-def build_parser() -> _Parser:
+def build_parser(only: Optional[str] = None) -> _Parser:
+    """The command table.  With ``only`` a command name the parser holds
+    that command's subparser alone: ``main`` runs one command, and building
+    all ten (about 60 arguments, each making a help formatter) cost more than
+    a typical query.  Any other ``only`` gives every subparser, so the
+    top-level help and usage errors list every command."""
     parser = _Parser(prog="mevscope",
                      description="extractable-value and composability analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_, run, scenario=True, budget=True, scope=False):
+    def command(name, help_, run, scenario=True, budget=True, scope=False, **flags):
+        if only not in (None, name):
+            return
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
         if scenario:
@@ -348,7 +357,8 @@ def build_parser() -> _Parser:
             p.add_argument("--restrict", nargs="+", metavar="NAME",
                            help="restrict callable contracts (default: universe)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
+        for flag, kwargs in flags.items():
+            p.add_argument("--" + flag, **kwargs)
 
     # Each handler names the library function it runs inside its body, so
     # the name is looked up in this module when the command runs: a wrapper
@@ -362,17 +372,17 @@ def build_parser() -> _Parser:
             lambda args: _run_verdict(args, nonint))
     command("richnonint", "wealth-independent non-interference",
             lambda args: _run_verdict(args, richnonint))
-    command("epsilon", "whole-state growth criterion", _run_epsilon).add_argument(
-        "--eps", type=_eps, required=True, help="tolerated growth factor (rational)")
+    command("epsilon", "whole-state growth criterion", _run_epsilon, eps=dict(
+        type=_eps, required=True, help="tolerated growth factor (rational)"))
     command("strip-check", "dependency-stripping preservation check", _run_strip_check,
             scope=True)
     command("table2", "run the bundled composition matrix", _run_table2, scenario=False)
     command("battery", "run the structural-property battery", _run_battery,
-            scenario=False).add_argument("--seed", type=int, default=0,
-                                         help="seed for randomized parts")
+            scenario=False, seed=dict(type=int, default=0,
+                                      help="seed for randomized parts"))
     command("examples", "run every golden reproduction", _run_examples, scenario=False,
             budget=False)
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def _drop_stdout() -> None:
@@ -392,7 +402,8 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         exit_code, fields, lines = args.run(args)

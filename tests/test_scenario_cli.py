@@ -205,16 +205,67 @@ README_COMMANDS = (
 )
 
 
+def _commands(parser) -> dict:
+    """Command name -> subparser of a parser from ``build_parser``."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_the_readme_command_block_lists_every_subcommand():
     """The parser's subcommands are exactly the ``mevscope X`` lines of the
     README's "Command line" block, and ``README_COMMANDS`` runs each."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     documented = re.findall(r"^mevscope (\S+)", block, re.M)
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert sorted(documented) == sorted(sub.choices)
+    assert sorted(documented) == sorted(_commands(build_parser()))
     assert sorted(argv[0] for argv in README_COMMANDS) == sorted(documented)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_a_single_command_parser_matches_the_full_one(argv):
+    """``build_parser(name)``, which ``main`` uses, holds only that command's
+    subparser; its help and the namespace it parses (with the same handler)
+    equal the full parser's."""
+    name = argv[0]
+    argv = [_path(a) if a.endswith(".scn") else a for a in argv]
+    full, single = build_parser(), build_parser(name)
+    assert list(_commands(single)) == [name]
+    assert _commands(single)[name].format_help() == _commands(full)[name].format_help()
+    full_ns, single_ns = (vars(p.parse_args(argv)) for p in (full, single))
+    assert full_ns.pop("run").__code__ is single_ns.pop("run").__code__
+    assert full_ns == single_ns
+
+
+def test_the_top_level_help_and_usage_errors_list_every_command(capsys):
+    full = build_parser()
+    assert main([]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: the following arguments are required: command\n")
+    assert main(["bogus"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument command: invalid choice: 'bogus' (choose from ")
+    assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == list(_commands(full))
+    for argv, parser in ((["--help"], full), (["lmev", "--help"], _commands(full)["lmev"])):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
+
+
+def test_a_command_builds_two_parsers(monkeypatch):
+    """The top-level parser and the invoked command's subparser: a one-shot
+    process that built all ten spent more on argparse than on a typical
+    query."""
+    built = []
+    init = mevscope.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mevscope.cli._Parser, "__init__", counting_init)
+    assert run_cli("lmev", _path("two_amms.scn"), "--format", "json")[0] == 0
+    assert built == ["mevscope", "mevscope lmev"]
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
