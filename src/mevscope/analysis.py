@@ -32,9 +32,8 @@ from .search import (
     adversary_moves,
     global_mev,
     lmev,
+    rich_state,
     rlmev,
-    rich_wallet,
-    with_adversary_wallet,
 )
 from .vm import Transaction, check_well_formed, deps, execute, probe_call
 
@@ -161,11 +160,6 @@ def contract_independent(state: BlockchainState, frag_a: Iterable[Account],
 # --- stability under adversary moves ----------------------------------------------
 
 
-def _enriched(state: BlockchainState, budget: SearchBudget) -> BlockchainState:
-    prices = PriceMap.uniform(prober_tokens(state) or ("T",))
-    return with_adversary_wallet(state, rich_wallet(state, prices, budget, 1))
-
-
 def _observations(state: BlockchainState, watched: Sequence[Transaction]) -> tuple:
     """Observations (probe, valid, return, transfers) of every probe, each
     run as the outermost frame with its attachment already paid, so funding
@@ -219,7 +213,7 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
     if not watched:
         return ("stable", None)   # no observable channel into the context
 
-    base = _enriched(state, budget) if wealthy else state
+    base = rich_state(state, prober_tokens(state) or ("T",), budget, 1) if wealthy else state
     base_obs = _observations(base, watched)
     seen = {base.core_key()}
     frontier = [(base, ())]

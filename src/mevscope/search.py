@@ -10,10 +10,9 @@ of the observed contracts, and is then exact, or when exhaustive mode ran
 within its caps, and is then exact among traces of at most ``max_depth``
 transactions (a longer trace may still extract more).
 
-Invalid transactions are pruned: they cannot change any gain.  The one
-exception is a distinguished tick move, generated only when a deployed
-contract reads the block height, whose sole effect is advancing the height
-through a rolled-back no-op.
+Invalid transactions are pruned: they cannot change any gain.  When a
+deployed contract reads the block height, the moves include a tick, a call
+the executor runs with no body, whose sole effect is advancing the height.
 
 Every ply is scored the same way: ``vm.execute_delta`` runs the move and
 reads the wealth changes of the objective's accounts and of the adversary off
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -106,6 +105,7 @@ class MevResult:
     witness: tuple
     complete: bool
     warning: Optional[str] = None
+    ladder: tuple = ()   # ((scale, value), ...) of ``rlmev``'s rungs
 
 
 def _with_tick(state: BlockchainState, targets, moves: list) -> tuple:
@@ -293,9 +293,7 @@ class _MaxSearch:
                         continue
                     step = execute_delta(state, tx, groups, units)
                     if step is None:
-                        if tx.method != TICK_METHOD:
-                            continue
-                        step = (0, 0), None
+                        continue
                     (dv, dg), _ = step
                     cand = (sign * dv, dg, (tx,))
                     if _better(cand, top):
@@ -309,9 +307,7 @@ class _MaxSearch:
                 for tx in moves:
                     step = execute_delta(state, tx, groups, units, True)
                     if step is None:
-                        if tx.method != TICK_METHOD:
-                            continue
-                        step = (0, 0), state.with_height(state.height + 1)
+                        continue
                     (dv, dg), nxt = step
                     vb, gb = bounds(nxt)
                     children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
@@ -343,16 +339,20 @@ class _MaxSearch:
         return best(state, budget.max_depth)
 
 
-def _certified(engine: _MaxSearch, state: BlockchainState, upper) -> MevResult:
-    """Run ``engine`` from ``state``; the value is exact when it reaches the
-    wealth bound ``upper`` or the enumeration was exhaustive.  ``upper`` is
-    in integer price units; the value is converted back to a Fraction here,
-    once."""
+def _search(state: BlockchainState, prices: PriceMap, budget: SearchBudget, restriction,
+            accounts: tuple, sign: int, upper: int) -> MevResult:
+    """Maximise ``sign`` times the wealth of ``accounts`` over traces from
+    ``state``.  The value is exact when it reaches the wealth bound ``upper``
+    (so a zero bound needs no search) or the enumeration was exhaustive.
+    ``upper`` is in integer price units; the value is converted back to a
+    Fraction here, once."""
+    if upper == 0:
+        return MevResult(Fraction(0), (), True)
+    engine = _MaxSearch(state, prices, budget, restriction, accounts, sign)
     units, _, witness = engine.run(state)
-    complete = engine.budget.exhaustive or units == upper
-    value = Fraction(units, engine.prices.scale)
+    complete = budget.exhaustive or units == upper
     warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
-    return MevResult(value, witness, complete, warning)
+    return MevResult(Fraction(units, prices.scale), witness, complete, warning)
 
 
 def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
@@ -369,13 +369,9 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
         raise ValueError("lmev: state is not well-formed")
     obs_t = tuple(sorted(frozenset(observed) & state.deployed))
     restr = None if restriction is None else frozenset(restriction)
-    upper = wealth_units(obs_t, state, prices)
-    if upper == 0:
-        # nothing to lose: exact by the wealth bound
-        return MevResult(Fraction(0), (), True)
-
     # the objective is the observed contracts' loss: it grows as their wealth falls
-    return _certified(_MaxSearch(state, prices, budget, restr, obs_t, -1), state, upper)
+    return _search(state, prices, budget, restr, obs_t, -1,
+                   wealth_units(obs_t, state, prices))
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
@@ -386,66 +382,53 @@ def global_mev(state: BlockchainState, prices: PriceMap,
     adv_t = tuple(sorted(state.adversary))
     # the adversary can only gain what contracts hold; with no adversary
     # accounts there are no craftable transactions at all
-    upper = wealth_units(tuple(state.order), state, prices)
-    if upper == 0 or not adv_t:
-        return MevResult(Fraction(0), (), True)
-    return _certified(_MaxSearch(state, prices, budget, None, adv_t, 1), state, upper)
+    upper = wealth_units(tuple(state.order), state, prices) if adv_t else 0
+    return _search(state, prices, budget, None, adv_t, 1, upper)
 
 
-def rich_wallet(state: BlockchainState, prices: PriceMap, budget: SearchBudget,
-                 scale: int) -> Wallet:
+def rich_state(state: BlockchainState, tokens: Sequence[Token], budget: SearchBudget,
+               scale: int) -> BlockchainState:
+    """``state`` with every adversary account holding, of each of
+    ``tokens``, ``scale`` times the contracts' holdings plus the grid.  Other
+    user wallets are dropped (they cannot influence any adversary trace); a
+    state without an adversary gets the one account ``Madv``."""
     held = contract_holdings(state)
-    base = {t: (held.get(t) + budget.grid) * scale for t in prices.tokens()}
-    return Wallet({t: n for t, n in base.items() if n})
-
-
-def with_adversary_wallet(state: BlockchainState, wallet: Wallet) -> BlockchainState:
-    """Every adversary account gets ``wallet``; other user wallets are
-    dropped (they cannot influence any adversary trace)."""
+    wallet = Wallet({t: (held.get(t) + budget.grid) * scale for t in tokens})
     adversary = state.adversary or frozenset({Account.user("Madv")})
-    users = {a: wallet for a in adversary}
-    return BlockchainState(users, state.contracts, state.order, state.codes,
-                           state.height, adversary)
-
-
-def _escalate(state: BlockchainState, observed, restriction, prices: PriceMap,
-              budget: SearchBudget) -> tuple:
-    """Run ``lmev`` against adversary wallets scale * W0, doubling the scale
-    until the value plateaus or reaches the observed contracts' wealth.
-    Returns (wealthy-adversary result, ((scale, value), ...) ladder); past
-    ``ESCALATION_CAP`` doublings the result is marked incomplete."""
-    obs = frozenset(observed) & state.deployed
-    upper = wealth(tuple(sorted(obs)), state, prices)
-    ladder = []
-    prev: Optional[MevResult] = None
-    scale = 1
-    for _ in range(ESCALATION_CAP + 1):
-        rich = with_adversary_wallet(state, rich_wallet(state, prices, budget, scale))
-        res = lmev(rich, obs, restriction, prices, budget)
-        ladder.append((scale, res.value))
-        if res.value == upper:
-            return res, tuple(ladder)
-        if prev is not None and res.value == prev.value:
-            return prev, tuple(ladder)
-        prev = res
-        scale *= 2
-    return (MevResult(prev.value, prev.witness, False,
-                      "escalation cap reached without a plateau"), tuple(ladder))
-
-
-def stability_probe(state: BlockchainState, observed, restriction,
-                    prices: PriceMap, budget: SearchBudget = SearchBudget()) -> tuple:
-    """The escalation ladder underlying the wealthy-adversary value:
-    ((scale, value), ...) for adversary wallets scale * W0, doubling until a
-    plateau, the wealth bound, or the escalation cap."""
-    return _escalate(state, observed, restriction, prices, budget)[1]
+    return BlockchainState({a: wallet for a in adversary}, state.contracts, state.order,
+                           state.codes, state.height, adversary)
 
 
 def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
           budget: SearchBudget = SearchBudget()) -> MevResult:
-    """Wealthy-adversary local value: the plateau of the loss under doubling
-    adversary wallets, starting from the total contract holdings plus a grid
-    headroom.  The plateau exists because the observed contracts' wealth
-    bounds the loss and the value is monotone in the adversary's wallet; the
-    escalation cap is surfaced as an incomplete result, never trusted."""
-    return _escalate(state, observed, restriction, prices, budget)[0]
+    """Wealthy-adversary local value: ``lmev`` against adversary wallets of
+    ``rich_state(..., scale)``, doubling the scale from 1 until the value
+    plateaus or reaches the observed contracts' wealth.  The plateau exists
+    because that wealth bounds the loss and the value is monotone in the
+    adversary's wallet.  On a plateau the result is the rung before the
+    last; its ``ladder`` holds every rung's ``(scale, value)``.  Past
+    ``ESCALATION_CAP`` doublings the result is marked incomplete, never
+    trusted."""
+    obs = frozenset(observed) & state.deployed
+    upper = wealth(tuple(sorted(obs)), state, prices)
+    tokens = prices.tokens()
+    ladder = []
+    prev: Optional[MevResult] = None
+    scale = 1
+    for _ in range(ESCALATION_CAP + 1):
+        res = lmev(rich_state(state, tokens, budget, scale), obs, restriction, prices, budget)
+        ladder.append((scale, res.value))
+        if res.value == upper:
+            return replace(res, ladder=tuple(ladder))
+        if prev is not None and res.value == prev.value:
+            return replace(prev, ladder=tuple(ladder))
+        prev = res
+        scale *= 2
+    return MevResult(prev.value, prev.witness, False,
+                     "escalation cap reached without a plateau", tuple(ladder))
+
+
+def stability_probe(state: BlockchainState, observed, restriction,
+                    prices: PriceMap, budget: SearchBudget = SearchBudget()) -> tuple:
+    """The escalation ladder of ``rlmev``: ((scale, value), ...)."""
+    return rlmev(state, observed, restriction, prices, budget).ladder

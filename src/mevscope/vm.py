@@ -6,7 +6,9 @@ unfunded transfer, a call-depth overflow, an undeployed callee or a failed
 deferred final check invalidates the whole transaction, which is then rolled
 back.  Valid or not, each top-level transaction advances the block height by
 exactly one; a method executing inside transaction ``i`` observes the height
-left by transaction ``i - 1``.
+left by transaction ``i - 1``.  A transaction naming ``TICK_METHOD`` is a
+call with no body: it is valid whenever its callee is deployed and its
+origin can pay the attachment, which is all it transfers.
 
 Contracts may only call methods of contracts deployed before them, and only
 the (dependency, method) pairs they declare, which keeps the call relation a
@@ -33,8 +35,8 @@ from .ledger import (
 
 MAX_CALL_DEPTH = 16
 
-# A transaction with this method name is never dispatched; it exists so the
-# search layer can advance the block height through a rolled-back no-op.
+# A call with this method name runs no body, on any deployed contract: the
+# search proposes it to advance the block height and change nothing else.
 TICK_METHOD = "__tick__"
 
 
@@ -334,9 +336,12 @@ class _Scratch:
     def freeze(self, height: int) -> BlockchainState:
         """The state the overlay describes.  It is built without
         re-validation: the base is canonical and the overlay keeps it so,
-        except for user wallets emptied here, which are dropped."""
-        self.check_leaks()
+        except for user wallets emptied here, which are dropped.  An empty
+        overlay gives the base at ``height``, sharing its parts."""
         base, st = self.base, self.st
+        if not self.w and not st:
+            return base.with_height(height)
+        self.check_leaks()
         users, contracts = dict(base.users), dict(base.contracts)
         for acc, d in self.w.items():
             w = Wallet._from_clean({t: n for t, n in d.items() if n})
@@ -483,15 +488,18 @@ def _run_frame(sc: _Scratch, origin: Account, sender: Account, depth: int,
 def _run_tx(state: BlockchainState, tx: Transaction) -> Optional[_Scratch]:
     """Run one top-level transaction on a scratch overlay of ``state``: the
     overlay, or None when the transaction is invalid (its changes are rolled
-    back by being dropped)."""
+    back by being dropped).  A tick pays its attachment and runs no body."""
     if tx.callee not in state.contracts:
         return None
-    if tx.method not in state.codes[tx.callee].methods:
+    tick = tx.method == TICK_METHOD
+    if not tick and tx.method not in state.codes[tx.callee].methods:
         return None
     sc = _Scratch(state)
     if not sc.debit(tx.origin, tx.attached):
         return None
     sc.credit(tx.callee, tx.attached)
+    if tick:
+        return sc
     try:
         _run_frame(sc, tx.origin, tx.origin, 1, tx.callee, tx.method, tx.args, tx.attached)
     except Abort:

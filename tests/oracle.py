@@ -86,7 +86,7 @@ def enumerate_moves(state, tokens, ceiling, restriction=None):
                         moves.append(Transaction(origin, acc, mname, args,
                                                  Wallet(amounts)))
     if targets and any(state.codes[a].reads_height for a in state.order):
-        # a rolled-back no-op still advances the height
+        # a call with no body that only advances the height
         for origin in sorted(state.adversary):
             for acc in sorted(targets):
                 moves.append(Transaction(origin, acc, TICK_METHOD))
@@ -111,7 +111,7 @@ def brute_lmev(state, observed, restriction, prices, depth, ceiling) -> Fraction
         best = 0
         for tx in enumerate_moves(s, tokens, ceiling, restriction):
             r = execute(s, tx)
-            if not r.valid and tx.method != TICK_METHOD:
+            if not r.valid:
                 continue
             v = (w(s) - w(r.state)) + rec(r.state, k - 1)
             if v > best:
@@ -154,7 +154,7 @@ def brute_best(state, observed, restriction, prices, budget) -> tuple:
         best = (0, 0, ())
         for tx in adversary_moves(s, restriction, budget):
             r = execute(s, tx)
-            if not r.valid and tx.method != TICK_METHOD:
+            if not r.valid:
                 continue
             value, gain, trace = rec(r.state, k - 1)
             cand = (lost - fraction_wealth(obs, r.state, prices) + value,

@@ -17,7 +17,7 @@ from mevscope import (
     adversary_moves,
     execute,
     lmev,
-    stability_probe,
+    rlmev,
     structural_battery,
     total_supply,
     verify_stripping,
@@ -35,7 +35,7 @@ from mevscope.goldens import (
     golden_two_pool_chain,
 )
 from mevscope.scenario import build_state, load_bundled
-from mevscope.search import rich_wallet, with_adversary_wallet
+from mevscope.search import rich_state
 
 import helpers
 from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
@@ -186,7 +186,7 @@ def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
         scn = load_bundled(name)
         state, delta = build_state(scn)
         prices = scn.prices()
-        rich = with_adversary_wallet(state, rich_wallet(state, prices, budget, 1))
+        rich = rich_state(state, prices.tokens(), budget, 1)
         for start in (state, rich):
             engine = lmev(start, delta, None, prices, budget)
             reference = brute_best(start, delta, None, prices, budget)
@@ -249,7 +249,7 @@ def test_randomized_search_property_suite():
 
         # the wealth-escalation ladder is monotone non-decreasing
         if samples % 5 == 0:
-            ladder = stability_probe(state, observed, None, prices, budget)
+            ladder = rlmev(state, observed, None, prices, budget).ladder
             values = [v for _, v in ladder]
             assert all(a <= b for a, b in zip(values, values[1:]))
             checked["ladder"] += 1

@@ -281,8 +281,8 @@ class TestRichVsFixedWealth:
     large enough adversary wallets."""
 
     def _at_wallet(self, state, delta, prices, scale):
-        from mevscope.search import rich_wallet, with_adversary_wallet
-        rich = with_adversary_wallet(state, rich_wallet(state, prices, BUDGET, scale))
+        from mevscope.search import rich_state
+        rich = rich_state(state, prices.tokens(), BUDGET, scale)
         return nonint(rich, delta, prices, BUDGET)
 
     def test_violation_shows_up_at_some_rung(self):

@@ -55,11 +55,13 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 def test_no_package_module_keeps_an_unused_import():
     """Each module of the package other than ``__init__.py`` (which
-    re-exports) reads every name it imports."""
+    re-exports), and each reference module the tests share, reads every
+    name it imports."""
+    paths = [path for path in sorted(Path(mevscope.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += [ROOT / "tests" / name for name in ("oracle.py", "model_checks.py", "helpers.py")]
     unused = []
-    for path in sorted(Path(mevscope.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):

@@ -24,9 +24,9 @@ from mevscope import (
     probe_call,
 )
 from mevscope import catalog, vm
-from mevscope.analysis import _enriched, prober_tokens
+from mevscope.analysis import prober_tokens
 from mevscope.scenario import load_bundled
-from mevscope.vm import TICK_METHOD
+from mevscope.search import rich_state
 
 from helpers import BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state
 
@@ -445,7 +445,7 @@ def _move_digest(name: str, grid: int) -> str:
         if k:
             for tx in moves:
                 res = execute(s, tx)
-                if res.valid or tx.method == TICK_METHOD:
+                if res.valid:
                     visit(res.state, k - 1)
 
     visit(state, 2)
@@ -549,7 +549,7 @@ def _record_flows(states) -> dict:
         for state in states:
             for grid in FLOW_GRIDS:
                 budget = SearchBudget(grid=grid)
-                rich = _enriched(state, budget)
+                rich = rich_state(state, prober_tokens(state) or ("T",), budget, 1)
                 for tx in adversary_moves(rich, None, budget):
                     frame.clear()
                     if not execute(rich, tx).valid:
@@ -563,7 +563,7 @@ def _walk(state, rng) -> list:
     """The enriched ``state`` and the states of one random walk of up to
     ``WALK_STEPS`` valid adversary moves from it."""
     budget = SearchBudget(grid=8)
-    states = [_enriched(state, budget)]
+    states = [rich_state(state, prober_tokens(state) or ("T",), budget, 1)]
     for _ in range(WALK_STEPS):
         valid = [res.state for res in (execute(states[-1], tx)
                                        for tx in adversary_moves(states[-1], None, budget))

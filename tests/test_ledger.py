@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from mevscope import (Account, BlockchainState, ContractState, PriceMap, Wallet,
                       genesis, total_supply, wealth, wealth_units)
 
-from helpers import M, A, two_pool_state
+from helpers import M, two_pool_state
 
 TOKENS = ("T0", "T1", "T2")
 

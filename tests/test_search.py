@@ -35,7 +35,7 @@ from mevscope import (
 from mevscope import search
 from mevscope.cli import main as cli_main
 from mevscope.scenario import bundled, load_bundled, scenario_path
-from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
+from mevscope.vm import ArgSpec, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
                      random_observed, two_pool_state)
@@ -159,7 +159,7 @@ def _within(state, budget, depth):
         if k:
             for tx in adversary_moves(s, None, budget):
                 res = execute(s, tx)
-                if res.valid or tx.method == TICK_METHOD:
+                if res.valid:
                     visit(res.state, k - 1)
 
     visit(state, depth)
@@ -184,7 +184,7 @@ def test_last_ply_deltas_match_execute(name):
     objective = (root.order, tuple(sorted(root.adversary)))
     for grid in (4, 8):
         budget = SearchBudget(grid=grid)
-        rich = search.with_adversary_wallet(root, search.rich_wallet(root, prices, budget, 1))
+        rich = search.rich_state(root, prices.tokens(), budget, 1)
         for state in _within(root, budget, 2) + _within(rich, budget, 1):
             for tx in adversary_moves(state, None, budget):
                 res = execute(state, tx)
@@ -272,7 +272,7 @@ def test_loss_bounds_hold_on_random_walks():
     pairs = reached = 0
     for state, prices, ceiling in _walk_roots(rng):
         budget = SearchBudget(grid=4, ceiling=ceiling)
-        rich = search.with_adversary_wallet(state, search.rich_wallet(state, prices, budget, 1))
+        rich = search.rich_state(state, prices.tokens(), budget, 1)
         for root in (state, rich):
             adv = tuple(sorted(root.adversary))
             for universal in (False, True):
@@ -300,7 +300,7 @@ def test_total_supply_is_constant_on_random_walks():
     steps = 0
     for state, prices, ceiling in _walk_roots(rng):
         budget = SearchBudget(grid=4, ceiling=ceiling)
-        rich = search.with_adversary_wallet(state, search.rich_wallet(state, prices, budget, 1))
+        rich = search.rich_state(state, prices.tokens(), budget, 1)
         for root in (state, rich):
             supply = total_supply(root)
             for universal in (False, True):
@@ -576,16 +576,33 @@ class TestRichAdversary:
         res = rlmev(state, {Account.contract("Bet")}, None, prices, BUDGET)
         assert res.value == 10 and res.complete
 
+    def test_ladder_rungs_are_lmev_values_at_rich_states(self):
+        """``rlmev`` carries its ladder: two rungs on two_amms, which
+        plateaus, and one on bet, which reaches the pot.  Each rung's value
+        is ``lmev`` at the ``rich_state`` of its scale; plain searches carry
+        no ladder, and ``stability_probe`` returns ``rlmev``'s."""
+        for name, want in (("two_amms.scn", ((1, 1), (2, 1))),
+                           ("bet_on_amm_oracle.scn", ((1, 10),))):
+            state, delta, prices = bundled(name)
+            res = rlmev(state, delta, None, prices, BUDGET)
+            assert res.ladder == want
+            for scale, value in res.ladder:
+                rich = search.rich_state(state, prices.tokens(), BUDGET, scale)
+                assert lmev(rich, delta, None, prices, BUDGET).value == value
+            assert lmev(state, delta, None, prices, BUDGET).ladder == ()
+            assert global_mev(state, prices, BUDGET).ladder == ()
+        assert stability_probe(state, delta, None, prices, BUDGET) == res.ladder
+
     def test_ladder_is_monotone_and_plateaus(self):
         st = two_pool_state()
-        ladder = stability_probe(st, {AMM2}, None, PRICES3, SearchBudget(max_depth=3, grid=8))
+        ladder = rlmev(st, {AMM2}, None, PRICES3, SearchBudget(max_depth=3, grid=8)).ladder
         values = [v for _, v in ladder]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert len(values) >= 2 and values[-1] == values[-2] or len(values) == 1
 
     def test_empty_observed_ladder_is_all_zero(self):
         st = two_pool_state()
-        ladder = stability_probe(st, set(), None, PRICES3, SearchBudget(max_depth=2, grid=4))
+        ladder = rlmev(st, set(), None, PRICES3, SearchBudget(max_depth=2, grid=4)).ladder
         assert all(v == 0 for _, v in ladder)
 
     def test_paid_gate_ladder_reaches_the_vault(self):
@@ -594,7 +611,7 @@ class TestRichAdversary:
             ("gated_vault", "D", {"cell": "C", "token": "ETH"}, {"ETH": 100}),
         ])
         prices = PriceMap.uniform(("T", "ETH"))
-        ladder = stability_probe(st, {Account.contract("D")}, None, prices, BUDGET)
+        ladder = rlmev(st, {Account.contract("D")}, None, prices, BUDGET).ladder
         assert ladder[-1][1] == 100
 
     def test_escalation_cap_gives_an_incomplete_result(self, monkeypatch, capsys):
@@ -605,7 +622,7 @@ class TestRichAdversary:
         res = rlmev(state, delta, None, prices, BUDGET)
         assert (res.value, res.complete) == (1, False)
         assert res.warning == "escalation cap reached without a plateau"
-        assert stability_probe(state, delta, None, prices, BUDGET) == ((1, 1),)
+        assert res.ladder == ((1, 1),)
         from mevscope.cli import EXIT_INCOMPLETE, main
         from mevscope.scenario import scenario_path
         assert main(["rlmev", str(scenario_path("two_amms.scn"))]) == EXIT_INCOMPLETE

@@ -7,9 +7,11 @@ from mevscope import (
     Account,
     DeployError,
     PriceMap,
+    SearchBudget,
     Transaction,
     Wallet,
     WellFormednessError,
+    adversary_moves,
     check_well_formed,
     deploy,
     deps,
@@ -188,9 +190,35 @@ def test_conservation_per_token():
 
 def test_height_advances_on_valid_and_invalid():
     state = two_pool_state()
-    assert execute(state, SWAP1).state.height == 1
-    assert execute(state, SWAP2).state.height == 1
-    assert execute(state, Transaction(M, AMM1, TICK_METHOD)).state.height == 1
+    for tx, valid in ((SWAP1, True), (SWAP2, False),
+                      (Transaction(M, AMM1, "no_such_method"), False),
+                      (Transaction(M, AMM1, TICK_METHOD), True),
+                      # a tick still needs a deployed callee and a funded attachment
+                      (Transaction(M, Account.contract("Nowhere"), TICK_METHOD), False),
+                      (Transaction(M, AMM1, TICK_METHOD, (), Wallet({"T0": 4})), False)):
+        res = execute(state, tx)
+        assert (res.valid, res.state.height) == (valid, 1), tx
+
+
+def test_a_generated_tick_is_valid_and_only_advances_the_height():
+    state = bet_state()
+    ticks = [tx for tx in adversary_moves(state, None, SearchBudget())
+             if tx.method == TICK_METHOD]
+    assert len(ticks) == 1
+    res = execute(state, ticks[0])
+    assert res.valid
+    assert res.state.core_key() == state.core_key()
+    assert res.state.height == state.height + 1
+
+
+def test_a_trace_with_ticks_replays_as_valid():
+    bet = Account.contract("Bet")
+    state = bet_state(deadline=1, adversary_eth=5)
+    tick = Transaction(M, bet, TICK_METHOD)
+    res = execute_trace(state, [tick, tick, Transaction(A, bet, "close")])
+    assert res.valid
+    assert res.state.height == 3
+    assert res.state.user_wallet(A) == Wallet({"ETH": 10})
 
 
 def test_call_depth_cap_invalidates():
