@@ -187,10 +187,12 @@ class ContractCode:
     ``move_generator(state, acc, budget)`` proposes candidate adversary
     calls ``(method[, args[, attached]])`` to this contract, whose account
     is ``acc``; the search sends each of them from every adversary account.
-    It may read the whole state (it is engine metadata, not contract code,
-    so the no-inspection rule does not apply to it).  It is called only
-    while this contract is deployed, so it reads its own state unguarded; a
-    dependency's state it must look up first.  ``intok_decl`` /
+    It may read any contract's state (it is engine metadata, not contract
+    code, so the no-inspection rule does not apply to it), but never a user
+    wallet: a richer adversary gets the same moves, which ``search.rlmev``
+    relies on.  It is called only while this contract is deployed, so it
+    reads its own state unguarded; a dependency's state it must look up
+    first.  ``intok_decl`` /
     ``outtok_decl`` are declared over-approximations of the receivable /
     sendable token sets; ``None`` means "unknown, assume every token".
     ``calls_out`` lists the (dependency name, method) pairs the contract's

@@ -6,6 +6,7 @@ otherwise; values are exact rationals compared with equality.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from mevscope import (
@@ -23,6 +24,7 @@ from mevscope import (
     verify_stripping,
     wealth,
 )
+from mevscope import analysis
 from mevscope.cli import main as cli_main
 from mevscope.goldens import (
     golden_airdrop_feeds_exchange,
@@ -35,7 +37,7 @@ from mevscope.goldens import (
     golden_two_pool_chain,
 )
 from mevscope.scenario import build_state, load_bundled
-from mevscope.search import rich_state
+from mevscope.search import ESCALATION_CAP, rich_state
 
 import helpers
 from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
@@ -194,6 +196,94 @@ def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
             cases += 1
     print(f"[PASS] witness oracle on the bundled scenarios: {cases} generator-mode "
           "searches match the brute-force value and witness")
+
+
+def test_floor_search_matches_the_witness_oracle_on_bundled_scenarios():
+    """Every bundled scenario at depth 3 and the second wealthy rung
+    (``rich_state`` scale 2), the fragment observed with the universe
+    callable: with ``lmev``'s floor at the first rung's value, at zero, at
+    the oracle's value and just below it, the search returns None exactly
+    when ``brute_best``'s value is at most the floor, and otherwise the
+    oracle's value and witness."""
+    budget = SearchBudget(max_depth=3)
+    outcomes = {"none": 0, "beaten": 0}
+    for name in helpers.BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        prices = scn.prices()
+        first = lmev(rich_state(state, prices.tokens(), budget, 1), delta, None,
+                     prices, budget).value
+        rich = rich_state(state, prices.tokens(), budget, 2)
+        value, witness = brute_best(rich, delta, None, prices, budget)
+        floors = {first, Fraction(0), value}
+        if value > 0:
+            floors.add(value - Fraction(1, prices.scale))
+        for floor in sorted(floors):
+            got = lmev(rich, delta, None, prices, budget, floor=floor)
+            if value <= floor:
+                assert got is None, (name, floor)
+                outcomes["none"] += 1
+            else:
+                assert (got.value, got.witness) == (value, witness), (name, floor)
+                outcomes["beaten"] += 1
+    assert all(outcomes.values())
+    print(f"[PASS] floor searches on the bundled scenarios: {outcomes} match the "
+          "brute-force value and witness")
+
+
+def _reference_rlmev(state, observed, restriction, prices, budget):
+    """``rlmev`` as the plain loop of full ``lmev`` searches, with no floor:
+    the first rung whose value does not rise is the plateau."""
+    obs = frozenset(observed) & state.deployed
+    upper = wealth(tuple(sorted(obs)), state, prices)
+    ladder, prev, scale = [], None, 1
+    for _ in range(ESCALATION_CAP + 1):
+        rich = rich_state(state, prices.tokens(), budget, scale)
+        res = replace(lmev(rich, obs, restriction, prices, budget), adversary_wallet=rich.users)
+        ladder.append((scale, res.value))
+        if res.value == upper:
+            return replace(res, ladder=tuple(ladder))
+        if prev is not None and res.value == prev.value:
+            return replace(prev, ladder=tuple(ladder))
+        prev, scale = res, scale * 2
+    return replace(prev, complete=False, warning="escalation cap reached without a plateau",
+                   ladder=tuple(ladder))
+
+
+def test_floor_ladder_matches_the_full_search_ladder(monkeypatch):
+    """``rlmev``, whose later rungs search only above the previous rung's
+    value, gives the same value, witness, completeness, warning, ladder and
+    adversary wallet as a ladder of full searches: every bundled scenario at
+    depths 3 and 4, every state ``verify_stripping`` searches at depth 3
+    (each scenario whole and stripped, the universe and the fragment
+    callable), and 60 micro states (seed 20), half of them searched
+    exhaustively."""
+    rungs = {1: 0, 2: 0}
+
+    def checked(*args):
+        got = rlmev(*args)
+        assert got == _reference_rlmev(*args), args
+        rungs[min(len(got.ladder), 2)] += 1
+        return got
+
+    monkeypatch.setattr(analysis, "rlmev", checked)
+    for name in helpers.BUNDLED_SCENARIOS:
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        prices = scn.prices()
+        for depth in (3, 4):
+            checked(state, delta, None, prices, SearchBudget(max_depth=depth))
+        for restriction in (None, delta):
+            verify_stripping(state, delta, restriction, prices, SearchBudget(max_depth=3))
+    rng = random.Random(20)
+    for _ in range(60):
+        state, prices, ceiling = random_micro(rng)
+        checked(state, random_observed(rng, state), None, prices,
+                SearchBudget(max_depth=rng.choice((2, 3)), grid=4,
+                             exhaustive=rng.random() < 0.5, ceiling=ceiling))
+    assert all(rungs.values())
+    print(f"[PASS] floor ladder: {sum(rungs.values())} rlmev calls match a ladder of full "
+          f"searches (by rungs, 1 / 2+: {rungs[1]} / {rungs[2]})")
 
 
 def test_randomized_search_property_suite():

@@ -634,3 +634,36 @@ def test_the_checked_flows_reach_every_catalog_entry():
         _, keys, flows = _start_flows(start)
         reached.update(keys[acc.name] for acc in flows)
     assert reached == set(REGISTRY)
+
+
+# --- move generators never read a user wallet -------------------------------------
+#
+# ``search.rlmev`` searches a rung after the first only for a trace above the
+# previous rung's value.  That is exact because a richer adversary gets the
+# same moves: a generator reads contract states, never a user wallet.
+
+
+def _assert_moves_ignore_wallets(state, rng) -> None:
+    """At the enriched ``state`` and along a seeded random walk from it,
+    ``adversary_moves`` gives the same moves with the adversary's wallet as
+    the walk left it and at ``rich_state`` scales 1, 2 and 4."""
+    budget = SearchBudget(grid=8)
+    tokens = prober_tokens(state) or ("T",)
+    for here in _walk(state, rng):
+        want = adversary_moves(here, None, budget)
+        for scale in (1, 2, 4):
+            assert adversary_moves(rich_state(here, tokens, budget, scale), None, budget) == want, \
+                (here, scale)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda v: v.rsplit("/", 1)[-1])
+def test_bundled_move_generators_ignore_user_wallets(name):
+    state, _ = build_state(load_bundled(name))
+    _assert_moves_ignore_wallets(state, random.Random(name))
+
+
+@pytest.mark.parametrize("family", MICRO_FAMILIES, ids=lambda f: f.__name__.lstrip("_"))
+def test_micro_move_generators_ignore_user_wallets(family):
+    rng = random.Random(family.__name__)
+    for _ in range(3):
+        _assert_moves_ignore_wallets(family(rng)[0], rng)

@@ -98,6 +98,12 @@ class TestLmev:
         assert lmev(state, set(), None, PRICES3, BUDGET).value == 0
         assert lmev(state, {AMM2}, frozenset(), PRICES3, BUDGET).value == 0
 
+    def test_floor_is_non_negative(self):
+        """The empty trace's zero beats a negative floor, which the root's
+        seed would hide: such a floor is rejected."""
+        with pytest.raises(ValueError, match="floor must be non-negative"):
+            lmev(two_pool_state(), {AMM2}, None, PRICES3, BUDGET, floor=Fraction(-1))
+
     def test_values_scale_with_exact_prices(self):
         st = build({M: {}}, [("airdrop", "Drop", {"token": "TA"}, {"TA": 5})])
         prices = PriceMap.of({"TA": "3/2"})
@@ -412,18 +418,8 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
             assert b == a, (name, case)
 
 
-@pytest.mark.parametrize("argv, most", (
-    # with the child cut off (its ``break`` a no-op): 9,373, 879, 1,745 and
-    # 39,900 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 4_555),
-    (("rlmev", "two_amms.scn"), 452),
-    (("strip-check", "two_amms.scn"), 673),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 16_646),
-), ids=("nonint-depth-6", "rlmev", "strip-check", "richnonint-depth-5"))
-def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
-    """The child cut fires early: visiting children best-first, these
-    queries make at most the pinned number of ``execute_delta`` calls,
-    against about twice as many or more with the child cut off."""
+def _cli_executes(argv, monkeypatch) -> int:
+    """``execute_delta`` calls of one CLI query on a bundled scenario."""
     calls = [0]
 
     def counted(*args):
@@ -434,7 +430,36 @@ def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
     cmd, scn, *flags = argv
     with redirect_stdout(io.StringIO()):
         cli_main([cmd, str(scenario_path(scn)), *flags])
-    assert 0 < calls[0] <= most
+    return calls[0]
+
+
+@pytest.mark.parametrize("argv, most, unseeded", (
+    # with the child cut off (its ``break`` a no-op): 9,373, 879, 1,745 and
+    # 39,900 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 4_555, None),
+    (("rlmev", "two_amms.scn"), 250, 452),
+    (("strip-check", "two_amms.scn"), 367, 673),
+    (("rlmev", "two_amms.scn", "--depth", "6"), 387, 726),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 16_646, None),
+), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
+def test_child_cut_bounds_the_execute_count(argv, most, unseeded, monkeypatch):
+    """The child cut fires early: visiting children best-first, these
+    queries make at most the pinned number of ``execute_delta`` calls,
+    against about twice as many or more with the child cut off.  On the
+    ladder queries the cut also drops every root child of a later rung
+    that cannot beat the previous rung's value: with ``lmev``'s floor
+    forced off (a full search, None when it does not rise) they make the
+    ``unseeded`` count again."""
+    assert 0 < _cli_executes(argv, monkeypatch) <= most
+    if unseeded is not None:
+        full = search.lmev
+
+        def floorless(*args, floor=None):
+            res = full(*args)
+            return None if floor is not None and res.value <= floor else res
+
+        monkeypatch.setattr(search, "lmev", floorless)
+        assert _cli_executes(argv, monkeypatch) == unseeded
 
 
 def test_move_table_matches_fresh_enumeration(monkeypatch):
@@ -592,6 +617,22 @@ class TestRichAdversary:
             assert lmev(state, delta, None, prices, BUDGET).ladder == ()
             assert global_mev(state, prices, BUDGET).ladder == ()
         assert stability_probe(state, delta, None, prices, BUDGET) == res.ladder
+
+    def test_result_names_the_wallet_of_its_rung(self):
+        """``adversary_wallet`` holds the users of the ``rich_state`` rung
+        the result came from: on two_amms, which plateaus at the second
+        rung, the first; on bet, which reaches the pot, the only one.  Plain
+        searches name none."""
+        for name, ladder in (("two_amms.scn", ((1, 1), (2, 1))),
+                             ("bet_on_amm_oracle.scn", ((1, 10),))):
+            state, delta, prices = bundled(name)
+            res = rlmev(state, delta, None, prices, BUDGET)
+            assert res.ladder == ladder
+            first, second = (search.rich_state(state, prices.tokens(), BUDGET, scale).users
+                             for scale in (1, 2))
+            assert res.adversary_wallet == first != second
+            assert lmev(state, delta, None, prices, BUDGET).adversary_wallet is None
+            assert global_mev(state, prices, BUDGET).adversary_wallet is None
 
     def test_ladder_is_monotone_and_plateaus(self):
         st = two_pool_state()
