@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .ledger import Account, Wallet
-from .vm import ArgSpec, AttachSpec, ContractCode, MethodDef
+from .vm import ArgSpec, AttachSpec, ContractCode, MethodDef, wealth_bound
 
 ZERO_ARG = (ArgSpec("choice", (0,)),)   # guard-only minimum-output argument
 
@@ -141,7 +141,7 @@ def _amm_build(name: str, t0, t1) -> ContractCode:
         c.require(ymin <= y < bout)
         c.pay_sender(y, tout)
 
-    def loss_bound(cs, units):
+    def loss_bound(cs, units, plies=None, *, adversary=frozenset(), called=True):
         # k = x*y never falls: swaps floor their output and addLiq only adds.
         # At fixed prices the cheapest reserves with x*y >= k are worth
         # 2*sqrt(k*u0*u1), so the pool can lose at most the rest of its
@@ -290,6 +290,23 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         c.require(c.height() > c.store("deadline") and c.origin == c.store("owner"))
         c.pay(c.store("owner"), c.balance(pot_token), pot_token)
 
+    def loss_bound(cs, units, plies=None, *, adversary=frozenset(), called=True):
+        """The bet's wealth, or 0 within one transaction when no player is
+        stored, the owner is not in ``adversary`` and no contract calls the
+        bet.
+
+        Only ``win`` and ``close`` pay anything out.  ``close`` needs the
+        owner as origin, and every origin is an adversary account.  ``win``
+        needs the origin to be the stored player, and none is stored: only
+        ``bet`` stores one, and one transaction runs ``bet`` and then ``win``
+        only through a contract that calls into the bet.  A tick runs no
+        code.  The bound is 0 or the wealth for one ply and the wealth for
+        more, so it never decreases as ``plies`` grows."""
+        if (plies is not None and plies <= 1 and not called
+                and cs.store["player"] is None and cs.store["owner"] not in adversary):
+            return 0
+        return wealth_bound(cs, units)
+
     def gen(state, acc, budget):
         pot = state.contracts[acc].wallet.get(pot_token)
         return [("win",), ("close",),
@@ -308,6 +325,7 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         reads_height=True,
         calls_out=frozenset({(oracle, "getRate"), (oracle, "getTokens")}),
         move_generator=gen,
+        loss_bound=loss_bound,
         probes=(("win",),),
     )
 

@@ -25,10 +25,12 @@ reproducible and makes witnesses prefer traces where the attacker also
 banks the damage.
 
 Two cuts read two bounds built from the contracts' ``loss_bound``
-(``_MaxSearch.bounds``): the objective can rise by at most what the observed
-contracts can still lose (all contracts, for the adversary-gain objective),
-and the adversary can gain at most what all contracts together can lose,
-since supply is conserved and users outside the adversary only receive.
+(``_MaxSearch.bounds``): within the plies left, the objective can rise by at
+most what the observed contracts can still lose (all contracts, for the
+adversary-gain objective), and the adversary can gain at most what all
+contracts together can lose, since supply is conserved and users outside
+the adversary only receive.  A node with k plies left is bounded at k, and
+the state an expanded move leads to at k - 1.
 The child cut (branch and bound, Land & Doig 1960) skips the state an
 expanded move leads to when the move's change plus that state's bounds
 cannot beat the node's best so far, on value or, at a tied value, on gain.
@@ -42,9 +44,12 @@ key sorts before the best's first move then starts traces of at most L
 moves, any other of at most L - 1, and a last-ply node skips the moves whose
 key sorts after its best's.  Both cuts compare values and move keys, never
 positions, so the result does not depend on the order moves are visited in.
-The bounds depend on the state alone, and a cut child is never stored, so
-every memo entry, keyed on (state, remaining depth), still holds the exact
-best.
+The bounds depend on the state and the plies left alone, and never decrease
+as the plies left grow, so a child the span cut searches to fewer than
+k - 1 plies stays bounded; and a cut child is never stored, so every memo
+entry, keyed on (state, remaining depth), still holds the exact best.
+``complete``, ``_search``'s ``upper`` and ``rlmev``'s stop keep the wealth
+bound, which holds over traces of any length.
 
 ``lmev``'s ``floor`` starts the root's best at a given value with an infinite
 gain, so only a trace of larger value beats it (a fail-low test in the sense
@@ -212,6 +217,13 @@ class _MaxSearch:
         self.accounts = accounts
         self.sign = sign
         self.groups = (accounts, tuple(sorted(state.adversary)))
+        self.adversary = state.adversary
+        # deployments and the adversary are fixed within a search: per
+        # contract, its bound, whether a deployed contract calls it and
+        # whether it counts toward the objective's bound
+        callees = frozenset().union(*(state.codes[a].declared_deps for a in state.order))
+        self.bounders = tuple((a, state.codes[a].loss_bound, a.name in callees,
+                               sign > 0 or a in accounts) for a in state.order)
         self.tokens = prices.tokens()
         self.include_height = any(state.codes[a].reads_height for a in state.order)
         self.memo: dict = {}
@@ -219,21 +231,28 @@ class _MaxSearch:
         # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
         self.move_table: dict = {}
 
-    def bounds(self, state: BlockchainState) -> tuple:
+    def bounds(self, state: BlockchainState, plies: int) -> tuple:
         """Upper bounds, in integer price units, on the objective's increase
-        and on the adversary's gain over any trace from ``state``.
+        and on the adversary's gain over any trace of at most ``plies``
+        moves from ``state``.
 
         Both rest on the contracts' ``loss_bound``: a loss objective (sign
         -1, ``accounts`` contracts) gains at most what those contracts can
         lose; supply is conserved and users outside the adversary only
         receive, so the whole adversary (the gain objective's ``accounts``)
-        gains at most what all contracts together can lose."""
-        units, codes, contracts = self.prices.units, state.codes, state.contracts
-        loss = {a: codes[a].loss_bound(contracts[a], units) for a in state.order}
-        total = sum(loss.values())
-        if self.sign < 0:
-            return sum(loss[a] for a in self.accounts), total
-        return total, total
+        gains at most what all contracts together can lose.  The bounds
+        depend on the state and ``plies`` alone, and never decrease as
+        ``plies`` grows, so a memo entry keyed on (state, remaining depth)
+        stays exact, and a child bounded at the node's remaining depth
+        less one stays bounded when the span cut searches it less deep."""
+        units, contracts, adversary = self.prices.units, state.contracts, self.adversary
+        objective = total = 0
+        for acc, loss_bound, called, counted in self.bounders:
+            loss = loss_bound(contracts[acc], units, plies, adversary=adversary, called=called)
+            total += loss
+            if counted:
+                objective += loss
+        return objective, total
 
     def _exhaustive_moves(self, state):
         """``universal_moves(state, ...)``, enumerated once per user set.
@@ -263,7 +282,8 @@ class _MaxSearch:
 
         An expanded node (two or more plies left) runs every move first and
         visits the children best-first: by decreasing optimistic value (the
-        move's change plus the next state's ``bounds``), then optimistic
+        move's change plus the next state's ``bounds`` at k - 1 plies,
+        where k is the node's), then optimistic
         gain, then move order.  A last-ply node scores its moves in move
         order.
 
@@ -312,7 +332,7 @@ class _MaxSearch:
                     if _better(cand, top):
                         top = cand
                         if node_bounds is None:
-                            node_bounds = bounds(state)
+                            node_bounds = bounds(state, k)
                         if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                             first = tx.key()
             else:
@@ -322,7 +342,7 @@ class _MaxSearch:
                     if step is None:
                         continue
                     (dv, dg), nxt = step
-                    vb, gb = bounds(nxt)
+                    vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
                 # best-first; the sort is stable, so ties keep move order
                 children.sort(key=optimistic, reverse=True)
@@ -340,7 +360,7 @@ class _MaxSearch:
                     if _better(cand, top):
                         top = cand
                         if node_bounds is None:
-                            node_bounds = bounds(state)
+                            node_bounds = bounds(state, k)
                         if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                             length, first = len(cand[2]), tx.key()
             if seeded:

@@ -171,8 +171,10 @@ def _unit(units: Mapping[Token, int], token: Token) -> int:
     return u
 
 
-def wealth_bound(cs: ContractState, units: Mapping[Token, int]) -> int:
-    """The default ``loss_bound``: a contract can lose at most what it holds."""
+def wealth_bound(cs: ContractState, units: Mapping[Token, int], plies: Optional[int] = None,
+                 *, adversary: frozenset = frozenset(), called: bool = True) -> int:
+    """The default ``loss_bound``: a contract can lose at most what it holds,
+    however few transactions are left."""
     return sum(n * _unit(units, tok) for tok, n in cs.wallet.items())
 
 
@@ -201,13 +203,19 @@ class ContractCode:
     to a pair it does not list is a contract bug.  ``probes`` are
     the stability check's observation calls, in the move generator's shape.
 
-    ``loss_bound(cs, units)`` is the most this contract can still lose from
-    its state ``cs`` over any trace, in the integer price units ``units``
-    gives per token (as ``PriceMap.units``).  It may depend on ``cs`` alone,
-    and it must never be exceeded: the search stops expanding a node once
-    its best trace reaches the bounds built from it, and skips a move whose
-    next state's bounds cannot beat the node's best.  The default is the
-    contract's wealth.
+    ``loss_bound(cs, units, plies=None, *, adversary=frozenset(),
+    called=True)`` is the most this contract can still lose from its state
+    ``cs``, in the integer price units ``units`` gives per token (as
+    ``PriceMap.units``), over any trace of at most ``plies`` adversary
+    transactions (None: of any length).  ``adversary`` is the set of
+    accounts that sign those transactions, and ``called`` is False only
+    when no deployed contract's ``calls_out`` names this one, so every
+    call into it is a transaction's own.  It may depend on these arguments
+    alone, must never decrease as ``plies`` grows (None being the largest),
+    and must never be exceeded: the search stops expanding a node once its
+    best trace reaches the bounds built from it, and skips a move whose
+    next state's bounds cannot beat the node's best.  The defaults give the
+    any-trace answer.  The default bound is the contract's wealth.
     """
 
     name: str

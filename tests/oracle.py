@@ -7,10 +7,11 @@ maximum with no pruning, bounds or escalation.  The executor is shared,
 since the executor itself is what defines the semantics under test.
 
 ``brute_lmev`` enumerates transactions straight from the declared method
-signatures by local code and returns the value alone.  ``brute_best``
-recurses over the move generators (``search.adversary_moves``), which define
-the move space of every generator-mode search, and breaks ties locally, so
-it checks witnesses too.
+signatures by local code and returns the value alone; ``brute_losses``
+gives that value for each deployed contract observed alone, in one
+recursion.  ``brute_best`` recurses over the move generators
+(``search.adversary_moves``), which define the move space of every
+generator-mode search, and breaks ties locally, so it checks witnesses too.
 """
 
 import itertools
@@ -120,6 +121,38 @@ def brute_lmev(state, observed, restriction, prices, depth, ceiling) -> Fraction
         return best
 
     return Fraction(rec(state, depth))
+
+
+def brute_losses(state, prices, depth, ceiling) -> dict:
+    """``{contract: brute_lmev(state, {contract}, None, prices, depth,
+    ceiling)}`` over the deployed contracts, in one recursion: each
+    contract's largest loss is maximised over the traces separately."""
+    tokens = prices.tokens()
+    order = tuple(state.order)
+    memo = {}
+
+    def wealths(s):
+        return [fraction_wealth((acc,), s, prices) for acc in order]
+
+    def rec(s, k):
+        if k == 0:
+            return [0] * len(order)
+        key = (state_key(s), k)
+        if key in memo:
+            return memo[key]
+        before = wealths(s)
+        best = [0] * len(order)
+        for tx in enumerate_moves(s, tokens, ceiling):
+            r = execute(s, tx)
+            if not r.valid:
+                continue
+            rest = rec(r.state, k - 1)
+            best = [max(b, w - after + v)
+                    for b, w, after, v in zip(best, before, wealths(r.state), rest)]
+        memo[key] = best
+        return best
+
+    return {acc: Fraction(v) for acc, v in zip(order, rec(state, depth))}
 
 
 def _beats(cand, best) -> bool:

@@ -12,11 +12,15 @@ import pytest
 from mevscope import (
     REGISTRY,
     Account,
+    ContractCode,
+    MethodDef,
+    PriceMap,
     ScenarioError,
     SearchBudget,
     Transaction,
     Wallet,
     adversary_moves,
+    deploy,
     execute,
     build_state,
     execute_trace,
@@ -27,8 +31,10 @@ from mevscope import catalog, vm
 from mevscope.analysis import prober_tokens
 from mevscope.scenario import load_bundled
 from mevscope.search import rich_state
+from mevscope.vm import AttachSpec
 
 from helpers import BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state
+from oracle import brute_lmev, brute_losses
 
 AMM = Account.contract("AMM")
 BUDGET = SearchBudget(max_depth=4, grid=8)
@@ -559,12 +565,11 @@ def _record_flows(states) -> dict:
     return flows
 
 
-def _walk(state, rng) -> list:
-    """The enriched ``state`` and the states of one random walk of up to
-    ``WALK_STEPS`` valid adversary moves from it."""
-    budget = SearchBudget(grid=8)
-    states = [rich_state(state, prober_tokens(state) or ("T",), budget, 1)]
-    for _ in range(WALK_STEPS):
+def _walk_from(root, rng, steps, budget) -> list:
+    """``root`` and the states of one random walk of up to ``steps`` valid
+    adversary moves from it."""
+    states = [root]
+    for _ in range(steps):
         valid = [res.state for res in (execute(states[-1], tx)
                                        for tx in adversary_moves(states[-1], None, budget))
                  if res.valid]
@@ -572,6 +577,14 @@ def _walk(state, rng) -> list:
             break
         states.append(rng.choice(valid))
     return states
+
+
+def _walk(state, rng) -> list:
+    """The enriched ``state`` and the states of one random walk of up to
+    ``WALK_STEPS`` valid adversary moves from it."""
+    budget = SearchBudget(grid=8)
+    return _walk_from(rich_state(state, prober_tokens(state) or ("T",), budget, 1),
+                      rng, WALK_STEPS, budget)
 
 
 def _assert_within_declarations(state, flows) -> None:
@@ -667,3 +680,124 @@ def test_micro_move_generators_ignore_user_wallets(family):
     rng = random.Random(family.__name__)
     for _ in range(3):
         _assert_moves_ignore_wallets(family(rng)[0], rng)
+
+
+# --- ply-aware loss bounds against the brute-force oracle ---------------------------
+#
+# The search bounds a state by what each contract can still lose within the
+# plies it has left there.  ``loss_bound(cs, units, p, ...)`` must be at least
+# the largest loss a brute force finds within p transactions, must never
+# decrease as p grows, and must never exceed the any-trace bound (p None).
+
+PLIES = (1, 2, 3)
+PLY_WALK_STEPS = 2
+BUNDLED_PLY_CEILING = 1   # amounts up to 1 keep the 3-ply brute force of row 6 near a second
+
+
+def _ply_bounds(state, prices, acc) -> list:
+    """``acc``'s ``loss_bound`` at each of ``PLIES`` and then at None, given
+    the adversary and whether a deployed contract's ``calls_out`` names it."""
+    callees = frozenset().union(*(state.codes[a].declared_deps for a in state.order))
+    bound = state.codes[acc].loss_bound
+    return [bound(state.contracts[acc], prices.units, p,
+                  adversary=state.adversary, called=acc.name in callees)
+            for p in PLIES + (None,)]
+
+
+def _assert_ply_bounds_hold(state, prices, ceiling) -> dict:
+    """Check every contract's ply bounds at ``state`` against the brute
+    force with amounts up to ``ceiling``: {(contract, p): (loss, bound)} in
+    integer price units."""
+    losses = {p: brute_losses(state, prices, p, ceiling) for p in PLIES}
+    found = {}
+    for acc in state.order:
+        *bounds, unbounded = _ply_bounds(state, prices, acc)
+        assert bounds == sorted(bounds) and bounds[-1] <= unbounded, (acc, bounds, unbounded)
+        for p, bound in zip(PLIES, bounds):
+            loss = losses[p][acc] * prices.scale
+            assert loss <= bound, (acc, p, loss, bound, state)
+            found[acc, p] = loss, bound
+    return found
+
+
+def _assert_ply_bounds_on_walks(state, prices, ceiling, rng) -> None:
+    """Along a seeded walk from ``state`` and from its first wealthy rung."""
+    budget = SearchBudget(grid=8)
+    for root in (state, rich_state(state, prices.tokens(), budget, 1)):
+        for here in _walk_from(root, rng, PLY_WALK_STEPS, budget):
+            _assert_ply_bounds_hold(here, prices, ceiling)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda v: v.rsplit("/", 1)[-1])
+def test_bundled_ply_loss_bounds_hold(name):
+    scn = load_bundled(name)
+    state, _ = build_state(scn)
+    _assert_ply_bounds_on_walks(state, scn.prices(), BUNDLED_PLY_CEILING, random.Random(name))
+
+
+@pytest.mark.parametrize("family", MICRO_FAMILIES, ids=lambda f: f.__name__.lstrip("_"))
+def test_micro_ply_loss_bounds_hold(family):
+    rng = random.Random(family.__name__)
+    state, tokens, ceiling = family(rng)
+    _assert_ply_bounds_on_walks(state, PriceMap.uniform(tokens), ceiling, rng)
+
+
+BET = Account.contract("Bet")
+BET_PRICES = PriceMap.uniform(("ETH", "T"))
+
+
+def _small_bet(rate=1, deadline=5, height=0, adversary=(M,)):
+    """A bet with a pot of 1 ETH on a 2 ETH / 2 T pool, deployed by ``A``;
+    M holds 3 ETH."""
+    return build({M: {"ETH": 3}, A: {}},
+                 [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
+                  ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": rate,
+                                  "deadline": deadline}, {"ETH": 1})],
+                 adversary=adversary, height=height)
+
+
+def _bet_ply_figures(state) -> dict:
+    """{p: (the bet's loss within p plies, its bound)} at ``state``, after
+    checking every contract there, with ``brute_lmev`` for each contract
+    agreeing with ``brute_losses``."""
+    found = _assert_ply_bounds_hold(state, BET_PRICES, 1)
+    for (acc, p), (loss, _) in found.items():
+        assert loss == brute_lmev(state, {acc}, None, BET_PRICES, p, 1) * BET_PRICES.scale
+    return {p: found[BET, p] for p in PLIES}
+
+
+def test_bet_ply_bound_when_the_adversary_owns_it():
+    """The owner is an adversary account and the deadline has passed:
+    ``close`` takes the pot in one ply."""
+    state = _small_bet(deadline=0, height=1, adversary=(M, A))
+    assert _bet_ply_figures(state) == {p: (1, 1) for p in PLIES}
+
+
+def test_bet_ply_bound_when_a_contract_calls_it():
+    """A contract whose ``calls_out`` names the bet places the bet and wins
+    it within one transaction."""
+
+    def play(c):
+        c.call("Bet", "bet", (), c.attached)
+        c.call("Bet", "win")
+
+    player = ContractCode(
+        name="Player",
+        methods={"play": MethodDef(play, attach=(AttachSpec(("ETH",), (1,)),))},
+        calls_out=frozenset({("Bet", "bet"), ("Bet", "win")}),
+    )
+    state = deploy(_small_bet(rate=0), player, deployer=A)
+    assert _bet_ply_figures(state) == {p: (1, 1) for p in PLIES}
+
+
+def test_bet_ply_bound_after_the_pool_is_pumped():
+    """The pool quotes 4 ETH per T, above the bet's rate, but no player is
+    stored: one ply cannot take the pot, two (``bet``, then ``win``) can.
+    Once M has bet, one ply (``win``) takes the doubled pot."""
+    pump = Transaction(M, Account.contract("AMM"), "swap", (0,), Wallet({"ETH": 2}))
+    state = execute(_small_bet(), pump).state
+    assert state.contracts[BET].store["player"] is None
+    assert _bet_ply_figures(state) == {1: (0, 0), 2: (1, 1), 3: (1, 1)}
+    staked = execute(state, Transaction(M, BET, "bet", (), Wallet({"ETH": 1}))).state
+    assert staked.contracts[BET].store["player"] == M
+    assert _bet_ply_figures(staked) == {p: (2, 2) for p in PLIES}

@@ -381,7 +381,8 @@ def test_bound_cut_keeps_every_result(monkeypatch):
     monkeypatch.setattr(search, "execute_delta", counted)
     cut = _four_searches(cases)
     cut_runs, runs[0] = runs[0], 0
-    monkeypatch.setattr(search._MaxSearch, "bounds", lambda self, state: (math.inf, math.inf))
+    monkeypatch.setattr(search._MaxSearch, "bounds",
+                        lambda self, state, plies: (math.inf, math.inf))
     full = _four_searches(cases)
     assert cut_runs < runs[0]
     for want, got in zip(full, cut):
@@ -434,22 +435,23 @@ def _cli_executes(argv, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("argv, most, unseeded", (
-    # with the child cut off (its ``break`` a no-op): 9,373, 879, 1,745 and
-    # 39,900 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 4_555, None),
+    # with the child cut off (its ``break`` a no-op): 8,824, 14,014, 15,410,
+    # 82,277 and 30,337 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215, None),
     (("rlmev", "two_amms.scn"), 250, 452),
     (("strip-check", "two_amms.scn"), 367, 673),
     (("rlmev", "two_amms.scn", "--depth", "6"), 387, 726),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 16_646, None),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581, None),
 ), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, unseeded, monkeypatch):
     """The child cut fires early: visiting children best-first, these
     queries make at most the pinned number of ``execute_delta`` calls,
-    against about twice as many or more with the child cut off.  On the
-    ladder queries the cut also drops every root child of a later rung
-    that cannot beat the previous rung's value: with ``lmev``'s floor
-    forced off (a full search, None when it does not rise) they make the
-    ``unseeded`` count again."""
+    against about twice as many or more with the child cut off.  The bet
+    rows also need the bet's bound within the plies left: bounded over any
+    trace instead, they make 4,555 and 16,646.  On the ladder queries the
+    cut also drops every root child of a later rung that cannot beat the
+    previous rung's value: with ``lmev``'s floor forced off (a full search,
+    None when it does not rise) they make the ``unseeded`` count again."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
     if unseeded is not None:
         full = search.lmev
