@@ -154,10 +154,6 @@ class Wallet:
             d[tok] = d.get(tok, 0) + n
         return Wallet._from_clean(d)
 
-    def dominates(self, other: "Wallet") -> bool:
-        """Pointwise >=."""
-        return all(self._d.get(tok, 0) >= n for tok, n in other._d.items())
-
     def pretty(self) -> str:
         if not self._d:
             return "0"
@@ -190,14 +186,6 @@ class PriceMap:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "units", {
             t: p.numerator * (scale // p.denominator) for t, p in self.prices})
-
-    @staticmethod
-    def of(mapping: Mapping[Token, object]) -> "PriceMap":
-        return PriceMap(tuple(sorted((t, Fraction(p)) for t, p in mapping.items())))
-
-    @staticmethod
-    def uniform(tokens: Iterable[Token]) -> "PriceMap":
-        return PriceMap.of({t: 1 for t in tokens})
 
     def price(self, token: Token) -> Fraction:
         for t, p in self.prices:

@@ -42,7 +42,9 @@ a trace of length L, neither value nor gain can grow, so a later trace wins
 only by being shorter, or as long with a smaller trace key.  A move whose
 key sorts before the best's first move then starts traces of at most L
 moves, any other of at most L - 1, and a last-ply node skips the moves whose
-key sorts after its best's.  Both cuts compare values and move keys, never
+key sorts after its best's.  An expanded node offers every one-move trace
+before it searches any child, so a single move that reaches both bounds
+skips every child.  Both cuts compare values and move keys, never
 positions, so the result does not depend on the order moves are visited in.
 The bounds depend on the state and the plies left alone, and never decrease
 as the plies left grow, so a child the span cut searches to fewer than
@@ -284,8 +286,10 @@ class _MaxSearch:
         visits the children best-first: by decreasing optimistic value (the
         move's change plus the next state's ``bounds`` at k - 1 plies,
         where k is the node's), then optimistic
-        gain, then move order.  A last-ply node scores its moves in move
-        order.
+        gain, then move order.  It offers each move's one-move trace as the
+        move runs: each was always a candidate, and ``_better`` is a total
+        order, so their arrival order cannot change the best.  A last-ply
+        node scores its moves in move order.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -296,7 +300,8 @@ class _MaxSearch:
         a smaller key.  So a move whose key sorts before the best's first
         move is searched to L - 1 further plies and any other move to L - 2;
         a move left 0 further plies is scored as a one-move trace, and one
-        left -1 is skipped."""
+        left -1 is skipped.  A one-move best that reaches the bounds sets
+        L = 1 before any child is visited."""
         memo = self.memo
         budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
@@ -344,6 +349,14 @@ class _MaxSearch:
                     (dv, dg), nxt = step
                     vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
+                    # every one-move trace, before any child is searched
+                    cand = (sign * dv, dg, (tx,))
+                    if _better(cand, top):
+                        top = cand
+                if len(top[2]) == 1:
+                    node_bounds = bounds(state, k)
+                    if top[0] >= node_bounds[0] and top[1] >= node_bounds[1]:
+                        length, first = 1, top[2][0].key()
                 # best-first; the sort is stable, so ties keep move order
                 children.sort(key=optimistic, reverse=True)
                 for vo, go, tx, dv, dg, nxt in children:

@@ -1,7 +1,8 @@
-"""Shared builders for the test suite: canned states and a seeded generator
-of micro scenarios (small enough for exhaustive enumeration)."""
+"""Shared builders for the test suite: price maps, canned states and a seeded
+generator of micro scenarios (small enough for exhaustive enumeration)."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import mevscope
@@ -22,6 +23,17 @@ A = Account.user("A")
 _SCENARIO_DIR = Path(mevscope.__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = tuple(sorted(p.relative_to(_SCENARIO_DIR).as_posix()
                                  for p in _SCENARIO_DIR.rglob("*.scn")))
+
+
+def prices_of(mapping) -> PriceMap:
+    """A price map from ``{token: price}``, each price anything ``Fraction``
+    accepts."""
+    return PriceMap(tuple(sorted((t, Fraction(p)) for t, p in mapping.items())))
+
+
+def uniform_prices(tokens) -> PriceMap:
+    """Every one of ``tokens`` at price 1."""
+    return prices_of({t: 1 for t in tokens})
 
 
 def build(users, deployments, adversary=(M,), height=0):
@@ -151,7 +163,7 @@ def random_micro(rng: random.Random, families=MICRO_FAMILIES):
     """(state, prices, ceiling); total supply stays at most 10 tokens."""
     st, tokens, ceiling = rng.choice(families)(rng)
     assert sum(n for _, n in total_supply(st).items()) <= 10
-    return st, PriceMap.uniform(tokens), ceiling
+    return st, uniform_prices(tokens), ceiling
 
 
 def random_observed(rng, state):

@@ -12,7 +12,6 @@ from fractions import Fraction
 from mevscope import (
     Account,
     BlockchainState,
-    PriceMap,
     SearchBudget,
     Wallet,
     adversary_moves,
@@ -40,7 +39,8 @@ from mevscope.scenario import build_state, load_bundled
 from mevscope.search import ESCALATION_CAP, rich_state
 
 import helpers
-from helpers import LIGHT_FAMILIES, M, random_micro, random_observed
+from helpers import (LIGHT_FAMILIES, M, prices_of, random_micro, random_observed,
+                     uniform_prices)
 from model_checks import sender_agnostic_witness
 from oracle import brute_best, brute_lmev
 
@@ -108,8 +108,8 @@ def _oracle_differential(rng, rational_prices):
         state, prices, ceiling = random_micro(
             rng, LIGHT_FAMILIES if light else helpers.MICRO_FAMILIES)
         if rational_prices:
-            prices = PriceMap.of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
-                                  for t in prices.tokens()})
+            prices = prices_of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
+                                for t in prices.tokens()})
         depth = rng.choice((2, 3)) if light else rng.choice((2, 2, 3))
         observed = random_observed(rng, state)
         restriction = None if rng.random() < 0.6 else random_observed(rng, state)
@@ -150,8 +150,8 @@ def test_exhaustive_search_matches_oracle_at_depth_4():
     for case in range(60):
         state, prices, ceiling = random_micro(rng)
         if case % 2:
-            prices = PriceMap.of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
-                                  for t in prices.tokens()})
+            prices = prices_of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
+                                for t in prices.tokens()})
         observed = random_observed(rng, state)
         restriction = None if rng.random() < 0.6 else random_observed(rng, state)
         _check_against_oracle(state, observed, restriction, prices, 4, ceiling)
@@ -196,6 +196,30 @@ def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
             cases += 1
     print(f"[PASS] witness oracle on the bundled scenarios: {cases} generator-mode "
           "searches match the brute-force value and witness")
+
+
+def test_generator_search_matches_the_witness_oracle_at_depth_4_on_ladder_scenarios():
+    """The two AMM-chain scenarios whose ladder a single swap settles, at
+    depth 4: the fragment observed, the universe or the fragment callable,
+    at the scenario's own adversary wallet and the first two wealthy rungs.
+    ``lmev`` and ``brute_best`` agree on the value and the witness, so
+    scoring every one-move trace before searching any child keeps the
+    result."""
+    budget = SearchBudget(max_depth=4)
+    cases = 0
+    for name in ("two_amms.scn", "compositions/row1_amm_amm.scn"):
+        scn = load_bundled(name)
+        state, delta = build_state(scn)
+        prices = scn.prices()
+        starts = (state, *(rich_state(state, prices.tokens(), budget, s) for s in (1, 2)))
+        for start in starts:
+            for restriction in (None, delta):
+                engine = lmev(start, delta, restriction, prices, budget)
+                reference = brute_best(start, delta, restriction, prices, budget)
+                assert (engine.value, engine.witness) == reference, (name, start, restriction)
+                cases += 1
+    print(f"[PASS] witness oracle at depth 4 on the ladder scenarios: {cases} searches "
+          "match the brute-force value and witness")
 
 
 def test_floor_search_matches_the_witness_oracle_on_bundled_scenarios():
@@ -370,7 +394,7 @@ def test_stripping_and_structural_laws():
     # the value there (5 against 0)
     state, _ = build_state(load_bundled("faucet_forwarder.scn"))
     rep = verify_stripping(state, {Account.contract("C0")}, {Account.contract("C1")},
-                           PriceMap.uniform(("T",)), BUDGET)
+                           uniform_prices(("T",)), BUDGET)
     assert rep.status == "hypothesis-not-met"
     assert (rep.full_value, rep.stripped_value) == (5, 0)
 

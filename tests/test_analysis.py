@@ -4,7 +4,6 @@ from fractions import Fraction
 from mevscope import (
     REGISTRY,
     Account,
-    PriceMap,
     SearchBudget,
     Transaction,
     Wallet,
@@ -24,10 +23,10 @@ from mevscope import (
 from mevscope.analysis import _observations
 from mevscope.scenario import build_state, bundled, load_bundled
 
-from helpers import M, A, bet_state, build, two_pool_state
+from helpers import M, A, bet_state, build, two_pool_state, uniform_prices
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
-PRICES3 = PriceMap.uniform(("T0", "T1", "T2"))
+PRICES3 = uniform_prices(("T0", "T1", "T2"))
 AMM1, AMM2 = Account.contract("AMM1"), Account.contract("AMM2")
 
 
@@ -204,14 +203,14 @@ class TestStripping:
     def test_identity_strip_verifies(self):
         state = bet_state(adversary_eth=0)
         rep = verify_stripping(state, state.deployed, None,
-                               PriceMap.uniform(("ETH", "T")),
+                               uniform_prices(("ETH", "T")),
                                SearchBudget(max_depth=3, grid=8))
         assert rep.status == "verified"
 
     def test_forwarder_hypothesis_not_met_with_value_gap(self):
         state, _ = build_state(load_bundled("faucet_forwarder.scn"))
         c0, c1 = Account.contract("C0"), Account.contract("C1")
-        rep = verify_stripping(state, {c0}, {c1}, PriceMap.uniform(("T",)), BUDGET)
+        rep = verify_stripping(state, {c0}, {c1}, uniform_prices(("T",)), BUDGET)
         assert rep.status == "hypothesis-not-met"
         assert (rep.full_value, rep.stripped_value) == (5, 0)
 

@@ -53,6 +53,38 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert sorted(set(mevscope.__all__) - modules - used) == []
 
 
+def test_every_function_has_a_caller_outside_the_tests():
+    """Every top-level function and method of the package is read by name
+    in another place of the package or in the benchmark (bare, as an
+    attribute, imported or wrapped), unless it is a dunder or overrides a
+    base class's method, which the base calls.  A name counts wherever it
+    is read, so this misses a function whose name another one shares."""
+    paths = [path for path in sorted(Path(mevscope.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    used = {function for _, _, function in _wrapped()}
+    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = []
+    for path in paths:
+        module = importlib.import_module(f"mevscope.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in used:
+                unused.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                unused += [f"{path.stem}.{node.name}.{sub.name}" for sub in node.body
+                           if isinstance(sub, ast.FunctionDef) and sub.name not in used
+                           and not sub.name.startswith("__")
+                           and not any(hasattr(base, sub.name) for base in bases)]
+    assert unused == []
+
+
 def test_no_package_module_keeps_an_unused_import():
     """Each module of the package other than ``__init__.py`` (which
     re-exports), and each reference module the tests share, reads every

@@ -14,7 +14,6 @@ from mevscope import (
     Account,
     ContractCode,
     MethodDef,
-    PriceMap,
     ScenarioError,
     SearchBudget,
     Transaction,
@@ -33,7 +32,8 @@ from mevscope.scenario import load_bundled
 from mevscope.search import rich_state
 from mevscope.vm import AttachSpec
 
-from helpers import BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state,
+                     uniform_prices)
 from oracle import brute_lmev, brute_losses
 
 AMM = Account.contract("AMM")
@@ -739,11 +739,13 @@ def test_bundled_ply_loss_bounds_hold(name):
 def test_micro_ply_loss_bounds_hold(family):
     rng = random.Random(family.__name__)
     state, tokens, ceiling = family(rng)
-    _assert_ply_bounds_on_walks(state, PriceMap.uniform(tokens), ceiling, rng)
+    _assert_ply_bounds_on_walks(state, uniform_prices(tokens), ceiling, rng)
 
 
 BET = Account.contract("Bet")
-BET_PRICES = PriceMap.uniform(("ETH", "T"))
+BET_PRICES = uniform_prices(("ETH", "T"))
+# 2 ETH into the small bet's pool: it then quotes 4 ETH per T
+PUMP = Transaction(M, Account.contract("AMM"), "swap", (0,), Wallet({"ETH": 2}))
 
 
 def _small_bet(rate=1, deadline=5, height=0, adversary=(M,)):
@@ -794,10 +796,20 @@ def test_bet_ply_bound_after_the_pool_is_pumped():
     """The pool quotes 4 ETH per T, above the bet's rate, but no player is
     stored: one ply cannot take the pot, two (``bet``, then ``win``) can.
     Once M has bet, one ply (``win``) takes the doubled pot."""
-    pump = Transaction(M, Account.contract("AMM"), "swap", (0,), Wallet({"ETH": 2}))
-    state = execute(_small_bet(), pump).state
+    state = execute(_small_bet(), PUMP).state
     assert state.contracts[BET].store["player"] is None
     assert _bet_ply_figures(state) == {1: (0, 0), 2: (1, 1), 3: (1, 1)}
     staked = execute(state, Transaction(M, BET, "bet", (), Wallet({"ETH": 1}))).state
     assert staked.contracts[BET].store["player"] == M
     assert _bet_ply_figures(staked) == {p: (2, 2) for p in PLIES}
+
+
+@pytest.mark.parametrize("pumped", (False, True), ids=("fresh", "pumped"))
+def test_small_bet_ply_loss_bounds_hold(pumped):
+    """Walks that can stake and win the bet: from the small bet, and from it
+    after the pool is pumped, where ``bet`` then ``win`` take the pot within
+    two plies.  No bundled or micro walk stakes a bet."""
+    state = _small_bet()
+    if pumped:
+        state = execute(state, PUMP).state
+    _assert_ply_bounds_on_walks(state, BET_PRICES, 1, random.Random(f"small bet {pumped}"))

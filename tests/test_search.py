@@ -13,7 +13,6 @@ from mevscope import (
     Account,
     ContractCode,
     MethodDef,
-    PriceMap,
     SearchBudget,
     Transaction,
     Wallet,
@@ -38,12 +37,12 @@ from mevscope.scenario import bundled, load_bundled, scenario_path
 from mevscope.vm import ArgSpec, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
-                     random_observed, two_pool_state)
+                     prices_of, random_observed, two_pool_state, uniform_prices)
 from model_checks import gain
 from oracle import brute_lmev
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
-PRICES3 = PriceMap.uniform(("T0", "T1", "T2"))
+PRICES3 = uniform_prices(("T0", "T1", "T2"))
 AMM1, AMM2 = Account.contract("AMM1"), Account.contract("AMM2")
 
 
@@ -106,7 +105,7 @@ class TestLmev:
 
     def test_values_scale_with_exact_prices(self):
         st = build({M: {}}, [("airdrop", "Drop", {"token": "TA"}, {"TA": 5})])
-        prices = PriceMap.of({"TA": "3/2"})
+        prices = prices_of({"TA": "3/2"})
         drop = Account.contract("Drop")
         res = lmev(st, {drop}, None, prices, BUDGET)
         assert res.value == Fraction(15, 2) and res.complete
@@ -144,7 +143,7 @@ class TestLmev:
     def test_memo_cap_keeps_value_and_witness_and_warns(self, monkeypatch):
         for state, obs, prices in ((two_pool_state(), {AMM2}, PRICES3),
                                    (bet_state(), {Account.contract("Bet")},
-                                    PriceMap.uniform(("ETH", "T")))):
+                                    uniform_prices(("ETH", "T")))):
             full = lmev(state, obs, None, prices, SearchBudget(max_depth=3))
             with monkeypatch.context() as m:
                 m.setattr(search, "MEMO_CAP", 1)
@@ -226,7 +225,7 @@ def test_execute_delta_reads_the_height_the_bet_reads():
          {"ETH": 10}),
     ], adversary=(A,))
     bet = Account.contract("Bet")
-    units = PriceMap.uniform(("ETH", "T")).units
+    units = uniform_prices(("ETH", "T")).units
     groups = ((bet,), (A,))
     close = Transaction(A, bet, "close")
     later = state.with_height(1)
@@ -328,7 +327,7 @@ def test_amm_loss_bound_is_the_no_arbitrage_floor():
     assert _loss_bounds(state, PRICES3) == {amm: 1, drop: 3}
     # at prices 2 and 1/2 (4 and 1 units of 1/2) the pair is worth 8, which
     # is already its floor 2*sqrt(k*4*1) = 8: the pool cannot lose
-    prices = PriceMap.of({"T0": 2, "T1": Fraction(1, 2), "T2": 1})
+    prices = prices_of({"T0": 2, "T1": Fraction(1, 2), "T2": 1})
     assert _loss_bounds(state, prices) == {amm: 0, drop: 6}
     swapped = execute(state, Transaction(M, amm, "swap", (0,), Wallet({"T0": 1}))).state
     assert swapped.contracts[amm].wallet == Wallet({"T0": 2, "T1": 2})
@@ -434,34 +433,69 @@ def _cli_executes(argv, monkeypatch) -> int:
     return calls[0]
 
 
-@pytest.mark.parametrize("argv, most, unseeded", (
-    # with the child cut off (its ``break`` a no-op): 8,824, 14,014, 15,410,
-    # 82,277 and 30,337 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215, None),
-    (("rlmev", "two_amms.scn"), 250, 452),
-    (("strip-check", "two_amms.scn"), 367, 673),
-    (("rlmev", "two_amms.scn", "--depth", "6"), 387, 726),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581, None),
+@pytest.mark.parametrize("argv, most", (
+    # with the child cut off (its ``break`` a no-op): 8,824, 10,568, 11,475,
+    # 60,734 and 30,337 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215),
+    (("rlmev", "two_amms.scn"), 48),
+    (("strip-check", "two_amms.scn"), 72),
+    (("rlmev", "two_amms.scn", "--depth", "6"), 48),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581),
 ), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
-def test_child_cut_bounds_the_execute_count(argv, most, unseeded, monkeypatch):
+def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
     """The child cut fires early: visiting children best-first, these
     queries make at most the pinned number of ``execute_delta`` calls,
     against about twice as many or more with the child cut off.  The bet
     rows also need the bet's bound within the plies left: bounded over any
-    trace instead, they make 4,555 and 16,646.  On the ladder queries the
-    cut also drops every root child of a later rung that cannot beat the
-    previous rung's value: with ``lmev``'s floor forced off (a full search,
-    None when it does not rise) they make the ``unseeded`` count again."""
+    trace instead, they make 4,555 and 16,646.  The ladder rows need every
+    one-move trace scored before any child is searched: a single swap
+    reaches the root's bounds, and otherwise the first child's subtree is
+    searched before it is found (250, 367 and 387 executes)."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
-    if unseeded is not None:
-        full = search.lmev
 
-        def floorless(*args, floor=None):
-            res = full(*args)
-            return None if floor is not None and res.value <= floor else res
 
-        monkeypatch.setattr(search, "lmev", floorless)
-        assert _cli_executes(argv, monkeypatch) == unseeded
+def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> tuple:
+    """``execute_delta`` calls and results of ``rlmev`` on 200 micro states
+    (seed 20), a random set of contracts observed and every one callable."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return execute_delta(*args)
+
+    monkeypatch.setattr(search, "execute_delta", counted)
+    rng = random.Random(20)
+    results = []
+    for _ in range(200):
+        state, prices, ceiling = random_micro(rng)
+        observed = random_observed(rng, state)
+        budget = SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=ceiling)
+        results.append(rlmev(state, observed, None, prices, budget))
+    return calls[0], results
+
+
+@pytest.mark.parametrize("exhaustive, depth, pinned, unseeded", (
+    (False, 3, 9_398, 11_258),
+    (True, 2, 18_103, 24_765),
+), ids=("generator-depth-3", "exhaustive-depth-2"))
+def test_floor_bounds_the_micro_ladder_execute_count(exhaustive, depth, pinned, unseeded,
+                                                     monkeypatch):
+    """A rung after the first only searches above the previous rung's value:
+    the child cut drops every root child that cannot beat it.  On micro
+    states that saves executes, with no result changed: with ``lmev``'s
+    floor forced off (a full search, None when it does not rise) the same
+    ladders make the ``unseeded`` count."""
+    count, results = _micro_ladder_executes(exhaustive, depth, monkeypatch)
+    assert count == pinned
+    full = search.lmev
+
+    def floorless(*args, floor=None):
+        res = full(*args)
+        return None if floor is not None and res.value <= floor else res
+
+    monkeypatch.setattr(search, "lmev", floorless)
+    assert _micro_ladder_executes(exhaustive, depth, monkeypatch) == (unseeded, results)
+    assert pinned < unseeded
 
 
 def test_move_table_matches_fresh_enumeration(monkeypatch):
@@ -546,7 +580,7 @@ def test_move_table_follows_a_growing_user_set():
     st = genesis({M: Wallet(), A: Wallet({"T": 9})}, (M,))
     state = deploy(st, _tip_jar(), attached=Wallet({"T": 9}), deployer=A)
     jar = Account.contract("Jar")
-    prices = PriceMap.uniform(("T",))
+    prices = uniform_prices(("T",))
     assert B not in state.users
     assert all(tx.method != "boost" or tx.args != (B,)
                for tx in universal_moves(state, prices.tokens(), SearchBudget(ceiling=2)))
@@ -564,7 +598,7 @@ class TestGlobalMev:
     def test_mutex_pair_keeps_whole_state_value_flat(self):
         st = build({M: {}}, [("mutex_vault", "C1", {"token": "T"}, {"T": 1}),
                              ("mutex_follower", "C2", {"c1": "C1", "token": "T"}, {"T": 1})])
-        prices = PriceMap.uniform(("T",))
+        prices = uniform_prices(("T",))
         assert global_mev(st, prices, BUDGET).value == 1
         from mevscope import without_contracts
         alone = without_contracts(st, {Account.contract("C2")})
@@ -577,7 +611,7 @@ class TestGlobalMev:
             ("exchange", "Exchange1", {"tout": "T2", "tin": "T", "rate": 2}, {"T2": 2}),
             ("exchange", "Exchange2", {"tout": "T", "tin": "T2", "rate": 1}, {"T": 1}),
         ])
-        prices = PriceMap.uniform(("T", "T2"))
+        prices = uniform_prices(("T", "T2"))
         assert global_mev(st, prices, BUDGET).value == 1
         from mevscope import without_contracts
         base = without_contracts(st, {Account.contract("Exchange2")})
@@ -590,7 +624,7 @@ class TestRichAdversary:
             ("paid_cell", "C", {"token": "T"}, {}),
             ("gated_vault", "D", {"cell": "C", "token": "ETH"}, {"ETH": 100}),
         ])
-        prices = PriceMap.uniform(("T", "ETH"))
+        prices = uniform_prices(("T", "ETH"))
         d = Account.contract("D")
         res = rlmev(st, {d}, None, prices, BUDGET)
         assert res.value == 100 and res.complete
@@ -599,7 +633,7 @@ class TestRichAdversary:
 
     def test_bet_fragment_rich_value_is_the_pot(self):
         state = bet_state(adversary_eth=0)
-        prices = PriceMap.uniform(("ETH", "T"))
+        prices = uniform_prices(("ETH", "T"))
         res = rlmev(state, {Account.contract("Bet")}, None, prices, BUDGET)
         assert res.value == 10 and res.complete
 
@@ -653,7 +687,7 @@ class TestRichAdversary:
             ("paid_cell", "C", {"token": "T"}, {}),
             ("gated_vault", "D", {"cell": "C", "token": "ETH"}, {"ETH": 100}),
         ])
-        prices = PriceMap.uniform(("T", "ETH"))
+        prices = uniform_prices(("T", "ETH"))
         ladder = rlmev(st, {Account.contract("D")}, None, prices, BUDGET).ladder
         assert ladder[-1][1] == 100
 
@@ -679,10 +713,10 @@ class TestRichAdversary:
             ("amm", "AMM2", {"t0": "T0", "t1": "T1"}, {"T0": 6, "T1": 6}),
         ])
         budget = SearchBudget(max_depth=3, grid=8)
-        before = rlmev(st, {AMM1}, None, PriceMap.uniform(("T0", "T1")), budget)
+        before = rlmev(st, {AMM1}, None, uniform_prices(("T0", "T1")), budget)
         extended = deploy(st, REGISTRY["best_swap"].make("Wrap", c0="AMM1", c1="AMM2"),
                           deployer=A)
-        after = rlmev(extended, {AMM1}, None, PriceMap.uniform(("T0", "T1")), budget)
+        after = rlmev(extended, {AMM1}, None, uniform_prices(("T0", "T1")), budget)
         assert before.value == after.value > 0
 
 

@@ -6,7 +6,6 @@ from mevscope import (
     REGISTRY,
     Account,
     DeployError,
-    PriceMap,
     SearchBudget,
     Transaction,
     Wallet,
@@ -23,10 +22,10 @@ from mevscope import (
 )
 from mevscope.vm import MAX_CALL_DEPTH, TICK_METHOD, ContractBugError, ContractCode, MethodDef
 
-from helpers import M, A, bet_state, build, two_pool_state
+from helpers import M, A, bet_state, build, prices_of, two_pool_state, uniform_prices
 from model_checks import check_wallet_monotonic, gain, sender_agnostic_witness
 
-PRICES = PriceMap.uniform(("T0", "T1", "T2"))
+PRICES = uniform_prices(("T0", "T1", "T2"))
 AMM1 = Account.contract("AMM1")
 AMM2 = Account.contract("AMM2")
 
@@ -81,7 +80,7 @@ def test_four_step_bet_attack_banks_the_pot():
     res = execute_trace(state, trace)
     assert res.valid
     assert res.state.user_wallet(M) == Wallet({"ETH": 320})
-    prices = PriceMap.uniform(("ETH", "T"))
+    prices = uniform_prices(("ETH", "T"))
     assert gain([Account.contract("Bet")], state, trace, prices) == -10
 
 
@@ -94,7 +93,7 @@ def test_gain_of_second_pool_on_the_two_swap_trace():
 def test_gain_sums_to_zero_over_all_accounts():
     state = two_pool_state()
     everyone = list(state.users) + list(state.order)
-    prices = PriceMap.of({"T0": 1, "T1": "2/3", "T2": "5/7"})
+    prices = prices_of({"T0": 1, "T1": "2/3", "T2": "5/7"})
     assert gain(everyone, state, [SWAP1, SWAP2], prices) == 0
 
 
