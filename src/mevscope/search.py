@@ -35,17 +35,17 @@ The child cut (branch and bound, Land & Doig 1960) skips the state an
 expanded move leads to when the move's change plus that state's bounds
 cannot beat the node's best so far, on value or, at a tied value, on gain.
 How much it skips depends on how early the best gets high (Knuth & Moore
-1975), so an expanded node runs all its moves first and visits the children
-best-first, by that optimistic value and gain; once one child is cut, every
-later one is too.  The span cut: once a node's best reaches both bounds with
-a trace of length L, neither value nor gain can grow, so a later trace wins
-only by being shorter, or as long with a smaller trace key.  A move whose
-key sorts before the best's first move then starts traces of at most L
-moves, any other of at most L - 1, and a last-ply node skips the moves whose
-key sorts after its best's.  An expanded node offers every one-move trace
-before it searches any child, so a single move that reaches both bounds
-skips every child.  Both cuts compare values and move keys, never
-positions, so the result does not depend on the order moves are visited in.
+1975), so a node runs its moves, each offering its one-move trace, before
+it visits the children best-first, by that optimistic value and gain; once
+one child is cut, every later one is too.  The span cut: once a node's best
+reaches both bounds with a trace of length L, neither value nor gain can
+grow, so a later trace wins only by being shorter, or as long with a
+smaller trace key.  A move whose key sorts before the best's first move
+then starts traces of at most L moves, any other of at most L - 1.  Moves
+run in key order; a one-move trace that reaches both node bounds ends the
+node, and later moves are skipped by key.  Both cuts compare values and
+move keys, never positions, so the result does not depend on the order
+moves are visited in.
 The bounds depend on the state and the plies left alone, and never decrease
 as the plies left grow, so a child the span cut searches to fewer than
 k - 1 plies stays bounded; and a cut child is never stored, so every memo
@@ -282,14 +282,13 @@ class _MaxSearch:
         floor ``(units, inf, ())`` that only a trace of larger value beats,
         returned itself when none does.  The seed is never memoised.
 
-        An expanded node (two or more plies left) runs every move first and
-        visits the children best-first: by decreasing optimistic value (the
-        move's change plus the next state's ``bounds`` at k - 1 plies,
-        where k is the node's), then optimistic
-        gain, then move order.  It offers each move's one-move trace as the
-        move runs: each was always a candidate, and ``_better`` is a total
-        order, so their arrival order cannot change the best.  A last-ply
-        node scores its moves in move order.
+        A node with k plies left runs its moves in move order and offers
+        each one-move trace as the move runs: each was always a candidate,
+        and ``_better`` is a total order, so their arrival order cannot
+        change the best.  With two or more plies left it then visits the
+        children best-first: by decreasing optimistic value (the move's
+        change plus the next state's ``bounds`` at k - 1 plies), then
+        optimistic gain, then move order.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -298,10 +297,11 @@ class _MaxSearch:
         span cut: once the best reaches the node's bounds with a trace of
         length L, a later trace wins only by being shorter, or as long with
         a smaller key.  So a move whose key sorts before the best's first
-        move is searched to L - 1 further plies and any other move to L - 2;
-        a move left 0 further plies is scored as a one-move trace, and one
-        left -1 is skipped.  A one-move best that reaches the bounds sets
-        L = 1 before any child is visited."""
+        move is searched to L - 1 further plies and any other move to L - 2,
+        and a child left fewer than one is not searched: its one-move trace
+        was already offered.  Moves run in key order; a one-move trace that
+        reaches both node bounds ends the node (L = 1), and later moves are
+        skipped by key."""
         memo = self.memo
         budget, restriction = self.budget, self.restriction
         exhaustive, include_height = budget.exhaustive, self.include_height
@@ -325,57 +325,44 @@ class _MaxSearch:
             # once ``top`` reaches both node bounds: its length and the key
             # of its first move (the span cut)
             length = first = None
-            if k == 1:
-                for tx in moves:
-                    if first is not None and tx.key() > first:
-                        continue
-                    step = execute_delta(state, tx, groups, units)
-                    if step is None:
-                        continue
-                    (dv, dg), _ = step
-                    cand = (sign * dv, dg, (tx,))
-                    if _better(cand, top):
-                        top = cand
-                        if node_bounds is None:
-                            node_bounds = bounds(state, k)
-                        if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
-                            first = tx.key()
-            else:
-                children = []
-                for tx in moves:
-                    step = execute_delta(state, tx, groups, units, True)
-                    if step is None:
-                        continue
-                    (dv, dg), nxt = step
+            children = []
+            for tx in moves:
+                if first is not None and tx.key() > first:
+                    continue
+                step = execute_delta(state, tx, groups, units, k > 1)
+                if step is None:
+                    continue
+                (dv, dg), nxt = step
+                cand = (sign * dv, dg, (tx,))
+                if _better(cand, top):
+                    top = cand
+                    if node_bounds is None:
+                        node_bounds = bounds(state, k)
+                    if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
+                        length, first = 1, tx.key()
+                if k > 1:
                     vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
-                    # every one-move trace, before any child is searched
-                    cand = (sign * dv, dg, (tx,))
-                    if _better(cand, top):
-                        top = cand
-                if len(top[2]) == 1:
-                    node_bounds = bounds(state, k)
-                    if top[0] >= node_bounds[0] and top[1] >= node_bounds[1]:
-                        length, first = 1, top[2][0].key()
-                # best-first; the sort is stable, so ties keep move order
-                children.sort(key=optimistic, reverse=True)
-                for vo, go, tx, dv, dg, nxt in children:
-                    # the child cut, for this child and every later one
-                    if vo < top[0] or (vo == top[0] and go < top[1]):
-                        break
-                    further = k - 1
-                    if first is not None:
-                        further = length - 1 if tx.key() < first else length - 2
-                        if further < 0:
-                            continue
-                    sub = best(nxt, further) if further else _LEAF
-                    cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
-                    if _better(cand, top):
-                        top = cand
-                        if node_bounds is None:
-                            node_bounds = bounds(state, k)
-                        if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
-                            length, first = len(cand[2]), tx.key()
+            # best-first; the sort is stable, so ties keep move order
+            children.sort(key=optimistic, reverse=True)
+            for vo, go, tx, dv, dg, nxt in children:
+                # the child cut, for this child and every later one
+                if vo < top[0] or (vo == top[0] and go < top[1]):
+                    break
+                further = k - 1
+                if first is not None:
+                    further = length - 1 if tx.key() < first else length - 2
+                    # its one-move trace was offered as its move ran
+                    if further < 1:
+                        continue
+                sub = best(nxt, further)
+                cand = (sign * dv + sub[0], dg + sub[1], (tx,) + sub[2])
+                if _better(cand, top):
+                    top = cand
+                    if node_bounds is None:
+                        node_bounds = bounds(state, k)
+                    if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
+                        length, first = len(cand[2]), tx.key()
             if seeded:
                 return top
             if len(memo) < cap:

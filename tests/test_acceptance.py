@@ -198,28 +198,34 @@ def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
           "searches match the brute-force value and witness")
 
 
-def test_generator_search_matches_the_witness_oracle_at_depth_4_on_ladder_scenarios():
-    """The two AMM-chain scenarios whose ladder a single swap settles, at
-    depth 4: the fragment observed, the universe or the fragment callable,
-    at the scenario's own adversary wallet and the first two wealthy rungs.
-    ``lmev`` and ``brute_best`` agree on the value and the witness, so
-    scoring every one-move trace before searching any child keeps the
-    result."""
+def test_generator_search_matches_the_witness_oracle_at_depth_4_on_ladder_and_bet_scenarios():
+    """Depth 4, the fragment observed.  The two AMM-chain scenarios whose
+    ladder a single swap settles, with the universe or the fragment
+    callable, at the scenario's own adversary wallet and the first two
+    wealthy rungs; the bet at its own wallet and the first rung, and row 2
+    at the first rung, with the universe callable, where the best one-move
+    trace beats the empty one but not the four-move witness.  ``lmev`` and
+    ``brute_best`` agree on the value and the witness, so the span cut
+    ends a node only on a one-move trace that reaches both node bounds."""
     budget = SearchBudget(max_depth=4)
-    cases = 0
-    for name in ("two_amms.scn", "compositions/row1_amm_amm.scn"):
+    # (scenario, adversary wallet: None for its own, else the rich_state
+    # scale, whether only the fragment is callable)
+    runs = [(name, scale, fragment)
+            for name in ("two_amms.scn", "compositions/row1_amm_amm.scn")
+            for scale in (None, 1, 2) for fragment in (False, True)]
+    runs += [("bet_on_amm_oracle.scn", None, False), ("bet_on_amm_oracle.scn", 1, False),
+             ("compositions/row2_bet_on_amm.scn", 1, False)]
+    for name, scale, fragment in runs:
         scn = load_bundled(name)
         state, delta = build_state(scn)
         prices = scn.prices()
-        starts = (state, *(rich_state(state, prices.tokens(), budget, s) for s in (1, 2)))
-        for start in starts:
-            for restriction in (None, delta):
-                engine = lmev(start, delta, restriction, prices, budget)
-                reference = brute_best(start, delta, restriction, prices, budget)
-                assert (engine.value, engine.witness) == reference, (name, start, restriction)
-                cases += 1
-    print(f"[PASS] witness oracle at depth 4 on the ladder scenarios: {cases} searches "
-          "match the brute-force value and witness")
+        start = state if scale is None else rich_state(state, prices.tokens(), budget, scale)
+        restriction = delta if fragment else None
+        engine = lmev(start, delta, restriction, prices, budget)
+        reference = brute_best(start, delta, restriction, prices, budget)
+        assert (engine.value, engine.witness) == reference, (name, scale, fragment)
+    print(f"[PASS] witness oracle at depth 4 on the ladder and bet scenarios: {len(runs)} "
+          "searches match the brute-force value and witness")
 
 
 def test_floor_search_matches_the_witness_oracle_on_bundled_scenarios():

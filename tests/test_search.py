@@ -393,7 +393,8 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
     move-key order, and then in three seeded random orders, the four
     searches of ``_search_cases`` give the same value, witness,
     completeness and warning as in move-key order: the best-first sort
-    breaks ties on position, and the span cut and the last-ply stop compare
+    breaks ties on position, and the span cut, which skips the moves whose
+    key sorts after a one-move best that reaches both node bounds, compares
     move keys, not positions.  Reverse order is the one a stop on position
     gets wrong: the first move it meets that reaches the bounds has the
     largest key."""
@@ -434,12 +435,12 @@ def _cli_executes(argv, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("argv, most", (
-    # with the child cut off (its ``break`` a no-op): 8,824, 10,568, 11,475,
-    # 60,734 and 30,337 executes
+    # with the child cut off (its ``break`` a no-op): 8,824, 9,724, 10,457,
+    # 49,871 and 30,337 executes
     (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215),
-    (("rlmev", "two_amms.scn"), 48),
-    (("strip-check", "two_amms.scn"), 72),
-    (("rlmev", "two_amms.scn", "--depth", "6"), 48),
+    (("rlmev", "two_amms.scn"), 38),
+    (("strip-check", "two_amms.scn"), 52),
+    (("rlmev", "two_amms.scn", "--depth", "6"), 38),
     (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581),
 ), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
@@ -447,10 +448,12 @@ def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
     queries make at most the pinned number of ``execute_delta`` calls,
     against about twice as many or more with the child cut off.  The bet
     rows also need the bet's bound within the plies left: bounded over any
-    trace instead, they make 4,555 and 16,646.  The ladder rows need every
-    one-move trace scored before any child is searched: a single swap
-    reaches the root's bounds, and otherwise the first child's subtree is
-    searched before it is found (250, 367 and 387 executes)."""
+    trace instead, they make 4,555 and 16,646.  The ladder rows need the
+    span cut in the move loop: a single swap reaches the root's bounds, so
+    no move whose key sorts after it runs and no child is searched.  Run
+    every move of a node instead and they make 48, 72 and 48; score no
+    one-move trace before the first child's subtree is searched, 250, 367
+    and 387."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
 
 
@@ -475,8 +478,8 @@ def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> tuple:
 
 
 @pytest.mark.parametrize("exhaustive, depth, pinned, unseeded", (
-    (False, 3, 9_398, 11_258),
-    (True, 2, 18_103, 24_765),
+    (False, 3, 9_216, 10_912),
+    (True, 2, 18_073, 24_735),
 ), ids=("generator-depth-3", "exhaustive-depth-2"))
 def test_floor_bounds_the_micro_ladder_execute_count(exhaustive, depth, pinned, unseeded,
                                                      monkeypatch):
