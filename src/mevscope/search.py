@@ -52,18 +52,11 @@ k - 1 plies stays bounded; and a cut child is never stored, so every memo
 entry, keyed on (state, remaining depth), still holds the exact best.
 ``complete``, ``_search``'s ``upper`` and ``rlmev``'s stop keep the wealth
 bound, which holds over traces of any length.
-
-``lmev``'s ``floor`` starts the root's best at a given value with an infinite
-gain, so only a trace of larger value beats it (a fail-low test in the sense
-of Knuth & Moore 1975): the child cut then drops every root child that cannot
-beat the floor, and the search returns None when no trace does.  ``rlmev``
-asks this of every rung after the first.  The floor is never memoised.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -272,15 +265,11 @@ class _MaxSearch:
                 state, self.tokens, self.budget, self.restriction)
         return moves
 
-    def run(self, state, seed=_LEAF):
+    def run(self, state):
         """Maximise over traces from ``state``: the value of a trace is the
         end-to-end objective increase, in integer price units.  Ties break
         on adversary gain, then on the shortest and lexicographically
         smallest trace.
-
-        ``seed`` is the root's best before any move: the empty trace, or a
-        floor ``(units, inf, ())`` that only a trace of larger value beats,
-        returned itself when none does.  The seed is never memoised.
 
         A node with k plies left runs its moves in move order and offers
         each one-move trace as the move runs: each was always a candidate,
@@ -312,7 +301,7 @@ class _MaxSearch:
         # an expanded child's visiting order: (optimistic value, optimistic gain)
         optimistic = operator.itemgetter(0, 1)
 
-        def best(state, k, top=_LEAF):
+        def best(state, k):
             mkey = ((state.core_key(), state.height, k) if include_height
                     else (state.core_key(), k))
             hit = memo.get(mkey)
@@ -320,7 +309,7 @@ class _MaxSearch:
                 return hit
             moves = (exhaustive_moves(state) if exhaustive
                      else adversary_moves(state, restriction, budget))
-            seeded = top is not _LEAF
+            top = _LEAF
             node_bounds = None
             # once ``top`` reaches both node bounds: its length and the key
             # of its first move (the span cut)
@@ -363,44 +352,33 @@ class _MaxSearch:
                         node_bounds = bounds(state, k)
                     if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                         length, first = len(cand[2]), tx.key()
-            if seeded:
-                return top
             if len(memo) < cap:
                 memo[mkey] = top
             else:
                 self.capped = True
             return top
 
-        return best(state, budget.max_depth, seed)
+        return best(state, budget.max_depth)
 
 
 def _search(state: BlockchainState, prices: PriceMap, budget: SearchBudget, restriction,
-            accounts: tuple, sign: int, upper: int,
-            floor: Optional[Fraction] = None) -> Optional[MevResult]:
+            accounts: tuple, sign: int, upper: int) -> MevResult:
     """Maximise ``sign`` times the wealth of ``accounts`` over traces from
     ``state``.  The value is exact when it reaches the wealth bound ``upper``
     (so a zero bound needs no search) or the enumeration was exhaustive.
     ``upper`` is in integer price units; the value is converted back to a
-    Fraction here, once.  With a non-negative ``floor`` the result is None
-    unless some trace's value exceeds it: the root's best starts at the
-    floor, so the child cut drops every root child that cannot beat it."""
+    Fraction here, once."""
     if upper == 0:
-        return MevResult(Fraction(0), (), True) if floor is None else None
+        return MevResult(Fraction(0), (), True)
     engine = _MaxSearch(state, prices, budget, restriction, accounts, sign)
-    # values are integers, so beating ``floor`` means beating its integer part
-    seed = _LEAF if floor is None else (math.floor(floor * prices.scale), math.inf, ())
-    top = engine.run(state, seed)
-    if floor is not None and top is seed:
-        return None
-    units, _, witness = top
+    units, _, witness = engine.run(state)
     complete = budget.exhaustive or units == upper
     warning = "memo cap exceeded; search ran unmemoised" if engine.capped else None
     return MevResult(Fraction(units, prices.scale), witness, complete, warning)
 
 
 def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
-         budget: SearchBudget = SearchBudget(), *,
-         floor: Optional[Fraction] = None) -> Optional[MevResult]:
+         budget: SearchBudget = SearchBudget()) -> MevResult:
     """Maximal loss the adversary can inflict on ``observed`` contracts using
     transactions that target only ``restriction`` (None = no restriction).
 
@@ -408,20 +386,14 @@ def lmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     returned value equals the observed contracts' wealth, and exact among
     traces of at most ``max_depth`` transactions in exhaustive mode.  The
     empty trace clamps the value at zero.
-
-    With a ``floor`` (a non-negative value) the search only asks whether
-    some trace's value exceeds it: it returns None when none does, and
-    otherwise the same result as without the floor.
     """
     if not check_well_formed(state):
         raise ValueError("lmev: state is not well-formed")
-    if floor is not None and floor < 0:
-        raise ValueError("lmev: floor must be non-negative")
     obs_t = tuple(sorted(frozenset(observed) & state.deployed))
     restr = None if restriction is None else frozenset(restriction)
     # the objective is the observed contracts' loss: it grows as their wealth falls
     return _search(state, prices, budget, restr, obs_t, -1,
-                   wealth_units(obs_t, state, prices), floor)
+                   wealth_units(obs_t, state, prices))
 
 
 def global_mev(state: BlockchainState, prices: PriceMap,
@@ -456,14 +428,12 @@ def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     plateaus or reaches the observed contracts' wealth.  The plateau exists
     because that wealth bounds the loss and the value is monotone in the
     adversary's wallet: no move generator reads a user wallet, so every
-    trace of one rung is a trace of the next, with the same changes.  A rung
-    after the first therefore only looks for a trace above the previous
-    rung's value (``lmev``'s ``floor``); when it finds none, that is the
-    plateau, and the result is the rung before the last.  The result's
-    ``ladder`` holds every rung's ``(scale, value)`` and its
-    ``adversary_wallet`` the users of the rung it came from.  Past
-    ``ESCALATION_CAP`` doublings the result is marked incomplete, never
-    trusted."""
+    trace of one rung is a trace of the next, with the same changes.  The
+    first rung whose value does not rise is the plateau, and the result is
+    the rung before it.  The result's ``ladder`` holds every rung's
+    ``(scale, value)`` and its ``adversary_wallet`` the users of the rung it
+    came from.  Past ``ESCALATION_CAP`` doublings the result is marked
+    incomplete, never trusted."""
     obs = frozenset(observed) & state.deployed
     upper = wealth(tuple(sorted(obs)), state, prices)
     tokens = prices.tokens()
@@ -472,12 +442,10 @@ def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     scale = 1
     for _ in range(ESCALATION_CAP + 1):
         rich = rich_state(state, tokens, budget, scale)
-        res = lmev(rich, obs, restriction, prices, budget,
-                   floor=None if prev is None else prev.value)
-        if res is None:
-            ladder.append((scale, prev.value))
-            return replace(prev, ladder=tuple(ladder))
+        res = lmev(rich, obs, restriction, prices, budget)
         ladder.append((scale, res.value))
+        if prev is not None and res.value <= prev.value:
+            return replace(prev, ladder=tuple(ladder))
         res = replace(res, adversary_wallet=rich.users)
         if res.value == upper:
             return replace(res, ladder=tuple(ladder))

@@ -228,42 +228,30 @@ def test_generator_search_matches_the_witness_oracle_at_depth_4_on_ladder_and_be
           "searches match the brute-force value and witness")
 
 
-def test_floor_search_matches_the_witness_oracle_on_bundled_scenarios():
+def test_generator_search_matches_the_witness_oracle_at_the_second_rung():
     """Every bundled scenario at depth 3 and the second wealthy rung
     (``rich_state`` scale 2), the fragment observed with the universe
-    callable: with ``lmev``'s floor at the first rung's value, at zero, at
-    the oracle's value and just below it, the search returns None exactly
-    when ``brute_best``'s value is at most the floor, and otherwise the
-    oracle's value and witness."""
+    callable: ``lmev`` and ``brute_best`` agree on the value and the
+    witness."""
     budget = SearchBudget(max_depth=3)
-    outcomes = {"none": 0, "beaten": 0}
+    positive = 0
     for name in helpers.BUNDLED_SCENARIOS:
         scn = load_bundled(name)
         state, delta = build_state(scn)
         prices = scn.prices()
-        first = lmev(rich_state(state, prices.tokens(), budget, 1), delta, None,
-                     prices, budget).value
         rich = rich_state(state, prices.tokens(), budget, 2)
-        value, witness = brute_best(rich, delta, None, prices, budget)
-        floors = {first, Fraction(0), value}
-        if value > 0:
-            floors.add(value - Fraction(1, prices.scale))
-        for floor in sorted(floors):
-            got = lmev(rich, delta, None, prices, budget, floor=floor)
-            if value <= floor:
-                assert got is None, (name, floor)
-                outcomes["none"] += 1
-            else:
-                assert (got.value, got.witness) == (value, witness), (name, floor)
-                outcomes["beaten"] += 1
-    assert all(outcomes.values())
-    print(f"[PASS] floor searches on the bundled scenarios: {outcomes} match the "
-          "brute-force value and witness")
+        got = lmev(rich, delta, None, prices, budget)
+        reference = brute_best(rich, delta, None, prices, budget)
+        assert (got.value, got.witness) == reference, name
+        positive += reference[0] > 0
+    assert positive
+    print(f"[PASS] witness oracle at the second rung: {len(helpers.BUNDLED_SCENARIOS)} "
+          f"searches match the brute-force value and witness ({positive} positive)")
 
 
 def _reference_rlmev(state, observed, restriction, prices, budget):
-    """``rlmev`` as the plain loop of full ``lmev`` searches, with no floor:
-    the first rung whose value does not rise is the plateau."""
+    """``rlmev`` as the plain loop of full ``lmev`` searches: the first rung
+    whose value does not rise is the plateau."""
     obs = frozenset(observed) & state.deployed
     upper = wealth(tuple(sorted(obs)), state, prices)
     ladder, prev, scale = [], None, 1
@@ -280,12 +268,11 @@ def _reference_rlmev(state, observed, restriction, prices, budget):
                    ladder=tuple(ladder))
 
 
-def test_floor_ladder_matches_the_full_search_ladder(monkeypatch):
-    """``rlmev``, whose later rungs search only above the previous rung's
-    value, gives the same value, witness, completeness, warning, ladder and
-    adversary wallet as a ladder of full searches: every bundled scenario at
-    depths 3 and 4, every state ``verify_stripping`` searches at depth 3
-    (each scenario whole and stripped, the universe and the fragment
+def test_rlmev_matches_a_ladder_of_full_searches(monkeypatch):
+    """``rlmev`` gives the same value, witness, completeness, warning, ladder
+    and adversary wallet as a ladder of full searches: every bundled
+    scenario at depths 3 and 4, every state ``verify_stripping`` searches at
+    depth 3 (each scenario whole and stripped, the universe and the fragment
     callable), and 60 micro states (seed 20), half of them searched
     exhaustively."""
     rungs = {1: 0, 2: 0}
@@ -312,7 +299,7 @@ def test_floor_ladder_matches_the_full_search_ladder(monkeypatch):
                 SearchBudget(max_depth=rng.choice((2, 3)), grid=4,
                              exhaustive=rng.random() < 0.5, ceiling=ceiling))
     assert all(rungs.values())
-    print(f"[PASS] floor ladder: {sum(rungs.values())} rlmev calls match a ladder of full "
+    print(f"[PASS] rlmev ladder: {sum(rungs.values())} rlmev calls match a ladder of full "
           f"searches (by rungs, 1 / 2+: {rungs[1]} / {rungs[2]})")
 
 

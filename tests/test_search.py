@@ -97,12 +97,6 @@ class TestLmev:
         assert lmev(state, set(), None, PRICES3, BUDGET).value == 0
         assert lmev(state, {AMM2}, frozenset(), PRICES3, BUDGET).value == 0
 
-    def test_floor_is_non_negative(self):
-        """The empty trace's zero beats a negative floor, which the root's
-        seed would hide: such a floor is rejected."""
-        with pytest.raises(ValueError, match="floor must be non-negative"):
-            lmev(two_pool_state(), {AMM2}, None, PRICES3, BUDGET, floor=Fraction(-1))
-
     def test_values_scale_with_exact_prices(self):
         st = build({M: {}}, [("airdrop", "Drop", {"token": "TA"}, {"TA": 5})])
         prices = prices_of({"TA": "3/2"})
@@ -435,31 +429,31 @@ def _cli_executes(argv, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("argv, most", (
-    # with the child cut off (its ``break`` a no-op): 8,824, 9,724, 10,457,
-    # 49,871 and 30,337 executes
+    # with the child cut off (its ``break`` a no-op): 8,824, 28, 32, 28 and
+    # 30,337 executes
     (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215),
-    (("rlmev", "two_amms.scn"), 38),
-    (("strip-check", "two_amms.scn"), 52),
-    (("rlmev", "two_amms.scn", "--depth", "6"), 38),
+    (("rlmev", "two_amms.scn"), 28),
+    (("strip-check", "two_amms.scn"), 32),
+    (("rlmev", "two_amms.scn", "--depth", "6"), 28),
     (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581),
 ), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
-    """The child cut fires early: visiting children best-first, these
-    queries make at most the pinned number of ``execute_delta`` calls,
-    against about twice as many or more with the child cut off.  The bet
-    rows also need the bet's bound within the plies left: bounded over any
-    trace instead, they make 4,555 and 16,646.  The ladder rows need the
-    span cut in the move loop: a single swap reaches the root's bounds, so
-    no move whose key sorts after it runs and no child is searched.  Run
-    every move of a node instead and they make 48, 72 and 48; score no
-    one-move trace before the first child's subtree is searched, 250, 367
-    and 387."""
+    """The cuts fire early: these queries make at most the pinned number of
+    ``execute_delta`` calls.  The bet rows need the child cut, visiting
+    children best-first: with it off they make about three to five times
+    as many.  They also need the bet's bound within the plies left: bounded
+    over any trace instead, they make 4,555 and 16,646.  The ladder rows
+    need the span cut in the move loop: on every rung a single swap reaches
+    the root's bounds, so no move whose key sorts after it runs and no
+    child is searched.  Run every move of a node instead and they make 48,
+    72 and 48; score no one-move trace before the first child's subtree is
+    searched, 452, 673 and 726."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
 
 
-def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> tuple:
-    """``execute_delta`` calls and results of ``rlmev`` on 200 micro states
-    (seed 20), a random set of contracts observed and every one callable."""
+def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
+    """``execute_delta`` calls of ``rlmev`` on 200 micro states (seed 20), a
+    random set of contracts observed and every one callable."""
     calls = [0]
 
     def counted(*args):
@@ -468,37 +462,23 @@ def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> tuple:
 
     monkeypatch.setattr(search, "execute_delta", counted)
     rng = random.Random(20)
-    results = []
     for _ in range(200):
         state, prices, ceiling = random_micro(rng)
         observed = random_observed(rng, state)
         budget = SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=ceiling)
-        results.append(rlmev(state, observed, None, prices, budget))
-    return calls[0], results
+        rlmev(state, observed, None, prices, budget)
+    return calls[0]
 
 
-@pytest.mark.parametrize("exhaustive, depth, pinned, unseeded", (
-    (False, 3, 9_216, 10_912),
-    (True, 2, 18_073, 24_735),
+@pytest.mark.parametrize("exhaustive, depth, pinned", (
+    (False, 3, 10_912),
+    (True, 2, 24_735),
 ), ids=("generator-depth-3", "exhaustive-depth-2"))
-def test_floor_bounds_the_micro_ladder_execute_count(exhaustive, depth, pinned, unseeded,
-                                                     monkeypatch):
-    """A rung after the first only searches above the previous rung's value:
-    the child cut drops every root child that cannot beat it.  On micro
-    states that saves executes, with no result changed: with ``lmev``'s
-    floor forced off (a full search, None when it does not rise) the same
-    ladders make the ``unseeded`` count."""
-    count, results = _micro_ladder_executes(exhaustive, depth, monkeypatch)
-    assert count == pinned
-    full = search.lmev
-
-    def floorless(*args, floor=None):
-        res = full(*args)
-        return None if floor is not None and res.value <= floor else res
-
-    monkeypatch.setattr(search, "lmev", floorless)
-    assert _micro_ladder_executes(exhaustive, depth, monkeypatch) == (unseeded, results)
-    assert pinned < unseeded
+def test_micro_ladder_execute_count_is_pinned(exhaustive, depth, pinned, monkeypatch):
+    """Every rung is a full ``lmev`` search: the same 200 ladders make
+    exactly the pinned number of executes, so a change to the search's cuts
+    or to the ladder's stop shows here as a moved count."""
+    assert _micro_ladder_executes(exhaustive, depth, monkeypatch) == pinned
 
 
 def test_move_table_matches_fresh_enumeration(monkeypatch):
