@@ -36,16 +36,19 @@ expanded move leads to when the move's change plus that state's bounds
 cannot beat the node's best so far, on value or, at a tied value, on gain.
 How much it skips depends on how early the best gets high (Knuth & Moore
 1975), so a node runs its moves, each offering its one-move trace, before
-it visits the children best-first, by that optimistic value and gain; once
-one child is cut, every later one is too.  The span cut: once a node's best
-reaches both bounds with a trace of length L, neither value nor gain can
-grow, so a later trace wins only by being shorter, or as long with a
-smaller trace key.  A move whose key sorts before the best's first move
-then starts traces of at most L moves, any other of at most L - 1.  Moves
-run in key order; a one-move trace that reaches both node bounds ends the
-node, and later moves are skipped by key.  Both cuts compare values and
-move keys, never positions, so the result does not depend on the order
-moves are visited in.
+it visits the children best-first: by that optimistic value and gain, then
+the next state's value bound and gain bound, then move order.  At a tied
+optimistic value this goes first to the child whose own step gained least
+and whose state can still lose most, which on the bet is the pump its
+witness starts with.  Once one child is cut, every later one is too.
+The span cut: once a node's best reaches both bounds with a trace of
+length L, neither value nor gain can grow, so a later trace wins only by
+being shorter, or as long with a smaller trace key.  A move whose key
+sorts before the best's first move then starts traces of at most L moves,
+any other of at most L - 1.  Moves run in key order; a one-move trace that
+reaches both node bounds ends the node, and later moves are skipped by key.
+Both cuts compare values and move keys, never positions, so the result
+does not depend on the order moves are visited in.
 The bounds depend on the state and the plies left alone, and never decrease
 as the plies left grow, so a child the span cut searches to fewer than
 k - 1 plies stays bounded; and a cut child is never stored, so every memo
@@ -277,7 +280,8 @@ class _MaxSearch:
         change the best.  With two or more plies left it then visits the
         children best-first: by decreasing optimistic value (the move's
         change plus the next state's ``bounds`` at k - 1 plies), then
-        optimistic gain, then move order.
+        optimistic gain, then the next state's value bound, then its gain
+        bound, then move order.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -298,8 +302,9 @@ class _MaxSearch:
         bounds = self.bounds
         exhaustive_moves = self._exhaustive_moves
         cap = MEMO_CAP
-        # an expanded child's visiting order: (optimistic value, optimistic gain)
-        optimistic = operator.itemgetter(0, 1)
+        # an expanded child's visiting order: optimistic value and gain, then
+        # the next state's value and gain bounds
+        optimistic = operator.itemgetter(0, 1, 2, 3)
 
         def best(state, k):
             mkey = ((state.core_key(), state.height, k) if include_height
@@ -331,10 +336,10 @@ class _MaxSearch:
                         length, first = 1, tx.key()
                 if k > 1:
                     vb, gb = bounds(nxt, k - 1)
-                    children.append((sign * dv + vb, dg + gb, tx, dv, dg, nxt))
+                    children.append((sign * dv + vb, dg + gb, vb, gb, tx, dv, dg, nxt))
             # best-first; the sort is stable, so ties keep move order
             children.sort(key=optimistic, reverse=True)
-            for vo, go, tx, dv, dg, nxt in children:
+            for vo, go, _, _, tx, dv, dg, nxt in children:
                 # the child cut, for this child and every later one
                 if vo < top[0] or (vo == top[0] and go < top[1]):
                     break

@@ -142,13 +142,19 @@ def _paid_vault(rng):
     return st, ("T", "ETH"), 4
 
 
+def micro_bet(eth, deadline):
+    """A 1 ETH bet against a 2/2 ETH-T pool at height 0, the adversary
+    holding ``eth`` ETH."""
+    return build({M: {"ETH": eth}},
+                 [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
+                  ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1,
+                                  "deadline": deadline}, {"ETH": 1})],
+                 height=0)
+
+
 def _micro_bet(rng):
-    st = build({M: {"ETH": rng.randint(0, 3)}},
-               [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
-                ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1,
-                                "deadline": rng.randint(1, 5)}, {"ETH": 1})],
-               height=0)
-    return st, ("ETH", "T"), 3
+    eth = rng.randint(0, 3)
+    return micro_bet(eth, rng.randint(1, 5)), ("ETH", "T"), 3
 
 
 MICRO_FAMILIES = (

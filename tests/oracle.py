@@ -176,27 +176,37 @@ def brute_best(state, observed, restriction, prices, budget) -> tuple:
         # nothing to lose: ``lmev`` answers with the empty trace
         return Fraction(0), ()
     memo = {}
+    # state key -> the state's (observed, adversary) wealth: a state is met
+    # as a child and again as a node, and often along many traces
+    held = {}
 
-    def rec(s, k):
+    def wealths(s, skey):
+        pair = held.get(skey)
+        if pair is None:
+            pair = held[skey] = (fraction_wealth(obs, s, prices),
+                                 fraction_wealth(adversary, s, prices))
+        return pair
+
+    def rec(s, skey, k):
         if k == 0:
             return 0, 0, ()
-        key = (state_key(s), k)
+        key = (skey, k)
         if key in memo:
             return memo[key]
-        lost, held = fraction_wealth(obs, s, prices), fraction_wealth(adversary, s, prices)
+        lost, got = wealths(s, skey)
         best = (0, 0, ())
         for tx in adversary_moves(s, restriction, budget):
             r = execute(s, tx)
             if not r.valid:
                 continue
-            value, gain, trace = rec(r.state, k - 1)
-            cand = (lost - fraction_wealth(obs, r.state, prices) + value,
-                    fraction_wealth(adversary, r.state, prices) - held + gain,
-                    (tx,) + trace)
+            nkey = state_key(r.state)
+            value, gain, trace = rec(r.state, nkey, k - 1)
+            after_lost, after_got = wealths(r.state, nkey)
+            cand = (lost - after_lost + value, after_got - got + gain, (tx,) + trace)
             if _beats(cand, best):
                 best = cand
         memo[key] = best
         return best
 
-    value, _, witness = rec(state, budget.max_depth)
+    value, _, witness = rec(state, state_key(state), budget.max_depth)
     return Fraction(value), witness

@@ -249,6 +249,46 @@ def test_generator_search_matches_the_witness_oracle_at_the_second_rung():
           f"searches match the brute-force value and witness ({positive} positive)")
 
 
+def test_generator_search_matches_the_witness_oracle_on_micro_states():
+    """Seeded micro states of every family in generator mode, a random set
+    of contracts observed and every one callable, at depths 3 and 4, at the
+    state's own adversary wallet and at the first wealthy rung: ``lmev``
+    and ``brute_best`` agree on the value and the witness.  The micro bet
+    reads the height, and its deadline (1 to 5 blocks) falls within the
+    search depth.  Then the micro bet at every deadline, the bet alone
+    observed, at depth 5 and the first rung: a memo keyed without the
+    height returns a larger-keyed witness at deadline 2.  Every move
+    advances the height, so only a child the span cut searches short meets
+    a state at another height than its plies left imply."""
+    rng = random.Random(26)
+    cases = positive = 0
+    for family in helpers.MICRO_FAMILIES * 10:
+        state, prices, _ = random_micro(rng, (family,))
+        observed = random_observed(rng, state)
+        for depth in (3, 4):
+            budget = SearchBudget(max_depth=depth)
+            for start in (state, rich_state(state, prices.tokens(), budget, 1)):
+                engine = lmev(start, observed, None, prices, budget)
+                reference = brute_best(start, observed, None, prices, budget)
+                assert (engine.value, engine.witness) == reference, \
+                    (family.__name__, depth, start is state)
+                cases += 1
+                positive += reference[0] > 0
+    budget = SearchBudget(max_depth=5)
+    prices = uniform_prices(("ETH", "T"))
+    bet = {Account.contract("Bet")}
+    for deadline in range(1, 6):
+        rich = rich_state(helpers.micro_bet(0, deadline), prices.tokens(), budget, 1)
+        engine = lmev(rich, bet, None, prices, budget)
+        reference = brute_best(rich, bet, None, prices, budget)
+        assert (engine.value, engine.witness) == reference, deadline
+        cases += 1
+        positive += reference[0] > 0
+    assert positive
+    print(f"[PASS] witness oracle on micro states: {cases} generator-mode searches "
+          f"match the brute-force value and witness ({positive} positive)")
+
+
 def _reference_rlmev(state, observed, restriction, prices, budget):
     """``rlmev`` as the plain loop of full ``lmev`` searches: the first rung
     whose value does not rise is the plateau."""

@@ -429,25 +429,36 @@ def _cli_executes(argv, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("argv, most", (
-    # with the child cut off (its ``break`` a no-op): 8,824, 28, 32, 28 and
-    # 30,337 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 3_215),
+    # with the child cut off (its ``break`` a no-op): 3,294, 18,804 and
+    # 19,635 executes
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 1_421),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 4_104),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 4_473),
+), ids=("nonint-depth-6", "richnonint-depth-5", "richnonint-depth-8"))
+def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
+    """The child cut fires early: these bet queries make at most the pinned
+    number of ``execute_delta`` calls.  They need the children visited
+    best-first, ties on optimistic value and gain broken toward the most
+    bound left: visited by optimistic value and gain alone, they make
+    3,215, 6,581 and 14,030, and with the cut off two to five times as
+    many.  They also need the bet's bound within the plies left: bounded
+    over any trace instead, they make 1,959, 10,417 and 10,786."""
+    assert 0 < _cli_executes(argv, monkeypatch) <= most
+
+
+@pytest.mark.parametrize("argv, most", (
     (("rlmev", "two_amms.scn"), 28),
     (("strip-check", "two_amms.scn"), 32),
     (("rlmev", "two_amms.scn", "--depth", "6"), 28),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 6_581),
-), ids=("nonint-depth-6", "rlmev", "strip-check", "rlmev-depth-6", "richnonint-depth-5"))
-def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
-    """The cuts fire early: these queries make at most the pinned number of
-    ``execute_delta`` calls.  The bet rows need the child cut, visiting
-    children best-first: with it off they make about three to five times
-    as many.  They also need the bet's bound within the plies left: bounded
-    over any trace instead, they make 4,555 and 16,646.  The ladder rows
-    need the span cut in the move loop: on every rung a single swap reaches
-    the root's bounds, so no move whose key sorts after it runs and no
-    child is searched.  Run every move of a node instead and they make 48,
-    72 and 48; score no one-move trace before the first child's subtree is
-    searched, 452, 673 and 726."""
+), ids=("rlmev", "strip-check", "rlmev-depth-6"))
+def test_span_cut_bounds_the_execute_count(argv, most, monkeypatch):
+    """The span cut in the move loop fires early: on every rung of these
+    ladders a single swap reaches the root's bounds, so no move whose key
+    sorts after it runs and no child is searched, and the queries make at
+    most the pinned number of ``execute_delta`` calls.  Run every move of a
+    node instead and they make 48, 72 and 48; score no one-move trace before
+    the first child's subtree is searched, 2,336, 2,484 and 6,510.  With the
+    child cut off they still make 28, 32 and 28."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
 
 
@@ -471,7 +482,7 @@ def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("exhaustive, depth, pinned", (
-    (False, 3, 10_912),
+    (False, 3, 10_963),
     (True, 2, 24_735),
 ), ids=("generator-depth-3", "exhaustive-depth-2"))
 def test_micro_ladder_execute_count_is_pinned(exhaustive, depth, pinned, monkeypatch):
