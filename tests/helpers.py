@@ -36,16 +36,17 @@ def uniform_prices(tokens) -> PriceMap:
     return prices_of({t: 1 for t in tokens})
 
 
-def build(users, deployments, adversary=(M,), height=0):
+def build(users, deployments, adversary=(M,), height=0, deployer=A):
     """users: {Account: {token: n}}; deployments: (catalog key, name, args, fund).
-    Funding is minted to the deployer right before each deployment."""
+    ``deployer`` deploys every contract; funding is minted to it right
+    before each deployment."""
     st = genesis({acc: Wallet(w) for acc, w in users.items()}, adversary, height)
     for key, name, args, fund in deployments:
         wallet = Wallet(fund)
         staged = dict(st.users)
-        staged[A] = st.user_wallet(A) + wallet
+        staged[deployer] = st.user_wallet(deployer) + wallet
         st = st.with_users(staged)
-        st = deploy(st, REGISTRY[key].make(name, **args), attached=wallet, deployer=A)
+        st = deploy(st, REGISTRY[key].make(name, **args), attached=wallet, deployer=deployer)
     return st
 
 

@@ -9,9 +9,10 @@ since the executor itself is what defines the semantics under test.
 ``brute_lmev`` enumerates transactions straight from the declared method
 signatures by local code and returns the value alone; ``brute_losses``
 gives that value for each deployed contract observed alone, in one
-recursion.  ``brute_best`` recurses over the move generators
-(``search.adversary_moves``), which define the move space of every
-generator-mode search, and breaks ties locally, so it checks witnesses too.
+recursion.  ``brute_best`` recurses over a move source it is given and
+breaks ties locally, so it checks witnesses too: by default the move
+generators (``search.adversary_moves``), which define the move space of
+every generator-mode search, or ``enumerate_moves`` for exhaustive mode.
 """
 
 import itertools
@@ -165,10 +166,14 @@ def _beats(cand, best) -> bool:
     return [tx.key() for tx in cand[2]] < [tx.key() for tx in best[2]]
 
 
-def brute_best(state, observed, restriction, prices, budget) -> tuple:
+def brute_best(state, observed, restriction, prices, budget, moves=None) -> tuple:
     """``(value, witness)`` of ``lmev(state, observed, restriction, prices,
-    budget)`` in generator mode, by plain recursion to ``budget.max_depth``
-    transactions over ``search.adversary_moves``."""
+    budget)``, by plain recursion to ``budget.max_depth`` transactions over
+    ``moves(s)``, the transactions proposed at each state ``s``: by default
+    ``search.adversary_moves``, as in generator mode."""
+    if moves is None:
+        def moves(s):
+            return adversary_moves(s, restriction, budget)
     deployed = set(state.order)
     obs = [a for a in sorted(observed) if a in deployed]
     adversary = sorted(state.adversary)
@@ -195,7 +200,7 @@ def brute_best(state, observed, restriction, prices, budget) -> tuple:
             return memo[key]
         lost, got = wealths(s, skey)
         best = (0, 0, ())
-        for tx in adversary_moves(s, restriction, budget):
+        for tx in moves(s):
             r = execute(s, tx)
             if not r.valid:
                 continue

@@ -37,12 +37,13 @@ from mevscope.goldens import (
 )
 from mevscope.scenario import build_state, load_bundled
 from mevscope.search import ESCALATION_CAP, rich_state
+from mevscope.vm import TICK_METHOD
 
 import helpers
 from helpers import (LIGHT_FAMILIES, M, prices_of, random_micro, random_observed,
                      uniform_prices)
 from model_checks import sender_agnostic_witness
-from oracle import brute_best, brute_lmev
+from oracle import brute_best, brute_lmev, enumerate_moves
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 
@@ -118,14 +119,25 @@ def _oracle_differential(rng, rational_prices):
     return scenarios
 
 
+def _exhaustive_best(state, observed, restriction, prices, budget):
+    """``brute_best`` over ``enumerate_moves``: the value and witness of an
+    exhaustive-mode ``lmev``."""
+    tokens = prices.tokens()
+    return brute_best(state, observed, restriction, prices, budget,
+                      lambda s: enumerate_moves(s, tokens, budget.ceiling, restriction))
+
+
 def _check_against_oracle(state, observed, restriction, prices, depth, ceiling):
     budget = SearchBudget(max_depth=depth, grid=4, exhaustive=True, ceiling=ceiling)
     engine = lmev(state, observed, restriction, prices, budget)
     reference = brute_lmev(state, observed, restriction, prices, depth, ceiling)
+    where = (f"{state!r} obs={sorted(observed)} "
+             f"restr={restriction and sorted(restriction)} depth={depth} "
+             f"prices={dict(prices.prices)}")
     assert engine.value == reference, (
-        f"divergence on {state!r} obs={sorted(observed)} "
-        f"restr={restriction and sorted(restriction)} depth={depth} "
-        f"prices={dict(prices.prices)}: engine {engine.value} vs oracle {reference}")
+        f"divergence on {where}: engine {engine.value} vs oracle {reference}")
+    best = _exhaustive_best(state, observed, restriction, prices, budget)
+    assert (engine.value, engine.witness) == best, f"witness divergence on {where}"
     assert engine.complete
 
 
@@ -160,7 +172,9 @@ def test_exhaustive_search_matches_oracle_at_depth_4():
 def test_exhaustive_search_matches_oracle_on_bundled_scenarios():
     """Every bundled scenario at depth 3, amounts up to 3: the fragment
     observed with the universe and with the fragment callable, and every
-    contract observed with the universe callable."""
+    contract observed with the universe callable.  ``lmev`` agrees with
+    ``brute_lmev`` on the value and with ``brute_best`` over
+    ``enumerate_moves`` on the witness."""
     budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
     cases = 0
     for name in helpers.BUNDLED_SCENARIOS:
@@ -171,9 +185,11 @@ def test_exhaustive_search_matches_oracle_on_bundled_scenarios():
             engine = lmev(state, observed, restriction, prices, budget)
             reference = brute_lmev(state, observed, restriction, prices, 3, 3)
             assert engine.value == reference, (name, sorted(observed), restriction)
+            best = _exhaustive_best(state, observed, restriction, prices, budget)
+            assert (engine.value, engine.witness) == best, (name, sorted(observed), restriction)
             cases += 1
     print(f"[PASS] oracle equivalence on the bundled scenarios: {cases} exhaustive "
-          "searches match the brute-force enumeration exactly")
+          "searches match the brute-force value and witness exactly")
 
 
 def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
@@ -287,6 +303,35 @@ def test_generator_search_matches_the_witness_oracle_on_micro_states():
     assert positive
     print(f"[PASS] witness oracle on micro states: {cases} generator-mode searches "
           f"match the brute-force value and witness ({positive} positive)")
+
+
+def test_a_witness_that_needs_ticks():
+    """The adversary owns a 1 ETH bet beside a 2/2 ETH-T pool, at height 0
+    with the deadline at 1: only ``close`` pays the bet out, once the
+    height passes the deadline, so the witness waits two blocks first
+    (tick, tick, close).  A tick changes no wealth and no state but the
+    height.  In generator and exhaustive mode, at depths 3 and 4, ``lmev``
+    returns value 1 with that witness and agrees with ``brute_best`` on the
+    value and witness and with ``brute_lmev`` on the value."""
+    state = helpers.build(
+        {M: {"ETH": 2}},
+        [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
+         ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1, "deadline": 1},
+          {"ETH": 1})],
+        height=0, deployer=M)
+    prices = uniform_prices(("ETH", "T"))
+    bet = {Account.contract("Bet")}
+    for depth in (3, 4):
+        for exhaustive in (False, True):
+            budget = SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=3)
+            engine = lmev(state, bet, None, prices, budget)
+            best = (_exhaustive_best(state, bet, None, prices, budget) if exhaustive
+                    else brute_best(state, bet, None, prices, budget))
+            assert (engine.value, engine.witness) == best, (depth, exhaustive)
+            assert engine.value == 1 == brute_lmev(state, bet, None, prices, depth, 3)
+            assert [tx.method for tx in engine.witness] == [TICK_METHOD, TICK_METHOD, "close"]
+    print("[PASS] a witness that needs ticks: (tick, tick, close) in both modes "
+          "at depths 3 and 4")
 
 
 def _reference_rlmev(state, observed, restriction, prices, budget):

@@ -14,6 +14,13 @@ Nine deeper JSON reports are pinned beside them (``DEEP_PINNED``): the
 stress queries at depths 5 to 8 and at ``--grid 16``, where the search's
 cuts prune the most and its visiting order matters most.  The same command
 prints their literal too.
+
+The exhaustive reports (``EXHAUSTIVE_PINNED``) are the seven scenario
+commands under ``--exhaustive --depth 2``, in JSON, over every bundled
+scenario but the bet and row 2, whose signature-driven enumeration is too
+large for the suite (row 2's ``lmev`` alone makes 750,318 executes).
+Exhaustive mode searches every valid move, so these pin the moves the
+generators never propose.  The same command prints their literal too.
 """
 
 import hashlib
@@ -65,6 +72,19 @@ def deep_report_argvs():
             for q in DEEP_QUERIES}
 
 
+# the bundled scenarios small enough to enumerate exhaustively
+EXHAUSTIVE_SCENARIOS = tuple(n for n in BUNDLED_SCENARIOS if n not in (
+    "bet_on_amm_oracle.scn", "compositions/row2_bet_on_amm.scn"))
+
+
+def exhaustive_report_argvs():
+    """{report id: argv} of the exhaustive JSON reports."""
+    return {f"{' '.join(cmd)} {name} --exhaustive json": [
+                cmd[0], str(_SCENARIO_DIR / name), *cmd[1:],
+                "--exhaustive", "--depth", "2", "--format", "json"]
+            for name in EXHAUSTIVE_SCENARIOS for cmd in SCENARIO_COMMANDS}
+
+
 def digest(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -84,6 +104,12 @@ def test_the_300_reports_are_unchanged():
 def test_the_deep_reports_are_unchanged():
     got = {rid: digest(argv) for rid, argv in deep_report_argvs().items()}
     assert got == DEEP_PINNED
+
+
+def test_the_exhaustive_reports_are_unchanged():
+    got = {rid: digest(argv) for rid, argv in exhaustive_report_argvs().items()}
+    assert len(got) == 133
+    assert got == EXHAUSTIVE_PINNED
 
 
 PINNED = {
@@ -403,8 +429,146 @@ DEEP_PINNED = {
 }
 
 
+EXHAUSTIVE_PINNED = {
+    'lmev airdrop_beside_amm.scn --exhaustive json': (0, 'cf330b126ad2aacb'),
+    'rlmev airdrop_beside_amm.scn --exhaustive json': (0, 'd3180bceebd88915'),
+    'mev airdrop_beside_amm.scn --exhaustive json': (0, '9e08702f3807c567'),
+    'nonint airdrop_beside_amm.scn --exhaustive json': (0, 'd0326b799a0bbfd7'),
+    'richnonint airdrop_beside_amm.scn --exhaustive json': (0, '6fb13cd9ae88eb85'),
+    'strip-check airdrop_beside_amm.scn --exhaustive json': (0, '76b91f763e50f4bb'),
+    'epsilon --eps 0 airdrop_beside_amm.scn --exhaustive json': (1, '5cfd182cf5c6c341'),
+    'lmev airdrop_feeds_exchange.scn --exhaustive json': (0, '7b428ff439586f16'),
+    'rlmev airdrop_feeds_exchange.scn --exhaustive json': (0, 'a3940b42688b1770'),
+    'mev airdrop_feeds_exchange.scn --exhaustive json': (0, '04becb6308b10119'),
+    'nonint airdrop_feeds_exchange.scn --exhaustive json': (1, 'd384d317d3467dd5'),
+    'richnonint airdrop_feeds_exchange.scn --exhaustive json': (0, '80cd0651526b5b62'),
+    'strip-check airdrop_feeds_exchange.scn --exhaustive json': (0, 'a4eda4d939d85924'),
+    'epsilon --eps 0 airdrop_feeds_exchange.scn --exhaustive json': (1, 'f5a4586f9fdf9118'),
+    'lmev cell_gate.scn --exhaustive json': (0, 'a5194f30d60c0c6f'),
+    'rlmev cell_gate.scn --exhaustive json': (0, '8a22d942dca3871c'),
+    'mev cell_gate.scn --exhaustive json': (0, 'ac8a47c9bf367193'),
+    'nonint cell_gate.scn --exhaustive json': (1, 'e4ec3046f3900016'),
+    'richnonint cell_gate.scn --exhaustive json': (1, '7a6826fb0e5732b1'),
+    'strip-check cell_gate.scn --exhaustive json': (0, '6d1c1ef10974b443'),
+    'epsilon --eps 0 cell_gate.scn --exhaustive json': (1, '657692d404b8d719'),
+    'lmev cell_gate_proxy.scn --exhaustive json': (0, 'f57b71efaf76a2c3'),
+    'rlmev cell_gate_proxy.scn --exhaustive json': (0, 'bf11d5e5e60d22c5'),
+    'mev cell_gate_proxy.scn --exhaustive json': (0, '48e76d4d067300f3'),
+    'nonint cell_gate_proxy.scn --exhaustive json': (0, 'c3241eea7c59b6f9'),
+    'richnonint cell_gate_proxy.scn --exhaustive json': (0, '3e020d0f7fdbbb7f'),
+    'strip-check cell_gate_proxy.scn --exhaustive json': (0, '22abcfc59a67471c'),
+    'epsilon --eps 0 cell_gate_proxy.scn --exhaustive json': (1, 'ededcddcba43bfbb'),
+    'lmev cell_gated_vault.scn --exhaustive json': (0, '8a12806521f80eca'),
+    'rlmev cell_gated_vault.scn --exhaustive json': (0, '23f2ef28866ac898'),
+    'mev cell_gated_vault.scn --exhaustive json': (0, '9b4c93bdb6905104'),
+    'nonint cell_gated_vault.scn --exhaustive json': (0, '3c4764ad077d1704'),
+    'richnonint cell_gated_vault.scn --exhaustive json': (1, '0866cee7b39c7d91'),
+    'strip-check cell_gated_vault.scn --exhaustive json': (0, '2e5dfdcfcb20ee55'),
+    'epsilon --eps 0 cell_gated_vault.scn --exhaustive json': (0, '0c86bac256f9dada'),
+    'lmev compositions/row1_amm_amm.scn --exhaustive json': (0, '502559ce45e40c49'),
+    'rlmev compositions/row1_amm_amm.scn --exhaustive json': (0, '0058111a067a4ffd'),
+    'mev compositions/row1_amm_amm.scn --exhaustive json': (0, '14959c8a29062f3d'),
+    'nonint compositions/row1_amm_amm.scn --exhaustive json': (0, '38f64ea004c27dda'),
+    'richnonint compositions/row1_amm_amm.scn --exhaustive json': (0, '77929984426237a1'),
+    'strip-check compositions/row1_amm_amm.scn --exhaustive json': (0, '20448aa6bb89820e'),
+    'epsilon --eps 0 compositions/row1_amm_amm.scn --exhaustive json': (0, '4877371813fad2d8'),
+    'lmev compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '8c266b603765f8b4'),
+    'rlmev compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '2c2240e90f65b699'),
+    'mev compositions/row3_bet_on_exchange.scn --exhaustive json': (0, 'b1e596dc97d1d791'),
+    'nonint compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '9dd66c0f5a56c834'),
+    'richnonint compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '89be81a32555f09c'),
+    'strip-check compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '3ee0cbf12283720b'),
+    'epsilon --eps 0 compositions/row3_bet_on_exchange.scn --exhaustive json': (0, '292bf8d303aade3d'),
+    'lmev compositions/row4_best_swap.scn --exhaustive json': (0, '47e9e06336d8f6de'),
+    'rlmev compositions/row4_best_swap.scn --exhaustive json': (0, '3b7538e9f1eae6af'),
+    'mev compositions/row4_best_swap.scn --exhaustive json': (0, 'cb23f561568eb40d'),
+    'nonint compositions/row4_best_swap.scn --exhaustive json': (0, 'd8ff4f68884b265e'),
+    'richnonint compositions/row4_best_swap.scn --exhaustive json': (0, 'cd45dc4cb774c8bc'),
+    'strip-check compositions/row4_best_swap.scn --exhaustive json': (0, '684fcc0cf4f774d7'),
+    'epsilon --eps 0 compositions/row4_best_swap.scn --exhaustive json': (0, 'f7cb4e103965e920'),
+    'lmev compositions/row5_swap_router.scn --exhaustive json': (0, '844831ce3b78117c'),
+    'rlmev compositions/row5_swap_router.scn --exhaustive json': (0, '08e61e74ae202e78'),
+    'mev compositions/row5_swap_router.scn --exhaustive json': (0, 'f2ec1c4ca45e3358'),
+    'nonint compositions/row5_swap_router.scn --exhaustive json': (0, '5a133acb2fb00b95'),
+    'richnonint compositions/row5_swap_router.scn --exhaustive json': (0, '2a205592fb88c1be'),
+    'strip-check compositions/row5_swap_router.scn --exhaustive json': (0, '45f3e00b2dbd4be8'),
+    'epsilon --eps 0 compositions/row5_swap_router.scn --exhaustive json': (0, '5286b04cb40f2e2f'),
+    'lmev compositions/row6_best_swap_router.scn --exhaustive json': (0, '044e76f23a99e2e9'),
+    'rlmev compositions/row6_best_swap_router.scn --exhaustive json': (0, '8b6f939fb2606241'),
+    'mev compositions/row6_best_swap_router.scn --exhaustive json': (0, 'f78565b701b3d5b7'),
+    'nonint compositions/row6_best_swap_router.scn --exhaustive json': (0, '985182ee3e89e50b'),
+    'richnonint compositions/row6_best_swap_router.scn --exhaustive json': (0, 'c84f03d9076bd845'),
+    'strip-check compositions/row6_best_swap_router.scn --exhaustive json': (0, 'f8b7b4151233c2dd'),
+    'epsilon --eps 0 compositions/row6_best_swap_router.scn --exhaustive json': (0, 'df28128741017afa'),
+    'lmev compositions/row7_lp_arbitrage.scn --exhaustive json': (0, 'dae99b7ad427e92e'),
+    'rlmev compositions/row7_lp_arbitrage.scn --exhaustive json': (0, 'da1e47a65217f191'),
+    'mev compositions/row7_lp_arbitrage.scn --exhaustive json': (0, '7f8e53a1f2958964'),
+    'nonint compositions/row7_lp_arbitrage.scn --exhaustive json': (0, '6071c017dc679979'),
+    'richnonint compositions/row7_lp_arbitrage.scn --exhaustive json': (0, 'bda0d9f1da0f3b34'),
+    'strip-check compositions/row7_lp_arbitrage.scn --exhaustive json': (0, '9d47da6458e03944'),
+    'epsilon --eps 0 compositions/row7_lp_arbitrage.scn --exhaustive json': (0, 'f16b6e7349076e36'),
+    'lmev compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, '6735119308dd71af'),
+    'rlmev compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, '9faedf31df989c25'),
+    'mev compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, '284e4d1043da1a73'),
+    'nonint compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, '02791accd4ed268a'),
+    'richnonint compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, 'e91f1997a4f7fea5'),
+    'strip-check compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, '04fd27ccb09c209d'),
+    'epsilon --eps 0 compositions/row8_flash_loan_arbitrage.scn --exhaustive json': (0, 'fe567714228f01d6'),
+    'lmev exchange_round_trip.scn --exhaustive json': (0, '62f03b51698dd6f2'),
+    'rlmev exchange_round_trip.scn --exhaustive json': (0, '5b9b6111fc89d465'),
+    'mev exchange_round_trip.scn --exhaustive json': (0, 'e5ba767c64eee066'),
+    'nonint exchange_round_trip.scn --exhaustive json': (0, 'ff36e14a2a0987b4'),
+    'richnonint exchange_round_trip.scn --exhaustive json': (0, 'efcea3fed2bca5ce'),
+    'strip-check exchange_round_trip.scn --exhaustive json': (0, '83d299e46fbad40e'),
+    'epsilon --eps 0 exchange_round_trip.scn --exhaustive json': (1, 'b6ca4fb80463297f'),
+    'lmev faucet_forwarder.scn --exhaustive json': (0, '8041a3d8c43f9308'),
+    'rlmev faucet_forwarder.scn --exhaustive json': (0, '46c86cc278ba1b38'),
+    'mev faucet_forwarder.scn --exhaustive json': (0, 'aa723788bd29178f'),
+    'nonint faucet_forwarder.scn --exhaustive json': (0, '2646cd84f35284cb'),
+    'richnonint faucet_forwarder.scn --exhaustive json': (0, 'd49560bc3b807965'),
+    'strip-check faucet_forwarder.scn --exhaustive json': (0, 'ae9658a4e9e7fb2f'),
+    'epsilon --eps 0 faucet_forwarder.scn --exhaustive json': (0, '82314b4658265307'),
+    'lmev gated_faucet_pair.scn --exhaustive json': (0, 'ed0ce1e72d56310f'),
+    'rlmev gated_faucet_pair.scn --exhaustive json': (0, '73e544d12a9369f1'),
+    'mev gated_faucet_pair.scn --exhaustive json': (0, '732f735df7a0ec02'),
+    'nonint gated_faucet_pair.scn --exhaustive json': (0, '88f74472394c027a'),
+    'richnonint gated_faucet_pair.scn --exhaustive json': (0, '7b211d1cc0d2b73b'),
+    'strip-check gated_faucet_pair.scn --exhaustive json': (0, '274a92705f18e11f'),
+    'epsilon --eps 0 gated_faucet_pair.scn --exhaustive json': (1, 'daee42b61f3969eb'),
+    'lmev mutex_vaults.scn --exhaustive json': (0, 'c28297ac06e7efa3'),
+    'rlmev mutex_vaults.scn --exhaustive json': (0, '099be9276315b92d'),
+    'mev mutex_vaults.scn --exhaustive json': (0, '9d8727e12f338c24'),
+    'nonint mutex_vaults.scn --exhaustive json': (1, 'd0102c511f233775'),
+    'richnonint mutex_vaults.scn --exhaustive json': (1, 'f47768e9a5cfa84c'),
+    'strip-check mutex_vaults.scn --exhaustive json': (0, 'a2ec4771ae1a9491'),
+    'epsilon --eps 0 mutex_vaults.scn --exhaustive json': (0, '63782a3a4d857516'),
+    'lmev once_cell_droppers.scn --exhaustive json': (0, '8c624be73069a562'),
+    'rlmev once_cell_droppers.scn --exhaustive json': (0, 'd0fa938feac497fd'),
+    'mev once_cell_droppers.scn --exhaustive json': (0, 'bac5f0743ba9f130'),
+    'nonint once_cell_droppers.scn --exhaustive json': (0, '3b966c3f5d89a48a'),
+    'richnonint once_cell_droppers.scn --exhaustive json': (0, 'b9a68c75fc628e92'),
+    'strip-check once_cell_droppers.scn --exhaustive json': (0, '42a8bac9a606ca2b'),
+    'epsilon --eps 0 once_cell_droppers.scn --exhaustive json': (1, '44d045562d78f0d7'),
+    'lmev relay_chain.scn --exhaustive json': (0, 'adc82826954219bf'),
+    'rlmev relay_chain.scn --exhaustive json': (0, '5d6daaf1089f26d3'),
+    'mev relay_chain.scn --exhaustive json': (0, '7614feeca0822f84'),
+    'nonint relay_chain.scn --exhaustive json': (0, '00c3b802a43e71ad'),
+    'richnonint relay_chain.scn --exhaustive json': (0, '975d8dd5017e9204'),
+    'strip-check relay_chain.scn --exhaustive json': (0, 'a4d21a8431f44189'),
+    'epsilon --eps 0 relay_chain.scn --exhaustive json': (0, '93bd3b749231a867'),
+    'lmev two_amms.scn --exhaustive json': (0, 'bc025f2fba5aa07f'),
+    'rlmev two_amms.scn --exhaustive json': (0, '2b9cf19abf015ed4'),
+    'mev two_amms.scn --exhaustive json': (0, '4c8d3d055a93e8a3'),
+    'nonint two_amms.scn --exhaustive json': (1, '9fd663c86c3a7c91'),
+    'richnonint two_amms.scn --exhaustive json': (0, '368ffd0e313a9943'),
+    'strip-check two_amms.scn --exhaustive json': (0, 'cd10cc6cfb8c064c'),
+    'epsilon --eps 0 two_amms.scn --exhaustive json': (0, 'a333cef1a12349da'),
+}
+
+
 if __name__ == "__main__":
-    for table, argvs in (("PINNED", report_argvs()), ("DEEP_PINNED", deep_report_argvs())):
+    for table, argvs in (("PINNED", report_argvs()), ("DEEP_PINNED", deep_report_argvs()),
+                         ("EXHAUSTIVE_PINNED", exhaustive_report_argvs())):
         print(f"{table} = {{")
         for rid, argv in argvs.items():
             print(f"    {rid!r}: {digest(argv)!r},")
