@@ -28,7 +28,7 @@ as invalid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -52,10 +52,23 @@ class CatalogEntry:
     summary: str
     params: tuple
     build: Callable[..., ContractCode]   # receives checked parameters as keywords
+    # (instance name, checked parameters) -> the code built for them
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def make(self, name: str, /, **args) -> ContractCode:
-        """Build instance ``name``: the one place parameters are checked."""
-        return self.build(name, **_take(args, self.params, self.key))
+        """Build instance ``name``: the one place parameters are checked.
+
+        Deployments of one entry with the same instance name and checked
+        parameters share one code, built the first time: a ``ContractCode``
+        is frozen and its closures read only those parameters.  The table
+        belongs to the entry, so an entry replaced with another ``build``
+        starts its own."""
+        checked = _take(args, self.params, self.key)
+        ckey = (name, tuple(checked.items()))
+        code = self._codes.get(ckey)
+        if code is None:
+            code = self._codes[ckey] = self.build(name, **checked)
+        return code
 
 
 def _take(args: Mapping[str, object], params: Sequence[ParamSpec], key: str) -> dict:

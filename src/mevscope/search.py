@@ -13,6 +13,13 @@ transactions (a longer trace may still extract more).
 Invalid transactions are pruned: they cannot change any gain.  When a
 deployed contract reads the block height, the moves include a tick, a call
 the executor runs with no body, whose sole effect is advancing the height.
+A valid move that leaves the node's memo key unchanged is not expanded
+either: the key ignores the height when no contract reads it, and the move
+changed no wallet and no contract store.  A trace through it ties in value
+and gain with the same trace less that move, which is shorter and which the
+node searches itself, so it never wins (a dominance rule; Ibaraki 1977).
+When a contract reads the height, every move advances it, so every move
+changes the key and none is skipped.
 
 Every ply is scored the same way: ``vm.execute_delta`` runs the move and
 reads the wealth changes of the objective's accounts and of the adversary off
@@ -281,7 +288,12 @@ class _MaxSearch:
         children best-first: by decreasing optimistic value (the move's
         change plus the next state's ``bounds`` at k - 1 plies), then
         optimistic gain, then the next state's value bound, then its gain
-        bound, then move order.
+        bound, then move order.  A move whose next state has the node's own
+        memo key (the key ignores the height, the move changed no group's
+        wealth and ``core_key`` is unchanged) is not kept as a child: every
+        trace through it ties in value and gain with the same trace less
+        that move, which is one move shorter and searched by this node, so
+        it never wins, and the node's memo entry stays exact.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -334,7 +346,10 @@ class _MaxSearch:
                         node_bounds = bounds(state, k)
                     if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                         length, first = 1, tx.key()
-                if k > 1:
+                # a child with the node's own memo key only leads to traces
+                # the node searches one move shorter
+                if k > 1 and not (dv == dg == 0 and not include_height
+                                  and nxt.core_key() == state.core_key()):
                     vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, vb, gb, tx, dv, dg, nxt))
             # best-first; the sort is stable, so ties keep move order

@@ -392,6 +392,24 @@ def test_a_lying_sender_agnostic_flag_is_a_strip_check_mismatch(monkeypatch):
     assert code == 1 and "strip-check: mismatch" in out
 
 
+def test_equal_deployments_share_one_code():
+    """A catalog entry builds one code per instance name and checked
+    parameters: a scenario built twice deploys the same code objects, a
+    default spelled out is the same parameter, and a deployment that
+    differs in one parameter or in its name gets its own code."""
+    scn = load_bundled("bet_on_amm_oracle.scn")
+    first, _ = build_state(scn)
+    second, _ = build_state(scn)
+    assert first.order == second.order
+    assert all(first.codes[a] is second.codes[a] for a in first.order)
+    bet = REGISTRY["bet"]
+    args = {"oracle": "AMM", "token": "T", "rate": 2, "deadline": 5}
+    code = bet.make("Bet", **args)
+    assert bet.make("Bet", **args, pot_token="ETH") is code
+    assert bet.make("Bet", **{**args, "deadline": 6}) is not code
+    assert bet.make("Bet2", **args) is not code
+
+
 @pytest.mark.parametrize("name", ("compositions/row7_lp_arbitrage.scn",
                                   "compositions/row8_flash_loan_arbitrage.scn"))
 def test_exhaustive_mev_on_the_lending_pool_rows_runs(name):

@@ -482,8 +482,8 @@ def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("exhaustive, depth, pinned", (
-    (False, 3, 10_963),
-    (True, 2, 24_735),
+    (False, 3, 10_331),
+    (True, 2, 20_097),
 ), ids=("generator-depth-3", "exhaustive-depth-2"))
 def test_micro_ladder_execute_count_is_pinned(exhaustive, depth, pinned, monkeypatch):
     """Every rung is a full ``lmev`` search: the same 200 ladders make
