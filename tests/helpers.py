@@ -18,11 +18,15 @@ from mevscope import (
 
 M = Account.user("M")
 A = Account.user("A")
+N = Account.user("N")
 
 # every bundled scenario, as ``scenario.load_bundled`` names it
 _SCENARIO_DIR = Path(mevscope.__file__).parent / "scenarios"
 BUNDLED_SCENARIOS = tuple(sorted(p.relative_to(_SCENARIO_DIR).as_posix()
                                  for p in _SCENARIO_DIR.rglob("*.scn")))
+# the bundled scenarios small enough to enumerate exhaustively
+EXHAUSTIVE_SCENARIOS = tuple(n for n in BUNDLED_SCENARIOS if n not in (
+    "bet_on_amm_oracle.scn", "compositions/row2_bet_on_amm.scn"))
 
 
 def prices_of(mapping) -> PriceMap:
@@ -56,6 +60,16 @@ def two_pool_state():
         [("amm", "AMM1", {"t0": "T0", "t1": "T1"}, {"T0": 6, "T1": 6}),
          ("amm", "AMM2", {"t0": "T1", "t1": "T2"}, {"T1": 4, "T2": 9})],
     )
+
+
+def two_adversary_pools(amm1, amm2, t0):
+    """Two chained pools, AMM1 (T0/T1) and AMM2 (T1/T2), with reserves
+    ``amm1`` and ``amm2``, against two adversary accounts: M holds nothing
+    and N holds ``t0`` T0, so only N can sign a trace that extracts."""
+    return build({M: {}, N: {"T0": t0}},
+                 [("amm", "AMM1", {"t0": "T0", "t1": "T1"}, dict(zip(("T0", "T1"), amm1))),
+                  ("amm", "AMM2", {"t0": "T1", "t1": "T2"}, dict(zip(("T1", "T2"), amm2)))],
+                 adversary=(M, N))
 
 
 def bet_state(rate=2, deadline=1000, adversary_eth=310):
@@ -143,14 +157,14 @@ def _paid_vault(rng):
     return st, ("T", "ETH"), 4
 
 
-def micro_bet(eth, deadline):
-    """A 1 ETH bet against a 2/2 ETH-T pool at height 0, the adversary
-    holding ``eth`` ETH."""
+def micro_bet(eth, deadline, adversary=(M,)):
+    """A 1 ETH bet against a 2/2 ETH-T pool at height 0, M holding ``eth``
+    ETH."""
     return build({M: {"ETH": eth}},
                  [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
                   ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1,
                                   "deadline": deadline}, {"ETH": 1})],
-                 height=0)
+                 adversary=adversary, height=0)
 
 
 def _micro_bet(rng):

@@ -25,6 +25,7 @@ from mevscope import (
     execute_trace,
     parse_scenario,
     probe_call,
+    universal_moves,
 )
 from mevscope import catalog, vm
 from mevscope.analysis import prober_tokens
@@ -32,8 +33,8 @@ from mevscope.scenario import load_bundled
 from mevscope.search import rich_state
 from mevscope.vm import AttachSpec
 
-from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, two_pool_state,
-                     uniform_prices)
+from helpers import (BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, MICRO_FAMILIES, M, A, bet_state,
+                     build, two_adversary_pools, two_pool_state, uniform_prices)
 from oracle import brute_lmev, brute_losses
 
 AMM = Account.contract("AMM")
@@ -462,6 +463,55 @@ def _move_digest(name: str, grid: int) -> str:
                          ids=lambda v: str(v).rsplit("/", 1)[-1])
 def test_generated_move_sets_are_pinned(name, grid, digest):
     assert _move_digest(name, grid) == digest
+
+
+# sha256 prefixes of the universal_moves labels, in order, at the initial
+# state of each scenario small enough to enumerate, at the scenario's
+# ceiling: every contract targeted, then the post-split fragment alone
+EXHAUSTIVE_MOVE_DIGESTS = (
+    ('airdrop_beside_amm.scn', '6d5024cf7d27ddc6', '56ee8ad46343d208'),
+    ('airdrop_feeds_exchange.scn', '55e68f672c307136', '91ae15a31f5637db'),
+    ('cell_gate.scn', '4a5bbcb949d76ebd', '699d61a511aaeb92'),
+    ('cell_gate_proxy.scn', '237ab03214e42b8f', 'f977dc42ae575684'),
+    ('cell_gated_vault.scn', '5c557449fde792a9', '86badf06184af1a8'),
+    ('compositions/row1_amm_amm.scn', '3dc9ebaa99eec226', '806c74086b17e592'),
+    ('compositions/row3_bet_on_exchange.scn', '78572b31db68fd2a', '8f92c6b02be69e1c'),
+    ('compositions/row4_best_swap.scn', '76be221cdd8beec2', '15c7b12c20c6c759'),
+    ('compositions/row5_swap_router.scn', 'a5fd4e7cc4cd1362', '37815e7ff24398e0'),
+    ('compositions/row6_best_swap_router.scn', '7fc608f09ba97b67', 'ee6f4c357e6d4f49'),
+    ('compositions/row7_lp_arbitrage.scn', '1d231ed0176e9a16', '9e39783da107dc0c'),
+    ('compositions/row8_flash_loan_arbitrage.scn', '1d231ed0176e9a16', '9e39783da107dc0c'),
+    ('exchange_round_trip.scn', '2e54cfa107db8f0a', 'bb5c75a28851e0f1'),
+    ('faucet_forwarder.scn', 'cae6ca24765486d0', '9757a9b562332ec0'),
+    ('gated_faucet_pair.scn', 'cae6ca24765486d0', '9757a9b562332ec0'),
+    ('mutex_vaults.scn', 'b863dae74fca68fd', 'a2d54ee2f3a2b89c'),
+    ('once_cell_droppers.scn', '792b631bd7822645', '81e2f3fbdda5dfeb'),
+    ('relay_chain.scn', '1e8e9c2e3ffc0e18', '4795bde9276e846f'),
+    ('two_amms.scn', '8958fba4067e840c', '28a427cd284a2c90'),
+)
+
+
+def _universal_digest(state, tokens, budget, restriction) -> str:
+    labels = "\n".join(m.label() for m in universal_moves(state, tokens, budget, restriction))
+    return hashlib.sha256(labels.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,everything,fragment", EXHAUSTIVE_MOVE_DIGESTS,
+                         ids=lambda v: str(v).rsplit("/", 1)[-1])
+def test_exhaustive_move_lists_are_pinned(name, everything, fragment):
+    scn = load_bundled(name)
+    state, delta = build_state(scn)
+    budget = SearchBudget(exhaustive=True, ceiling=scn.ceiling)
+    tokens = scn.prices().tokens()
+    assert (_universal_digest(state, tokens, budget, None),
+            _universal_digest(state, tokens, budget, delta)) == (everything, fragment)
+
+
+def test_the_two_adversary_exhaustive_move_list_is_pinned():
+    """Every enumerated call sent from M and from N, once each."""
+    state = two_adversary_pools((2, 2), (1, 4), 2)
+    budget = SearchBudget(exhaustive=True, ceiling=3)
+    assert _universal_digest(state, ("T0", "T1", "T2"), budget, None) == "1d82d4643707586b"
 
 
 def test_grid_amounts_match_the_multiples_formula():

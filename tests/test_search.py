@@ -34,12 +34,13 @@ from mevscope import (
 from mevscope import search
 from mevscope.cli import main as cli_main
 from mevscope.scenario import bundled, load_bundled, scenario_path
-from mevscope.vm import ArgSpec, execute_delta
+from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
 
-from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, random_micro,
-                     prices_of, random_observed, two_pool_state, uniform_prices)
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, N, bet_state, build, micro_bet,
+                     random_micro, prices_of, random_observed, two_adversary_pools,
+                     two_pool_state, uniform_prices)
 from model_checks import gain
-from oracle import brute_lmev
+from oracle import brute_best, brute_lmev, enumerate_moves
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 PRICES3 = uniform_prices(("T0", "T1", "T2"))
@@ -63,6 +64,45 @@ class TestAdversaryMoves:
     def test_all_moves_have_adversary_origins(self):
         state = bet_state()
         assert all(tx.origin == M for tx in adversary_moves(state, None, BUDGET))
+
+
+class TestTwoAdversaryAccounts:
+    """The adversary is a set of accounts: M holds nothing and N holds the
+    tokens, so a search that signed from M alone would find nothing."""
+
+    def test_generator_witness_is_signed_by_the_account_holding_the_tokens(self):
+        state = two_adversary_pools((6, 6), (4, 9), 3)
+        res = lmev(state, {AMM2}, None, PRICES3, SearchBudget(max_depth=3))
+        assert res.value == 1
+        assert [tx.label() for tx in res.witness] == [
+            "N:AMM1.swap(?3:T0, 0)", "N:AMM2.swap(?2:T1, 0)"]
+
+    def test_exhaustive_witness_matches_the_oracles(self):
+        state = two_adversary_pools((2, 2), (1, 4), 2)
+        budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
+        res = lmev(state, {AMM2}, None, PRICES3, budget)
+        assert res.value == 1
+        assert [tx.label() for tx in res.witness] == [
+            "N:AMM1.swap(?2:T0, 0)", "N:AMM2.swap(?1:T1, 0)"]
+        assert brute_lmev(state, {AMM2}, None, PRICES3, 3, 3) == 1
+        assert brute_best(state, {AMM2}, None, PRICES3, budget,
+                          lambda s: enumerate_moves(s, PRICES3.tokens(), 3)) == (
+            res.value, res.witness)
+
+    @pytest.mark.parametrize("universal", (False, True), ids=("generators", "exhaustive"))
+    def test_every_call_is_sent_from_every_adversary_account(self, universal):
+        """Each proposed call comes from both M and N; the tick, proposed
+        because the bet reads the height, comes once, from M."""
+        state = micro_bet(0, 2, adversary=(M, N))
+        budget = SearchBudget(ceiling=2)
+        moves = (universal_moves(state, ("ETH", "T"), budget) if universal
+                 else adversary_moves(state, None, budget))
+        assert [tx.origin for tx in moves if tx.method == TICK_METHOD] == [M]
+        origins = {}
+        for tx in moves:
+            if tx.method != TICK_METHOD:
+                origins.setdefault(tx.key()[1:], set()).add(tx.origin)
+        assert origins and all(o == {M, N} for o in origins.values())
 
 
 class TestLmev:
