@@ -12,10 +12,11 @@ Every entry also carries the metadata the analysis layers need: a move
 generator, declared in/out token sets, the (dependency, method) pairs its
 code calls, and observation probes for stability checking.  Generated moves
 and probes are ``(method[, args[, attached]])`` calls to the contract's own
-account: the search sends each move from every adversary account, the
-stability check each probe from one throwaway user.  A generator is only
-called while its own contract is deployed; it still checks for any
-dependency it reads.
+account.  The search has one signer (``search._signed``), which sends each
+move from every adversary account, as it does each call that exhaustive mode
+enumerates from the method signatures; the stability check sends each probe
+from one throwaway user.  A generator is only called while its own contract
+is deployed; it still checks for any dependency it reads.
 
 Move generators derive amounts only from contract reserves and declared
 constants, never from the adversary's wallet.  That makes the proposed move

@@ -347,8 +347,10 @@ def build_parser(only: Optional[str] = None) -> _Parser:
         if scenario:
             p.add_argument("scenario", help="path to a .scn scenario file")
         if budget:
-            p.add_argument("--depth", type=int, default=4, help="trace length bound")
-            p.add_argument("--grid", type=int, default=8, help="amount grid resolution")
+            p.add_argument("--depth", type=int, default=SearchBudget.max_depth,
+                           help="trace length bound")
+            p.add_argument("--grid", type=int, default=SearchBudget.grid,
+                           help="amount grid resolution")
             p.add_argument("--exhaustive", action="store_true",
                            help="signature-driven exhaustive enumeration (micro states)")
         if scope:

@@ -171,7 +171,7 @@ class PriceMap:
     """Strictly positive exact-rational price per token type.
 
     ``scale`` is the least common multiple of the price denominators and
-    ``units[token]`` is ``price(token) * scale``, a positive int.
+    ``units[token]`` is the token's price times ``scale``, a positive int.
     """
 
     prices: tuple
@@ -186,12 +186,6 @@ class PriceMap:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "units", {
             t: p.numerator * (scale // p.denominator) for t, p in self.prices})
-
-    def price(self, token: Token) -> Fraction:
-        for t, p in self.prices:
-            if t == token:
-                return p
-        raise KeyError(f"no price for token {token!r}")
 
     def tokens(self) -> tuple:
         return tuple(t for t, _ in self.prices)

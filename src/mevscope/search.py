@@ -1,9 +1,11 @@
 """Bounded adversarial search for extractable value.
 
 The engine maximises over traces of adversary-crafted transactions, bounded
-by a trace-length budget, with moves proposed by per-contract generators (or
-by exhaustive signature-driven enumeration in micro mode, which runs once per
-search for each user set it reaches: see ``_MaxSearch._exhaustive_moves``).
+by a trace-length budget.  Contracts propose calls, through their move
+generators or, in micro mode, by exhaustive signature-driven enumeration (run
+once per search for each user set it reaches: see
+``_MaxSearch._exhaustive_moves``), and one signer, ``_signed``, sends each
+call from every adversary account.
 Values are certified lower bounds of the unbounded-trace quantities.  A
 result carries ``complete=True`` when the value hits the wealth upper bound
 of the observed contracts, and is then exact, or when exhaustive mode ran
@@ -127,32 +129,34 @@ class MevResult:
     adversary_wallet: Optional[Mapping[Account, Wallet]] = field(default=None, hash=False)
 
 
-def _with_tick(state: BlockchainState, targets, moves: list) -> tuple:
-    """``moves`` plus the tick move when a deployed contract reads the height,
-    deduplicated and deterministically ordered."""
-    if (targets and state.adversary
-            and any(state.codes[a].reads_height for a in state.order)):
-        moves.append(Transaction(min(state.adversary), min(targets), TICK_METHOD))
+def _signed(state: BlockchainState, restriction, calls) -> tuple:
+    """Every call ``calls(acc)`` proposes to a contract ``acc`` in
+    ``restriction`` (None meaning the whole universe), sent from every
+    adversary account, plus the tick move when a deployed contract reads the
+    height; deduplicated and deterministically ordered."""
+    deployed = state.deployed
+    targets = deployed if restriction is None else (frozenset(restriction) & deployed)
+    origins = sorted(state.adversary)
+    moves = []
+    for acc in state.order:
+        if acc in targets:
+            proposed = calls(acc)
+            for origin in origins:
+                moves += [Transaction(origin, acc, *call) for call in proposed]
+    if targets and origins and any(state.codes[a].reads_height for a in state.order):
+        moves.append(Transaction(origins[0], min(targets), TICK_METHOD))
     uniq = {m.key(): m for m in moves}
     return tuple(uniq[k] for k in sorted(uniq))
 
 
 def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -> tuple:
     """Candidate adversary transactions targeting contracts in ``restriction``
-    (None meaning the whole universe), deduplicated and deterministically
-    ordered: every call a targeted contract's generator proposes, sent from
-    every adversary account."""
-    deployed = state.deployed
-    targets = deployed if restriction is None else (frozenset(restriction) & deployed)
-    origins = sorted(state.adversary)
-    moves = []
-    for acc in state.order:
+    (None meaning the whole universe): every call a targeted contract's
+    generator proposes, signed by ``_signed``."""
+    def calls(acc):
         gen = state.codes[acc].move_generator
-        if acc in targets and gen is not None:
-            calls = gen(state, acc, budget)
-            for origin in origins:
-                moves += [Transaction(origin, acc, *call) for call in calls]
-    return _with_tick(state, targets, moves)
+        return () if gen is None else gen(state, acc, budget)
+    return _signed(state, restriction, calls)
 
 
 def default_ceiling(state: BlockchainState) -> int:
@@ -164,35 +168,26 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
                     budget: SearchBudget, restriction=None) -> tuple:
     """Exhaustive signature-driven enumeration of adversary transactions.
 
-    Every method of every (restricted) deployed contract is proposed with
-    every argument tuple from its declared domains and every attachment up
-    to the amount ceiling.  Intended for micro states; guard-only arguments
-    declare singleton domains, documented on the signatures themselves.
-    The search fills a per-search table from it once for each user set,
-    rather than calling it at every node.
+    Each targeted contract is proposed every method with every argument
+    tuple from its declared domains and every attachment up to the amount
+    ceiling, and ``_signed`` sends each call from every adversary account,
+    as it does the generators' calls.  Intended for micro states; guard-only
+    arguments declare singleton domains, documented on the signatures
+    themselves.  The search fills a per-search table from it once for each
+    user set, rather than calling it at every node.
     """
     ceiling = budget.ceiling if budget.ceiling is not None else default_ceiling(state)
     accounts = tuple(sorted(state.users)) + tuple(state.order)
-    deployed = state.deployed
-    targets = deployed if restriction is None else (frozenset(restriction) & deployed)
-    moves = []
-    for acc in state.order:
-        if acc not in targets:
-            continue
-        code = state.codes[acc]
-        for mname in sorted(code.methods):
-            mdef = code.methods[mname]
+
+    def calls(acc):
+        out = []
+        for mname, mdef in sorted(state.codes[acc].methods.items()):
             arg_domains = [a.domain(tokens, accounts, ceiling) for a in mdef.args]
             slot_domains = [tuple(s.combos(tokens, ceiling)) for s in mdef.attach]
-            for args in itertools.product(*arg_domains):
-                for combo in itertools.product(*slot_domains):
-                    d: dict = {}
-                    for t, n in combo:
-                        d[t] = d.get(t, 0) + n
-                    attach = Wallet(d)
-                    for origin in sorted(state.adversary):
-                        moves.append(Transaction(origin, acc, mname, args, attach))
-    return _with_tick(state, targets, moves)
+            out += [(mname, args, Wallet(combo)) for args in itertools.product(*arg_domains)
+                    for combo in itertools.product(*slot_domains)]
+        return out
+    return _signed(state, restriction, calls)
 
 
 def _better(cand, best) -> bool:
@@ -307,12 +302,13 @@ class _MaxSearch:
         was already offered.  Moves run in key order; a one-move trace that
         reaches both node bounds ends the node (L = 1), and later moves are
         skipped by key."""
-        memo = self.memo
-        budget, restriction = self.budget, self.restriction
-        exhaustive, include_height = budget.exhaustive, self.include_height
+        memo, budget, restriction = self.memo, self.budget, self.restriction
         groups, units, sign = self.groups, self.prices.units, self.sign
-        bounds = self.bounds
-        exhaustive_moves = self._exhaustive_moves
+        bounds, include_height = self.bounds, self.include_height
+        # ``adversary_moves`` is looked up at each node, so a wrapper set on
+        # the module sees every call
+        moves_of = (self._exhaustive_moves if budget.exhaustive
+                    else lambda state: adversary_moves(state, restriction, budget))
         cap = MEMO_CAP
         # an expanded child's visiting order: optimistic value and gain, then
         # the next state's value and gain bounds
@@ -324,8 +320,7 @@ class _MaxSearch:
             hit = memo.get(mkey)
             if hit is not None:
                 return hit
-            moves = (exhaustive_moves(state) if exhaustive
-                     else adversary_moves(state, restriction, budget))
+            moves = moves_of(state)
             top = _LEAF
             node_bounds = None
             # once ``top`` reaches both node bounds: its length and the key

@@ -33,6 +33,7 @@ def state_key(state):
 
 
 def fraction_wealth(accounts, state, prices) -> Fraction:
+    quoted = dict(prices.prices)
     total = Fraction(0)
     for acc in accounts:
         if acc in state.users:
@@ -42,7 +43,7 @@ def fraction_wealth(accounts, state, prices) -> Fraction:
         else:
             continue
         for t, n in wallet.items():
-            total += n * prices.price(t)
+            total += n * quoted[t]
     return total
 
 

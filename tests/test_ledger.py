@@ -73,7 +73,7 @@ def test_wallet_single_checks_like_the_constructor():
 def test_prices_must_be_positive():
     with pytest.raises(ValueError):
         prices_of({"T0": 0})
-    assert prices_of({"T0": "3/2"}).price("T0") == Fraction(3, 2)
+    assert dict(prices_of({"T0": "3/2"}).prices)["T0"] == Fraction(3, 2)
 
 
 def test_wealth_of_second_pool_and_adversary():
@@ -106,12 +106,13 @@ def test_wealth_units_over_scale_is_the_rational_sum(user_wallets, contract_wall
     c = Account.contract("C")
     state = BlockchainState(users, {c: ContractState(contract_wallet)}, (c,), {c: None})
     accounts = [*users, c]
-    expected = sum((n * prices.price(t) for w in (*user_wallets, contract_wallet)
+    quoted = dict(prices.prices)
+    expected = sum((n * quoted[t] for w in (*user_wallets, contract_wallet)
                     for t, n in w.items()), Fraction(0))
     units = wealth_units(accounts, state, prices)
     assert isinstance(units, int)
     assert Fraction(units, prices.scale) == expected == wealth(accounts, state, prices)
-    assert all(prices.units[t] == prices.price(t) * prices.scale for t in TOKENS)
+    assert all(prices.units[t] == quoted[t] * prices.scale for t in TOKENS)
 
 
 def test_wealth_units_rejects_unpriced_tokens():

@@ -94,7 +94,7 @@ class TestLoader:
                "deployments": []}
         scn = parse_scenario(json.dumps(doc))
         from fractions import Fraction
-        assert scn.prices().price("T") == Fraction(3, 2)
+        assert dict(scn.prices().prices)["T"] == Fraction(3, 2)
 
 
 def run_cli(*argv):
