@@ -14,13 +14,20 @@ from mevscope import (
     check_well_formed,
     deploy,
     deps,
+    epsilon_composable,
     execute,
     execute_trace,
     genesis,
+    global_mev,
+    lmev,
+    nonint,
     probe_call,
+    richnonint,
+    rlmev,
     total_supply,
 )
-from mevscope.vm import MAX_CALL_DEPTH, TICK_METHOD, ContractBugError, ContractCode, MethodDef
+from mevscope.vm import (MAX_CALL_DEPTH, TICK_METHOD, ContractBugError, ContractCode, MethodDef,
+                         execute_delta)
 
 from helpers import M, A, bet_state, build, prices_of, two_pool_state, uniform_prices
 from model_checks import check_wallet_monotonic, gain, sender_agnostic_witness
@@ -158,14 +165,36 @@ def test_well_formedness_examples():
     assert check_well_formed(mutex)
 
 
-def test_missing_dependency_breaks_well_formedness():
+def _bet_without_its_oracle():
     from mevscope import BlockchainState
     state = bet_state()
     bet = Account.contract("Bet")
     # surgically drop the oracle the bet depends on
-    damaged = BlockchainState(state.users, {bet: state.contracts[bet]}, (bet,),
-                              {bet: state.codes[bet]}, state.height, state.adversary)
-    assert not check_well_formed(damaged)
+    return BlockchainState(state.users, {bet: state.contracts[bet]}, (bet,),
+                           {bet: state.codes[bet]}, state.height, state.adversary)
+
+
+def test_missing_dependency_breaks_well_formedness():
+    assert not check_well_formed(_bet_without_its_oracle())
+
+
+@pytest.mark.parametrize("entry", ("lmev", "rlmev", "global_mev", "nonint", "richnonint",
+                                   "epsilon_composable"))
+def test_public_entries_reject_a_malformed_state(entry):
+    damaged = _bet_without_its_oracle()
+    bet = {Account.contract("Bet")}
+    prices = prices_of({"ETH": 1, "T": 1})
+    budget = SearchBudget(max_depth=2)
+    calls = {
+        "lmev": lambda: lmev(damaged, bet, None, prices, budget),
+        "rlmev": lambda: rlmev(damaged, bet, None, prices, budget),
+        "global_mev": lambda: global_mev(damaged, prices, budget),
+        "nonint": lambda: nonint(damaged, bet, prices, budget),
+        "richnonint": lambda: richnonint(damaged, bet, prices, budget),
+        "epsilon_composable": lambda: epsilon_composable(damaged, bet, 0, prices, budget),
+    }
+    with pytest.raises(ValueError, match="not well-formed"):
+        calls[entry]()
 
 
 def test_determinism():
@@ -354,3 +383,33 @@ def test_calls_must_be_listed_in_calls_out():
     with pytest.raises(ContractBugError,
                        match="^Caller calls Other.f, which its calls_out does not list$"):
         execute(deploy(start, caller("f", dep="Other"), deployer=A), run)
+
+
+GHOST = Account.contract("Ghost")   # never deployed
+
+
+def _leaky_state():
+    """A contract holding 1 T whose ``leak`` pays it to the undeployed Ghost."""
+    def leak(c):
+        c.pay(GHOST, 1, "T")
+
+    leaky = ContractCode(name="Leaky", methods={"leak": MethodDef(leak)})
+    start = genesis({A: Wallet({"T": 1})}, adversary=[M])
+    return deploy(start, leaky, Wallet({"T": 1}), deployer=A)
+
+
+LEAK_ENTRIES = {
+    "execute": lambda st, tx: execute(st, tx),
+    "execute_delta": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1}),
+    "execute_delta-advance": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1},
+                                                          advance=True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEAK_ENTRIES))
+def test_tokens_sent_to_an_undeployed_contract_are_a_contract_bug(entry):
+    """Tokens move only between users and deployed contracts: a pay to an
+    undeployed contract is a catalog bug, whichever entry runs it."""
+    state = _leaky_state()
+    with pytest.raises(ContractBugError, match="undeployed Ghost"):
+        LEAK_ENTRIES[entry](state, Transaction(M, Account.contract("Leaky"), "leak"))
