@@ -6,10 +6,13 @@ what the same adversary extracts when confined to the new contracts alone.
 ``nonint`` fixes the adversary's wealth to the given state; ``richnonint``
 takes the wealthy-adversary value, which is wallet-independent.
 
-Verdicts are three-valued.  "holds" is only emitted when a sufficient
-condition fires or when both searched values are complete (wealth bound hit
-or exhaustive enumeration); a budget-limited equality without either yields
-"unknown".  "violated" verdicts always carry a witness; a ``richnonint``
+Verdicts are three-valued.  ``nonint`` and ``richnonint`` emit "holds"
+only when a sufficient condition fires or when both searched values are
+complete (wealth bound hit or exhaustive enumeration); a budget-limited
+equality without either yields "unknown".  ``epsilon_composable`` is
+budget-relative: it emits "holds" whenever the searched values meet its
+bound, with ``complete`` False when either search was cut short.
+"violated" verdicts always carry a witness; a ``richnonint``
 witness is found against an escalated adversary wallet, so it may not
 replay from the given state.
 
@@ -165,25 +168,19 @@ def _observations(state: BlockchainState, watched: Sequence[Transaction]) -> tup
     run as the outermost frame with its attachment already paid, so funding
     never masks behaviour.  An observation is valid when the frame completed
     and the final checks hold; a completed frame whose final check fails
-    still reports what it returned and transferred."""
+    still reports what it returned and transferred.  A probe that pays an
+    undeployed contract raises ``ContractBugError``, as any run does."""
     obs = []
     for tx in watched:
         sc, frame = probe_call(state, tx.origin, tx.origin, tx.callee, tx.method, tx.args,
                                tx.attached)
-        if frame is None:
-            obs.append((tx, False, None, ()))
-            continue
-        valid = sc.finals_hold()
-        if valid:
-            sc.check_leaks()
-        obs.append((tx, valid, *frame))
+        obs.append((tx, False, None, ()) if frame is None else (tx, sc.finals_hold(), *frame))
     return tuple(obs)
 
 
 def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
                          subject: Iterable[Account],
-                         budget: SearchBudget = SearchBudget(),
-                         wealthy: bool = False) -> tuple:
+                         budget: SearchBudget = SearchBudget()) -> tuple:
     """Bounded falsification of "adversary moves on the context cannot change
     what the subject observes of it".
 
@@ -192,7 +189,9 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
     state and in every state reachable through adversary transactions on the
     context within the budget.  Returns ("stable" | "unstable" | "unknown",
     witness trace or None).  "stable" is a bounded-exploration conclusion:
-    sound only as far as the probes and the reachable set go.
+    sound only as far as the probes and the reachable set go.  The adversary
+    moves with the wallets ``state`` gives it; ``richnonint`` passes the
+    first rung of ``rlmev``'s ladder.
     """
     ctx_accs = frozenset(context) & state.deployed
     subj_accs = frozenset(subject) & state.deployed
@@ -213,10 +212,9 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
     if not watched:
         return ("stable", None)   # no observable channel into the context
 
-    base = rich_state(state, prober_tokens(state) or ("T",), budget, 1) if wealthy else state
-    base_obs = _observations(base, watched)
-    seen = {base.core_key()}
-    frontier = [(base, ())]
+    base_obs = _observations(state, watched)
+    seen = {state.core_key()}
+    frontier = [(state, ())]
     for _ in range(budget.max_depth):
         nxt = []
         for cur, trace in frontier:
@@ -276,7 +274,8 @@ def _noninterference(state: BlockchainState, delta: Iterable[Account],
         indep_note, stable_note = _PRECHECK_NOTES[wealthy]
         if contract_independent(state, gamma, delta_accs):
             return Verdict(True, JUST_CONTRACT_INDEP, note=indep_note)
-        status, _ = stable_wrt_adversary(state, gamma, delta_accs, budget, wealthy=wealthy)
+        probed = rich_state(state, prices.tokens(), budget, 1) if wealthy else state
+        status, _ = stable_wrt_adversary(probed, gamma, delta_accs, budget)
         if status == "stable":
             return Verdict(True, JUST_STABLE, note=stable_note)
 

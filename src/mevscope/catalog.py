@@ -57,7 +57,9 @@ class CatalogEntry:
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def make(self, name: str, /, **args) -> ContractCode:
-        """Build instance ``name``: the one place parameters are checked.
+        """Build instance ``name``, after checking that ``args`` names every
+        required parameter and no unknown one; the scenario loader checks
+        their kinds first (``scenario._coerce_arg``).
 
         Deployments of one entry with the same instance name and checked
         parameters share one code, built the first time: a ``ContractCode``

@@ -14,7 +14,8 @@ Contracts may only call methods of contracts deployed before them, and only
 the (dependency, method) pairs they declare, which keeps the call relation a
 partial order and rules out reentrancy.  Methods cannot inspect other accounts
 except through calls; the only way tokens move is attached transfers and
-explicit pays.
+explicit pays, between users and deployed contracts (a credit to an
+undeployed contract is a ``ContractBugError``).
 """
 
 from __future__ import annotations
@@ -263,11 +264,14 @@ class _Scratch:
     # wallet overlay
 
     def base_wallet(self, acc: Account) -> Wallet:
-        """``acc``'s wallet in the base state.  Undeployed contract accounts
-        start empty; check_leaks() rejects tokens credited to them."""
+        """``acc``'s wallet in the base state.  Every credit reads it first,
+        so this is where tokens sent to an undeployed contract are rejected:
+        they may move only between users and deployed contracts."""
         if acc.is_contract:
             cs = self.base.contracts.get(acc)
-            return cs.wallet if cs is not None else EMPTY_WALLET
+            if cs is None:
+                raise ContractBugError(f"tokens sent to undeployed {acc}")
+            return cs.wallet
         return self.base.user_wallet(acc)
 
     def _wallet(self, acc: Account) -> dict:
@@ -318,14 +322,6 @@ class _Scratch:
                 return False
         return True
 
-    def check_leaks(self) -> None:
-        """Reject a transfer that credited tokens to an undeployed contract:
-        a catalog bug, or a ``probe_call`` whose sender is not deployed."""
-        contracts = self.base.contracts
-        for acc, d in self.w.items():
-            if acc.is_contract and acc not in contracts and any(d.values()):
-                raise ContractBugError(f"tokens leaked to undeployed {acc}")
-
     def unit_change(self, acc: Account, units: Mapping[Token, int]) -> int:
         """Wealth change of ``acc`` since the base state, in the integer
         price units ``units`` gives per token (as ``PriceMap.units``)."""
@@ -351,7 +347,6 @@ class _Scratch:
         base, st = self.base, self.st
         if not self.w and not st:
             return base.with_height(height)
-        self.check_leaks()
         users, contracts = dict(base.users), dict(base.contracts)
         for acc, d in self.w.items():
             w = Wallet._from_clean({t: n for t, n in d.items() if n})
@@ -360,7 +355,7 @@ class _Scratch:
                     users[acc] = w
                 else:
                     users.pop(acc, None)
-            elif acc in contracts:   # an undeployed account credited nothing
+            else:
                 contracts[acc] = ContractState(w, st.get(acc, contracts[acc].store))
         for acc, s in st.items():
             if acc not in self.w:
@@ -536,7 +531,9 @@ def probe_call(state: BlockchainState, origin: Account, sender: Account, callee:
     The attachment is credited to the callee directly, emulating an
     already-paid caller, so the sender need not hold it: the stability
     probes send as a user, and the sender-agnostic check in
-    ``tests/model_checks.py`` also as an undeployed contract.  Returns
+    ``tests/model_checks.py`` also as a deployed contract without code.  As
+    in every run, a pay to an undeployed contract raises
+    ``ContractBugError``.  Returns
     ``(overlay, frame)``: ``frame`` is None when the frame aborted, else (its
     return value, the transfers it made itself).  No final check runs;
     ``overlay.finals_hold()`` tells whether they would pass.
@@ -565,11 +562,7 @@ def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequ
     sc = _run_tx(state, tx)
     if sc is None:
         return None
-    if advance:
-        nxt = sc.freeze(state.height + 1)
-    else:
-        sc.check_leaks()
-        nxt = None
+    nxt = sc.freeze(state.height + 1) if advance else None
     return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups), nxt
 
 

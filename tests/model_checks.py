@@ -4,9 +4,14 @@ analyzer reads these properties only as declarations (for example
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from mevscope import (Account, BlockchainState, PriceMap, Transaction, Wallet, execute,
-                      execute_trace, probe_call, wealth)
+from mevscope import (Account, BlockchainState, PriceMap, Transaction, Wallet, deploy,
+                      execute, execute_trace, probe_call, wealth)
 from mevscope.ledger import EMPTY_WALLET
+from mevscope.vm import ContractCode
+
+# deployed without code to stand in as a contract sender: tokens may only be
+# paid to deployed contracts
+PROBE_SENDER = ContractCode(name="__probe_sender__", methods={})
 
 
 def gain(accounts: Iterable[Account], state: BlockchainState,
@@ -48,21 +53,23 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
 
     The origin is the least adversary account (a ``probe`` user when there
     is none); the senders are the origin, a phantom contract and every
-    contract deployed after the callee.  Returns None when every run agrees
+    contract deployed after the callee.  The phantom is deployed last, with
+    no code, so that it can be paid.  Returns None when every run agrees
     (the sender-agnostic contract shape) or a short description of the first
     difference.  Each run is a ``probe_call``: the attachment is granted to
-    the callee directly, so a phantom contract can stand in as a sender, and
-    no final check runs.
+    the callee directly, so a contract that holds nothing can stand in as a
+    sender, and no final check runs.
     """
     origin = min(state.adversary) if state.adversary else Account.user("probe")
     # legitimate contract senders are callers, hence deployed after the
     # callee; earlier contracts could collide with store-directed payouts
     idx = state.deploy_index(callee)
-    senders = [origin, Account.contract("__probe_sender__")]
+    senders = [origin, PROBE_SENDER.account]
     senders += [a for a in state.order if state.deploy_index(a) > idx]
+    probed = deploy(state, PROBE_SENDER, deployer=origin)
 
     def run(sender: Account):
-        sc, frame = probe_call(state, origin, sender, callee, method, args, attached)
+        sc, frame = probe_call(probed, origin, sender, callee, method, args, attached)
         deltas = {}
         for acc, d in sc.w.items():
             before = sc.base_wallet(acc)

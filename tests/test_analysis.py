@@ -22,6 +22,7 @@ from mevscope import (
 )
 from mevscope.analysis import _observations
 from mevscope.scenario import build_state, bundled, load_bundled
+from mevscope.search import rich_state
 
 from helpers import M, A, bet_state, build, two_pool_state, uniform_prices
 
@@ -100,15 +101,16 @@ class TestContractIndependence:
 
 class TestStability:
     def test_fixed_rate_oracle_is_stable(self):
-        state, delta = build_state(load_bundled("compositions/row3_bet_on_exchange.scn"))
+        state, delta, prices = bundled("compositions/row3_bet_on_exchange.scn")
         status, witness = stable_wrt_adversary(
-            state, {Account.contract("Exchange")}, delta, BUDGET, wealthy=True)
+            rich_state(state, prices.tokens(), BUDGET, 1), {Account.contract("Exchange")},
+            delta, BUDGET)
         assert status == "stable" and witness is None
 
     def test_pool_oracle_is_unstable_with_a_swap_witness(self):
-        state = bet_state()
+        state = rich_state(bet_state(), ("ETH", "T"), BUDGET, 1)
         status, witness = stable_wrt_adversary(
-            state, {Account.contract("AMM")}, {Account.contract("Bet")}, BUDGET, wealthy=True)
+            state, {Account.contract("AMM")}, {Account.contract("Bet")}, BUDGET)
         assert status == "unstable"
         assert witness and witness[-1].callee == Account.contract("AMM")
         assert witness[-1].method == "swap"
@@ -116,11 +118,13 @@ class TestStability:
     @pytest.mark.parametrize("wealthy", (False, True))
     def test_probe_state_cap_gives_unknown(self, monkeypatch, wealthy):
         from mevscope import analysis
-        state, delta = build_state(load_bundled("bet_on_amm_oracle.scn"))
+        state, delta, prices = bundled("bet_on_amm_oracle.scn")
+        if wealthy:
+            state = rich_state(state, prices.tokens(), BUDGET, 1)
         args = (state, state.deployed - delta, delta, BUDGET)
-        assert stable_wrt_adversary(*args, wealthy=wealthy)[0] == "unstable"
+        assert stable_wrt_adversary(*args)[0] == "unstable"
         monkeypatch.setattr(analysis, "PROBE_STATE_CAP", 1)
-        assert stable_wrt_adversary(*args, wealthy=wealthy) == ("unknown", None)
+        assert stable_wrt_adversary(*args) == ("unknown", None)
 
     def test_no_dependency_channel_is_trivially_stable(self):
         st, _ = build_state(load_bundled("compositions/row1_amm_amm.scn"))

@@ -388,10 +388,12 @@ def test_calls_must_be_listed_in_calls_out():
 GHOST = Account.contract("Ghost")   # never deployed
 
 
-def _leaky_state():
-    """A contract holding 1 T whose ``leak`` pays it to the undeployed Ghost."""
+def _leaky_state(abort_after: bool):
+    """A contract holding 1 T whose ``leak`` pays it to the undeployed Ghost,
+    then aborts when ``abort_after``."""
     def leak(c):
         c.pay(GHOST, 1, "T")
+        c.require(not abort_after)
 
     leaky = ContractCode(name="Leaky", methods={"leak": MethodDef(leak)})
     start = genesis({A: Wallet({"T": 1})}, adversary=[M])
@@ -403,13 +405,16 @@ LEAK_ENTRIES = {
     "execute_delta": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1}),
     "execute_delta-advance": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1},
                                                           advance=True),
+    "probe_call": lambda st, tx: probe_call(st, tx.origin, tx.origin, tx.callee, tx.method),
 }
 
 
+@pytest.mark.parametrize("abort_after", (False, True))
 @pytest.mark.parametrize("entry", sorted(LEAK_ENTRIES))
-def test_tokens_sent_to_an_undeployed_contract_are_a_contract_bug(entry):
+def test_tokens_sent_to_an_undeployed_contract_are_a_contract_bug(entry, abort_after):
     """Tokens move only between users and deployed contracts: a pay to an
-    undeployed contract is a catalog bug, whichever entry runs it."""
-    state = _leaky_state()
-    with pytest.raises(ContractBugError, match="undeployed Ghost"):
+    undeployed contract is a catalog bug, whichever entry runs it, even in a
+    frame that then aborts."""
+    state = _leaky_state(abort_after)
+    with pytest.raises(ContractBugError, match="^tokens sent to undeployed Ghost$"):
         LEAK_ENTRIES[entry](state, Transaction(M, Account.contract("Leaky"), "leak"))
