@@ -401,7 +401,7 @@ def _leaky_state(abort_after: bool):
 
 
 LEAK_ENTRIES = {
-    "execute": lambda st, tx: execute(st, tx),
+    "execute": execute,
     "execute_delta": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1}),
     "execute_delta-advance": lambda st, tx: execute_delta(st, tx, ((M,),), {"T": 1},
                                                           advance=True),
