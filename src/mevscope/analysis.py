@@ -365,9 +365,14 @@ def verify_stripping(state: BlockchainState, observed: Iterable[Account],
 
     full = rlmev(state, obs, restriction, prices, budget)
     stripped_state = strip(state, obs)
-    restr2 = restriction if restriction is None else (
-        frozenset(restriction) & stripped_state.deployed)
-    stripped = rlmev(stripped_state, obs, restr2, prices, budget)
+    if stripped_state.order == state.order:
+        # nothing stripped: the same state, and a restriction the search
+        # meets only through the deployed contracts, so the same ladder
+        stripped = full
+    else:
+        restr2 = restriction if restriction is None else (
+            frozenset(restriction) & stripped_state.deployed)
+        stripped = rlmev(stripped_state, obs, restr2, prices, budget)
 
     not_agnostic = sorted(a.name for a in boundary
                           if not state.codes[a].sender_agnostic)

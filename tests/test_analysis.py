@@ -1,4 +1,7 @@
+import io
+
 import pytest
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 from mevscope import (
@@ -20,8 +23,10 @@ from mevscope import (
     verify_stripping,
     without_contracts,
 )
+from mevscope import analysis, search
 from mevscope.analysis import _observations
-from mevscope.scenario import build_state, bundled, load_bundled
+from mevscope.cli import main as cli_main
+from mevscope.scenario import build_state, bundled, load_bundled, scenario_path
 from mevscope.search import rich_state
 
 from helpers import M, A, bet_state, build, two_pool_state, uniform_prices
@@ -210,6 +215,26 @@ class TestStripping:
                                uniform_prices(("ETH", "T")),
                                SearchBudget(max_depth=3, grid=8))
         assert rep.status == "verified"
+
+    @pytest.mark.parametrize("name, ladders", (
+        ("bet_on_amm_oracle.scn", 1),   # the bet's closure is every contract
+        ("two_amms.scn", 2),            # the observed pool's closure is itself
+    ))
+    def test_a_strip_that_keeps_every_contract_reuses_the_full_ladder(self, name, ladders,
+                                                                       monkeypatch):
+        """``strip-check`` runs ``search.rlmev`` once when ``strip`` keeps
+        every contract, since the stripped ladder is then the full one, and
+        twice when it drops one."""
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return search.rlmev(*args)
+
+        monkeypatch.setattr(analysis, "rlmev", counted)
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(["strip-check", str(scenario_path(name))]) == 0
+        assert calls[0] == ladders
 
     def test_forwarder_hypothesis_not_met_with_value_gap(self):
         state, _ = build_state(load_bundled("faucet_forwarder.scn"))
