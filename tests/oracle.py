@@ -10,15 +10,18 @@ since the executor itself is what defines the semantics under test.
 signatures by local code and returns the value alone; ``brute_losses``
 gives that value for each deployed contract observed alone, in one
 recursion.  ``brute_best`` recurses over a move source it is given and
-breaks ties locally, so it checks witnesses too: by default the move
-generators (``search.adversary_moves``), which define the move space of
-every generator-mode search, or ``enumerate_moves`` for exhaustive mode.
+breaks ties locally, so it checks witnesses too: by default
+``generated_moves``, the move generators' proposals signed here from every
+adversary account, which define the move space of every generator-mode
+search, or ``enumerate_moves`` for exhaustive mode.  Neither drops a call
+its origin cannot pay, as the engine's signer does: the executor rejects
+such a call, so a reference that keeps it checks that pruning too.
 """
 
 import itertools
 from fractions import Fraction
 
-from mevscope import Transaction, Wallet, adversary_moves, execute
+from mevscope import Transaction, Wallet, execute
 from mevscope.vm import TICK_METHOD
 
 
@@ -93,6 +96,27 @@ def enumerate_moves(state, tokens, ceiling, restriction=None):
         for origin in sorted(state.adversary):
             for acc in sorted(targets):
                 moves.append(Transaction(origin, acc, TICK_METHOD))
+    return moves
+
+
+def generated_moves(state, restriction, budget):
+    """Every call the move generator of a deployed contract in
+    ``restriction`` (None meaning all) proposes, sent from every adversary
+    account whether or not it can pay the attachment, plus one tick from
+    the least adversary account to the least target when a deployed
+    contract reads the height."""
+    deployed = set(state.order)
+    targets = deployed if restriction is None else set(restriction) & deployed
+    origins = sorted(state.adversary)
+    moves = []
+    for acc in state.order:
+        gen = state.codes[acc].move_generator
+        if acc not in targets or gen is None:
+            continue
+        for call in gen(state, acc, budget):
+            moves += [Transaction(origin, acc, *call) for origin in origins]
+    if targets and origins and any(state.codes[a].reads_height for a in state.order):
+        moves.append(Transaction(origins[0], min(targets), TICK_METHOD))
     return moves
 
 
@@ -171,10 +195,10 @@ def brute_best(state, observed, restriction, prices, budget, moves=None) -> tupl
     """``(value, witness)`` of ``lmev(state, observed, restriction, prices,
     budget)``, by plain recursion to ``budget.max_depth`` transactions over
     ``moves(s)``, the transactions proposed at each state ``s``: by default
-    ``search.adversary_moves``, as in generator mode."""
+    ``generated_moves``, as in generator mode."""
     if moves is None:
         def moves(s):
-            return adversary_moves(s, restriction, budget)
+            return generated_moves(s, restriction, budget)
     deployed = set(state.order)
     obs = [a for a in sorted(observed) if a in deployed]
     adversary = sorted(state.adversary)
