@@ -154,6 +154,14 @@ class Wallet:
             d[tok] = d.get(tok, 0) + n
         return Wallet._from_clean(d)
 
+    def covers(self, other: "Wallet") -> bool:
+        """This wallet holds at least ``other``, token by token."""
+        d = self._d
+        for tok, n in other._d.items():
+            if d.get(tok, 0) < n:
+                return False
+        return True
+
     def pretty(self) -> str:
         if not self._d:
             return "0"

@@ -5,7 +5,11 @@ by a trace-length budget.  Contracts propose calls, through their move
 generators or, in micro mode, by exhaustive signature-driven enumeration (run
 once per search for each user set it reaches: see
 ``_MaxSearch._exhaustive_moves``), and one signer, ``_signed``, sends each
-call from every adversary account.
+call from every adversary account whose wallet covers its attachment.  A
+call its origin cannot pay is rejected at the debit, before the contract
+runs, so it can change no value, witness or verdict.  The exhaustive table
+alone keeps such calls, since one table serves every adversary wallet a
+search reaches.
 Values are certified lower bounds of the unbounded-trace quantities.  A
 result carries ``complete=True`` when the value hits the wealth upper bound
 of the observed contracts, and is then exact, or when exhaustive mode ran
@@ -129,20 +133,30 @@ class MevResult:
     adversary_wallet: Optional[Mapping[Account, Wallet]] = field(default=None, hash=False)
 
 
-def _signed(state: BlockchainState, restriction, calls) -> tuple:
+def _signed(state: BlockchainState, restriction, calls, unpayable: bool = False) -> tuple:
     """Every call ``calls(acc)`` proposes to a contract ``acc`` in
     ``restriction`` (None meaning the whole universe), sent from every
-    adversary account, plus the tick move when a deployed contract reads the
-    height; deduplicated and deterministically ordered."""
+    adversary account whose wallet in ``state`` covers the call's
+    attachment, token by token, plus the tick move when a deployed contract
+    reads the height; deduplicated and deterministically ordered.
+
+    A call its origin cannot pay is an invalid move whatever the contract
+    does: the executor rejects it at the debit, before the callee runs, so
+    dropping it changes no search.  ``unpayable`` signs such calls too, from
+    every adversary account: the exhaustive table does, since one table
+    serves every adversary wallet a search reaches."""
     deployed = state.deployed
     targets = deployed if restriction is None else (frozenset(restriction) & deployed)
     origins = sorted(state.adversary)
+    # each origin's wallet, read once; None pays for every call
+    payers = [(origin, None if unpayable else state.user_wallet(origin)) for origin in origins]
     moves = []
     for acc in state.order:
         if acc in targets:
             proposed = calls(acc)
-            for origin in origins:
-                moves += [Transaction(origin, acc, *call) for call in proposed]
+            for origin, wallet in payers:
+                moves += [Transaction(origin, acc, *call) for call in proposed
+                          if wallet is None or len(call) < 3 or wallet.covers(call[2])]
     if targets and origins and any(state.codes[a].reads_height for a in state.order):
         moves.append(Transaction(origins[0], min(targets), TICK_METHOD))
     uniq = {m.key(): m for m in moves}
@@ -152,7 +166,8 @@ def _signed(state: BlockchainState, restriction, calls) -> tuple:
 def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -> tuple:
     """Candidate adversary transactions targeting contracts in ``restriction``
     (None meaning the whole universe): every call a targeted contract's
-    generator proposes, signed by ``_signed``."""
+    generator proposes, signed by ``_signed`` from each adversary account
+    that can pay it."""
     def calls(acc):
         gen = state.codes[acc].move_generator
         return () if gen is None else gen(state, acc, budget)
@@ -171,10 +186,11 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
     Each targeted contract is proposed every method with every argument
     tuple from its declared domains and every attachment up to the amount
     ceiling, and ``_signed`` sends each call from every adversary account,
-    as it does the generators' calls.  Intended for micro states; guard-only
+    those calls it cannot pay too.  Intended for micro states; guard-only
     arguments declare singleton domains, documented on the signatures
     themselves.  The search fills a per-search table from it once for each
-    user set, rather than calling it at every node.
+    user set, rather than calling it at every node, so the table is the
+    same whatever the adversary holds.
     """
     ceiling = budget.ceiling if budget.ceiling is not None else default_ceiling(state)
     accounts = tuple(sorted(state.users)) + tuple(state.order)
@@ -187,7 +203,7 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
             out += [(mname, args, Wallet(combo)) for args in itertools.product(*arg_domains)
                     for combo in itertools.product(*slot_domains)]
         return out
-    return _signed(state, restriction, calls)
+    return _signed(state, restriction, calls, unpayable=True)
 
 
 def _better(cand, best) -> bool:

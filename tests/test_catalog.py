@@ -35,7 +35,7 @@ from mevscope.vm import AttachSpec
 
 from helpers import (BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, MICRO_FAMILIES, M, A, bet_state,
                      build, two_adversary_pools, two_pool_state, uniform_prices)
-from oracle import brute_lmev, brute_losses
+from oracle import brute_lmev, brute_losses, generated_moves
 
 AMM = Account.contract("AMM")
 BUDGET = SearchBudget(max_depth=4, grid=8)
@@ -217,16 +217,25 @@ class TestWrappers:
         assert not res.state.contract_state(wrap).wallet
 
     def test_wrappers_hold_zero_balance_after_any_valid_call(self):
+        """A seeded walk of up to 120 moves on each wrapper state, M holding
+        the first wealthy rung so that most proposed calls are payable;
+        the walk ends early only if none is."""
         rng = random.Random(11)
+        wrap = Account.contract("Wrap")
         for state in wrapper_states():
-            wrap = Account.contract("Wrap")
+            state = rich_state(state, ("T0", "T1", "T2"), BUDGET, 1)
+            wrapped = 0
             for _ in range(120):
                 moves = adversary_moves(state, None, BUDGET)
+                if not moves:
+                    break
                 tx = rng.choice(moves)
                 res = execute(state, tx)
                 if res.valid:
                     state = res.state
+                    wrapped += tx.callee == wrap
                     assert not state.contract_state(wrap).wallet
+            assert wrapped
 
 
 def _best_trade_profit(r0_in, r0_out, r1_in, r1_out, upper):
@@ -702,21 +711,30 @@ def test_the_checked_flows_reach_every_catalog_entry():
 # --- move generators never read a user wallet -------------------------------------
 #
 # ``search.rlmev`` searches a rung after the first only for a trace above the
-# previous rung's value.  That is exact because a richer adversary gets the
-# same moves: a generator reads contract states, never a user wallet.
+# previous rung's value.  That is exact because a richer adversary gets every
+# move a poorer one gets: a generator reads contract states, never a user
+# wallet, and the signer drops only the calls an origin cannot pay, which a
+# richer wallet can pay at least as often.
 
 
 def _assert_moves_ignore_wallets(state, rng) -> None:
     """At the enriched ``state`` and along a seeded random walk from it,
-    ``adversary_moves`` gives the same moves with the adversary's wallet as
-    the walk left it and at ``rich_state`` scales 1, 2 and 4."""
+    every deployed contract's move generator proposes the same calls with
+    the adversary's wallet as the walk left it and at ``rich_state`` scales
+    1, 2 and 4, and the signed moves of each scale hold those of the
+    scale before."""
     budget = SearchBudget(grid=8)
     tokens = prober_tokens(state) or ("T",)
     for here in _walk(state, rng):
-        want = adversary_moves(here, None, budget)
-        for scale in (1, 2, 4):
-            assert adversary_moves(rich_state(here, tokens, budget, scale), None, budget) == want, \
-                (here, scale)
+        rungs = [rich_state(here, tokens, budget, scale) for scale in (1, 2, 4)]
+        for acc in here.order:
+            gen = here.codes[acc].move_generator
+            if gen is not None:
+                want = gen(here, acc, budget)
+                for scale, rich in zip((1, 2, 4), rungs):
+                    assert gen(rich, acc, budget) == want, (here, acc, scale)
+        signed = [frozenset(adversary_moves(rich, None, budget)) for rich in rungs]
+        assert signed[0] <= signed[1] <= signed[2], here
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda v: v.rsplit("/", 1)[-1])
@@ -730,6 +748,58 @@ def test_micro_move_generators_ignore_user_wallets(family):
     rng = random.Random(family.__name__)
     for _ in range(3):
         _assert_moves_ignore_wallets(family(rng)[0], rng)
+
+
+# --- the signer drops exactly the calls an origin cannot pay -----------------------
+
+
+def _payable(state, tx) -> bool:
+    wallet = state.user_wallet(tx.origin)
+    return all(wallet.get(tok) >= n for tok, n in tx.attached.items())
+
+
+def _assert_signer_drops_only_unpayable_calls(root, rng, grid) -> int:
+    """Along a seeded walk from ``root`` at ``grid``, with the adversary's
+    own wallet and at ``rich_state`` rungs 1 and 2: ``adversary_moves`` is
+    the generators' proposals signed from every adversary account, less
+    exactly the calls the origin cannot pay, and ``execute`` rejects each
+    of those.  Returns how many calls were dropped."""
+    budget = SearchBudget(grid=grid)
+    tokens = prober_tokens(root) or ("T",)
+    dropped = 0
+    for start in (root, rich_state(root, tokens, budget, 1), rich_state(root, tokens, budget, 2)):
+        for here in _walk_from(start, rng, WALK_STEPS, budget):
+            every = {tx.key(): tx for tx in generated_moves(here, None, budget)}
+            every = [every[k] for k in sorted(every)]
+            assert adversary_moves(here, None, budget) == tuple(
+                tx for tx in every if _payable(here, tx)), here
+            for tx in every:
+                if not _payable(here, tx):
+                    assert not execute(here, tx).valid, tx
+                    dropped += 1
+    return dropped
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS, ids=lambda v: v.rsplit("/", 1)[-1])
+def test_bundled_signer_drops_exactly_the_unpayable_calls(name):
+    state, _ = build_state(load_bundled(name))
+    rng = random.Random(name)
+    for grid in (4, 8):
+        _assert_signer_drops_only_unpayable_calls(state, rng, grid)
+
+
+def test_the_signer_drops_calls_on_the_bundled_bet():
+    """The bet's pool proposes swaps its adversary cannot pay."""
+    state, _ = build_state(load_bundled("bet_on_amm_oracle.scn"))
+    assert _assert_signer_drops_only_unpayable_calls(state, random.Random(0), 8)
+
+
+@pytest.mark.parametrize("family", MICRO_FAMILIES, ids=lambda f: f.__name__.lstrip("_"))
+def test_micro_signer_drops_exactly_the_unpayable_calls(family):
+    rng = random.Random(family.__name__)
+    for _ in range(3):
+        for grid in (4, 8):
+            _assert_signer_drops_only_unpayable_calls(family(rng)[0], rng, grid)
 
 
 # --- ply-aware loss bounds against the brute-force oracle ---------------------------

@@ -49,9 +49,12 @@ AMM1, AMM2 = Account.contract("AMM1"), Account.contract("AMM2")
 
 class TestAdversaryMoves:
     def test_restriction_filters_targets(self):
-        state = two_pool_state()
+        # M holds the first wealthy rung, so it can pay AMM2's swaps
+        state = search.rich_state(two_pool_state(), PRICES3.tokens(), BUDGET, 1)
         only = adversary_moves(state, {AMM2}, BUDGET)
         assert only and all(tx.callee == AMM2 for tx in only)
+        assert only == tuple(tx for tx in adversary_moves(state, None, BUDGET)
+                             if tx.callee == AMM2)
 
     def test_empty_restriction_means_no_moves(self):
         assert adversary_moves(two_pool_state(), frozenset(), BUDGET) == ()
@@ -469,20 +472,22 @@ def _cli_executes(argv, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("argv, most", (
-    # with the child cut off (its ``break`` a no-op): 3,294, 18,804 and
-    # 19,635 executes
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 1_421),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 4_104),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 4_473),
-), ids=("nonint-depth-6", "richnonint-depth-5", "richnonint-depth-8"))
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 598),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 3_256),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 3_544),
+    (("nonint", "bet_on_amm_oracle.scn", "--grid", "16"), 1_382),
+    (("mev", "bet_on_amm_oracle.scn", "--depth", "5"), 556),
+), ids=("nonint-depth-6", "richnonint-depth-5", "richnonint-depth-8", "nonint-grid-16",
+        "mev-depth-5"))
 def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
-    """The child cut fires early: these bet queries make at most the pinned
-    number of ``execute_delta`` calls.  They need the children visited
-    best-first, ties on optimistic value and gain broken toward the most
-    bound left: visited by optimistic value and gain alone, they make
-    3,215, 6,581 and 14,030, and with the cut off two to five times as
-    many.  They also need the bet's bound within the plies left: bounded
-    over any trace instead, they make 1,959, 10,417 and 10,786."""
+    """The child cut fires early and only payable moves run: these bet
+    queries make at most the pinned number of ``execute_delta`` calls.
+    Signing every generated call from every adversary account, those the
+    origin cannot pay too, they make 1,421, 4,104, 4,473, 3,961 and 1,384.
+    They need the children visited best-first, ties on optimistic value
+    and gain broken toward the most bound left, and the bet's bound within
+    the plies left; with the child cut off (its ``break`` a no-op) they
+    make 1,341, 14,868, 15,510, 5,932 and 1,282."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
 
 
