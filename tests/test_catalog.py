@@ -401,62 +401,70 @@ def test_catalog_sender_agnostic_flags():
     assert flagged_false == {"gated_faucet"}
 
 
-# sha256 prefixes of the adversary_moves labels, in generation order, at the
-# initial state of each bundled scenario and at every state reachable from it
-# in one or two valid adversary moves (ticks included), per amount grid
+# sha256 prefixes of the move labels, in order, at the initial state of each
+# bundled scenario and at every state reachable from it in one or two valid
+# adversary moves (ticks included), per amount grid: those of the generators'
+# proposals signed from every adversary account, unpayable calls included
+# (``oracle.generated_moves``, deduplicated and ordered by key), then those of
+# ``adversary_moves``, which drops the calls an origin cannot pay
 PINNED_MOVE_DIGESTS = (
-    ('airdrop_beside_amm.scn', 4, '86370721eba8a9f5'),
-    ('airdrop_beside_amm.scn', 8, '87fabe6874af8bc5'),
-    ('airdrop_feeds_exchange.scn', 4, '15f61834c73d5284'),
-    ('airdrop_feeds_exchange.scn', 8, '15f61834c73d5284'),
-    ('bet_on_amm_oracle.scn', 4, '3e4a244e02b72024'),
-    ('bet_on_amm_oracle.scn', 8, 'a013c5811a42b28d'),
-    ('cell_gate.scn', 4, 'aca00a601e7f786a'),
-    ('cell_gate.scn', 8, 'aca00a601e7f786a'),
-    ('cell_gate_proxy.scn', 4, '68e4a4a75b1e02b5'),
-    ('cell_gate_proxy.scn', 8, '68e4a4a75b1e02b5'),
-    ('cell_gated_vault.scn', 4, '667d93cf6930f8a4'),
-    ('cell_gated_vault.scn', 8, '667d93cf6930f8a4'),
-    ('compositions/row1_amm_amm.scn', 4, 'bf0e7ed7303e1603'),
-    ('compositions/row1_amm_amm.scn', 8, '3d8e8a8ff80006e4'),
-    ('compositions/row2_bet_on_amm.scn', 4, '4692f2e0995973f9'),
-    ('compositions/row2_bet_on_amm.scn', 8, 'd41899ee9d85bce3'),
-    ('compositions/row3_bet_on_exchange.scn', 4, '16e59bac67b46bb0'),
-    ('compositions/row3_bet_on_exchange.scn', 8, '66f7fb236fef05e7'),
-    ('compositions/row4_best_swap.scn', 4, '1c35985d23d9c81c'),
-    ('compositions/row4_best_swap.scn', 8, '238606bba9327a73'),
-    ('compositions/row5_swap_router.scn', 4, '5782b20a5fe7617f'),
-    ('compositions/row5_swap_router.scn', 8, '4a314d90016782b1'),
-    ('compositions/row6_best_swap_router.scn', 4, 'b869901284ead32d'),
-    ('compositions/row6_best_swap_router.scn', 8, '009d490fe502cbc8'),
-    ('compositions/row7_lp_arbitrage.scn', 4, '8ee52ecf9a87bb68'),
-    ('compositions/row7_lp_arbitrage.scn', 8, 'b7d452dd643c6817'),
-    ('compositions/row8_flash_loan_arbitrage.scn', 4, '8ee52ecf9a87bb68'),
-    ('compositions/row8_flash_loan_arbitrage.scn', 8, 'b7d452dd643c6817'),
-    ('exchange_round_trip.scn', 4, 'aa22c38b2952c750'),
-    ('exchange_round_trip.scn', 8, 'aa22c38b2952c750'),
-    ('faucet_forwarder.scn', 4, 'aee3f97de97ca4e0'),
-    ('faucet_forwarder.scn', 8, 'aee3f97de97ca4e0'),
-    ('gated_faucet_pair.scn', 4, '1946d997e434767d'),
-    ('gated_faucet_pair.scn', 8, '1946d997e434767d'),
-    ('mutex_vaults.scn', 4, '3013af5f3118fef4'),
-    ('mutex_vaults.scn', 8, '3013af5f3118fef4'),
-    ('once_cell_droppers.scn', 4, 'ab6d50d07dc317a4'),
-    ('once_cell_droppers.scn', 8, 'ab6d50d07dc317a4'),
-    ('relay_chain.scn', 4, '97f4d8128ca4895d'),
-    ('relay_chain.scn', 8, '97f4d8128ca4895d'),
-    ('two_amms.scn', 4, '9f73f4157f71c72d'),
-    ('two_amms.scn', 8, '96a41e156047567d'),
+    ('airdrop_beside_amm.scn', 4, '86370721eba8a9f5', '255bc89243a1386e'),
+    ('airdrop_beside_amm.scn', 8, '87fabe6874af8bc5', '255bc89243a1386e'),
+    ('airdrop_feeds_exchange.scn', 4, '15f61834c73d5284', '87d3140308768e8e'),
+    ('airdrop_feeds_exchange.scn', 8, '15f61834c73d5284', '87d3140308768e8e'),
+    ('bet_on_amm_oracle.scn', 4, '3e4a244e02b72024', '455c4bddd1cf0959'),
+    ('bet_on_amm_oracle.scn', 8, 'a013c5811a42b28d', '0de9da783b875b00'),
+    ('cell_gate.scn', 4, 'aca00a601e7f786a', 'aca00a601e7f786a'),
+    ('cell_gate.scn', 8, 'aca00a601e7f786a', 'aca00a601e7f786a'),
+    ('cell_gate_proxy.scn', 4, '68e4a4a75b1e02b5', '68e4a4a75b1e02b5'),
+    ('cell_gate_proxy.scn', 8, '68e4a4a75b1e02b5', '68e4a4a75b1e02b5'),
+    ('cell_gated_vault.scn', 4, '667d93cf6930f8a4', 'ef7cd1e804f3ab30'),
+    ('cell_gated_vault.scn', 8, '667d93cf6930f8a4', 'ef7cd1e804f3ab30'),
+    ('compositions/row1_amm_amm.scn', 4, 'bf0e7ed7303e1603', '75a11da44c802486'),
+    ('compositions/row1_amm_amm.scn', 8, '3d8e8a8ff80006e4', '75a11da44c802486'),
+    ('compositions/row2_bet_on_amm.scn', 4, '4692f2e0995973f9', '0abb84f23505a378'),
+    ('compositions/row2_bet_on_amm.scn', 8, 'd41899ee9d85bce3', '0abb84f23505a378'),
+    ('compositions/row3_bet_on_exchange.scn', 4, '16e59bac67b46bb0', 'ecd23ef8e454afea'),
+    ('compositions/row3_bet_on_exchange.scn', 8, '66f7fb236fef05e7', 'ecd23ef8e454afea'),
+    ('compositions/row4_best_swap.scn', 4, '1c35985d23d9c81c', '75a11da44c802486'),
+    ('compositions/row4_best_swap.scn', 8, '238606bba9327a73', '75a11da44c802486'),
+    ('compositions/row5_swap_router.scn', 4, '5782b20a5fe7617f', '75a11da44c802486'),
+    ('compositions/row5_swap_router.scn', 8, '4a314d90016782b1', '75a11da44c802486'),
+    ('compositions/row6_best_swap_router.scn', 4, 'b869901284ead32d', '75a11da44c802486'),
+    ('compositions/row6_best_swap_router.scn', 8, '009d490fe502cbc8', '75a11da44c802486'),
+    ('compositions/row7_lp_arbitrage.scn', 4, '8ee52ecf9a87bb68', 'e15062a295bb163a'),
+    ('compositions/row7_lp_arbitrage.scn', 8, 'b7d452dd643c6817', '9e7c6f4a0f37c7be'),
+    ('compositions/row8_flash_loan_arbitrage.scn', 4, '8ee52ecf9a87bb68', 'e15062a295bb163a'),
+    ('compositions/row8_flash_loan_arbitrage.scn', 8, 'b7d452dd643c6817', '9e7c6f4a0f37c7be'),
+    ('exchange_round_trip.scn', 4, 'aa22c38b2952c750', 'be7849f094cad384'),
+    ('exchange_round_trip.scn', 8, 'aa22c38b2952c750', 'be7849f094cad384'),
+    ('faucet_forwarder.scn', 4, 'aee3f97de97ca4e0', 'aee3f97de97ca4e0'),
+    ('faucet_forwarder.scn', 8, 'aee3f97de97ca4e0', 'aee3f97de97ca4e0'),
+    ('gated_faucet_pair.scn', 4, '1946d997e434767d', '1946d997e434767d'),
+    ('gated_faucet_pair.scn', 8, '1946d997e434767d', '1946d997e434767d'),
+    ('mutex_vaults.scn', 4, '3013af5f3118fef4', '3013af5f3118fef4'),
+    ('mutex_vaults.scn', 8, '3013af5f3118fef4', '3013af5f3118fef4'),
+    ('once_cell_droppers.scn', 4, 'ab6d50d07dc317a4', 'ab6d50d07dc317a4'),
+    ('once_cell_droppers.scn', 8, 'ab6d50d07dc317a4', 'ab6d50d07dc317a4'),
+    ('relay_chain.scn', 4, '97f4d8128ca4895d', '23dce5cf97a0bb50'),
+    ('relay_chain.scn', 8, '97f4d8128ca4895d', '23dce5cf97a0bb50'),
+    ('two_amms.scn', 4, '9f73f4157f71c72d', '5399b3764c97278b'),
+    ('two_amms.scn', 8, '96a41e156047567d', 'ddf3ef2ef6bf5c66'),
 )
 
 
-def _move_digest(name: str, grid: int) -> str:
+def _proposed_moves(state, restriction, budget) -> list:
+    every = {tx.key(): tx for tx in generated_moves(state, restriction, budget)}
+    return [every[k] for k in sorted(every)]
+
+
+def _move_digest(name: str, grid: int, moves_of=adversary_moves) -> str:
     state, _ = build_state(load_bundled(name))
     budget = SearchBudget(grid=grid)
     h = hashlib.sha256()
 
     def visit(s, k):
-        moves = adversary_moves(s, None, budget)
+        moves = moves_of(s, None, budget)
         h.update(("\n".join(m.label() for m in moves) + "\n\n").encode())
         if k:
             for tx in moves:
@@ -468,10 +476,11 @@ def _move_digest(name: str, grid: int) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name,grid,digest", PINNED_MOVE_DIGESTS,
-                         ids=lambda v: str(v).rsplit("/", 1)[-1])
-def test_generated_move_sets_are_pinned(name, grid, digest):
-    assert _move_digest(name, grid) == digest
+@pytest.mark.parametrize("name,grid,proposed,signed", PINNED_MOVE_DIGESTS,
+                         ids=[f"{n.rsplit('/', 1)[-1]}-{g}-{p}" for n, g, p, _ in PINNED_MOVE_DIGESTS])
+def test_generated_move_sets_are_pinned(name, grid, proposed, signed):
+    assert _move_digest(name, grid, _proposed_moves) == proposed
+    assert _move_digest(name, grid) == signed
 
 
 # sha256 prefixes of the universal_moves labels, in order, at the initial
