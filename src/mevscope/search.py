@@ -458,8 +458,11 @@ def rlmev(state: BlockchainState, observed, restriction, prices: PriceMap,
     ``rich_state(..., scale)``, doubling the scale from 1 until the value
     plateaus or reaches the observed contracts' wealth.  The plateau exists
     because that wealth bounds the loss and the value is monotone in the
-    adversary's wallet: no move generator reads a user wallet, so every
-    trace of one rung is a trace of the next, with the same changes.  The
+    adversary's wallet: no move generator reads a user wallet, so a richer
+    rung gets every proposal of a poorer one and, its wallet covering more,
+    a superset of the moves (the extra ones are calls the poorer rung could
+    not pay).  So every trace of one rung is a trace of the next, with the
+    same changes.  The
     first rung whose value does not rise is the plateau, and the result is
     the rung before it.  The result's ``ladder`` holds every rung's
     ``(scale, value)`` and its ``adversary_wallet`` the users of the rung it

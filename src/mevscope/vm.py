@@ -189,10 +189,12 @@ class ContractCode:
 
     ``move_generator(state, acc, budget)`` proposes candidate adversary
     calls ``(method[, args[, attached]])`` to this contract, whose account
-    is ``acc``; the search sends each of them from every adversary account.
-    It may read any contract's state (it is engine metadata, not contract
-    code, so the no-inspection rule does not apply to it), but never a user
-    wallet: a richer adversary gets the same moves, which ``search.rlmev``
+    is ``acc``; the search sends each of them from every adversary account
+    whose wallet covers the attachment (a call its origin cannot pay is
+    rejected at the debit anyway).  It may read any contract's state (it is
+    engine metadata, not contract code, so the no-inspection rule does not
+    apply to it), but never a user wallet: a richer adversary gets the same
+    proposals, and so every move a poorer one gets, which ``search.rlmev``
     relies on.  It is called only while this contract is deployed, so it
     reads its own state unguarded; a dependency's state it must look up
     first.  ``intok_decl`` /
