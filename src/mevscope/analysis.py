@@ -189,7 +189,10 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
     state and in every state reachable through adversary transactions on the
     context within the budget.  Returns ("stable" | "unstable" | "unknown",
     witness trace or None).  "stable" is a bounded-exploration conclusion:
-    sound only as far as the probes and the reachable set go.  The adversary
+    sound only as far as the probes and the reachable set go.  States are
+    told apart by ``core_key``, and by the height as well when a contract of
+    the context's dependency closure reads it, so that a tick, or a move
+    that changes nothing else, still gives a new state to probe.  The adversary
     moves with the wallets ``state`` gives it; ``richnonint`` passes the
     first rung of ``rlmev``'s ladder.
     """
@@ -213,7 +216,10 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
         return ("stable", None)   # no observable channel into the context
 
     base_obs = _observations(state, watched)
-    seen = {state.core_key()}
+    # a probe can read the height only through the context's dependency
+    # closure; when it can, a tick yields a new state to probe
+    height = any(state.codes[a].reads_height for a in deps(ctx_accs, state))
+    seen = {state.key() if height else state.core_key()}
     frontier = [(state, ())]
     for _ in range(budget.max_depth):
         nxt = []
@@ -222,7 +228,7 @@ def stable_wrt_adversary(state: BlockchainState, context: Iterable[Account],
                 res = execute(cur, tx)
                 if not res.valid:
                     continue
-                key = res.state.core_key()
+                key = res.state.key() if height else res.state.core_key()
                 if key in seen:
                     continue
                 if len(seen) >= PROBE_STATE_CAP:

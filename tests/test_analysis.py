@@ -7,12 +7,15 @@ from fractions import Fraction
 from mevscope import (
     REGISTRY,
     Account,
+    ContractCode,
+    MethodDef,
     SearchBudget,
     Transaction,
     Wallet,
     contract_independent,
     deploy,
     epsilon_composable,
+    genesis,
     intok_outtok,
     nonint,
     richnonint,
@@ -135,6 +138,42 @@ class TestStability:
         st, _ = build_state(load_bundled("compositions/row1_amm_amm.scn"))
         status, _ = stable_wrt_adversary(st, {AMM1}, {AMM2}, BUDGET)
         assert status == "stable"
+
+    def test_a_height_reading_context_is_probed_after_a_tick(self):
+        """A context whose probe reads the height changes what the subject
+        observes with one tick, though the tick changes nothing else."""
+        clock = ContractCode(name="Clock", methods={"now": MethodDef(lambda c: c.height() % 2)},
+                             reads_height=True, probes=(("now",),))
+        status, witness = stable_wrt_adversary(*_context_and_reader(clock),
+                                               SearchBudget(max_depth=3))
+        assert status == "unstable"
+        assert [tx.label() for tx in witness] == ["M:Clock.__tick__()"]
+
+    def test_a_context_that_changes_after_two_moves_is_unstable(self):
+        """The subject's observation of ``Ctr.get`` changes only on the
+        second ``bump``: the probe must search past its first ply."""
+        def bump(c):
+            c.put("n", c.store("n") + 1)
+
+        counter = ContractCode(
+            name="Ctr", constructor=lambda c: c.put("n", 0),
+            methods={"bump": MethodDef(bump),
+                     "get": MethodDef(lambda c: 1 if c.store("n") >= 2 else 0)},
+            move_generator=lambda state, acc, budget: (("bump",),), probes=(("get",),))
+        status, witness = stable_wrt_adversary(*_context_and_reader(counter),
+                                               SearchBudget(max_depth=3))
+        assert status == "unstable"
+        assert [tx.label() for tx in witness] == ["M:Ctr.bump()", "M:Ctr.bump()"]
+
+
+def _context_and_reader(context: ContractCode) -> tuple:
+    """(state, context, subject): ``context`` deployed, then a subject
+    ``Reader`` whose one method calls the context's first probe method."""
+    method = context.probes[0][0]
+    reader = ContractCode(name="Reader", calls_out=frozenset({(context.name, method)}),
+                          methods={"read": MethodDef(lambda c: c.call(context.name, method))})
+    state = deploy(deploy(genesis({}, adversary=[M]), context, deployer=A), reader, deployer=A)
+    return state, {context.account}, {reader.account}
 
 
 PROBER = Account.user("__prober__")
