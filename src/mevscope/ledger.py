@@ -14,6 +14,7 @@ canonical.  The search layer relies on that when memoising on state keys.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,58 +26,70 @@ USER = "user"
 CONTRACT = "contract"
 
 
-@dataclass(frozen=True, order=True)
-class Account:
-    """A named account.  User and contract namespaces are disjoint.
+class Account(tuple):
+    """A named account, the pair ``(kind, name)``.  User and contract
+    namespaces are disjoint.
 
-    ``Account.user`` / ``Account.contract`` return one shared object per
-    name, so the state dicts keyed by accounts find their keys by identity
-    instead of calling ``__eq__``.
+    An account is a tuple so that the hashing and ordering which every state
+    dict, overlay and memo key lookup does run in C: ``hash(acc) ==
+    hash((kind, name))``, and accounts sort by ``(kind, name)``.  There is
+    one shared object per kind and name, however it is built (the
+    constructor, ``Account.user`` or ``Account.contract``), so dicts and key
+    comparisons find accounts by identity, and equality is identity: an
+    account never equals a plain tuple.
     """
 
-    kind: str
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (USER, CONTRACT):
-            raise ValueError(f"bad account kind: {self.kind!r}")
-        if not self.name:
+    def __new__(cls, kind: str, name: str) -> "Account":
+        if kind not in (USER, CONTRACT):
+            raise ValueError(f"bad account kind: {kind!r}")
+        if not name:
             raise ValueError("empty account name")
-        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+        shared = _SHARED[kind]
+        acc = shared.get(name)
+        if acc is None:
+            acc = shared[name] = tuple.__new__(cls, (kind, name))
+        return acc
 
-    def __hash__(self) -> int:
-        return self._hash
+    kind = property(operator.itemgetter(0))
+    name = property(operator.itemgetter(1))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = tuple.__hash__
 
     @staticmethod
     def user(name: str) -> "Account":
-        acc = _USERS.get(name)
-        if acc is None:
-            acc = _USERS[name] = Account(USER, name)
-        return acc
+        acc = _SHARED[USER].get(name)
+        return acc if acc is not None else Account(USER, name)
 
     @staticmethod
     def contract(name: str) -> "Account":
-        acc = _CONTRACTS.get(name)
-        if acc is None:
-            acc = _CONTRACTS[name] = Account(CONTRACT, name)
-        return acc
+        acc = _SHARED[CONTRACT].get(name)
+        return acc if acc is not None else Account(CONTRACT, name)
 
     @property
     def is_user(self) -> bool:
-        return self.kind == USER
+        return self[0] == USER
 
     @property
     def is_contract(self) -> bool:
-        return self.kind == CONTRACT
+        return self[0] == CONTRACT
 
     def __str__(self) -> str:
-        return self.name
+        return self[1]
+
+    def __repr__(self) -> str:
+        return f"Account(kind={self[0]!r}, name={self[1]!r})"
 
 
-# name -> the shared Account of that kind (see ``Account.user``)
-_USERS: dict = {}
-_CONTRACTS: dict = {}
+# kind -> name -> the shared Account of that kind and name
+_SHARED: dict = {USER: {}, CONTRACT: {}}
 
 
 # Scalars that may appear in transaction arguments, contract stores and

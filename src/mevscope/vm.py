@@ -82,30 +82,50 @@ def _fmt_scalar(v: Scalar) -> str:
     return repr(v) if isinstance(v, str) else str(v)
 
 
-@dataclass(frozen=True)
 class Transaction:
-    """``origin:callee.method(args)`` with tokens attached by the origin."""
+    """``origin:callee.method(args)`` with tokens attached by the origin.
 
-    origin: Account
-    callee: Account
-    method: str
-    args: tuple = ()
-    attached: Wallet = EMPTY_WALLET
+    Slotted, and its ``key()`` is built once: the search signs, dedupes,
+    sorts and span-cuts every move by that key.  Transactions are equal, and
+    hash alike, when their fields are; treat them as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.origin.is_user:
+    __slots__ = ("origin", "callee", "method", "args", "attached", "_key")
+
+    def __init__(self, origin: Account, callee: Account, method: str, args: tuple = (),
+                 attached: Wallet = EMPTY_WALLET):
+        if not origin.is_user:
             raise ValueError("transaction origin must be a user account")
-        if not self.callee.is_contract:
+        if not callee.is_contract:
             raise ValueError("transaction callee must be a contract account")
+        self.origin = origin
+        self.callee = callee
+        self.method = method
+        self.args = args
+        self.attached = attached
+        self._key: Optional[tuple] = None
+
+    def _fields(self) -> tuple:
+        return (self.origin, self.callee, self.method, self.args, self.attached)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Transaction:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def key(self) -> tuple:
-        return (
-            self.origin.name,
-            self.callee.name,
-            self.method,
-            tuple(_scalar_key(a) for a in self.args),
-            self.attached.items(),
-        )
+        if self._key is None:
+            self._key = (
+                self.origin.name,
+                self.callee.name,
+                self.method,
+                tuple(_scalar_key(a) for a in self.args),
+                self.attached.items(),
+            )
+        return self._key
 
     def label(self) -> str:
         parts = []
@@ -269,12 +289,12 @@ class _Scratch:
         """``acc``'s wallet in the base state.  Every credit reads it first,
         so this is where tokens sent to an undeployed contract are rejected:
         they may move only between users and deployed contracts."""
-        if acc.is_contract:
-            cs = self.base.contracts.get(acc)
-            if cs is None:
-                raise ContractBugError(f"tokens sent to undeployed {acc}")
+        cs = self.base.contracts.get(acc)
+        if cs is not None:
             return cs.wallet
-        return self.base.user_wallet(acc)
+        if acc.is_contract:
+            raise ContractBugError(f"tokens sent to undeployed {acc}")
+        return self.base.users.get(acc, EMPTY_WALLET)
 
     def _wallet(self, acc: Account) -> dict:
         d = self.w.get(acc)
@@ -296,14 +316,14 @@ class _Scratch:
         return d.get(token, 0)
 
     def credit(self, acc: Account, wallet: Wallet) -> None:
-        if not wallet:
+        if not wallet._d:
             return
         d = self._wallet(acc)
         for tok, n in wallet.items():
             d[tok] = d.get(tok, 0) + n
 
     def debit(self, acc: Account, wallet: Wallet) -> bool:
-        if not wallet:
+        if not wallet._d:
             return True
         d = self._wallet(acc)
         for tok, n in wallet.items():
@@ -565,6 +585,9 @@ def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequ
     if sc is None:
         return None
     nxt = sc.freeze(state.height + 1) if advance else None
+    if not sc.w:
+        # the transaction touched no wallet, so every group's change is zero
+        return (0,) * len(groups), nxt
     return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups), nxt
 
 

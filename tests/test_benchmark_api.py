@@ -109,3 +109,18 @@ def test_no_package_module_keeps_an_unused_import():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_hot_path_values_have_no_instance_dict():
+    """The executor and the search build and hash these values at every
+    move; a Python-level instance dict would put attribute lookups and
+    memory back on that path."""
+    from mevscope import vm
+
+    user, contract = mevscope.Account.user("M"), mevscope.Account.contract("C")
+    state = mevscope.genesis({user: mevscope.Wallet({"T": 1})}, adversary=[user])
+    scratch = vm._Scratch(state)
+    values = (user, mevscope.Transaction(user, contract, "f"), mevscope.Wallet(),
+              mevscope.ContractState(), state, scratch,
+              vm.MethodCtx(scratch, user, user, 1, contract, (), mevscope.Wallet()))
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []

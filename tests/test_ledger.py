@@ -47,18 +47,35 @@ def test_wallet_add_then_minus_roundtrips(a, b):
 
 def test_account_namespaces():
     assert Account.user("M") != Account.contract("M")
-    with pytest.raises(ValueError):
-        Account("oracle", "x")
+    for build in (lambda: Account("oracle", "x"), lambda: Account("user", ""),
+                  lambda: Account.user(""), lambda: Account.contract("")):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_named_accounts_are_shared_objects():
     assert Account.user("M") is Account.user("M")
     assert Account.contract("AMM1") is Account.contract("AMM1")
     direct = Account("contract", "AMM1")
-    assert direct == Account.contract("AMM1")
+    assert direct == Account.contract("AMM1") and direct is Account.contract("AMM1")
     assert hash(direct) == hash(Account.contract("AMM1")) == hash(("contract", "AMM1"))
     state = two_pool_state()
     assert state.order[0] is Account.contract("AMM1")
+
+
+def test_an_account_is_not_a_plain_tuple():
+    acc = Account.user("M")
+    assert acc != ("user", "M") and ("user", "M") != acc
+    assert not acc == ("user", "M")
+    assert hash(acc) == hash(("user", "M"))
+    assert {("user", "M"): 1}.get(acc) is None
+    assert (acc.kind, acc.name, acc.is_user, acc.is_contract) == ("user", "M", True, False)
+
+
+def test_accounts_sort_by_kind_then_name():
+    u_b, u_a, c_z, c_a = (Account.user("b"), Account.user("a"), Account.contract("z"),
+                          Account.contract("a"))
+    assert sorted([u_b, c_z, u_a, c_a]) == [c_a, c_z, u_a, u_b]
 
 
 def test_wallet_single_checks_like_the_constructor():

@@ -418,3 +418,30 @@ def test_tokens_sent_to_an_undeployed_contract_are_a_contract_bug(entry, abort_a
     state = _leaky_state(abort_after)
     with pytest.raises(ContractBugError, match="^tokens sent to undeployed Ghost$"):
         LEAK_ENTRIES[entry](state, Transaction(M, Account.contract("Leaky"), "leak"))
+
+
+def test_transactions_are_equal_by_their_fields():
+    again = Transaction(M, AMM1, "swap", (0,), Wallet({"T0": 3}))
+    assert again == SWAP1 and hash(again) == hash(SWAP1) and again is not SWAP1
+    assert SWAP1 != SWAP2
+    fields = (M, AMM1, "swap", (0,), Wallet({"T0": 3}))
+    assert SWAP1 != fields and fields != SWAP1
+    assert hash(SWAP1) == hash(fields)
+
+
+def test_a_transaction_key_is_built_once():
+    tx = Transaction(M, AMM1, "swap", (0,), Wallet({"T0": 3}))
+    assert tx.key() is tx.key()
+    assert tx.key() == ("M", "AMM1", "swap", ((2, 0),), (("T0", 3),))
+    assert tx.label() == "M:AMM1.swap(?3:T0, 0)"
+    assert Transaction(M, AMM1, TICK_METHOD).label() == "M:AMM1.__tick__()"
+
+
+@pytest.mark.parametrize("call", ((TICK_METHOD, ()), ("getRate", ("T",))))
+def test_a_move_that_moves_no_wallet_changes_no_wealth(call):
+    state = bet_state()
+    amm = Account.contract("AMM")
+    changes, nxt = execute_delta(state, Transaction(M, amm, *call), ((M,), (amm,)),
+                                 {"ETH": 1, "T": 1}, advance=True)
+    assert changes == (0, 0)
+    assert nxt.core_key() == state.core_key() and nxt.height == state.height + 1
