@@ -127,14 +127,20 @@ class Wallet:
 
     @staticmethod
     def single(token: Token, amount: int) -> "Wallet":
-        # the checks of __init__, without its general loop
+        # the checks of __init__, without its general loop; the one pair is
+        # its own sorted ``items()``
         if not isinstance(token, str):
             raise TypeError(f"token symbol must be str, got {token!r}")
         if not isinstance(amount, int) or isinstance(amount, bool):
             raise TypeError(f"token amount must be int, got {amount!r}")
         if amount < 0:
             raise ValueError(f"negative balance {amount} for {token}")
-        return Wallet._from_clean({token: amount} if amount else {})
+        if not amount:
+            return EMPTY_WALLET
+        w = Wallet.__new__(Wallet)
+        w._d = {token: amount}
+        w._items = ((token, amount),)
+        return w
 
     def get(self, token: Token) -> int:
         return self._d.get(token, 0)
@@ -298,9 +304,6 @@ class BlockchainState:
     @property
     def deployed(self) -> frozenset:
         return frozenset(self.order)
-
-    def deploy_index(self, acc: Account) -> int:
-        return self.order.index(acc)
 
     # -- keys / equality ----------------------------------------------------
 

@@ -145,22 +145,33 @@ def _signed(state: BlockchainState, restriction, calls, unpayable: bool = False)
     dropping it changes no search.  ``unpayable`` signs such calls too, from
     every adversary account: the exhaustive table does, since one table
     serves every adversary wallet a search reaches."""
-    deployed = state.deployed
-    targets = deployed if restriction is None else (frozenset(restriction) & deployed)
+    if restriction is not None:
+        restriction = frozenset(restriction)
     origins = sorted(state.adversary)
     # each origin's wallet, read once; None pays for every call
     payers = [(origin, None if unpayable else state.user_wallet(origin)) for origin in origins]
-    moves = []
+    # each move by its key, the last one signed of a key kept, and the
+    # least target, which the tick calls
+    uniq: dict = {}
+    least = None
     for acc in state.order:
-        if acc in targets:
-            proposed = calls(acc)
-            for origin, wallet in payers:
-                moves += [Transaction(origin, acc, *call) for call in proposed
-                          if wallet is None or len(call) < 3 or wallet.covers(call[2])]
-    if targets and origins and any(state.codes[a].reads_height for a in state.order):
-        moves.append(Transaction(origins[0], min(targets), TICK_METHOD))
-    uniq = {m.key(): m for m in moves}
-    return tuple(uniq[k] for k in sorted(uniq))
+        if restriction is not None and acc not in restriction:
+            continue
+        if least is None or acc < least:
+            least = acc
+        proposed = calls(acc)
+        for origin, wallet in payers:
+            for call in proposed:
+                if wallet is None or len(call) < 3 or wallet.covers(call[2]):
+                    tx = Transaction(origin, acc, *call)
+                    uniq[tx.key()] = tx
+    if least is not None and origins:
+        for acc in state.order:
+            if state.codes[acc].reads_height:
+                tx = Transaction(origins[0], least, TICK_METHOD)
+                uniq[tx.key()] = tx
+                break
+    return tuple(map(uniq.__getitem__, sorted(uniq)))
 
 
 def adversary_moves(state: BlockchainState, restriction, budget: SearchBudget) -> tuple:

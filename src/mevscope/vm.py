@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .ledger import (
+    CONTRACT,
     EMPTY_WALLET,
+    USER,
     Account,
     BlockchainState,
     ContractState,
@@ -58,7 +60,10 @@ class ContractBugError(RuntimeError):
 
 
 def _scalar_key(v: Scalar) -> tuple:
-    # total order over mixed-type scalars, for deterministic sorting
+    # total order over mixed-type scalars, for deterministic sorting; a
+    # plain int, the commonest argument, is tested first
+    if v.__class__ is int:
+        return (2, v)
     if v is None:
         return (0, 0)
     if isinstance(v, bool):
@@ -72,7 +77,7 @@ def _scalar_key(v: Scalar) -> tuple:
     if isinstance(v, Account):
         return (5, (v.kind, v.name))
     if isinstance(v, tuple):
-        return (6, tuple(_scalar_key(x) for x in v))
+        return (6, tuple([_scalar_key(x) for x in v]))
     raise TypeError(f"unsupported scalar: {v!r}")
 
 
@@ -94,9 +99,9 @@ class Transaction:
 
     def __init__(self, origin: Account, callee: Account, method: str, args: tuple = (),
                  attached: Wallet = EMPTY_WALLET):
-        if not origin.is_user:
+        if origin[0] != USER:
             raise ValueError("transaction origin must be a user account")
-        if not callee.is_contract:
+        if callee[0] != CONTRACT:
             raise ValueError("transaction callee must be a contract account")
         self.origin = origin
         self.callee = callee
@@ -117,15 +122,17 @@ class Transaction:
         return hash(self._fields())
 
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (
-                self.origin.name,
-                self.callee.name,
+        key = self._key
+        if key is None:
+            args = self.args
+            key = self._key = (
+                self.origin[1],
+                self.callee[1],
                 self.method,
-                tuple(_scalar_key(a) for a in self.args),
+                tuple([_scalar_key(a) for a in args]) if args else (),
                 self.attached.items(),
             )
-        return self._key
+        return key
 
     def label(self) -> str:
         parts = []
@@ -442,7 +449,11 @@ class MethodCtx:
     # state access (own account only)
 
     def balance(self, token: Token) -> int:
-        return self._sc.balance(self.self_acc, token)
+        sc, acc = self._sc, self.self_acc
+        d = sc.w.get(acc)
+        if d is None:
+            d = sc.base_wallet(acc)._d
+        return d.get(token, 0)
 
     def store(self, key: str) -> Scalar:
         return self._sc.store_of(self.self_acc)[key]
@@ -468,9 +479,17 @@ class MethodCtx:
         if amount == 0:
             return
         w = Wallet.single(token, amount)
-        if not self._sc.debit(self.self_acc, w):
+        sc = self._sc
+        src = sc._wallet(self.self_acc)
+        left = src.get(token, 0) - amount
+        if left < 0:
             raise Abort()
-        self._sc.credit(recipient, w)
+        if left:
+            src[token] = left
+        else:
+            del src[token]
+        dst = sc._wallet(recipient)
+        dst[token] = dst.get(token, 0) + amount
         self._transfers.append((recipient, w))
 
     def pay_sender(self, amount: int, token: Token) -> None:
@@ -489,10 +508,15 @@ class MethodCtx:
         callee = Account.contract(callee_name)
         if callee not in state.contracts:
             raise Abort()
-        if state.deploy_index(callee) >= state.deploy_index(self.self_acc):
-            raise ContractBugError(
-                f"{self.self_acc} calls {callee_name}, which is not deployed earlier"
-            )
+        # the callee must come before the caller in the deployment order
+        self_acc = self.self_acc
+        for acc in state.order:
+            if acc is self_acc:
+                raise ContractBugError(
+                    f"{self_acc} calls {callee_name}, which is not deployed earlier"
+                )
+            if acc is callee:
+                break
         if self.depth + 1 > MAX_CALL_DEPTH:
             raise Abort()
         if not sc.debit(self.self_acc, attach):
@@ -516,22 +540,23 @@ def _run_tx(state: BlockchainState, tx: Transaction) -> Optional[_Scratch]:
     """Run one top-level transaction on a scratch overlay of ``state``: the
     overlay, or None when the transaction is invalid (its changes are rolled
     back by being dropped).  A tick pays its attachment and runs no body."""
-    if tx.callee not in state.contracts:
-        return None
-    tick = tx.method == TICK_METHOD
-    if not tick and tx.method not in state.codes[tx.callee].methods:
+    origin, callee, method, attached = tx.origin, tx.callee, tx.method, tx.attached
+    if callee not in state.contracts:
         return None
     sc = _Scratch(state)
-    if not sc.debit(tx.origin, tx.attached):
-        return None
-    sc.credit(tx.callee, tx.attached)
-    if tick:
+    # an unknown method aborts in ``_run_frame``: it is invalid whether or
+    # not the origin could pay the attachment
+    if attached._d:
+        if not sc.debit(origin, attached):
+            return None
+        sc.credit(callee, attached)
+    if method == TICK_METHOD:
         return sc
     try:
-        _run_frame(sc, tx.origin, tx.origin, 1, tx.callee, tx.method, tx.args, tx.attached)
+        _run_frame(sc, origin, origin, 1, callee, method, tx.args, attached)
     except Abort:
         return None
-    return sc if sc.finals_hold() else None
+    return sc if not sc.finals or sc.finals_hold() else None
 
 
 def execute(state: BlockchainState, tx: Transaction) -> ExecResult:
@@ -585,10 +610,18 @@ def execute_delta(state: BlockchainState, tx: Transaction, groups: Sequence[Sequ
     if sc is None:
         return None
     nxt = sc.freeze(state.height + 1) if advance else None
-    if not sc.w:
+    touched = sc.w
+    if not touched:
         # the transaction touched no wallet, so every group's change is zero
         return (0,) * len(groups), nxt
-    return tuple(sum(sc.unit_change(acc, units) for acc in group) for group in groups), nxt
+    changes = []
+    for group in groups:
+        total = 0
+        for acc in group:
+            if acc in touched:
+                total += sc.unit_change(acc, units)
+        changes.append(total)
+    return tuple(changes), nxt
 
 
 def execute_trace(state: BlockchainState, trace: Sequence[Transaction]) -> ExecResult:

@@ -63,9 +63,9 @@ def sender_agnostic_witness(state: BlockchainState, callee: Account, method: str
     origin = min(state.adversary) if state.adversary else Account.user("probe")
     # legitimate contract senders are callers, hence deployed after the
     # callee; earlier contracts could collide with store-directed payouts
-    idx = state.deploy_index(callee)
+    idx = state.order.index(callee)
     senders = [origin, PROBE_SENDER.account]
-    senders += [a for a in state.order if state.deploy_index(a) > idx]
+    senders += state.order[idx + 1:]
     probed = deploy(state, PROBE_SENDER, deployer=origin)
 
     def run(sender: Account):

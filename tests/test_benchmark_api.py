@@ -124,3 +124,37 @@ def test_hot_path_values_have_no_instance_dict():
               mevscope.ContractState(), state, scratch,
               vm.MethodCtx(scratch, user, user, 1, contract, (), mevscope.Wallet()))
     assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
+
+
+PER_MOVE_FUNCTIONS = {
+    "vm": ("_run_tx", "_run_frame", "execute_delta",
+           "_Scratch.base_wallet", "_Scratch._wallet", "_Scratch.balance", "_Scratch.credit",
+           "_Scratch.debit", "_Scratch.unit_change",
+           "MethodCtx.balance", "MethodCtx.pay", "MethodCtx.call",
+           "Transaction.__init__", "Transaction.key"),
+    "ledger": ("Wallet.single", "Wallet.items", "Wallet.covers"),
+    "search": ("_signed", "adversary_moves"),
+}
+
+
+def test_per_move_functions_build_no_generator():
+    """The search signs and the executor runs every move through these
+    functions; a generator expression in one of them puts a Python frame
+    per item back on that path."""
+    found, generators = set(), []
+    for module, names in PER_MOVE_FUNCTIONS.items():
+        path = Path(mevscope.__file__).parent / f"{module}.py"
+        functions = []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                functions += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                              if isinstance(sub, ast.FunctionDef)]
+        for name, fn in functions:
+            if name in names:
+                found.add(f"{module}.{name}")
+                generators += [f"{module}.{name}:{sub.lineno}" for sub in ast.walk(fn)
+                               if isinstance(sub, ast.GeneratorExp)]
+    assert found == {f"{m}.{n}" for m, names in PER_MOVE_FUNCTIONS.items() for n in names}
+    assert generators == []

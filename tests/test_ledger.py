@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from mevscope import (Account, BlockchainState, ContractState, Wallet,
                       genesis, total_supply, wealth, wealth_units)
+from mevscope.ledger import EMPTY_WALLET
 
 from helpers import M, prices_of, two_pool_state, uniform_prices
 
@@ -85,6 +86,15 @@ def test_wallet_single_checks_like_the_constructor():
                                ("T0", 1.0, TypeError), (7, 1, TypeError)):
         with pytest.raises(err):
             Wallet.single(token, amount)
+
+
+def test_a_single_wallet_is_the_constructors_wallet():
+    """``Wallet.single`` builds its sorted items itself and returns the
+    shared empty wallet for a zero amount; neither is observable."""
+    for token, amount in (("T0", 3), ("Z", 1), ("ETH", 10 ** 30)):
+        assert Wallet.single(token, amount).items() == Wallet({token: amount}).items()
+    assert Wallet.single("T0", 0) == EMPTY_WALLET == Wallet()
+    assert not Wallet.single("T0", 0)
 
 
 def test_prices_must_be_positive():

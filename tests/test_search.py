@@ -456,8 +456,9 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
             assert b == a, (name, case)
 
 
-def _cli_executes(argv, monkeypatch) -> int:
-    """``execute_delta`` calls of one CLI query on a bundled scenario."""
+def _cli_run(argv, monkeypatch) -> tuple:
+    """``(execute_delta calls, exit code)`` of one CLI query; an argument
+    ending in ``.scn`` names a bundled scenario."""
     calls = [0]
 
     def counted(*args):
@@ -465,10 +466,15 @@ def _cli_executes(argv, monkeypatch) -> int:
         return execute_delta(*args)
 
     monkeypatch.setattr(search, "execute_delta", counted)
-    cmd, scn, *flags = argv
+    argv = [str(scenario_path(a)) if a.endswith(".scn") else a for a in argv]
     with redirect_stdout(io.StringIO()):
-        cli_main([cmd, str(scenario_path(scn)), *flags])
-    return calls[0]
+        code = cli_main(argv)
+    return calls[0], code
+
+
+def _cli_executes(argv, monkeypatch) -> int:
+    """``execute_delta`` calls of one CLI query on a bundled scenario."""
+    return _cli_run(argv, monkeypatch)[0]
 
 
 @pytest.mark.parametrize("argv, most", (
@@ -505,6 +511,34 @@ def test_span_cut_bounds_the_execute_count(argv, most, monkeypatch):
     the first child's subtree is searched, 2,336, 2,484 and 6,510.  With the
     child cut off they still make 28, 32 and 28."""
     assert 0 < _cli_executes(argv, monkeypatch) <= most
+
+
+STRESS_SET = (
+    (("richnonint", "bet_on_amm_oracle.scn"), 3_134, 1),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 3_256, 1),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 3_544, 1),
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 598, 1),
+    (("nonint", "bet_on_amm_oracle.scn", "--grid", "16"), 1_382, 1),
+    (("mev", "bet_on_amm_oracle.scn", "--depth", "5"), 556, 0),
+    (("strip-check", "bet_on_amm_oracle.scn"), 3_078, 0),
+    (("rlmev", "two_amms.scn", "--depth", "8"), 28, 0),
+    (("strip-check", "two_amms.scn"), 32, 0),
+    (("mev", "compositions/row7_lp_arbitrage.scn", "--exhaustive", "--depth", "2"), 2_981, 0),
+    (("table2",), 3_134, 0),
+    (("examples",), 1_003, 0),
+    (("battery", "--seed", "1"), 496, 0),
+)
+
+
+@pytest.mark.parametrize("argv, executes, code", STRESS_SET,
+                         ids=["-".join(a.removesuffix(".scn").rsplit("/", 1)[-1].lstrip("-")
+                                       for a in argv) for argv, _, _ in STRESS_SET])
+def test_stress_set_execute_counts_are_pinned(argv, executes, code, monkeypatch):
+    """The stress set's queries make exactly the pinned number of
+    ``execute_delta`` calls and exit with the pinned code, so a change to
+    the executor's cost per move shows no count moving, and a change to the
+    search shows every count it moves."""
+    assert _cli_run(argv, monkeypatch) == (executes, code)
 
 
 def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:

@@ -1,10 +1,14 @@
 import dataclasses
+import re
+from fractions import Fraction
 
 import pytest
 
 from mevscope import (
     REGISTRY,
     Account,
+    BlockchainState,
+    ContractState,
     DeployError,
     SearchBudget,
     Transaction,
@@ -445,3 +449,86 @@ def test_a_move_that_moves_no_wallet_changes_no_wealth(call):
                                  {"ETH": 1, "T": 1}, advance=True)
     assert changes == (0, 0)
     assert nxt.core_key() == state.core_key() and nxt.height == state.height + 1
+
+
+# --- the checks the executor's fast path keeps ----------------------------------
+
+
+def test_a_transaction_is_signed_by_a_user_to_a_contract():
+    with pytest.raises(ValueError, match="^transaction origin must be a user account$"):
+        Transaction(AMM2, AMM1, "swap")
+    with pytest.raises(ValueError, match="^transaction callee must be a contract account$"):
+        Transaction(M, A, "swap")
+
+
+def test_a_key_keeps_every_scalar_kind_apart():
+    """A bool keys apart from the int it equals, and a tuple argument keys
+    its items."""
+    tx = Transaction(M, AMM1, "f", (True, 1, None, "s", Fraction(1, 2), A, (1, 2)))
+    assert tx.key() == ("M", "AMM1", "f",
+                        ((1, 1), (2, 1), (0, 0), (4, "s"), (3, Fraction(1, 2)),
+                         (5, ("user", "A")), (6, ((2, 1), (2, 2)))), ())
+
+
+PAYER = Account.contract("Payer")
+
+
+def _payer_state():
+    """A contract holding 2 T whose ``pay(amount, token)`` pays its origin."""
+    def pay(c):
+        c.pay(c.origin, c.arg(0), c.arg(1))
+
+    payer = ContractCode(name="Payer", methods={"pay": MethodDef(pay)})
+    start = genesis({A: Wallet({"T": 2})}, adversary=[M])
+    return deploy(start, payer, Wallet({"T": 2}), deployer=A)
+
+
+@pytest.mark.parametrize("amount", (True, -1, Fraction(1, 2)), ids=repr)
+def test_a_bad_pay_amount_is_a_contract_bug(amount):
+    with pytest.raises(ContractBugError, match=f"^bad transfer amount {re.escape(repr(amount))}$"):
+        execute(_payer_state(), Transaction(M, PAYER, "pay", (amount, "T")))
+
+
+def test_a_pay_in_a_non_str_token_is_a_type_error():
+    with pytest.raises(TypeError, match="^token symbol must be str, got 7$"):
+        execute(_payer_state(), Transaction(M, PAYER, "pay", (1, 7)))
+
+
+def test_a_zero_pay_records_nothing_and_an_overdraft_rolls_back():
+    state = _payer_state()
+    for token in ("T", 7):
+        sc, frame = probe_call(state, M, M, PAYER, "pay", (0, token))
+        assert frame == (None, ()) and sc.w == {}
+    sc, frame = probe_call(state, M, M, PAYER, "pay", (2, "T"))
+    assert frame[1] == ((M, Wallet({"T": 2})),)
+    res = execute(state, Transaction(M, PAYER, "pay", (3, "T")))
+    assert not res.valid and res.state == state.with_height(1)
+
+
+def test_a_moved_token_without_a_price_is_a_key_error():
+    with pytest.raises(KeyError, match="no price for token 'T'"):
+        execute_delta(_payer_state(), Transaction(M, PAYER, "pay", (1, "T")), ((M,),),
+                      {"ETH": 1})
+
+
+@pytest.mark.parametrize("callee", ("Later", "Self"))
+def test_a_call_to_a_contract_not_deployed_earlier_is_a_contract_bug(callee):
+    """``deploy`` refuses both orders, so the states are built by hand: a
+    contract calling one deployed after it, and one calling itself."""
+    def run(c):
+        return c.call(callee, "f")
+
+    codes = {"Self": ContractCode(name="Self", methods={"run": MethodDef(run),
+                                                        "f": MethodDef(lambda c: 1)},
+                                  calls_out=frozenset({("Self", "f")})),
+             "Early": ContractCode(name="Early", methods={"run": MethodDef(run)},
+                                   calls_out=frozenset({("Later", "f")})),
+             "Later": ContractCode(name="Later", methods={"f": MethodDef(lambda c: 1)})}
+    names = ("Self",) if callee == "Self" else ("Early", "Later")
+    order = tuple(Account.contract(n) for n in names)
+    state = BlockchainState({M: Wallet()}, {acc: ContractState() for acc in order}, order,
+                            {acc: codes[acc.name] for acc in order}, adversary=[M])
+    caller = order[0]
+    with pytest.raises(ContractBugError,
+                       match=f"^{caller} calls {callee}, which is not deployed earlier$"):
+        execute(state, Transaction(M, caller, "run"))
