@@ -104,8 +104,12 @@ class Wallet:
 
     def __init__(self, amounts: Union[Mapping[Token, int], Iterable[tuple]] = ()):
         d: dict = {}
-        pairs = amounts.items() if isinstance(amounts, Mapping) else amounts
-        for tok, n in pairs:
+        # a tuple of pairs, as the move enumerator passes, or a dict skips
+        # the Python-level ABC check that other Mappings need
+        kind = type(amounts)
+        if kind is dict or (kind is not tuple and isinstance(amounts, Mapping)):
+            amounts = amounts.items()
+        for tok, n in amounts:
             if not isinstance(tok, str):
                 raise TypeError(f"token symbol must be str, got {tok!r}")
             if not isinstance(n, int) or isinstance(n, bool):
@@ -308,7 +312,10 @@ class BlockchainState:
     # -- keys / equality ----------------------------------------------------
 
     def core_key(self) -> tuple:
-        """Canonical key of everything except the block height."""
+        """Canonical key of everything except the block height and
+        ``codes``.  Keys, and so equality and hashes, tell states apart only
+        within one deployment: two states whose contracts share names,
+        wallets and stores but run different code compare equal."""
         if self._core is None:
             self._core = (
                 tuple(sorted((a, w.items()) for a, w in self.users.items() if w)),
@@ -318,12 +325,15 @@ class BlockchainState:
         return self._core
 
     def key(self) -> tuple:
+        """``core_key()`` and the height: everything but ``codes``."""
         return (self.core_key(), self.height)
 
     def __eq__(self, other: object) -> bool:
+        """Equal keys; ``codes`` is not compared (see ``core_key``)."""
         return isinstance(other, BlockchainState) and self.key() == other.key()
 
     def __hash__(self) -> int:
+        """The hash of ``key()``, so ``codes`` is left out too."""
         return hash(self.key())
 
     # -- functional updates --------------------------------------------------

@@ -9,16 +9,20 @@ import mevscope
 from mevscope import (
     REGISTRY,
     Account,
+    ContractCode,
+    MethodDef,
     PriceMap,
     Wallet,
     deploy,
     genesis,
     total_supply,
 )
+from mevscope.vm import ArgSpec
 
 M = Account.user("M")
 A = Account.user("A")
 N = Account.user("N")
+B = Account.user("B")
 
 # every bundled scenario, as ``scenario.load_bundled`` names it
 _SCENARIO_DIR = Path(mevscope.__file__).parent / "scenarios"
@@ -79,6 +83,37 @@ def bet_state(rate=2, deadline=1000, adversary_eth=310):
          ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": rate,
                          "deadline": deadline}, {"ETH": 10})],
     )
+
+
+def _tip_jar():
+    """A contract that stores the user ``B``, who starts with an empty
+    wallet and is no adversary: ``tip`` pays B 1 T, and ``boost(to)`` pays
+    2 T only to the stored user.  ``boost(B)`` enters the exhaustive
+    account domain only once a ``tip`` has put B among the state's users."""
+
+    def init(c):
+        c.put("payee", B)
+
+    def tip(c):
+        c.pay(c.store("payee"), 1, "T")
+
+    def boost(c):
+        c.require(c.arg(0) == c.store("payee"))
+        c.pay(c.arg(0), 2, "T")
+
+    return ContractCode(
+        name="Jar",
+        methods={"tip": MethodDef(tip),
+                 "boost": MethodDef(boost, args=(ArgSpec("account"),))},
+        constructor=init,
+        outtok_decl=frozenset({"T"}),
+    )
+
+
+def tip_jar_state():
+    """The tip jar holding 9 T, deployed by A; M, the adversary, holds nothing."""
+    st = genesis({M: Wallet(), A: Wallet({"T": 9})}, (M,))
+    return deploy(st, _tip_jar(), attached=Wallet({"T": 9}), deployer=A)
 
 
 # --- random micro scenarios (total token supply <= 10) --------------------------
@@ -157,14 +192,14 @@ def _paid_vault(rng):
     return st, ("T", "ETH"), 4
 
 
-def micro_bet(eth, deadline, adversary=(M,)):
-    """A 1 ETH bet against a 2/2 ETH-T pool at height 0, M holding ``eth``
-    ETH."""
+def micro_bet(eth, deadline, adversary=(M,), rate=1, height=0, deployer=A):
+    """A 1 ETH bet at ``rate``, owned by ``deployer``, against a 2/2 ETH-T
+    pool, M holding ``eth`` ETH."""
     return build({M: {"ETH": eth}},
                  [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
-                  ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1,
+                  ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": rate,
                                   "deadline": deadline}, {"ETH": 1})],
-                 adversary=adversary, height=0)
+                 adversary=adversary, height=height, deployer=deployer)
 
 
 def _micro_bet(rng):

@@ -7,7 +7,6 @@ otherwise; values are exact rationals compared with equality.
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 from mevscope import (
     Account,
@@ -35,15 +34,13 @@ from mevscope.goldens import (
     golden_relay_chain,
     golden_two_pool_chain,
 )
-from mevscope.scenario import build_state, load_bundled
+from mevscope.scenario import build_state, bundled, load_bundled
 from mevscope.search import ESCALATION_CAP, rich_state
 from mevscope.vm import TICK_METHOD
 
 import helpers
-from helpers import (LIGHT_FAMILIES, M, prices_of, random_micro, random_observed,
-                     uniform_prices)
+from helpers import LIGHT_FAMILIES, M, random_micro, random_observed, uniform_prices
 from model_checks import sender_agnostic_witness
-from oracle import brute_best, brute_lmev, enumerate_moves
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 
@@ -101,234 +98,22 @@ def test_composition_matrix_reproduces():
     print("[PASS] composition matrix: all 8 rows with the expected condition numbers")
 
 
-def _oracle_differential(rng, rational_prices):
-    """250 exhaustive micro searches, each checked against ``brute_lmev``."""
-    scenarios = 0
-    while scenarios < 250:
-        light = scenarios % 3 != 2
-        state, prices, ceiling = random_micro(
-            rng, LIGHT_FAMILIES if light else helpers.MICRO_FAMILIES)
-        if rational_prices:
-            prices = prices_of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
-                                for t in prices.tokens()})
-        depth = rng.choice((2, 3)) if light else rng.choice((2, 2, 3))
-        observed = random_observed(rng, state)
-        restriction = None if rng.random() < 0.6 else random_observed(rng, state)
-        _check_against_oracle(state, observed, restriction, prices, depth, ceiling)
-        scenarios += 1
-    return scenarios
-
-
-def _exhaustive_best(state, observed, restriction, prices, budget):
-    """``brute_best`` over ``enumerate_moves``: the value and witness of an
-    exhaustive-mode ``lmev``."""
-    tokens = prices.tokens()
-    return brute_best(state, observed, restriction, prices, budget,
-                      lambda s: enumerate_moves(s, tokens, budget.ceiling, restriction))
-
-
-def _check_against_oracle(state, observed, restriction, prices, depth, ceiling):
-    budget = SearchBudget(max_depth=depth, grid=4, exhaustive=True, ceiling=ceiling)
-    engine = lmev(state, observed, restriction, prices, budget)
-    reference = brute_lmev(state, observed, restriction, prices, depth, ceiling)
-    where = (f"{state!r} obs={sorted(observed)} "
-             f"restr={restriction and sorted(restriction)} depth={depth} "
-             f"prices={dict(prices.prices)}")
-    assert engine.value == reference, (
-        f"divergence on {where}: engine {engine.value} vs oracle {reference}")
-    best = _exhaustive_best(state, observed, restriction, prices, budget)
-    assert (engine.value, engine.witness) == best, f"witness divergence on {where}"
-    assert engine.complete
-
-
-def test_exhaustive_search_matches_brute_force_oracle():
-    scenarios = _oracle_differential(random.Random(90), rational_prices=False)
-    print(f"[PASS] oracle equivalence: {scenarios} exhaustive micro searches "
-          "match the brute-force enumeration exactly")
-
-
-def test_exhaustive_search_matches_oracle_at_rational_prices():
-    scenarios = _oracle_differential(random.Random(91), rational_prices=True)
-    print(f"[PASS] oracle equivalence at random rational prices (denominators "
-          f"1-7): {scenarios} exhaustive micro searches match exactly")
-
-
-def test_exhaustive_search_matches_oracle_at_depth_4():
-    """60 exhaustive micro searches at depth 4 over every family, every
-    other one at random rational prices.  At this depth the child cut skips
-    expanded plies, not only last ones; it fires on the pool and bet
-    families, whose loss bounds are tight."""
-    rng = random.Random(92)
-    for case in range(60):
-        state, prices, ceiling = random_micro(rng)
-        if case % 2:
-            prices = prices_of({t: Fraction(rng.randint(1, 9), rng.randint(1, 7))
-                                for t in prices.tokens()})
-        observed = random_observed(rng, state)
-        restriction = None if rng.random() < 0.6 else random_observed(rng, state)
-        _check_against_oracle(state, observed, restriction, prices, 4, ceiling)
-
-
-def test_exhaustive_search_matches_oracle_on_bundled_scenarios():
-    """Every bundled scenario at depth 3, amounts up to 3: the fragment
-    observed with the universe and with the fragment callable, and every
-    contract observed with the universe callable.  ``lmev`` agrees with
-    ``brute_lmev`` on the value and with ``brute_best`` over
-    ``enumerate_moves`` on the witness."""
-    budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
-    cases = 0
-    for name in helpers.BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        prices = scn.prices()
-        for observed, restriction in ((delta, None), (delta, delta), (state.deployed, None)):
-            engine = lmev(state, observed, restriction, prices, budget)
-            reference = brute_lmev(state, observed, restriction, prices, 3, 3)
-            assert engine.value == reference, (name, sorted(observed), restriction)
-            best = _exhaustive_best(state, observed, restriction, prices, budget)
-            assert (engine.value, engine.witness) == best, (name, sorted(observed), restriction)
-            cases += 1
-    print(f"[PASS] oracle equivalence on the bundled scenarios: {cases} exhaustive "
-          "searches match the brute-force value and witness exactly")
-
-
-def test_generator_search_matches_the_witness_oracle_on_bundled_scenarios():
-    """Every bundled scenario at depth 3, the fragment observed with the
-    universe callable, at the scenario's own adversary wallet and at the
-    first wealthy rung: ``lmev`` and ``brute_best`` agree on the value and
-    on the witness.  This checks every cut and the visiting order against
-    a search that has neither."""
-    budget = SearchBudget(max_depth=3)
-    cases = 0
-    for name in helpers.BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        prices = scn.prices()
-        rich = rich_state(state, prices.tokens(), budget, 1)
-        for start in (state, rich):
-            engine = lmev(start, delta, None, prices, budget)
-            reference = brute_best(start, delta, None, prices, budget)
-            assert (engine.value, engine.witness) == reference, (name, start is rich)
-            cases += 1
-    print(f"[PASS] witness oracle on the bundled scenarios: {cases} generator-mode "
-          "searches match the brute-force value and witness")
-
-
-def test_generator_search_matches_the_witness_oracle_at_depth_4_on_ladder_and_bet_scenarios():
-    """Depth 4, the fragment observed.  The two AMM-chain scenarios whose
-    ladder a single swap settles, with the universe or the fragment
-    callable, at the scenario's own adversary wallet and the first two
-    wealthy rungs; the bet at its own wallet and the first rung, and row 2
-    at the first rung, with the universe callable, where the best one-move
-    trace beats the empty one but not the four-move witness.  ``lmev`` and
-    ``brute_best`` agree on the value and the witness, so the span cut
-    ends a node only on a one-move trace that reaches both node bounds."""
-    budget = SearchBudget(max_depth=4)
-    # (scenario, adversary wallet: None for its own, else the rich_state
-    # scale, whether only the fragment is callable)
-    runs = [(name, scale, fragment)
-            for name in ("two_amms.scn", "compositions/row1_amm_amm.scn")
-            for scale in (None, 1, 2) for fragment in (False, True)]
-    runs += [("bet_on_amm_oracle.scn", None, False), ("bet_on_amm_oracle.scn", 1, False),
-             ("compositions/row2_bet_on_amm.scn", 1, False)]
-    for name, scale, fragment in runs:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        prices = scn.prices()
-        start = state if scale is None else rich_state(state, prices.tokens(), budget, scale)
-        restriction = delta if fragment else None
-        engine = lmev(start, delta, restriction, prices, budget)
-        reference = brute_best(start, delta, restriction, prices, budget)
-        assert (engine.value, engine.witness) == reference, (name, scale, fragment)
-    print(f"[PASS] witness oracle at depth 4 on the ladder and bet scenarios: {len(runs)} "
-          "searches match the brute-force value and witness")
-
-
-def test_generator_search_matches_the_witness_oracle_at_the_second_rung():
-    """Every bundled scenario at depth 3 and the second wealthy rung
-    (``rich_state`` scale 2), the fragment observed with the universe
-    callable: ``lmev`` and ``brute_best`` agree on the value and the
-    witness."""
-    budget = SearchBudget(max_depth=3)
-    positive = 0
-    for name in helpers.BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        prices = scn.prices()
-        rich = rich_state(state, prices.tokens(), budget, 2)
-        got = lmev(rich, delta, None, prices, budget)
-        reference = brute_best(rich, delta, None, prices, budget)
-        assert (got.value, got.witness) == reference, name
-        positive += reference[0] > 0
-    assert positive
-    print(f"[PASS] witness oracle at the second rung: {len(helpers.BUNDLED_SCENARIOS)} "
-          f"searches match the brute-force value and witness ({positive} positive)")
-
-
-def test_generator_search_matches_the_witness_oracle_on_micro_states():
-    """Seeded micro states of every family in generator mode, a random set
-    of contracts observed and every one callable, at depths 3 and 4, at the
-    state's own adversary wallet and at the first wealthy rung: ``lmev``
-    and ``brute_best`` agree on the value and the witness.  The micro bet
-    reads the height, and its deadline (1 to 5 blocks) falls within the
-    search depth.  Then the micro bet at every deadline, the bet alone
-    observed, at depth 5 and the first rung: a memo keyed without the
-    height returns a larger-keyed witness at deadline 2.  Every move
-    advances the height, so only a child the span cut searches short meets
-    a state at another height than its plies left imply."""
-    rng = random.Random(26)
-    cases = positive = 0
-    for family in helpers.MICRO_FAMILIES * 10:
-        state, prices, _ = random_micro(rng, (family,))
-        observed = random_observed(rng, state)
-        for depth in (3, 4):
-            budget = SearchBudget(max_depth=depth)
-            for start in (state, rich_state(state, prices.tokens(), budget, 1)):
-                engine = lmev(start, observed, None, prices, budget)
-                reference = brute_best(start, observed, None, prices, budget)
-                assert (engine.value, engine.witness) == reference, \
-                    (family.__name__, depth, start is state)
-                cases += 1
-                positive += reference[0] > 0
-    budget = SearchBudget(max_depth=5)
-    prices = uniform_prices(("ETH", "T"))
-    bet = {Account.contract("Bet")}
-    for deadline in range(1, 6):
-        rich = rich_state(helpers.micro_bet(0, deadline), prices.tokens(), budget, 1)
-        engine = lmev(rich, bet, None, prices, budget)
-        reference = brute_best(rich, bet, None, prices, budget)
-        assert (engine.value, engine.witness) == reference, deadline
-        cases += 1
-        positive += reference[0] > 0
-    assert positive
-    print(f"[PASS] witness oracle on micro states: {cases} generator-mode searches "
-          f"match the brute-force value and witness ({positive} positive)")
-
-
 def test_a_witness_that_needs_ticks():
     """The adversary owns a 1 ETH bet beside a 2/2 ETH-T pool, at height 0
     with the deadline at 1: only ``close`` pays the bet out, once the
     height passes the deadline, so the witness waits two blocks first
     (tick, tick, close).  A tick changes no wealth and no state but the
     height.  In generator and exhaustive mode, at depths 3 and 4, ``lmev``
-    returns value 1 with that witness and agrees with ``brute_best`` on the
-    value and witness and with ``brute_lmev`` on the value."""
-    state = helpers.build(
-        {M: {"ETH": 2}},
-        [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
-         ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": 1, "deadline": 1},
-          {"ETH": 1})],
-        height=0, deployer=M)
+    returns value 1 with that witness (``test_differential.py`` checks it
+    against the oracles)."""
+    state = helpers.micro_bet(2, 1, deployer=M)
     prices = uniform_prices(("ETH", "T"))
     bet = {Account.contract("Bet")}
     for depth in (3, 4):
         for exhaustive in (False, True):
             budget = SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=3)
             engine = lmev(state, bet, None, prices, budget)
-            best = (_exhaustive_best(state, bet, None, prices, budget) if exhaustive
-                    else brute_best(state, bet, None, prices, budget))
-            assert (engine.value, engine.witness) == best, (depth, exhaustive)
-            assert engine.value == 1 == brute_lmev(state, bet, None, prices, depth, 3)
+            assert engine.value == 1, (depth, exhaustive)
             assert [tx.method for tx in engine.witness] == [TICK_METHOD, TICK_METHOD, "close"]
     print("[PASS] a witness that needs ticks: (tick, tick, close) in both modes "
           "at depths 3 and 4")
@@ -370,9 +155,7 @@ def test_rlmev_matches_a_ladder_of_full_searches(monkeypatch):
 
     monkeypatch.setattr(analysis, "rlmev", checked)
     for name in helpers.BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        prices = scn.prices()
+        state, delta, prices = bundled(name)
         for depth in (3, 4):
             checked(state, delta, None, prices, SearchBudget(max_depth=depth))
         for restriction in (None, delta):
@@ -461,10 +244,8 @@ def test_stripping_and_structural_laws():
                  "compositions/row1_amm_amm.scn", "compositions/row3_bet_on_exchange.scn",
                  "compositions/row4_best_swap.scn", "compositions/row5_swap_router.scn",
                  "compositions/row6_best_swap_router.scn"):
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
-        observed = delta or state.deployed
-        rep = verify_stripping(state, observed, None, scn.prices(), BUDGET)
+        state, delta, prices = bundled(name)
+        rep = verify_stripping(state, delta or state.deployed, None, prices, BUDGET)
         assert rep.status == "verified", (name, rep)
         verified += 1
 
@@ -492,9 +273,8 @@ def _invariant_state_pool(rng):
                  "compositions/row5_swap_router.scn",
                  "compositions/row7_lp_arbitrage.scn",
                  "compositions/row8_flash_loan_arbitrage.scn"):
-        scn = load_bundled(name)
-        state, _ = build_state(scn)
-        pool.append((state, scn.prices()))
+        state, _, prices = bundled(name)
+        pool.append((state, prices))
     for _ in range(12):
         state, prices, _ = random_micro(rng)
         pool.append((state, prices))

@@ -212,38 +212,33 @@ class TestObservations:
 
 class TestVerdicts:
     def test_independent_airdrop_holds(self):
-        scn = load_bundled("airdrop_beside_amm.scn")
-        state, delta = build_state(scn)
-        v = nonint(state, delta, scn.prices(), BUDGET)
+        state, delta, prices = bundled("airdrop_beside_amm.scn")
+        v = nonint(state, delta, prices, BUDGET)
         assert v.holds is True and v.justification == "contract-independent"
 
     def test_bet_over_pool_is_interfering(self):
-        scn = load_bundled("bet_on_amm_oracle.scn")
-        state, delta = build_state(scn)
-        v = nonint(state, delta, scn.prices(), BUDGET)
+        state, delta, prices = bundled("bet_on_amm_oracle.scn")
+        v = nonint(state, delta, prices, BUDGET)
         assert v.holds is False
         assert (v.lhs_value, v.rhs_value) == (10, 0)
         assert v.witness
 
     def test_epsilon_on_the_mutex_pair(self):
-        scn = load_bundled("mutex_vaults.scn")
-        state, delta = build_state(scn)
-        v0 = epsilon_composable(state, delta, Fraction(0), scn.prices(), BUDGET)
+        state, delta, prices = bundled("mutex_vaults.scn")
+        v0 = epsilon_composable(state, delta, Fraction(0), prices, BUDGET)
         assert v0.holds is True and (v0.lhs_value, v0.rhs_value) == (1, 1)
 
     def test_epsilon_rejects_negative_epsilon(self):
-        scn = load_bundled("mutex_vaults.scn")
-        state, delta = build_state(scn)
+        state, delta, prices = bundled("mutex_vaults.scn")
         with pytest.raises(ValueError):
-            epsilon_composable(state, delta, Fraction(-1), scn.prices(), BUDGET)
+            epsilon_composable(state, delta, Fraction(-1), prices, BUDGET)
 
     def test_unknown_requires_no_conditions_and_no_completeness(self):
         # two pools sharing tokens: no condition fires, equality at budget is
         # reported as unknown rather than a certified holds
-        scn = load_bundled("compositions/row1_amm_amm.scn")
-        state, delta = build_state(scn)
+        state, delta, prices = bundled("compositions/row1_amm_amm.scn")
         budget = SearchBudget(max_depth=2, grid=2)
-        v = nonint(state, delta, scn.prices(), budget)
+        v = nonint(state, delta, prices, budget)
         assert v.holds in (None, False)  # never a certified holds without grounds
 
 
@@ -283,21 +278,19 @@ class TestStripping:
         assert (rep.full_value, rep.stripped_value) == (5, 0)
 
     def test_router_stack_with_unrelated_pools_strips_cleanly(self):
-        scn = load_bundled("compositions/row6_best_swap_router.scn")
-        state, delta = build_state(scn)
+        state, delta, prices = bundled("compositions/row6_best_swap_router.scn")
         # extra pools nobody depends on
         state = deploy(state, REGISTRY["amm"].make("X1", t0="T0", t1="T1"), deployer=A)
         state = deploy(state, REGISTRY["amm"].make("X2", t0="T2", t1="T3"), deployer=A)
-        rep = verify_stripping(state, delta, None, scn.prices(), BUDGET)
+        rep = verify_stripping(state, delta, None, prices, BUDGET)
         assert rep.status == "verified"
-        v_full = richnonint(state, delta, scn.prices(), BUDGET)
-        v_stripped = richnonint(strip(state, delta), delta, scn.prices(), BUDGET)
+        v_full = richnonint(state, delta, prices, BUDGET)
+        v_stripped = richnonint(strip(state, delta), delta, prices, BUDGET)
         assert v_full.outcome == v_stripped.outcome == "holds"
 
     def test_adversary_deployed_wrapper_cannot_flip_a_verdict(self):
-        scn = load_bundled("compositions/row1_amm_amm.scn")
-        state, delta = build_state(scn)
-        base = richnonint(state, delta, scn.prices(), BUDGET)
+        state, delta, prices = bundled("compositions/row1_amm_amm.scn")
+        base = richnonint(state, delta, prices, BUDGET)
         context = without_contracts(state, delta)
         context = deploy(context, REGISTRY["best_swap"].make("AdvWrap", c0="AMM1", c1="AMM1"),
                          deployer=M)
@@ -306,7 +299,7 @@ class TestStripping:
         context = context.with_users(funded)
         extended = deploy(context, REGISTRY["amm"].make("AMM2", t0="T0", t1="T1"),
                           attached=Wallet({"T0": 9, "T1": 4}), deployer=A)
-        again = richnonint(extended, delta, scn.prices(), BUDGET)
+        again = richnonint(extended, delta, prices, BUDGET)
         assert base.outcome == again.outcome == "holds"
 
 
@@ -324,22 +317,20 @@ class TestJustificationSoundness:
 
     def test_stable_oracle_row_agrees_with_search(self):
         from mevscope import rlmev
-        scn = load_bundled("compositions/row3_bet_on_exchange.scn")
-        state, delta = build_state(scn)
-        assert richnonint(state, delta, scn.prices(), BUDGET).justification == "stable"
-        u = rlmev(state, delta, None, scn.prices(), BUDGET)
-        r = rlmev(state, delta, delta, scn.prices(), BUDGET)
+        state, delta, prices = bundled("compositions/row3_bet_on_exchange.scn")
+        assert richnonint(state, delta, prices, BUDGET).justification == "stable"
+        u = rlmev(state, delta, None, prices, BUDGET)
+        r = rlmev(state, delta, delta, prices, BUDGET)
         assert u.value == r.value == 10
 
     def test_independent_pools_row_agrees_with_search(self):
         from mevscope import rlmev
-        scn = load_bundled("compositions/row1_amm_amm.scn")
-        state, delta = build_state(scn)
-        assert richnonint(state, delta, scn.prices(), BUDGET).justification \
+        state, delta, prices = bundled("compositions/row1_amm_amm.scn")
+        assert richnonint(state, delta, prices, BUDGET).justification \
             == "contract-independent"
         budget = SearchBudget(max_depth=3, grid=8)
-        u = rlmev(state, delta, None, scn.prices(), budget)
-        r = rlmev(state, delta, delta, scn.prices(), budget)
+        u = rlmev(state, delta, None, prices, budget)
+        r = rlmev(state, delta, delta, prices, budget)
         assert u.value == r.value
 
 
@@ -353,18 +344,16 @@ class TestRichVsFixedWealth:
         return nonint(rich, delta, prices, BUDGET)
 
     def test_violation_shows_up_at_some_rung(self):
-        scn = load_bundled("cell_gated_vault.scn")
-        state, delta = build_state(scn)
-        assert richnonint(state, delta, scn.prices(), BUDGET).holds is False
-        assert self._at_wallet(state, delta, scn.prices(), 1).holds is False
+        state, delta, prices = bundled("cell_gated_vault.scn")
+        assert richnonint(state, delta, prices, BUDGET).holds is False
+        assert self._at_wallet(state, delta, prices, 1).holds is False
 
     def test_holding_verdict_holds_at_the_plateau_wallet(self):
-        scn = load_bundled("once_cell_droppers.scn")
-        state, _ = build_state(scn)
+        state, _, prices = bundled("once_cell_droppers.scn")
         alone = without_contracts(state, {Account.contract("Drop2")})
         delta = {Account.contract("Drop1")}
-        assert richnonint(alone, delta, scn.prices(), BUDGET).holds is True
-        v = self._at_wallet(alone, delta, scn.prices(), 1)
+        assert richnonint(alone, delta, prices, BUDGET).holds is True
+        v = self._at_wallet(alone, delta, prices, 1)
         assert v.holds is not False and v.lhs_value in (None, Fraction(3))
 
 
@@ -464,10 +453,9 @@ PINNED_VERDICTS = (
                          ids=lambda r: f"{r[1]}-{r[0].rsplit('/', 1)[-1]}")
 def test_bundled_verdicts_are_pinned(row):
     name, relation, *want = row
-    scn = load_bundled(name)
-    state, delta = build_state(scn)
+    state, delta, prices = bundled(name)
     decide = {"nonint": nonint, "richnonint": richnonint}[relation]
-    v = decide(state, delta, scn.prices(), SearchBudget(max_depth=3))
+    v = decide(state, delta, prices, SearchBudget(max_depth=3))
     got = [v.outcome, v.justification,
            None if v.lhs_value is None else str(v.lhs_value),
            None if v.rhs_value is None else str(v.rhs_value),

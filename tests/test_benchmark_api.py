@@ -111,6 +111,25 @@ def test_no_package_module_keeps_an_unused_import():
     assert unused == []
 
 
+def test_the_oracle_imports_nothing_from_the_search_or_the_analysis():
+    """``oracle.py`` is the reference the search is checked against, so it
+    may share the executor but no name of ``mevscope.search`` or
+    ``mevscope.analysis``, whether imported from there or re-exported by
+    the package."""
+    banned, found = ("mevscope.search", "mevscope.analysis"), []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name in banned]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                value = getattr(importlib.import_module(node.module), alias.name)
+                home = (value.__name__ if isinstance(value, types.ModuleType)
+                        else getattr(value, "__module__", None))
+                if node.module in banned or home in banned:
+                    found.append(f"{node.module}.{alias.name}")
+    assert found == []
+
+
 def test_hot_path_values_have_no_instance_dict():
     """The executor and the search build and hash these values at every
     move; a Python-level instance dict would put attribute lookups and

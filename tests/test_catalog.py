@@ -33,8 +33,8 @@ from mevscope.scenario import load_bundled
 from mevscope.search import rich_state
 from mevscope.vm import AttachSpec
 
-from helpers import (BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, MICRO_FAMILIES, M, A, bet_state,
-                     build, two_adversary_pools, two_pool_state, uniform_prices)
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, bet_state, build, micro_bet,
+                     two_adversary_pools, two_pool_state, uniform_prices)
 from oracle import brute_lmev, brute_losses, generated_moves
 
 AMM = Account.contract("AMM")
@@ -863,18 +863,8 @@ def test_micro_ply_loss_bounds_hold(family):
 
 BET = Account.contract("Bet")
 BET_PRICES = uniform_prices(("ETH", "T"))
-# 2 ETH into the small bet's pool: it then quotes 4 ETH per T
+# 2 ETH into the micro bet's pool: it then quotes 4 ETH per T
 PUMP = Transaction(M, Account.contract("AMM"), "swap", (0,), Wallet({"ETH": 2}))
-
-
-def _small_bet(rate=1, deadline=5, height=0, adversary=(M,)):
-    """A bet with a pot of 1 ETH on a 2 ETH / 2 T pool, deployed by ``A``;
-    M holds 3 ETH."""
-    return build({M: {"ETH": 3}, A: {}},
-                 [("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2}),
-                  ("bet", "Bet", {"oracle": "AMM", "token": "T", "rate": rate,
-                                  "deadline": deadline}, {"ETH": 1})],
-                 adversary=adversary, height=height)
 
 
 def _bet_ply_figures(state) -> dict:
@@ -890,7 +880,7 @@ def _bet_ply_figures(state) -> dict:
 def test_bet_ply_bound_when_the_adversary_owns_it():
     """The owner is an adversary account and the deadline has passed:
     ``close`` takes the pot in one ply."""
-    state = _small_bet(deadline=0, height=1, adversary=(M, A))
+    state = micro_bet(3, 0, (M, A), height=1)
     assert _bet_ply_figures(state) == {p: (1, 1) for p in PLIES}
 
 
@@ -907,7 +897,7 @@ def test_bet_ply_bound_when_a_contract_calls_it():
         methods={"play": MethodDef(play, attach=(AttachSpec(("ETH",), (1,)),))},
         calls_out=frozenset({("Bet", "bet"), ("Bet", "win")}),
     )
-    state = deploy(_small_bet(rate=0), player, deployer=A)
+    state = deploy(micro_bet(3, 5, rate=0), player, deployer=A)
     assert _bet_ply_figures(state) == {p: (1, 1) for p in PLIES}
 
 
@@ -915,7 +905,7 @@ def test_bet_ply_bound_after_the_pool_is_pumped():
     """The pool quotes 4 ETH per T, above the bet's rate, but no player is
     stored: one ply cannot take the pot, two (``bet``, then ``win``) can.
     Once M has bet, one ply (``win``) takes the doubled pot."""
-    state = execute(_small_bet(), PUMP).state
+    state = execute(micro_bet(3, 5), PUMP).state
     assert state.contracts[BET].store["player"] is None
     assert _bet_ply_figures(state) == {1: (0, 0), 2: (1, 1), 3: (1, 1)}
     staked = execute(state, Transaction(M, BET, "bet", (), Wallet({"ETH": 1}))).state
@@ -925,10 +915,10 @@ def test_bet_ply_bound_after_the_pool_is_pumped():
 
 @pytest.mark.parametrize("pumped", (False, True), ids=("fresh", "pumped"))
 def test_small_bet_ply_loss_bounds_hold(pumped):
-    """Walks that can stake and win the bet: from the small bet, and from it
+    """Walks that can stake and win the bet: from the micro bet, and from it
     after the pool is pumped, where ``bet`` then ``win`` take the pot within
     two plies.  No bundled or micro walk stakes a bet."""
-    state = _small_bet()
+    state = micro_bet(3, 5)
     if pumped:
         state = execute(state, PUMP).state
     _assert_ply_bounds_on_walks(state, BET_PRICES, 1, random.Random(f"small bet {pumped}"))

@@ -1,4 +1,5 @@
 import pytest
+import types
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
@@ -20,6 +21,13 @@ def test_wallet_normalises_zeros():
     assert Wallet({"T0": 0, "T1": 2}) == Wallet({"T1": 2})
     assert not Wallet({"T0": 0})
     assert Wallet({"T0": 1}).get("T9") == 0
+
+
+def test_wallet_accepts_any_mapping_and_sums_repeated_pairs():
+    want = Wallet({"T0": 3, "T1": 2})
+    for amounts in (types.MappingProxyType({"T0": 3, "T1": 2, "T2": 0}), [("T0", 3), ("T1", 2)],
+                    (("T0", 1), ("T1", 2), ("T0", 2)), iter([("T1", 2), ("T0", 0), ("T0", 3)])):
+        assert Wallet(amounts) == want
 
 
 def test_wallet_rejects_negative_amounts():

@@ -11,8 +11,6 @@ import math
 from mevscope import (
     REGISTRY,
     Account,
-    ContractCode,
-    MethodDef,
     SearchBudget,
     Transaction,
     Wallet,
@@ -20,7 +18,6 @@ from mevscope import (
     build_state,
     deploy,
     execute,
-    genesis,
     global_mev,
     lmev,
     nonint,
@@ -34,13 +31,12 @@ from mevscope import (
 from mevscope import search
 from mevscope.cli import main as cli_main
 from mevscope.scenario import bundled, load_bundled, scenario_path
-from mevscope.vm import TICK_METHOD, ArgSpec, execute_delta
+from mevscope.vm import TICK_METHOD, execute_delta
 
-from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, N, bet_state, build, micro_bet,
-                     random_micro, prices_of, random_observed, two_adversary_pools,
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, B, N, bet_state, build, micro_bet,
+                     random_micro, prices_of, random_observed, tip_jar_state, two_adversary_pools,
                      two_pool_state, uniform_prices)
 from model_checks import gain
-from oracle import brute_best, brute_lmev, enumerate_moves
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
 PRICES3 = uniform_prices(("T0", "T1", "T2"))
@@ -81,16 +77,13 @@ class TestTwoAdversaryAccounts:
             "N:AMM1.swap(?3:T0, 0)", "N:AMM2.swap(?2:T1, 0)"]
 
     def test_exhaustive_witness_matches_the_oracles(self):
+        """Value 1 and the witness signed by N; a differential row checks both."""
         state = two_adversary_pools((2, 2), (1, 4), 2)
         budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
         res = lmev(state, {AMM2}, None, PRICES3, budget)
         assert res.value == 1
         assert [tx.label() for tx in res.witness] == [
             "N:AMM1.swap(?2:T0, 0)", "N:AMM2.swap(?1:T1, 0)"]
-        assert brute_lmev(state, {AMM2}, None, PRICES3, 3, 3) == 1
-        assert brute_best(state, {AMM2}, None, PRICES3, budget,
-                          lambda s: enumerate_moves(s, PRICES3.tokens(), 3)) == (
-            res.value, res.witness)
 
     @pytest.mark.parametrize("universal", (False, True), ids=("generators", "exhaustive"))
     def test_every_call_is_sent_from_every_adversary_account(self, universal):
@@ -217,9 +210,7 @@ def test_last_ply_deltas_match_execute(name):
     changes are the same.  The states are those within two moves of the
     scenario and, with the first rung's wealthy adversary, those within one
     move."""
-    scn = load_bundled(name)
-    root, _ = build_state(scn)
-    prices = scn.prices()
+    root, _, prices = bundled(name)
     units = prices.units
     tok = prices.tokens()[0]
     # the groups of the loss search over every contract
@@ -377,10 +368,9 @@ def _search_cases():
     them searched exhaustively."""
     cases = []
     for name in BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
+        state, delta, prices = bundled(name)
         for depth in (1, 2, 3, 4):
-            cases.append((state, delta, scn.prices(), SearchBudget(max_depth=depth)))
+            cases.append((state, delta, prices, SearchBudget(max_depth=depth)))
     rng = random.Random(77)
     for _ in range(40):
         state, prices, ceiling = random_micro(rng)
@@ -401,6 +391,18 @@ def _four_searches(cases) -> list:
             for state, observed, prices, budget in cases]
 
 
+def _counted_executes(monkeypatch) -> list:
+    """``[n]``, ``n`` counting the search's ``execute_delta`` calls from now."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return execute_delta(*args)
+
+    monkeypatch.setattr(search, "execute_delta", counted)
+    return calls
+
+
 def test_bound_cut_keeps_every_result(monkeypatch):
     """With ``_MaxSearch.bounds`` patched to infinity neither cut fires: no
     node's best reaches its bounds (the span cut) and no child's bounds fall
@@ -408,13 +410,7 @@ def test_bound_cut_keeps_every_result(monkeypatch):
     cut ones on value, witness, completeness and warning over the bundled
     scenarios at depths 1-4 and over micro states, and run more executes."""
     cases = _search_cases()
-    runs = [0]
-
-    def counted(*args):
-        runs[0] += 1
-        return execute_delta(*args)
-
-    monkeypatch.setattr(search, "execute_delta", counted)
+    runs = _counted_executes(monkeypatch)
     cut = _four_searches(cases)
     cut_runs, runs[0] = runs[0], 0
     monkeypatch.setattr(search._MaxSearch, "bounds",
@@ -459,22 +455,11 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
 def _cli_run(argv, monkeypatch) -> tuple:
     """``(execute_delta calls, exit code)`` of one CLI query; an argument
     ending in ``.scn`` names a bundled scenario."""
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return execute_delta(*args)
-
-    monkeypatch.setattr(search, "execute_delta", counted)
+    calls = _counted_executes(monkeypatch)
     argv = [str(scenario_path(a)) if a.endswith(".scn") else a for a in argv]
     with redirect_stdout(io.StringIO()):
         code = cli_main(argv)
     return calls[0], code
-
-
-def _cli_executes(argv, monkeypatch) -> int:
-    """``execute_delta`` calls of one CLI query on a bundled scenario."""
-    return _cli_run(argv, monkeypatch)[0]
 
 
 @pytest.mark.parametrize("argv, most", (
@@ -494,7 +479,7 @@ def test_child_cut_bounds_the_execute_count(argv, most, monkeypatch):
     and gain broken toward the most bound left, and the bet's bound within
     the plies left; with the child cut off (its ``break`` a no-op) they
     make 1,341, 14,868, 15,510, 5,932 and 1,282."""
-    assert 0 < _cli_executes(argv, monkeypatch) <= most
+    assert 0 < _cli_run(argv, monkeypatch)[0] <= most
 
 
 @pytest.mark.parametrize("argv, most", (
@@ -510,7 +495,7 @@ def test_span_cut_bounds_the_execute_count(argv, most, monkeypatch):
     node instead and they make 48, 72 and 48; score no one-move trace before
     the first child's subtree is searched, 2,336, 2,484 and 6,510.  With the
     child cut off they still make 28, 32 and 28."""
-    assert 0 < _cli_executes(argv, monkeypatch) <= most
+    assert 0 < _cli_run(argv, monkeypatch)[0] <= most
 
 
 STRESS_SET = (
@@ -544,13 +529,7 @@ def test_stress_set_execute_counts_are_pinned(argv, executes, code, monkeypatch)
 def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
     """``execute_delta`` calls of ``rlmev`` on 200 micro states (seed 20), a
     random set of contracts observed and every one callable."""
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return execute_delta(*args)
-
-    monkeypatch.setattr(search, "execute_delta", counted)
+    calls = _counted_executes(monkeypatch)
     rng = random.Random(20)
     for _ in range(200):
         state, prices, ceiling = random_micro(rng)
@@ -604,10 +583,9 @@ def test_move_table_matches_fresh_enumeration(monkeypatch):
         global_mev(state, prices, budget)
     budget = SearchBudget(max_depth=3, exhaustive=True, ceiling=3)
     for name in BUNDLED_SCENARIOS:
-        scn = load_bundled(name)
-        state, delta = build_state(scn)
+        state, delta, prices = bundled(name)
         for observed, restriction in ((delta, None), (delta, delta), (state.deployed, None)):
-            lmev(state, observed, restriction, scn.prices(), budget)
+            lmev(state, observed, restriction, prices, budget)
     searches = len(engines)
     verdict = nonint(*bundled("exchange_round_trip.scn"), SearchBudget(exhaustive=True))
     assert verdict.outcome == "holds" and verdict.justification == "zero-mev"
@@ -617,41 +595,12 @@ def test_move_table_matches_fresh_enumeration(monkeypatch):
     assert len(fills) < sum(nodes for _, nodes in engines.values())
 
 
-B = Account.user("B")
-
-
-def _tip_jar():
-    """A contract that stores the user ``B``, who starts with an empty
-    wallet and is no adversary: ``tip`` pays B 1 T, and ``boost(to)`` pays
-    2 T only to the stored user.  ``boost(B)`` enters the exhaustive
-    account domain only once a ``tip`` has put B among the state's users."""
-
-    def init(c):
-        c.put("payee", B)
-
-    def tip(c):
-        c.pay(c.store("payee"), 1, "T")
-
-    def boost(c):
-        c.require(c.arg(0) == c.store("payee"))
-        c.pay(c.arg(0), 2, "T")
-
-    return ContractCode(
-        name="Jar",
-        methods={"tip": MethodDef(tip),
-                 "boost": MethodDef(boost, args=(ArgSpec("account"),))},
-        constructor=init,
-        outtok_decl=frozenset({"T"}),
-    )
-
-
 def test_move_table_follows_a_growing_user_set():
-    """The user set grows mid-search: the table enumerates again for it,
-    and exhaustive ``lmev`` matches ``brute_lmev``, which rebuilds its moves
-    at every state.  Moves enumerated at the root alone would miss
-    ``boost(B)`` and reach only 2, 3 and 4 at depths 2 to 4."""
-    st = genesis({M: Wallet(), A: Wallet({"T": 9})}, (M,))
-    state = deploy(st, _tip_jar(), attached=Wallet({"T": 9}), deployer=A)
+    """The user set grows mid-search: the table enumerates again for it.
+    Moves enumerated at the root alone would miss ``boost(B)`` and reach
+    only 2, 3 and 4 at depths 2 to 4; differential rows check the values
+    against ``brute_lmev``, which rebuilds its moves at every state."""
+    state = tip_jar_state()
     jar = Account.contract("Jar")
     prices = uniform_prices(("T",))
     assert B not in state.users
@@ -659,8 +608,7 @@ def test_move_table_follows_a_growing_user_set():
                for tx in universal_moves(state, prices.tokens(), SearchBudget(ceiling=2)))
     for depth, want in ((1, 1), (2, 3), (3, 5), (4, 7)):
         budget = SearchBudget(max_depth=depth, exhaustive=True, ceiling=2)
-        res = lmev(state, {jar}, None, prices, budget)
-        assert res.value == want == brute_lmev(state, {jar}, None, prices, depth, 2)
+        assert lmev(state, {jar}, None, prices, budget).value == want
         engine = search._MaxSearch(state, prices, budget, None, (jar,), -1)
         engine.run(state)
         users = {(M,)} if depth == 1 else {(M,), tuple(sorted((B, M)))}
