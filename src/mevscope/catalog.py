@@ -240,7 +240,7 @@ def _exchange_build(name: str, tout, tin, rate) -> ContractCode:
         return c.store("rate")
 
     def set_rate(c):
-        c.require(c.origin == c.store("owner"))
+        c.require(c.origin is c.store("owner"))
         c.put("rate", c.arg_int(0))
 
     def swap(c):
@@ -298,12 +298,13 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         c.put("player", c.origin)
 
     def win(c):
-        c.require(c.height() <= c.store("deadline") and c.origin == c.store("player"))
+        c.require(not c.height_reached(c.store("deadline") + 1)
+                  and c.origin is c.store("player"))
         c.require(c.call(oracle, "getRate", (pot_token,)) > c.store("rate"))
         c.pay(c.store("player"), c.balance(pot_token), pot_token)
 
     def close(c):
-        c.require(c.height() > c.store("deadline") and c.origin == c.store("owner"))
+        c.require(c.height_reached(c.store("deadline") + 1) and c.origin is c.store("owner"))
         c.pay(c.store("owner"), c.balance(pot_token), pot_token)
 
     def loss_bound(cs, units, plies=None, *, adversary=frozenset(), called=True):
@@ -339,6 +340,7 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         intok_decl=frozenset({pot_token}),
         outtok_decl=frozenset({pot_token}),
         reads_height=True,
+        height_thresholds=(deadline + 1,),
         calls_out=frozenset({(oracle, "getRate"), (oracle, "getTokens")}),
         move_generator=gen,
         loss_bound=loss_bound,
@@ -524,7 +526,7 @@ def _lp_build(name: str, token, cmin, rliq, imul, fee, oracle) -> ContractCode:
         c.require(cr is None or cr >= c.store("Cmin"))
 
     def accrue(c):
-        c.require(c.origin == Account.user(oracle))
+        c.require(c.origin is Account.user(oracle))
         c.put("Ir", c.store("Ir") * c.store("Imul"))
 
     def repay(c):

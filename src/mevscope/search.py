@@ -19,13 +19,19 @@ transactions (a longer trace may still extract more).
 Invalid transactions are pruned: they cannot change any gain.  When a
 deployed contract reads the block height, the moves include a tick, a call
 the executor runs with no body, whose sole effect is advancing the height.
-A valid move that leaves the node's memo key unchanged is not expanded
-either: the key ignores the height when no contract reads it, and the move
-changed no wallet and no contract store.  A trace through it ties in value
-and gain with the same trace less that move, which is shorter and which the
-node searches itself, so it never wins (a dominance rule; Ibaraki 1977).
-When a contract reads the height, every move advances it, so every move
-changes the key and none is skipped.
+The memo key holds what a trace can observe of the height
+(``_MaxSearch.height_key``): nothing when no contract reads it, the raw
+height when one reads it raw, and otherwise, for each height threshold the
+readers declare, the plies before the height reaches it, capped at the
+plies left.  A valid move that changes no wallet and no contract store, and
+after which the state behaves as before for one ply fewer (equal
+``core_key()`` and equal height keys at k - 1), is not expanded: a trace
+through it ties in value and gain with the same trace less that move, which
+is shorter and which the node searches itself, so it never wins (a
+dominance rule; Ibaraki 1977).  So a tick that reaches no threshold within
+the horizon is not searched further, and states reached at different
+heights share a memo entry.  A raw reader's height changes at every move,
+so then no move is skipped.
 
 Every ply is scored the same way: ``vm.execute_delta`` runs the move and
 reads the wealth changes of the objective's accounts and of the adversary off
@@ -65,7 +71,8 @@ does not depend on the order moves are visited in.
 The bounds depend on the state and the plies left alone, and never decrease
 as the plies left grow, so a child the span cut searches to fewer than
 k - 1 plies stays bounded; and a cut child is never stored, so every memo
-entry, keyed on (state, remaining depth), still holds the exact best.
+entry, keyed on (state, what it can observe of the height, remaining
+depth), still holds the exact best.
 ``complete``, ``_search``'s ``upper`` and ``rlmev``'s stop keep the wealth
 bound, which holds over traces of any length.
 """
@@ -249,10 +256,19 @@ class _MaxSearch:
         # contract, its bound, whether a deployed contract calls it and
         # whether it counts toward the objective's bound
         callees = frozenset().union(*(state.codes[a].declared_deps for a in state.order))
+        # a frozenset finds accounts by hash and identity, without calling
+        # ``Account.__eq__`` as a tuple's ``in`` does
+        counted = frozenset(accounts)
         self.bounders = tuple((a, state.codes[a].loss_bound, a.name in callees,
-                               sign > 0 or a in accounts) for a in state.order)
+                               sign > 0 or a in counted) for a in state.order)
         self.tokens = prices.tokens()
-        self.include_height = any(state.codes[a].reads_height for a in state.order)
+        # what the memo key keeps of the height (``height_key``): the raw
+        # height when a contract reads it raw, else the distance to each
+        # threshold a reader declares (none when no contract reads it)
+        readers = [state.codes[a] for a in state.order if state.codes[a].reads_height]
+        self.raw_height = any(code.height_thresholds is None for code in readers)
+        self.thresholds = tuple(sorted({t for code in readers
+                                        for t in code.height_thresholds or ()}))
         self.memo: dict = {}
         self.capped = False
         # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
@@ -280,6 +296,18 @@ class _MaxSearch:
             if counted:
                 objective += loss
         return objective, total
+
+    def height_key(self, height: int, plies: int):
+        """What a trace of at most ``plies`` moves from a state at ``height``
+        can observe of the height: the height itself when a contract reads
+        it raw, else, for each threshold ``t``, the moves before the height
+        reaches it, capped at ``plies``.  Those moves run at heights
+        ``height`` to ``height + plies - 1``, so states with equal
+        ``core_key()`` and equal keys at ``plies`` give the same traces the
+        same changes."""
+        if self.raw_height:
+            return height
+        return tuple([max(0, min(t - height, plies)) for t in self.thresholds])
 
     def _exhaustive_moves(self, state):
         """``universal_moves(state, ...)``, enumerated once per user set.
@@ -310,12 +338,12 @@ class _MaxSearch:
         children best-first: by decreasing optimistic value (the move's
         change plus the next state's ``bounds`` at k - 1 plies), then
         optimistic gain, then the next state's value bound, then its gain
-        bound, then move order.  A move whose next state has the node's own
-        memo key (the key ignores the height, the move changed no group's
-        wealth and ``core_key`` is unchanged) is not kept as a child: every
-        trace through it ties in value and gain with the same trace less
-        that move, which is one move shorter and searched by this node, so
-        it never wins, and the node's memo entry stays exact.
+        bound, then move order.  A move that changed no group's wealth and
+        whose next state has the node's ``core_key`` and, at k - 1 plies,
+        its ``height_key`` is not kept as a child: every trace through it
+        ties in value and gain with the same trace less that move, which is
+        one move shorter and searched by this node, so it never wins, and
+        the node's memo entry stays exact.
 
         Two cuts read ``bounds`` and change no result, whatever the visiting
         order.  The child cut: a child whose optimistic value and gain
@@ -331,7 +359,7 @@ class _MaxSearch:
         skipped by key."""
         memo, budget, restriction = self.memo, self.budget, self.restriction
         groups, units, sign = self.groups, self.prices.units, self.sign
-        bounds, include_height = self.bounds, self.include_height
+        bounds, height_key = self.bounds, self.height_key
         # ``adversary_moves`` is looked up at each node, so a wrapper set on
         # the module sees every call
         moves_of = (self._exhaustive_moves if budget.exhaustive
@@ -342,8 +370,7 @@ class _MaxSearch:
         optimistic = operator.itemgetter(0, 1, 2, 3)
 
         def best(state, k):
-            mkey = ((state.core_key(), state.height, k) if include_height
-                    else (state.core_key(), k))
+            mkey = (state.core_key(), height_key(state.height, k), k)
             hit = memo.get(mkey)
             if hit is not None:
                 return hit
@@ -368,10 +395,11 @@ class _MaxSearch:
                         node_bounds = bounds(state, k)
                     if cand[0] >= node_bounds[0] and cand[1] >= node_bounds[1]:
                         length, first = 1, tx.key()
-                # a child with the node's own memo key only leads to traces
-                # the node searches one move shorter
-                if k > 1 and not (dv == dg == 0 and not include_height
-                                  and nxt.core_key() == state.core_key()):
+                # a child that behaves as the node does for k - 1 plies only
+                # leads to traces the node searches one move shorter
+                if k > 1 and not (dv == dg == 0 and nxt.core_key() == state.core_key()
+                                  and height_key(nxt.height, k - 1)
+                                  == height_key(state.height, k - 1)):
                     vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, vb, gb, tx, dv, dg, nxt))
             # best-first; the sort is stable, so ties keep move order

@@ -70,14 +70,16 @@ def _scalar_key(v: Scalar) -> tuple:
         return (1, int(v))
     if isinstance(v, int):
         return (2, v)
-    if isinstance(v, Fraction):
-        return (3, v)
     if isinstance(v, str):
         return (4, v)
     if isinstance(v, Account):
         return (5, (v.kind, v.name))
     if isinstance(v, tuple):
         return (6, tuple([_scalar_key(x) for x in v]))
+    # last: ``Fraction``'s ``isinstance`` runs ABCMeta's Python-level check,
+    # and no value of an earlier type is a Fraction
+    if isinstance(v, Fraction):
+        return (3, v)
     raise TypeError(f"unsupported scalar: {v!r}")
 
 
@@ -246,6 +248,14 @@ class ContractCode:
     best trace reaches the bounds built from it, and skips a move whose
     next state's bounds cannot beat the node's best.  The defaults give the
     any-trace answer.  The default bound is the contract's wealth.
+
+    ``reads_height`` declares that the contract's methods read the block
+    height.  ``height_thresholds``, when given, further declares the only
+    heights its reads compare with: its methods then observe the height
+    only through ``MethodCtx.height_reached(t)`` for a ``t`` listed there,
+    and never read it raw.  The search then keys its memo on how many
+    transactions are left before the height reaches each threshold, not on
+    the height itself.
     """
 
     name: str
@@ -255,6 +265,7 @@ class ContractCode:
     intok_decl: Optional[frozenset] = frozenset()
     outtok_decl: Optional[frozenset] = frozenset()
     reads_height: bool = False
+    height_thresholds: Optional[tuple] = None   # tuple[int, ...]
     calls_out: frozenset = frozenset()
     move_generator: Optional[Callable] = None
     probes: tuple = ()   # tuple[(method[, args[, attached]])]
@@ -399,8 +410,9 @@ class MethodCtx:
     This is the whole surface a method may touch: its own balance and store,
     its arguments and attached tokens, the transaction's ``origin``, its
     direct caller ``sender``, explicit token transfers, inner calls to
-    declared dependencies, deferred final checks and the block height.
-    ``depth`` is the frame's call depth, 1 for the outermost frame.
+    declared dependencies, deferred final checks and the block height, raw
+    or compared with a declared threshold.  ``depth`` is the frame's call
+    depth, 1 for the outermost frame.
     """
 
     __slots__ = ("_sc", "origin", "sender", "depth", "self_acc", "args", "attached",
@@ -461,15 +473,34 @@ class MethodCtx:
     def put(self, key: str, value: Scalar) -> None:
         self._sc.store_of(self.self_acc)[key] = value
 
-    def height(self) -> int:
+    def _height_code(self) -> ContractCode:
         # the search keys its memo on the height only when a contract
         # declares that it reads it
-        state = self._sc.base
-        if not state.codes[self.self_acc].reads_height:
+        code = self._sc.base.codes[self.self_acc]
+        if not code.reads_height:
             raise ContractBugError(
                 f"{self.self_acc} reads the block height without declaring reads_height"
             )
-        return state.height
+        return code
+
+    def height(self) -> int:
+        """The block height, for a contract that declares no
+        ``height_thresholds``."""
+        if self._height_code().height_thresholds is not None:
+            raise ContractBugError(
+                f"{self.self_acc} reads the raw block height but declares height_thresholds"
+            )
+        return self._sc.base.height
+
+    def height_reached(self, threshold: int) -> bool:
+        """Whether the block height is at least ``threshold``, one of the
+        contract's declared ``height_thresholds``."""
+        if threshold not in (self._height_code().height_thresholds or ()):
+            raise ContractBugError(
+                f"{self.self_acc} compares the block height with {threshold!r},"
+                " which its height_thresholds does not list"
+            )
+        return self._sc.base.height >= threshold
 
     # effects
 

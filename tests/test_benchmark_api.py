@@ -130,6 +130,18 @@ def test_the_oracle_imports_nothing_from_the_search_or_the_analysis():
     assert found == []
 
 
+def test_the_oracle_keeps_the_raw_height():
+    """``oracle.py`` keys its states on the raw block height, so it must
+    never read the ``height_thresholds`` the search keys its memo on: a
+    wrong declaration would then fool the reference as well."""
+    tree = ast.parse((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "height_thresholds")
+             or (isinstance(node, ast.Name) and node.id == "height_thresholds")
+             or (isinstance(node, ast.Constant) and node.value == "height_thresholds")]
+    assert found == []
+
+
 def test_hot_path_values_have_no_instance_dict():
     """The executor and the search build and hash these values at every
     move; a Python-level instance dict would put attribute lookups and
@@ -152,7 +164,7 @@ PER_MOVE_FUNCTIONS = {
            "MethodCtx.balance", "MethodCtx.pay", "MethodCtx.call",
            "Transaction.__init__", "Transaction.key"),
     "ledger": ("Wallet.single", "Wallet.items", "Wallet.covers"),
-    "search": ("_signed", "adversary_moves"),
+    "search": ("_signed", "adversary_moves", "_MaxSearch.height_key"),
 }
 
 

@@ -23,7 +23,7 @@ from mevscope.scenario import build_state, bundled, load_bundled
 from mevscope.search import rich_state
 
 from helpers import (BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, LIGHT_FAMILIES, MICRO_FAMILIES,
-                     M, micro_bet, prices_of, random_micro, random_observed,
+                     A, M, micro_bet, prices_of, random_micro, random_observed,
                      tip_jar_state, two_adversary_pools, uniform_prices)
 from oracle import brute_best, brute_lmev, enumerate_moves
 
@@ -136,6 +136,20 @@ def _helper_states():
                   SearchBudget(max_depth=depth, exhaustive=True, ceiling=2), 0, VALUE)
 
 
+def _bet_horizon(deadline=3, depth=3):
+    """The micro bet, owned by A and by the adversary, from every height at
+    which the deadline lies beyond the horizon down to one past it, in both
+    modes at rungs 1 and 2: the memo and the skip of moves that change
+    nothing see the height only as the plies left before the deadline."""
+    for deployer, height, exhaustive, rung in itertools.product(
+            (A, M), range(deadline - depth, deadline + 2), (False, True), (1, 2)):
+        yield Row(f"micro bet owned by {deployer} at height {height}",
+                  micro_bet(0, deadline, height=height, deployer=deployer), {BET}, None,
+                  uniform_prices(("ETH", "T")),
+                  SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=2), rung,
+                  BOTH if exhaustive else WITNESS)
+
+
 def _shortcuts(source, state, delta, prices, budgets):
     """Shortcut rows for ``nonint`` at the given wallets and ``richnonint``
     at rungs 1 and 2, wherever a sufficient condition decided them."""
@@ -178,6 +192,7 @@ GROUPS = {
         _bundled(SearchBudget(max_depth=4), (1,), names=("compositions/row2_bet_on_amm.scn",))),
     "generator-micro-26": _micro_generator,
     "helper-states": _helper_states,
+    "bet-horizon": _bet_horizon,
     "shortcut-bundled": lambda: itertools.chain.from_iterable(
         _shortcuts(name, *bundled(name), [SearchBudget(max_depth=3)])
         for name in BUNDLED_SCENARIOS),

@@ -15,6 +15,11 @@ stress queries at depths 5 to 8 and at ``--grid 16``, where the search's
 cuts prune the most and its visiting order matters most.  The same command
 prints their literal too.
 
+Four reports of the bundled bet with its deadline moved to heights 1 and 2
+(``DEADLINE_PINNED``) pin the edge of the search's horizon: at depth 5 the
+witness wins at height 2, the last one a deadline of 2 allows.  The same
+command prints their literal too.
+
 The exhaustive reports (``EXHAUSTIVE_PINNED``) are the seven scenario
 commands under ``--exhaustive --depth 2``, in JSON, over every bundled
 scenario but the bet and row 2, whose signature-driven enumeration is too
@@ -25,7 +30,10 @@ generators never propose.  The same command prints their literal too.
 
 import hashlib
 import io
+import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from mevscope.cli import main
 
@@ -72,6 +80,21 @@ def deep_report_argvs():
             for q in DEEP_QUERIES}
 
 
+def deadline_report_argvs(directory) -> dict:
+    """{report id: argv} of the bet reports with a near deadline; their
+    scenario files are written into ``directory``."""
+    doc = json.loads((_SCENARIO_DIR / "bet_on_amm_oracle.scn").read_text(encoding="utf-8"))
+    runs = {}
+    for deadline in (1, 2):
+        doc["deployments"][1]["args"]["deadline"] = deadline
+        path = Path(directory) / f"bet_deadline_{deadline}.scn"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for cmd in ("richnonint", "mev"):
+            runs[f"{cmd} {path.name} --depth 5 json"] = [
+                cmd, str(path), "--depth", "5", "--format", "json"]
+    return runs
+
+
 def exhaustive_report_argvs():
     """{report id: argv} of the exhaustive JSON reports."""
     return {f"{' '.join(cmd)} {name} --exhaustive json": [
@@ -99,6 +122,11 @@ def test_the_300_reports_are_unchanged():
 def test_the_deep_reports_are_unchanged():
     got = {rid: digest(argv) for rid, argv in deep_report_argvs().items()}
     assert got == DEEP_PINNED
+
+
+def test_the_near_deadline_reports_are_unchanged(tmp_path):
+    got = {rid: digest(argv) for rid, argv in deadline_report_argvs(tmp_path).items()}
+    assert got == DEADLINE_PINNED
 
 
 def test_the_exhaustive_reports_are_unchanged():
@@ -424,6 +452,14 @@ DEEP_PINNED = {
 }
 
 
+DEADLINE_PINNED = {
+    'richnonint bet_deadline_1.scn --depth 5 json': (2, 'a127fc970a399528'),
+    'mev bet_deadline_1.scn --depth 5 json': (0, '8b41df715e01a3a8'),
+    'richnonint bet_deadline_2.scn --depth 5 json': (1, '0d7a3158a2469957'),
+    'mev bet_deadline_2.scn --depth 5 json': (0, '30be12a372850826'),
+}
+
+
 EXHAUSTIVE_PINNED = {
     'lmev airdrop_beside_amm.scn --exhaustive json': (0, 'cf330b126ad2aacb'),
     'rlmev airdrop_beside_amm.scn --exhaustive json': (0, 'd3180bceebd88915'),
@@ -562,9 +598,11 @@ EXHAUSTIVE_PINNED = {
 
 
 if __name__ == "__main__":
-    for table, argvs in (("PINNED", report_argvs()), ("DEEP_PINNED", deep_report_argvs()),
-                         ("EXHAUSTIVE_PINNED", exhaustive_report_argvs())):
-        print(f"{table} = {{")
-        for rid, argv in argvs.items():
-            print(f"    {rid!r}: {digest(argv)!r},")
-        print("}")
+    with tempfile.TemporaryDirectory() as scratch:
+        for table, argvs in (("PINNED", report_argvs()), ("DEEP_PINNED", deep_report_argvs()),
+                             ("DEADLINE_PINNED", deadline_report_argvs(scratch)),
+                             ("EXHAUSTIVE_PINNED", exhaustive_report_argvs())):
+            print(f"{table} = {{")
+            for rid, argv in argvs.items():
+                print(f"    {rid!r}: {digest(argv)!r},")
+            print("}")

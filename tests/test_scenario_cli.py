@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import mevscope.cli
-from mevscope import (REGISTRY, Account, ScenarioError, SearchBudget, StrippingReport, Wallet,
-                      global_mev, verify_stripping)
+from mevscope import (REGISTRY, Account, MethodDef, ScenarioError, SearchBudget,
+                      StrippingReport, Wallet, global_mev, verify_stripping)
 from mevscope.cli import (EXIT_CLOSED_STDOUT, EXIT_INTERNAL, EXIT_SCENARIO, EXIT_USAGE,
                           build_parser, main)
 from mevscope.scenario import (build_state, load_bundled, load_scenario, parse_scenario,
@@ -372,6 +372,29 @@ def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
     code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))
     assert code == EXIT_INTERNAL and out == ""
     assert "Bet reads the block height without declaring reads_height" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, body, error", (
+    ("win", lambda c: c.require(c.height() >= 0),
+     "Bet reads the raw block height but declares height_thresholds"),
+    ("close", lambda c: c.require(c.height_reached(1000)),
+     "Bet compares the block height with 1000, which its height_thresholds does not list"),
+), ids=("raw-height", "undeclared-threshold"))
+def test_a_height_read_the_thresholds_do_not_cover_exits_internal(method, body, error,
+                                                                   monkeypatch, capsys):
+    """The Bet declares the one threshold ``deadline + 1``: a raw read of
+    the height, or a comparison with another height, is a contract bug,
+    since the search's memo keeps only how far each threshold is."""
+    bet = REGISTRY["bet"]
+
+    def build(name, **params):
+        code = bet.build(name, **params)
+        return dataclasses.replace(code, methods={**code.methods, method: MethodDef(body)})
+
+    monkeypatch.setitem(REGISTRY, "bet", dataclasses.replace(bet, build=build))
+    code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))
+    assert code == EXIT_INTERNAL and out == ""
+    assert error in capsys.readouterr().err
 
 
 def test_a_lying_sender_agnostic_flag_is_a_strip_check_mismatch(monkeypatch):

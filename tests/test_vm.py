@@ -363,6 +363,29 @@ def test_reading_the_height_needs_the_declaration():
         execute(deploy(start, undeclared, deployer=A), peek_tx)
 
 
+def test_a_contract_with_thresholds_observes_the_height_only_through_them():
+    """A contract that declares ``height_thresholds`` compares the height
+    with them, on either side of one, and reading it raw or comparing it
+    with an undeclared height is a contract bug, not a rollback."""
+    def by(threshold):
+        return MethodDef(lambda c: c.require(c.height_reached(threshold)))
+
+    code = ContractCode(name="Clock", reads_height=True, height_thresholds=(2,),
+                        methods={"due": by(2), "early": by(1),
+                                 "raw": MethodDef(lambda c: c.require(c.height() >= 0))})
+    clock = Account.contract("Clock")
+    state = deploy(genesis({M: Wallet()}, adversary=[M]), code, deployer=A)
+    due = Transaction(M, clock, "due")
+    assert [execute(state.with_height(h), due).valid for h in range(4)] == [False, False,
+                                                                             True, True]
+    with pytest.raises(ContractBugError,
+                       match="^Clock reads the raw block height but declares height_thresholds$"):
+        execute(state, Transaction(M, clock, "raw"))
+    with pytest.raises(ContractBugError, match="^Clock compares the block height with 1, which "
+                                               "its height_thresholds does not list$"):
+        execute(state.with_height(3), Transaction(M, clock, "early"))
+
+
 def test_calls_must_be_listed_in_calls_out():
     """``calls_out`` is the one declaration of call edges: the dependency set
     is derived from it, and a call to an unlisted dependency or to an
