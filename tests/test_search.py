@@ -499,18 +499,18 @@ def test_span_cut_bounds_the_execute_count(argv, most, monkeypatch):
 
 
 STRESS_SET = (
-    (("richnonint", "bet_on_amm_oracle.scn"), 3_134, 1),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 3_256, 1),
-    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 3_544, 1),
-    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 598, 1),
-    (("nonint", "bet_on_amm_oracle.scn", "--grid", "16"), 1_382, 1),
-    (("mev", "bet_on_amm_oracle.scn", "--depth", "5"), 556, 0),
-    (("strip-check", "bet_on_amm_oracle.scn"), 3_078, 0),
+    (("richnonint", "bet_on_amm_oracle.scn"), 1_839, 1),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "5"), 2_418, 1),
+    (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 2_320, 1),
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 393, 1),
+    (("nonint", "bet_on_amm_oracle.scn", "--grid", "16"), 728, 1),
+    (("mev", "bet_on_amm_oracle.scn", "--depth", "5"), 309, 0),
+    (("strip-check", "bet_on_amm_oracle.scn"), 1_823, 0),
     (("rlmev", "two_amms.scn", "--depth", "8"), 28, 0),
     (("strip-check", "two_amms.scn"), 32, 0),
     (("mev", "compositions/row7_lp_arbitrage.scn", "--exhaustive", "--depth", "2"), 2_981, 0),
-    (("table2",), 3_134, 0),
-    (("examples",), 1_003, 0),
+    (("table2",), 1_839, 0),
+    (("examples",), 795, 0),
     (("battery", "--seed", "1"), 496, 0),
 )
 
@@ -540,8 +540,8 @@ def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
 
 
 @pytest.mark.parametrize("exhaustive, depth, pinned", (
-    (False, 3, 10_331),
-    (True, 2, 20_097),
+    (False, 3, 9_332),
+    (True, 2, 18_447),
 ), ids=("generator-depth-3", "exhaustive-depth-2"))
 def test_micro_ladder_execute_count_is_pinned(exhaustive, depth, pinned, monkeypatch):
     """Every rung is a full ``lmev`` search: the same 200 ladders make
