@@ -262,13 +262,13 @@ class _MaxSearch:
         self.bounders = tuple((a, state.codes[a].loss_bound, a.name in callees,
                                sign > 0 or a in counted) for a in state.order)
         self.tokens = prices.tokens()
-        # what the memo key keeps of the height (``height_key``): the raw
-        # height when a contract reads it raw, else the distance to each
-        # threshold a reader declares (none when no contract reads it)
-        readers = [state.codes[a] for a in state.order if state.codes[a].reads_height]
-        self.raw_height = any(code.height_thresholds is None for code in readers)
-        self.thresholds = tuple(sorted({t for code in readers
-                                        for t in code.height_thresholds or ()}))
+        # what the memo key keeps of the height (``height_key``): nothing
+        # when no contract reads it, the raw height (thresholds None) when
+        # one reads it raw, else the distance to each declared threshold
+        declared = [state.codes[a].height_thresholds for a in state.order
+                    if state.codes[a].reads_height]
+        self.reads_height = bool(declared)
+        self.thresholds = None if None in declared else tuple(sorted(set().union(*declared)))
         self.memo: dict = {}
         self.capped = False
         # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
@@ -305,9 +305,10 @@ class _MaxSearch:
         ``height`` to ``height + plies - 1``, so states with equal
         ``core_key()`` and equal keys at ``plies`` give the same traces the
         same changes."""
-        if self.raw_height:
+        thresholds = self.thresholds
+        if thresholds is None:
             return height
-        return tuple([max(0, min(t - height, plies)) for t in self.thresholds])
+        return tuple([max(0, min(t - height, plies)) for t in thresholds])
 
     def _exhaustive_moves(self, state):
         """``universal_moves(state, ...)``, enumerated once per user set.
@@ -359,7 +360,9 @@ class _MaxSearch:
         skipped by key."""
         memo, budget, restriction = self.memo, self.budget, self.restriction
         groups, units, sign = self.groups, self.prices.units, self.sign
-        bounds, height_key = self.bounds, self.height_key
+        bounds = self.bounds
+        # None when no contract reads the height, which the key then leaves out
+        height_key = self.height_key if self.reads_height else None
         # ``adversary_moves`` is looked up at each node, so a wrapper set on
         # the module sees every call
         moves_of = (self._exhaustive_moves if budget.exhaustive
@@ -370,7 +373,8 @@ class _MaxSearch:
         optimistic = operator.itemgetter(0, 1, 2, 3)
 
         def best(state, k):
-            mkey = (state.core_key(), height_key(state.height, k), k)
+            core = state.core_key()
+            mkey = (core, k) if height_key is None else (core, height_key(state.height, k), k)
             hit = memo.get(mkey)
             if hit is not None:
                 return hit
@@ -397,9 +401,9 @@ class _MaxSearch:
                         length, first = 1, tx.key()
                 # a child that behaves as the node does for k - 1 plies only
                 # leads to traces the node searches one move shorter
-                if k > 1 and not (dv == dg == 0 and nxt.core_key() == state.core_key()
-                                  and height_key(nxt.height, k - 1)
-                                  == height_key(state.height, k - 1)):
+                if k > 1 and not (dv == dg == 0 and nxt.core_key() == core
+                                  and (height_key is None or height_key(nxt.height, k - 1)
+                                       == height_key(state.height, k - 1))):
                     vb, gb = bounds(nxt, k - 1)
                     children.append((sign * dv + vb, dg + gb, vb, gb, tx, dv, dg, nxt))
             # best-first; the sort is stable, so ties keep move order

@@ -136,11 +136,12 @@ def _helper_states():
                   SearchBudget(max_depth=depth, exhaustive=True, ceiling=2), 0, VALUE)
 
 
-def _bet_horizon(deadline=3, depth=3):
+def _bet_horizon():
     """The micro bet, owned by A and by the adversary, from every height at
     which the deadline lies beyond the horizon down to one past it, in both
     modes at rungs 1 and 2: the memo and the skip of moves that change
     nothing see the height only as the plies left before the deadline."""
+    deadline = depth = 3
     for deployer, height, exhaustive, rung in itertools.product(
             (A, M), range(deadline - depth, deadline + 2), (False, True), (1, 2)):
         yield Row(f"micro bet owned by {deployer} at height {height}",
