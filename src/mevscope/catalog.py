@@ -339,7 +339,6 @@ def _bet_build(name: str, oracle, token, rate, deadline, pot_token) -> ContractC
         constructor=ctor,
         intok_decl=frozenset({pot_token}),
         outtok_decl=frozenset({pot_token}),
-        reads_height=True,
         height_thresholds=(deadline + 1,),
         calls_out=frozenset({(oracle, "getRate"), (oracle, "getTokens")}),
         move_generator=gen,

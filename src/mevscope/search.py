@@ -19,19 +19,18 @@ transactions (a longer trace may still extract more).
 Invalid transactions are pruned: they cannot change any gain.  When a
 deployed contract reads the block height, the moves include a tick, a call
 the executor runs with no body, whose sole effect is advancing the height.
-The memo key holds what a trace can observe of the height
-(``_MaxSearch.height_key``): nothing when no contract reads it, the raw
-height when one reads it raw, and otherwise, for each height threshold the
-readers declare, the plies before the height reaches it, capped at the
-plies left.  A valid move that changes no wallet and no contract store, and
-after which the state behaves as before for one ply fewer (equal
-``core_key()`` and equal height keys at k - 1), is not expanded: a trace
-through it ties in value and gain with the same trace less that move, which
-is shorter and which the node searches itself, so it never wins (a
-dominance rule; Ibaraki 1977).  So a tick that reaches no threshold within
-the horizon is not searched further, and states reached at different
-heights share a memo entry.  A raw reader's height changes at every move,
-so then no move is skipped.
+A contract reads the height only by comparing it with the thresholds its
+code declares, so the memo key holds, for each declared threshold, the
+plies before the height reaches it, capped at the plies left
+(``_MaxSearch.height_key``), and nothing when no contract declares one.  A
+valid move that changes no wallet and no contract store, and after which
+the state behaves as before for one ply fewer (equal ``core_key()`` and
+equal height keys at k - 1), is not expanded: a trace through it ties in
+value and gain with the same trace less that move, which is shorter and
+which the node searches itself, so it never wins (a dominance rule;
+Ibaraki 1977).  So a tick that reaches no threshold within the horizon is
+not searched further, and states reached at different heights share a memo
+entry.
 
 Every ply is scored the same way: ``vm.execute_delta`` runs the move and
 reads the wealth changes of the objective's accounts and of the adversary off
@@ -262,13 +261,10 @@ class _MaxSearch:
         self.bounders = tuple((a, state.codes[a].loss_bound, a.name in callees,
                                sign > 0 or a in counted) for a in state.order)
         self.tokens = prices.tokens()
-        # what the memo key keeps of the height (``height_key``): nothing
-        # when no contract reads it, the raw height (thresholds None) when
-        # one reads it raw, else the distance to each declared threshold
-        declared = [state.codes[a].height_thresholds for a in state.order
-                    if state.codes[a].reads_height]
-        self.reads_height = bool(declared)
-        self.thresholds = None if None in declared else tuple(sorted(set().union(*declared)))
+        # every height threshold a deployed contract declares: the memo key
+        # keeps the distance to each (``height_key``)
+        self.thresholds = tuple(sorted(set().union(
+            *(state.codes[a].height_thresholds for a in state.order))))
         self.memo: dict = {}
         self.capped = False
         # exhaustive mode: sorted user accounts -> ``universal_moves``' answer
@@ -299,16 +295,12 @@ class _MaxSearch:
 
     def height_key(self, height: int, plies: int):
         """What a trace of at most ``plies`` moves from a state at ``height``
-        can observe of the height: the height itself when a contract reads
-        it raw, else, for each threshold ``t``, the moves before the height
-        reaches it, capped at ``plies``.  Those moves run at heights
-        ``height`` to ``height + plies - 1``, so states with equal
+        can observe of the height: for each threshold ``t``, the moves before
+        the height reaches it, capped at ``plies``.  Those moves run at
+        heights ``height`` to ``height + plies - 1``, so states with equal
         ``core_key()`` and equal keys at ``plies`` give the same traces the
         same changes."""
-        thresholds = self.thresholds
-        if thresholds is None:
-            return height
-        return tuple([max(0, min(t - height, plies)) for t in thresholds])
+        return tuple([max(0, min(t - height, plies)) for t in self.thresholds])
 
     def _exhaustive_moves(self, state):
         """``universal_moves(state, ...)``, enumerated once per user set.
@@ -361,8 +353,9 @@ class _MaxSearch:
         memo, budget, restriction = self.memo, self.budget, self.restriction
         groups, units, sign = self.groups, self.prices.units, self.sign
         bounds = self.bounds
-        # None when no contract reads the height, which the key then leaves out
-        height_key = self.height_key if self.reads_height else None
+        # None when no contract declares a height threshold, which the key
+        # then leaves out
+        height_key = self.height_key if self.thresholds else None
         # ``adversary_moves`` is looked up at each node, so a wrapper set on
         # the module sees every call
         moves_of = (self._exhaustive_moves if budget.exhaustive

@@ -249,13 +249,11 @@ class ContractCode:
     next state's bounds cannot beat the node's best.  The defaults give the
     any-trace answer.  The default bound is the contract's wealth.
 
-    ``reads_height`` declares that the contract's methods read the block
-    height.  ``height_thresholds``, when given, further declares the only
-    heights its reads compare with: its methods then observe the height
-    only through ``MethodCtx.height_reached(t)`` for a ``t`` listed there,
-    and never read it raw.  The search then keys its memo on how many
-    transactions are left before the height reaches each threshold, not on
-    the height itself.
+    ``height_thresholds`` lists the only heights the contract's methods
+    compare the block height with, through ``MethodCtx.height_reached(t)``;
+    they observe the height no other way.  The search keys its memo on how
+    many transactions are left before the height reaches each threshold.
+    ``reads_height``, derived from it, says whether the list is non-empty.
     """
 
     name: str
@@ -264,17 +262,18 @@ class ContractCode:
     sender_agnostic: bool = True
     intok_decl: Optional[frozenset] = frozenset()
     outtok_decl: Optional[frozenset] = frozenset()
-    reads_height: bool = False
-    height_thresholds: Optional[tuple] = None   # tuple[int, ...]
+    height_thresholds: tuple = ()   # tuple[int, ...]
     calls_out: frozenset = frozenset()
     move_generator: Optional[Callable] = None
     probes: tuple = ()   # tuple[(method[, args[, attached]])]
     loss_bound: Callable = wealth_bound
     declared_deps: frozenset = field(init=False)
+    reads_height: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "declared_deps",
                            frozenset(dep for dep, _ in self.calls_out))
+        object.__setattr__(self, "reads_height", bool(self.height_thresholds))
 
     @property
     def account(self) -> Account:
@@ -410,8 +409,8 @@ class MethodCtx:
     This is the whole surface a method may touch: its own balance and store,
     its arguments and attached tokens, the transaction's ``origin``, its
     direct caller ``sender``, explicit token transfers, inner calls to
-    declared dependencies, deferred final checks and the block height, raw
-    or compared with a declared threshold.  ``depth`` is the frame's call
+    declared dependencies, deferred final checks and the block height,
+    compared with a declared threshold.  ``depth`` is the frame's call
     depth, 1 for the outermost frame.
     """
 
@@ -473,29 +472,10 @@ class MethodCtx:
     def put(self, key: str, value: Scalar) -> None:
         self._sc.store_of(self.self_acc)[key] = value
 
-    def _height_code(self) -> ContractCode:
-        # the search keys its memo on the height only when a contract
-        # declares that it reads it
-        code = self._sc.base.codes[self.self_acc]
-        if not code.reads_height:
-            raise ContractBugError(
-                f"{self.self_acc} reads the block height without declaring reads_height"
-            )
-        return code
-
-    def height(self) -> int:
-        """The block height, for a contract that declares no
-        ``height_thresholds``."""
-        if self._height_code().height_thresholds is not None:
-            raise ContractBugError(
-                f"{self.self_acc} reads the raw block height but declares height_thresholds"
-            )
-        return self._sc.base.height
-
     def height_reached(self, threshold: int) -> bool:
         """Whether the block height is at least ``threshold``, one of the
         contract's declared ``height_thresholds``."""
-        if threshold not in (self._height_code().height_thresholds or ()):
+        if threshold not in self._sc.base.codes[self.self_acc].height_thresholds:
             raise ContractBugError(
                 f"{self.self_acc} compares the block height with {threshold!r},"
                 " which its height_thresholds does not list"

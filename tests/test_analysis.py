@@ -142,8 +142,9 @@ class TestStability:
     def test_a_height_reading_context_is_probed_after_a_tick(self):
         """A context whose probe reads the height changes what the subject
         observes with one tick, though the tick changes nothing else."""
-        clock = ContractCode(name="Clock", methods={"now": MethodDef(lambda c: c.height() % 2)},
-                             reads_height=True, probes=(("now",),))
+        clock = ContractCode(name="Clock",
+                             methods={"now": MethodDef(lambda c: c.height_reached(1))},
+                             height_thresholds=(1,), probes=(("now",),))
         status, witness = stable_wrt_adversary(*_context_and_reader(clock),
                                                SearchBudget(max_depth=3))
         assert status == "unstable"

@@ -23,14 +23,14 @@ from mevscope.scenario import build_state, bundled, load_bundled
 from mevscope.search import rich_state
 
 from helpers import (BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, LIGHT_FAMILIES, MICRO_FAMILIES,
-                     A, M, micro_bet, prices_of, random_micro, random_observed,
+                     A, M, build, micro_bet, prices_of, random_micro, random_observed,
                      tip_jar_state, two_adversary_pools, uniform_prices)
 from oracle import brute_best, brute_lmev, enumerate_moves
 
 Row = namedtuple("Row", "source state observed restriction prices budget rung oracles shortcut",
                  defaults=(False,))
 BOTH, WITNESS, VALUE = ("brute_lmev", "brute_best"), ("brute_best",), ("brute_lmev",)
-BET, AMM2, JAR = (Account.contract(n) for n in ("Bet", "AMM2", "Jar"))
+BET, BET1, BET2, AMM2, JAR = (Account.contract(n) for n in ("Bet", "Bet1", "Bet2", "AMM2", "Jar"))
 # (oracle, state key and deployed code ids, as states compare without codes,
 # prices, observed, restriction, budget) -> (the codes, kept so that their ids
 # stay theirs, (value, witness or None))
@@ -151,6 +151,24 @@ def _bet_horizon():
                   BOTH if exhaustive else WITNESS)
 
 
+def _two_deadlines():
+    """Two 1 ETH micro bets, Bet1 and Bet2, on one 2/2 ETH-T pool, with
+    deadlines (1, 3) and (2, 4), owned by A and by the adversary, from
+    heights 0 to 3, in both modes: the memo keys on how far each of the
+    two thresholds is, and a key that drops either one merges states
+    whose traces differ."""
+    pool = ("amm", "AMM", {"t0": "ETH", "t1": "T"}, {"ETH": 2, "T": 2})
+    for deadlines, deployer, height, exhaustive in itertools.product(
+            ((1, 3), (2, 4)), (A, M), range(4), (False, True)):
+        bets = [("bet", f"Bet{i}", {"oracle": "AMM", "token": "T", "rate": 1, "deadline": d},
+                 {"ETH": 1}) for i, d in enumerate(deadlines, 1)]
+        state = build({M: {}}, [pool, *bets], height=height, deployer=deployer)
+        for observed in ({BET1}, {BET2}, {BET1, BET2}):
+            yield Row(f"bets with deadlines {deadlines} owned by {deployer} at height {height}",
+                      state, observed, None, uniform_prices(("ETH", "T")),
+                      SearchBudget(max_depth=3, exhaustive=exhaustive, ceiling=2), 1, WITNESS)
+
+
 def _shortcuts(source, state, delta, prices, budgets):
     """Shortcut rows for ``nonint`` at the given wallets and ``richnonint``
     at rungs 1 and 2, wherever a sufficient condition decided them."""
@@ -194,6 +212,7 @@ GROUPS = {
     "generator-micro-26": _micro_generator,
     "helper-states": _helper_states,
     "bet-horizon": _bet_horizon,
+    "two-deadlines": _two_deadlines,
     "shortcut-bundled": lambda: itertools.chain.from_iterable(
         _shortcuts(name, *bundled(name), [SearchBudget(max_depth=3)])
         for name in BUNDLED_SCENARIOS),

@@ -360,36 +360,23 @@ def test_a_reader_that_closes_first_sees_the_closed_stdout_code():
     assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, b"")
 
 
-def test_an_undeclared_height_read_exits_internal(monkeypatch, capsys):
-    """A Bet that reads the height without declaring it is a contract bug:
-    the search's memo would ignore the height it reads."""
-    bet = REGISTRY["bet"]
-
-    def build(name, **params):
-        return dataclasses.replace(bet.build(name, **params), reads_height=False)
-
-    monkeypatch.setitem(REGISTRY, "bet", dataclasses.replace(bet, build=build))
-    code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))
-    assert code == EXIT_INTERNAL and out == ""
-    assert "Bet reads the block height without declaring reads_height" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("method, body, error", (
-    ("win", lambda c: c.require(c.height() >= 0),
-     "Bet reads the raw block height but declares height_thresholds"),
-    ("close", lambda c: c.require(c.height_reached(1000)),
+@pytest.mark.parametrize("amend, error", (
+    (lambda code: dataclasses.replace(code, height_thresholds=()),
+     "Bet compares the block height with 1001, which its height_thresholds does not list"),
+    (lambda code: dataclasses.replace(code, methods={
+        **code.methods, "close": MethodDef(lambda c: c.require(c.height_reached(1000)))}),
      "Bet compares the block height with 1000, which its height_thresholds does not list"),
-), ids=("raw-height", "undeclared-threshold"))
-def test_a_height_read_the_thresholds_do_not_cover_exits_internal(method, body, error,
+), ids=("no-threshold", "undeclared-threshold"))
+def test_a_height_read_the_thresholds_do_not_cover_exits_internal(amend, error,
                                                                    monkeypatch, capsys):
-    """The Bet declares the one threshold ``deadline + 1``: a raw read of
-    the height, or a comparison with another height, is a contract bug,
-    since the search's memo keeps only how far each threshold is."""
+    """The Bet declares the one threshold ``deadline + 1``: a Bet that
+    declares none, or compares the height with another one, is a contract
+    bug, since the search's memo keeps only how far each declared threshold
+    is."""
     bet = REGISTRY["bet"]
 
     def build(name, **params):
-        code = bet.build(name, **params)
-        return dataclasses.replace(code, methods={**code.methods, method: MethodDef(body)})
+        return amend(bet.build(name, **params))
 
     monkeypatch.setitem(REGISTRY, "bet", dataclasses.replace(bet, build=build))
     code, out = run_cli("lmev", _path("bet_on_amm_oracle.scn"))

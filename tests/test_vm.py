@@ -350,37 +350,32 @@ def test_sender_agnostic_flags_match_behaviour():
 
 
 def test_reading_the_height_needs_the_declaration():
-    def peek(c):
-        c.require(c.height() >= 0)
-
-    undeclared = ContractCode(name="Clock", methods={"peek": MethodDef(peek)})
-    declared = dataclasses.replace(undeclared, reads_height=True)
+    undeclared = ContractCode(name="Clock",
+                              methods={"peek": MethodDef(lambda c: c.height_reached(1))})
+    declared = dataclasses.replace(undeclared, height_thresholds=(1,))
+    assert (undeclared.reads_height, declared.reads_height) == (False, True)
     peek_tx = Transaction(M, Account.contract("Clock"), "peek")
     start = genesis({M: Wallet()}, adversary=[M])
     assert execute(deploy(start, declared, deployer=A), peek_tx).valid
-    with pytest.raises(ContractBugError,
-                       match="^Clock reads the block height without declaring reads_height$"):
+    with pytest.raises(ContractBugError, match="^Clock compares the block height with 1, which "
+                                               "its height_thresholds does not list$"):
         execute(deploy(start, undeclared, deployer=A), peek_tx)
 
 
 def test_a_contract_with_thresholds_observes_the_height_only_through_them():
     """A contract that declares ``height_thresholds`` compares the height
-    with them, on either side of one, and reading it raw or comparing it
-    with an undeclared height is a contract bug, not a rollback."""
+    with them, on either side of one, and comparing it with an undeclared
+    height is a contract bug, not a rollback."""
     def by(threshold):
         return MethodDef(lambda c: c.require(c.height_reached(threshold)))
 
-    code = ContractCode(name="Clock", reads_height=True, height_thresholds=(2,),
-                        methods={"due": by(2), "early": by(1),
-                                 "raw": MethodDef(lambda c: c.require(c.height() >= 0))})
+    code = ContractCode(name="Clock", height_thresholds=(2,),
+                        methods={"due": by(2), "early": by(1)})
     clock = Account.contract("Clock")
     state = deploy(genesis({M: Wallet()}, adversary=[M]), code, deployer=A)
     due = Transaction(M, clock, "due")
     assert [execute(state.with_height(h), due).valid for h in range(4)] == [False, False,
                                                                              True, True]
-    with pytest.raises(ContractBugError,
-                       match="^Clock reads the raw block height but declares height_thresholds$"):
-        execute(state, Transaction(M, clock, "raw"))
     with pytest.raises(ContractBugError, match="^Clock compares the block height with 1, which "
                                                "its height_thresholds does not list$"):
         execute(state.with_height(3), Transaction(M, clock, "early"))
