@@ -2,10 +2,15 @@
 
 The engine maximises over traces of adversary-crafted transactions, bounded
 by a trace-length budget.  Contracts propose calls, through their move
-generators or, in micro mode, by exhaustive signature-driven enumeration (run
-once per search for each user set it reaches: see
-``_MaxSearch._exhaustive_moves``), and one signer, ``_signed``, sends each
-call from every adversary account whose wallet covers its attachment.  A
+generators or, in micro mode, by exhaustive signature-driven enumeration,
+and one signer, ``_signed``, sends each call from every adversary account
+whose wallet covers its attachment.  The enumeration runs once per key for
+the whole process: a contract's call list depends only on its method
+signatures (their values keyed with their types, since ``True``, ``1`` and
+``Fraction(1)`` are equal and hash alike), the tokens, the account domain
+and the ceiling, and ``CALL_CACHE_CAP`` bounds the calls cached over all
+lists (``_contract_calls``).  The signing runs once per search for each
+user set it reaches (``_MaxSearch._exhaustive_moves``).  A
 call its origin cannot pay is rejected at the debit, before the contract
 runs, so it can change no value, witness or verdict.  The exhaustive table
 alone keeps such calls, since one table serves every adversary wallet a
@@ -105,6 +110,9 @@ from .vm import (
 
 ESCALATION_CAP = 20          # wealthy-adversary wallet doublings before giving up
 MEMO_CAP = 2_000_000         # memo entries per search; past it the search runs unmemoised
+# calls the process-wide exhaustive call-list cache holds over all its lists:
+# about 15 MB at the 300 bytes a call measured on CPython 3.11
+CALL_CACHE_CAP = 50_000
 # ``_MaxSearch.run`` recurses once per ply: keep the deepest search well under
 # CPython's default limit of 1,000 frames
 MAX_SEARCH_DEPTH = 256
@@ -196,6 +204,52 @@ def default_ceiling(state: BlockchainState) -> int:
     return max([n for _, n in supply.items()] + [3])
 
 
+class _CallLists(dict):
+    """The process-wide cache of per-contract exhaustive call lists: key ->
+    call tuple, oldest first.  ``calls`` counts the calls it holds, which
+    ``CALL_CACHE_CAP`` bounds: a list longer than the cap is not kept, and
+    adding one drops the oldest lists until the rest fit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def add(self, key, calls: tuple) -> None:
+        if len(calls) > CALL_CACHE_CAP:
+            return
+        self[key] = calls
+        self.calls += len(calls)
+        while self.calls > CALL_CACHE_CAP:
+            self.calls -= len(self.pop(next(iter(self))))
+
+    def clear(self) -> None:
+        super().clear()
+        self.calls = 0
+
+
+_CALL_LISTS = _CallLists()
+
+
+def _contract_calls(code, tokens: tuple, accounts: tuple, ceiling: int) -> tuple:
+    """Every call ``(method, args, attached)`` to a contract of ``code``:
+    each method with every argument tuple from its declared domains and
+    every attachment up to ``ceiling``.  A pure function of
+    ``code.signature``, the tokens, the account domain and the ceiling, so
+    it is enumerated once per key for the whole process (``_CALL_LISTS``)."""
+    key = (code.signature, tokens, accounts, ceiling)
+    calls = _CALL_LISTS.get(key)
+    if calls is None:
+        out = []
+        for mname, mdef in sorted(code.methods.items()):
+            arg_domains = [a.domain(tokens, accounts, ceiling) for a in mdef.args]
+            slot_domains = [tuple(s.combos(tokens, ceiling)) for s in mdef.attach]
+            out += [(mname, args, Wallet(combo)) for args in itertools.product(*arg_domains)
+                    for combo in itertools.product(*slot_domains)]
+        calls = tuple(out)
+        _CALL_LISTS.add(key, calls)
+    return calls
+
+
 def universal_moves(state: BlockchainState, tokens: Sequence[Token],
                     budget: SearchBudget, restriction=None) -> tuple:
     """Exhaustive signature-driven enumeration of adversary transactions.
@@ -205,22 +259,26 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
     ceiling, and ``_signed`` sends each call from every adversary account,
     those calls it cannot pay too.  Intended for micro states; guard-only
     arguments declare singleton domains, documented on the signatures
-    themselves.  The search fills a per-search table from it once for each
-    user set, rather than calling it at every node, so the table is the
-    same whatever the adversary holds.
+    themselves.
+
+    A contract's call list is enumerated once per key for the whole
+    process (``_contract_calls``); only the signing runs at every call.
+    The key holds the contract's ``ContractCode.signature`` (its method
+    names, ``ArgSpec``s and ``AttachSpec``s, each value paired with its
+    type, since the spec dataclasses compare and hash ``True``, ``1`` and
+    ``Fraction(1)`` alike), the tokens, the account domain (the sorted
+    users, then the deployment order) and the ceiling.  ``CALL_CACHE_CAP``
+    bounds the calls cached over all lists.  The search fills a per-search
+    table from this function once for each user set, rather than calling it
+    at every node, so the table is the same whatever the adversary holds.
     """
     ceiling = budget.ceiling if budget.ceiling is not None else default_ceiling(state)
+    tokens = tuple(tokens)
     accounts = tuple(sorted(state.users)) + tuple(state.order)
-
-    def calls(acc):
-        out = []
-        for mname, mdef in sorted(state.codes[acc].methods.items()):
-            arg_domains = [a.domain(tokens, accounts, ceiling) for a in mdef.args]
-            slot_domains = [tuple(s.combos(tokens, ceiling)) for s in mdef.attach]
-            out += [(mname, args, Wallet(combo)) for args in itertools.product(*arg_domains)
-                    for combo in itertools.product(*slot_domains)]
-        return out
-    return _signed(state, restriction, calls, unpayable=True)
+    codes = state.codes
+    return _signed(state, restriction,
+                   lambda acc: _contract_calls(codes[acc], tokens, accounts, ceiling),
+                   unpayable=True)
 
 
 def _better(cand, best) -> bool:
@@ -303,14 +361,18 @@ class _MaxSearch:
         return tuple([max(0, min(t - height, plies)) for t in self.thresholds])
 
     def _exhaustive_moves(self, state):
-        """``universal_moves(state, ...)``, enumerated once per user set.
+        """``universal_moves(state, ...)``, signed once per user set.
 
         Within one search the enumeration reads the state only through its
         account domain, the sorted users followed by the deployment order:
         tokens, restriction, deployed code, adversary and ceiling are fixed,
         and the default ceiling is the largest token supply, which no
         transaction changes.  The deployment order is fixed too, so the
-        users alone key the table."""
+        users alone key the table.  Each contract's call list behind it
+        comes from the process-wide cache of ``_contract_calls``, keyed on
+        the signatures, tokens, account domain and ceiling, so a search
+        enumerates only the lists no earlier search did, and signs every
+        table itself."""
         ukey = tuple(sorted(state.users))
         moves = self.move_table.get(ukey)
         if moves is None:

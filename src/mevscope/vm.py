@@ -187,6 +187,15 @@ class AttachSpec:
                 yield (t, n)
 
 
+def _typed(value):
+    """``value`` with the type of each scalar in it: ``True``, ``1`` and
+    ``Fraction(1)`` are equal and hash alike, and so do the spec
+    dataclasses holding them, but as arguments they make different calls."""
+    if value.__class__ is tuple:
+        return tuple([_typed(v) for v in value])
+    return (value.__class__, value)
+
+
 @dataclass(frozen=True, eq=False)
 class MethodDef:
     fn: Callable
@@ -254,6 +263,11 @@ class ContractCode:
     they observe the height no other way.  The search keys its memo on how
     many transactions are left before the height reaches each threshold.
     ``reads_height``, derived from it, says whether the list is non-empty.
+
+    ``signature``, derived from ``methods``, is what the exhaustive move
+    enumerator reads of them: per method, by name, its ``ArgSpec`` kinds
+    and choices and its ``AttachSpec`` tokens and amounts, each value
+    paired with its type (``_typed``).
     """
 
     name: str
@@ -269,11 +283,16 @@ class ContractCode:
     loss_bound: Callable = wealth_bound
     declared_deps: frozenset = field(init=False)
     reads_height: bool = field(init=False)
+    signature: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "declared_deps",
                            frozenset(dep for dep, _ in self.calls_out))
         object.__setattr__(self, "reads_height", bool(self.height_thresholds))
+        object.__setattr__(self, "signature", tuple([
+            (name, tuple([(a.kind, _typed(a.choices)) for a in m.args]),
+             tuple([(_typed(s.tokens), _typed(s.amounts)) for s in m.attach]))
+            for name, m in sorted(self.methods.items())]))
 
     @property
     def account(self) -> Account:
@@ -362,11 +381,10 @@ class _Scratch:
         return True
 
     def unit_change(self, acc: Account, units: Mapping[Token, int]) -> int:
-        """Wealth change of ``acc`` since the base state, in the integer
-        price units ``units`` gives per token (as ``PriceMap.units``)."""
-        d = self.w.get(acc)
-        if d is None:
-            return 0
+        """Wealth change of ``acc``, an account the overlay touched, since
+        the base state, in the integer price units ``units`` gives per token
+        (as ``PriceMap.units``)."""
+        d = self.w[acc]
         before = self.base_wallet(acc)
         total = 0
         for tok, n in d.items():

@@ -18,6 +18,7 @@ from mevscope import (
     build_state,
     deploy,
     execute,
+    genesis,
     global_mev,
     lmev,
     nonint,
@@ -31,7 +32,7 @@ from mevscope import (
 from mevscope import search
 from mevscope.cli import main as cli_main
 from mevscope.scenario import bundled, load_bundled, scenario_path
-from mevscope.vm import TICK_METHOD, execute_delta
+from mevscope.vm import TICK_METHOD, ArgSpec, ContractCode, MethodDef, execute_delta
 
 from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, B, N, bet_state, build, micro_bet,
                      random_micro, prices_of, random_observed, tip_jar_state, two_adversary_pools,
@@ -504,6 +505,8 @@ STRESS_SET = (
     (("richnonint", "bet_on_amm_oracle.scn", "--depth", "8"), 2_320, 1),
     (("nonint", "bet_on_amm_oracle.scn", "--depth", "6"), 393, 1),
     (("nonint", "bet_on_amm_oracle.scn", "--grid", "16"), 728, 1),
+    (("richnonint", "bet_on_amm_oracle.scn", "--grid", "32"), 22_599, 1),
+    (("nonint", "bet_on_amm_oracle.scn", "--depth", "8"), 410, 1),
     (("mev", "bet_on_amm_oracle.scn", "--depth", "5"), 309, 0),
     (("strip-check", "bet_on_amm_oracle.scn"), 1_823, 0),
     (("rlmev", "two_amms.scn", "--depth", "8"), 28, 0),
@@ -526,16 +529,24 @@ def test_stress_set_execute_counts_are_pinned(argv, executes, code, monkeypatch)
     assert _cli_run(argv, monkeypatch) == (executes, code)
 
 
-def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
-    """``execute_delta`` calls of ``rlmev`` on 200 micro states (seed 20), a
-    random set of contracts observed and every one callable."""
-    calls = _counted_executes(monkeypatch)
+def _micro_ladders(exhaustive, depth) -> list:
+    """``rlmev``'s arguments on 200 micro states (seed 20), a random set of
+    contracts observed and every one callable."""
     rng = random.Random(20)
+    ladders = []
     for _ in range(200):
         state, prices, ceiling = random_micro(rng)
         observed = random_observed(rng, state)
         budget = SearchBudget(max_depth=depth, exhaustive=exhaustive, ceiling=ceiling)
-        rlmev(state, observed, None, prices, budget)
+        ladders.append((state, observed, None, prices, budget))
+    return ladders
+
+
+def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
+    """``execute_delta`` calls of ``rlmev`` on the 200 ``_micro_ladders``."""
+    calls = _counted_executes(monkeypatch)
+    for args in _micro_ladders(exhaustive, depth):
+        rlmev(*args)
     return calls[0]
 
 
@@ -548,6 +559,88 @@ def test_micro_ladder_execute_count_is_pinned(exhaustive, depth, pinned, monkeyp
     exactly the pinned number of executes, so a change to the search's cuts
     or to the ladder's stop shows here as a moved count."""
     assert _micro_ladder_executes(exhaustive, depth, monkeypatch) == pinned
+
+
+def test_call_list_cache_changes_no_micro_ladder(monkeypatch):
+    """The process-wide call-list cache, cold against warm: the 200
+    exhaustive micro ladders, run once with the cache cleared and again in
+    reverse order with every list cached, give each ladder the same value,
+    witness and ``complete`` and make the pinned 18,447 executes both
+    times.  The warm run enumerates no list."""
+    ladders = _micro_ladders(True, 2)
+    calls = _counted_executes(monkeypatch)
+
+    def outcomes(order):
+        return [(r.value, r.witness, r.complete) for r in (rlmev(*args) for args in order)]
+
+    search._CALL_LISTS.clear()
+    cold = outcomes(ladders)
+    assert calls[0] == 18_447
+    lists = dict(search._CALL_LISTS)
+    calls[0] = 0
+    warm = outcomes(reversed(ladders))
+    assert calls[0] == 18_447
+    assert warm[::-1] == cold
+    assert search._CALL_LISTS == lists
+
+
+def _twin(choice):
+    """A state with one contract ``Twin``, whose ``pick`` takes one argument
+    from the domain ``(choice,)``, whose ``put`` takes an amount and whose
+    ``name`` takes a token."""
+    def noop(ctx, arg):
+        return None
+
+    code = ContractCode(name="Twin", methods={
+        "pick": MethodDef(noop, args=(ArgSpec("choice", (choice,)),)),
+        "put": MethodDef(noop, args=(ArgSpec("int"),)),
+        "name": MethodDef(noop, args=(ArgSpec("token"),))})
+    return deploy(genesis({M: Wallet()}, adversary=[M]), code, deployer=A)
+
+
+def test_call_lists_are_keyed_type_exactly_and_per_domain():
+    """``True == 1 == Fraction(1)``, and the frozen ``ArgSpec``s holding them
+    compare and hash alike, yet each choice makes its own call: two
+    contracts that share a name and differ only in that domain get their
+    own ``pick`` arguments, whichever was enumerated first.  A new ceiling
+    or token set gets its own list too."""
+    def args(state, method, tokens=("T",), ceiling=1):
+        return [tx.args for tx in universal_moves(state, tokens, SearchBudget(ceiling=ceiling))
+                if tx.method == method]
+
+    assert ArgSpec("choice", (True,)) == ArgSpec("choice", (1,))
+    assert hash(ArgSpec("choice", (True,))) == hash(ArgSpec("choice", (1,)))
+    search._CALL_LISTS.clear()
+    for first, second in ((True, 1), (1, Fraction(1)), (Fraction(1), True)):
+        for choice in (first, second, first):
+            [(arg,)] = args(_twin(choice), "pick")
+            assert type(arg) is type(choice) and arg == choice
+    state = _twin(0)
+    for ceiling in (1, 2, 1):
+        assert args(state, "put", ceiling=ceiling) == [(n,) for n in range(ceiling + 1)]
+    for tokens in (("T",), ("T", "U"), ("T",)):
+        assert args(state, "name", tokens=tokens) == [(t,) for t in tokens]
+
+
+def test_call_list_cache_stays_within_its_bound(monkeypatch):
+    """A list longer than ``CALL_CACHE_CAP`` is not kept, and adding lists
+    past the cap drops the oldest: the cache never holds more calls than
+    the cap, and every enumeration matches one made with room to spare."""
+    state = _twin(0)
+    budgets = [SearchBudget(ceiling=c) for c in (3, 40, 2, 5, 4)]
+    search._CALL_LISTS.clear()
+    roomy = [universal_moves(state, ("T",), b) for b in budgets]
+    monkeypatch.setattr(search, "CALL_CACHE_CAP", 12)
+    search._CALL_LISTS.clear()
+    held = []
+    for budget, want in zip(budgets, roomy):
+        assert universal_moves(state, ("T",), budget) == want
+        cached = search._CALL_LISTS
+        assert cached.calls == sum(map(len, cached.values())) <= search.CALL_CACHE_CAP
+        held.append([len(calls) for calls in cached.values()])
+    # ceiling c makes c + 3 calls: ceiling 40's are never kept, and the
+    # oldest lists make room
+    assert held == [[6], [6], [6, 5], [8], [7]]
 
 
 def test_move_table_matches_fresh_enumeration(monkeypatch):
