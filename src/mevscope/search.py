@@ -5,12 +5,11 @@ by a trace-length budget.  Contracts propose calls, through their move
 generators or, in micro mode, by exhaustive signature-driven enumeration,
 and one signer, ``_signed``, sends each call from every adversary account
 whose wallet covers its attachment.  The enumeration runs once per key for
-the whole process: a contract's call list depends only on its method
-signatures (their values keyed with their types, since ``True``, ``1`` and
-``Fraction(1)`` are equal and hash alike), the tokens, the account domain
-and the ceiling, and ``CALL_CACHE_CAP`` bounds the calls cached over all
-lists (``_contract_calls``).  The signing runs once per search for each
-user set it reaches (``_MaxSearch._exhaustive_moves``).  A
+the whole process: a contract's call list depends only on the code object,
+the tokens, the account domain and the ceiling, and ``CALL_CACHE_CAP``
+bounds the calls cached over all lists (``_contract_calls``).  The signing
+runs once per search for each user set it reaches
+(``_MaxSearch._exhaustive_moves``).  A
 call its origin cannot pay is rejected at the debit, before the contract
 runs, so it can change no value, witness or verdict.  The exhaustive table
 alone keeps such calls, since one table serves every adversary wallet a
@@ -204,39 +203,20 @@ def default_ceiling(state: BlockchainState) -> int:
     return max([n for _, n in supply.items()] + [3])
 
 
-class _CallLists(dict):
-    """The process-wide cache of per-contract exhaustive call lists: key ->
-    call tuple, oldest first.  ``calls`` counts the calls it holds, which
-    ``CALL_CACHE_CAP`` bounds: a list longer than the cap is not kept, and
-    adding one drops the oldest lists until the rest fit."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.calls = 0
-
-    def add(self, key, calls: tuple) -> None:
-        if len(calls) > CALL_CACHE_CAP:
-            return
-        self[key] = calls
-        self.calls += len(calls)
-        while self.calls > CALL_CACHE_CAP:
-            self.calls -= len(self.pop(next(iter(self))))
-
-    def clear(self) -> None:
-        super().clear()
-        self.calls = 0
-
-
-_CALL_LISTS = _CallLists()
+_CALL_LISTS: dict = {}   # (code, tokens, accounts, ceiling) -> calls, oldest first
 
 
 def _contract_calls(code, tokens: tuple, accounts: tuple, ceiling: int) -> tuple:
     """Every call ``(method, args, attached)`` to a contract of ``code``:
     each method with every argument tuple from its declared domains and
-    every attachment up to ``ceiling``.  A pure function of
-    ``code.signature``, the tokens, the account domain and the ceiling, so
-    it is enumerated once per key for the whole process (``_CALL_LISTS``)."""
-    key = (code.signature, tokens, accounts, ceiling)
+    every attachment up to ``ceiling``.  A pure function of the code
+    object, the tokens, the account domain and the ceiling, so it is
+    enumerated once per key for the whole process (``_CALL_LISTS``).  A
+    ``ContractCode`` hashes by identity, and the cache holds it, so no
+    other code can take its key while the entry lives.  ``CALL_CACHE_CAP``
+    bounds the calls kept: a longer list is not kept, and a new one drops
+    the oldest lists until it fits."""
+    key = (code, tokens, accounts, ceiling)
     calls = _CALL_LISTS.get(key)
     if calls is None:
         out = []
@@ -246,7 +226,11 @@ def _contract_calls(code, tokens: tuple, accounts: tuple, ceiling: int) -> tuple
             out += [(mname, args, Wallet(combo)) for args in itertools.product(*arg_domains)
                     for combo in itertools.product(*slot_domains)]
         calls = tuple(out)
-        _CALL_LISTS.add(key, calls)
+        if len(calls) <= CALL_CACHE_CAP:
+            held = sum(map(len, _CALL_LISTS.values())) + len(calls)
+            while held > CALL_CACHE_CAP:
+                held -= len(_CALL_LISTS.pop(next(iter(_CALL_LISTS))))
+            _CALL_LISTS[key] = calls
     return calls
 
 
@@ -263,14 +247,12 @@ def universal_moves(state: BlockchainState, tokens: Sequence[Token],
 
     A contract's call list is enumerated once per key for the whole
     process (``_contract_calls``); only the signing runs at every call.
-    The key holds the contract's ``ContractCode.signature`` (its method
-    names, ``ArgSpec``s and ``AttachSpec``s, each value paired with its
-    type, since the spec dataclasses compare and hash ``True``, ``1`` and
-    ``Fraction(1)`` alike), the tokens, the account domain (the sorted
-    users, then the deployment order) and the ceiling.  ``CALL_CACHE_CAP``
-    bounds the calls cached over all lists.  The search fills a per-search
-    table from this function once for each user set, rather than calling it
-    at every node, so the table is the same whatever the adversary holds.
+    The key holds the contract's code object, the tokens, the account
+    domain (the sorted users, then the deployment order) and the ceiling.
+    ``CALL_CACHE_CAP`` bounds the calls cached over all lists.  The search
+    fills a per-search table from this function once for each user set,
+    rather than calling it at every node, so the table is the same whatever
+    the adversary holds.
     """
     ceiling = budget.ceiling if budget.ceiling is not None else default_ceiling(state)
     tokens = tuple(tokens)
@@ -370,7 +352,7 @@ class _MaxSearch:
         transaction changes.  The deployment order is fixed too, so the
         users alone key the table.  Each contract's call list behind it
         comes from the process-wide cache of ``_contract_calls``, keyed on
-        the signatures, tokens, account domain and ceiling, so a search
+        the code object, tokens, account domain and ceiling, so a search
         enumerates only the lists no earlier search did, and signs every
         table itself."""
         ukey = tuple(sorted(state.users))

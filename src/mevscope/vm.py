@@ -68,8 +68,6 @@ def _scalar_key(v: Scalar) -> tuple:
         return (0, 0)
     if isinstance(v, bool):
         return (1, int(v))
-    if isinstance(v, int):
-        return (2, v)
     if isinstance(v, str):
         return (4, v)
     if isinstance(v, Account):
@@ -187,15 +185,6 @@ class AttachSpec:
                 yield (t, n)
 
 
-def _typed(value):
-    """``value`` with the type of each scalar in it: ``True``, ``1`` and
-    ``Fraction(1)`` are equal and hash alike, and so do the spec
-    dataclasses holding them, but as arguments they make different calls."""
-    if value.__class__ is tuple:
-        return tuple([_typed(v) for v in value])
-    return (value.__class__, value)
-
-
 @dataclass(frozen=True, eq=False)
 class MethodDef:
     fn: Callable
@@ -263,11 +252,6 @@ class ContractCode:
     they observe the height no other way.  The search keys its memo on how
     many transactions are left before the height reaches each threshold.
     ``reads_height``, derived from it, says whether the list is non-empty.
-
-    ``signature``, derived from ``methods``, is what the exhaustive move
-    enumerator reads of them: per method, by name, its ``ArgSpec`` kinds
-    and choices and its ``AttachSpec`` tokens and amounts, each value
-    paired with its type (``_typed``).
     """
 
     name: str
@@ -283,16 +267,11 @@ class ContractCode:
     loss_bound: Callable = wealth_bound
     declared_deps: frozenset = field(init=False)
     reads_height: bool = field(init=False)
-    signature: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "declared_deps",
                            frozenset(dep for dep, _ in self.calls_out))
         object.__setattr__(self, "reads_height", bool(self.height_thresholds))
-        object.__setattr__(self, "signature", tuple([
-            (name, tuple([(a.kind, _typed(a.choices)) for a in m.args]),
-             tuple([(_typed(s.tokens), _typed(s.amounts)) for s in m.attach]))
-            for name, m in sorted(self.methods.items())]))
 
     @property
     def account(self) -> Account:

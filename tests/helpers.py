@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: price maps, canned states and a seeded
-generator of micro scenarios (small enough for exhaustive enumeration)."""
+"""Shared builders for the test suite: price maps, canned states, a seeded
+generator of micro scenarios (small enough for exhaustive enumeration) and a
+counter of the search's executes."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,8 @@ from mevscope import (
     genesis,
     total_supply,
 )
-from mevscope.vm import ArgSpec
+from mevscope import search
+from mevscope.vm import ArgSpec, execute_delta
 
 M = Account.user("M")
 A = Account.user("A")
@@ -31,6 +33,18 @@ BUNDLED_SCENARIOS = tuple(sorted(p.relative_to(_SCENARIO_DIR).as_posix()
 # the bundled scenarios small enough to enumerate exhaustively
 EXHAUSTIVE_SCENARIOS = tuple(n for n in BUNDLED_SCENARIOS if n not in (
     "bet_on_amm_oracle.scn", "compositions/row2_bet_on_amm.scn"))
+
+
+def counted_executes(monkeypatch) -> list:
+    """``[n]``, ``n`` counting the search's ``execute_delta`` calls from now."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return execute_delta(*args)
+
+    monkeypatch.setattr(search, "execute_delta", counted)
+    return calls
 
 
 def prices_of(mapping) -> PriceMap:

@@ -278,6 +278,18 @@ class TestStripping:
         assert rep.status == "hypothesis-not-met"
         assert (rep.full_value, rep.stripped_value) == (5, 0)
 
+    def test_a_sender_gated_boundary_contract_fails_the_hypothesis(self):
+        """The gated faucet C0 pays only the chained faucet C1, which calls
+        it: observing C0 strips C1, the one route to its payout, so C0 is a
+        boundary contract that is not sender-agnostic and stripping may
+        change the value (here 5 to 0)."""
+        state, _ = build_state(load_bundled("gated_faucet_pair.scn"))
+        rep = verify_stripping(state, {Account.contract("C0")}, None,
+                               uniform_prices(("T",)), BUDGET)
+        assert rep.status == "hypothesis-not-met"
+        assert rep.reason == "boundary contracts not sender-agnostic: ['C0']"
+        assert (rep.full_value, rep.stripped_value) == (5, 0)
+
     def test_router_stack_with_unrelated_pools_strips_cleanly(self):
         state, delta, prices = bundled("compositions/row6_best_swap_router.scn")
         # extra pools nobody depends on

@@ -18,7 +18,8 @@ prints their literal too.
 Four reports of the bundled bet with its deadline moved to heights 1 and 2
 (``DEADLINE_PINNED``) pin the edge of the search's horizon: at depth 5 the
 witness wins at height 2, the last one a deadline of 2 allows.  The same
-command prints their literal too.
+command prints their literal too.  Their ``search.execute_delta`` calls are
+pinned beside them (``DEADLINE_EXECUTES``).
 
 The exhaustive reports (``EXHAUSTIVE_PINNED``) are the seven scenario
 commands under ``--exhaustive --depth 2``, in JSON, over every bundled
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from mevscope.cli import main
 
-from helpers import BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, _SCENARIO_DIR
+from helpers import BUNDLED_SCENARIOS, EXHAUSTIVE_SCENARIOS, _SCENARIO_DIR, counted_executes
 
 SCENARIO_COMMANDS = (
     ("lmev",), ("rlmev",), ("mev",), ("nonint",), ("richnonint",),
@@ -124,9 +125,18 @@ def test_the_deep_reports_are_unchanged():
     assert got == DEEP_PINNED
 
 
-def test_the_near_deadline_reports_are_unchanged(tmp_path):
-    got = {rid: digest(argv) for rid, argv in deadline_report_argvs(tmp_path).items()}
+def test_the_near_deadline_reports_are_unchanged(tmp_path, monkeypatch):
+    """Each near-deadline report keeps its digest and makes exactly its
+    pinned number of ``search.execute_delta`` calls, so a change that makes
+    the search do more work on them shows here."""
+    calls = counted_executes(monkeypatch)
+    got, executes = {}, {}
+    for rid, argv in deadline_report_argvs(tmp_path).items():
+        calls[0] = 0
+        got[rid] = digest(argv)
+        executes[rid] = calls[0]
     assert got == DEADLINE_PINNED
+    assert executes == DEADLINE_EXECUTES
 
 
 def test_the_exhaustive_reports_are_unchanged():
@@ -457,6 +467,15 @@ DEADLINE_PINNED = {
     'mev bet_deadline_1.scn --depth 5 json': (0, '8b41df715e01a3a8'),
     'richnonint bet_deadline_2.scn --depth 5 json': (1, '0d7a3158a2469957'),
     'mev bet_deadline_2.scn --depth 5 json': (0, '30be12a372850826'),
+}
+
+
+# ``search.execute_delta`` calls per near-deadline report
+DEADLINE_EXECUTES = {
+    'richnonint bet_deadline_1.scn --depth 5 json': 245_043,
+    'mev bet_deadline_1.scn --depth 5 json': 3_156,
+    'richnonint bet_deadline_2.scn --depth 5 json': 4_107,
+    'mev bet_deadline_2.scn --depth 5 json': 522,
 }
 
 

@@ -178,10 +178,20 @@ class TestCli:
         ("lmev", "two_amms.scn", "--observed", ""),
         ("lmev", "two_amms.scn", "--restrict", ""),
         ("mev", "airdrop_beside_amm.scn", "--depth", "1200"),
-    ), ids=("undeployed", "empty-observed", "empty-restrict", "depth-over-bound"))
+        ("mev", "two_amms.scn", "--grid", "0"),
+    ), ids=("undeployed", "empty-observed", "empty-restrict", "depth-over-bound",
+            "grid-zero"))
     def test_usage_error_exit_code(self, command, scenario, flag, value):
         code, _ = run_cli(command, _path(scenario), flag, value)
         assert code == 10
+
+    def test_a_verdict_on_an_empty_fragment_is_a_usage_error(self, tmp_path, capsys):
+        """A split that leaves no deployment in the fragment gives a verdict
+        command nothing to decide."""
+        path = tmp_path / "no_fragment.scn"
+        path.write_text(json.dumps(_amended({"split": 2})))
+        assert run_cli("nonint", str(path))[0] == 10
+        assert "scenario has an empty fragment after the split" in capsys.readouterr().err
 
     def test_scenario_error_exit_code(self, tmp_path):
         bad = tmp_path / "broken.scn"
@@ -514,38 +524,100 @@ def test_a_top_level_oracle_user_is_an_unknown_field(tmp_path):
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
 
 
-def _amended(fields, part=None, index=0):
+def _amended(fields, part=None, index=0, drop=()):
+    """``two_amms.scn`` with ``fields`` set and the keys ``drop`` deleted in
+    the top level, or in entry ``index`` of the list ``part``."""
     doc = json.loads(scenario_path("two_amms.scn").read_text())
-    (doc if part is None else doc[part][index]).update(fields)
+    target = doc if part is None else doc[part][index]
+    target.update(fields)
+    for key in drop:
+        del target[key]
     return doc
 
 
-@pytest.mark.parametrize("match, doc", (
-    ("adversary must be a boolean", _amended({"adversary": "false"}, "users")),
-    ("adversary must be a boolean", _amended({"adversary": [1]}, "users")),
-    ("tokens must be a list", _amended({"tokens": 5})),
-    ("users must be a list", _amended({"users": {"name": "M"}})),
-    ("deployments must be a list", _amended({"deployments": None})),
-    ("split must be an int", _amended({"split": True})),
-    ("block_height must be a non-negative int", _amended({"block_height": True})),
-    ("ceiling must be a positive int", _amended({"ceiling": True})),
-    (r"tokens\[0\]: unknown fields \['prize'\]", _amended({"prize": 2}, "tokens")),
-    (r"users\[0\]: unknown fields \['adversery'\]", _amended({"adversery": True}, "users")),
-    (r"deployments\[1\]: unknown fields \['fnud'\]", _amended({"fnud": {}}, "deployments", 1)),
-), ids=("string-adversary", "list-adversary", "int-tokens", "object-users",
-        "null-deployments", "bool-split", "bool-block-height",
-        "bool-ceiling", "unknown-token-field", "unknown-user-field",
-        "unknown-deployment-field"))
-def test_malformed_fields_are_scenario_errors(match, doc, tmp_path):
-    """A wrongly typed or misspelt field must not parse as some other
-    scenario or crash: a truthy non-boolean is no adversary flag, JSON
-    ``true`` is no int, a list field must be a list, and a key no object
-    defines is a typo."""
+def _replaced(part, index, value):
+    """``two_amms.scn`` with entry ``index`` of the list ``part`` replaced."""
+    doc = json.loads(scenario_path("two_amms.scn").read_text())
+    doc[part][index] = value
+    return doc
+
+
+def _second(contract, args, fund=None):
+    """``two_amms.scn`` with its second deployment made of ``contract``."""
+    return _amended({"contract": contract, "args": args, "fund": fund or {}},
+                    "deployments", 1)
+
+
+_MALFORMED = (
+    ("adversary must be a boolean", _amended({"adversary": "false"}, "users"),
+     "string-adversary"),
+    ("adversary must be a boolean", _amended({"adversary": [1]}, "users"), "list-adversary"),
+    ("tokens must be a list", _amended({"tokens": 5}), "int-tokens"),
+    ("users must be a list", _amended({"users": {"name": "M"}}), "object-users"),
+    ("deployments must be a list", _amended({"deployments": None}), "null-deployments"),
+    ("split must be an int", _amended({"split": True}), "bool-split"),
+    ("block_height must be a non-negative int", _amended({"block_height": True}),
+     "bool-block-height"),
+    ("ceiling must be a positive int", _amended({"ceiling": True}), "bool-ceiling"),
+    (r"tokens\[0\]: unknown fields \['prize'\]", _amended({"prize": 2}, "tokens"),
+     "unknown-token-field"),
+    (r"users\[0\]: unknown fields \['adversery'\]", _amended({"adversery": True}, "users"),
+     "unknown-user-field"),
+    (r"deployments\[1\]: unknown fields \['fnud'\]",
+     _amended({"fnud": {}}, "deployments", 1), "unknown-deployment-field"),
+    ("top level must be an object", [], "list-top-level"),
+    (r"tokens\[0\]: expected an object with a symbol",
+     _amended({}, "tokens", drop=("symbol",)), "token-without-symbol"),
+    ("expected a number, got a boolean", _amended({"price": True}, "tokens"), "bool-price"),
+    ("bad rational '1/0'", _amended({"price": "1/0"}, "tokens"), "zero-denominator-price"),
+    ("expected int or 'p/q' string", _amended({"price": [1]}, "tokens"), "list-price"),
+    ("price must be positive", _amended({"price": 0}, "tokens"), "zero-price"),
+    ("duplicate token symbols", _amended({"symbol": "T0"}, "tokens", 1), "duplicate-symbols"),
+    (r"users\[1\]: expected an object with a name", _replaced("users", 1, {}),
+     "user-without-name"),
+    ("wallet must be an object", _amended({"wallet": [1]}, "users"), "list-wallet"),
+    (r"users\[0\]: unknown token 'T9'", _amended({"wallet": {"T9": 1}}, "users"),
+     "wallet-unknown-token"),
+    ("duplicate user names", _amended({"name": "M"}, "users", 1), "duplicate-users"),
+    (r"deployments\[1\]: expected an object", _replaced("deployments", 1, 5),
+     "int-deployment"),
+    (r"missing fields \['contract', 'name'\]",
+     _amended({}, "deployments", 1, drop=("contract", "name")), "nameless-deployment"),
+    ("args must be an object", _amended({"args": ["T1", "T2"]}, "deployments", 1),
+     "list-args"),
+    ("instance names collide with user names", _amended({"name": "A"}, "deployments", 1),
+     "instance-named-like-user"),
+    ("rate must be an int", _second("exchange", {"tout": "T2", "tin": "T1", "rate": "2"}),
+     "string-int-parameter"),
+    ("t0 must be a string", _second("amm", {"t0": 1, "t1": "T2"}), "int-token-parameter"),
+    ("unknown token 'T9'", _second("amm", {"t0": "T9", "t1": "T2"}), "unknown-token-parameter"),
+    ("constructor of 'AMM2' aborted",
+     _amended({"fund": {"T0": 1, "T1": 4, "T2": 9}}, "deployments", 1), "aborting-constructor"),
+    ("amm: the two pool tokens must differ", _second("amm", {"t0": "T1", "t1": "T1"}),
+     "amm-one-token"),
+    ("exchange: tin and tout must differ",
+     _second("exchange", {"tout": "T2", "tin": "T2", "rate": 2}), "exchange-one-token"),
+    ("exchange: rate must be a positive int",
+     _second("exchange", {"tout": "T2", "tin": "T1", "rate": 0}), "exchange-zero-rate"),
+    ("lending_pool: rliq and imul must exceed 1",
+     _second("lending_pool", {"token": "T1", "rliq": 1}, {"T1": 9}), "lending-pool-rliq-1"),
+)
+
+
+@pytest.mark.parametrize("match, doc", [row[:2] for row in _MALFORMED],
+                         ids=[row[2] for row in _MALFORMED])
+def test_malformed_fields_are_scenario_errors(match, doc, tmp_path, capsys):
+    """A wrongly typed, misspelt, missing or conflicting field must not
+    parse or build as some other scenario, nor crash: a truthy non-boolean
+    is no adversary flag, JSON ``true`` is no int, a list field must be a
+    list, a key no object defines is a typo, and a catalog parameter or a
+    constructor that rejects a deployment rejects the scenario."""
     with pytest.raises(ScenarioError, match=match):
-        parse_scenario(json.dumps(doc))
+        build_state(parse_scenario(json.dumps(doc)))
     path = tmp_path / "malformed.scn"
     path.write_text(json.dumps(doc))
     assert run_cli("mev", str(path))[0] == EXIT_SCENARIO
+    assert re.search(match, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("match, data", (

@@ -34,9 +34,9 @@ from mevscope.cli import main as cli_main
 from mevscope.scenario import bundled, load_bundled, scenario_path
 from mevscope.vm import TICK_METHOD, ArgSpec, ContractCode, MethodDef, execute_delta
 
-from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, B, N, bet_state, build, micro_bet,
-                     random_micro, prices_of, random_observed, tip_jar_state, two_adversary_pools,
-                     two_pool_state, uniform_prices)
+from helpers import (BUNDLED_SCENARIOS, MICRO_FAMILIES, M, A, B, N, bet_state, build,
+                     counted_executes, micro_bet, random_micro, prices_of, random_observed,
+                     tip_jar_state, two_adversary_pools, two_pool_state, uniform_prices)
 from model_checks import gain
 
 BUDGET = SearchBudget(max_depth=4, grid=8)
@@ -392,18 +392,6 @@ def _four_searches(cases) -> list:
             for state, observed, prices, budget in cases]
 
 
-def _counted_executes(monkeypatch) -> list:
-    """``[n]``, ``n`` counting the search's ``execute_delta`` calls from now."""
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return execute_delta(*args)
-
-    monkeypatch.setattr(search, "execute_delta", counted)
-    return calls
-
-
 def test_bound_cut_keeps_every_result(monkeypatch):
     """With ``_MaxSearch.bounds`` patched to infinity neither cut fires: no
     node's best reaches its bounds (the span cut) and no child's bounds fall
@@ -411,7 +399,7 @@ def test_bound_cut_keeps_every_result(monkeypatch):
     cut ones on value, witness, completeness and warning over the bundled
     scenarios at depths 1-4 and over micro states, and run more executes."""
     cases = _search_cases()
-    runs = _counted_executes(monkeypatch)
+    runs = counted_executes(monkeypatch)
     cut = _four_searches(cases)
     cut_runs, runs[0] = runs[0], 0
     monkeypatch.setattr(search._MaxSearch, "bounds",
@@ -456,7 +444,7 @@ def test_results_do_not_depend_on_move_order(monkeypatch):
 def _cli_run(argv, monkeypatch) -> tuple:
     """``(execute_delta calls, exit code)`` of one CLI query; an argument
     ending in ``.scn`` names a bundled scenario."""
-    calls = _counted_executes(monkeypatch)
+    calls = counted_executes(monkeypatch)
     argv = [str(scenario_path(a)) if a.endswith(".scn") else a for a in argv]
     with redirect_stdout(io.StringIO()):
         code = cli_main(argv)
@@ -544,7 +532,7 @@ def _micro_ladders(exhaustive, depth) -> list:
 
 def _micro_ladder_executes(exhaustive, depth, monkeypatch) -> int:
     """``execute_delta`` calls of ``rlmev`` on the 200 ``_micro_ladders``."""
-    calls = _counted_executes(monkeypatch)
+    calls = counted_executes(monkeypatch)
     for args in _micro_ladders(exhaustive, depth):
         rlmev(*args)
     return calls[0]
@@ -568,7 +556,7 @@ def test_call_list_cache_changes_no_micro_ladder(monkeypatch):
     witness and ``complete`` and make the pinned 18,447 executes both
     times.  The warm run enumerates no list."""
     ladders = _micro_ladders(True, 2)
-    calls = _counted_executes(monkeypatch)
+    calls = counted_executes(monkeypatch)
 
     def outcomes(order):
         return [(r.value, r.witness, r.complete) for r in (rlmev(*args) for args in order)]
@@ -600,10 +588,11 @@ def _twin(choice):
 
 def test_call_lists_are_keyed_type_exactly_and_per_domain():
     """``True == 1 == Fraction(1)``, and the frozen ``ArgSpec``s holding them
-    compare and hash alike, yet each choice makes its own call: two
-    contracts that share a name and differ only in that domain get their
-    own ``pick`` arguments, whichever was enumerated first.  A new ceiling
-    or token set gets its own list too."""
+    compare and hash alike, yet each choice makes its own call.  Two
+    contracts that share a name and differ only in that domain are two code
+    objects, and the cache keys on the object, so each gets its own list
+    and its own ``pick`` arguments, whichever was enumerated first.  A new
+    ceiling or token set gets its own list too."""
     def args(state, method, tokens=("T",), ceiling=1):
         return [tx.args for tx in universal_moves(state, tokens, SearchBudget(ceiling=ceiling))
                 if tx.method == method]
@@ -636,7 +625,7 @@ def test_call_list_cache_stays_within_its_bound(monkeypatch):
     for budget, want in zip(budgets, roomy):
         assert universal_moves(state, ("T",), budget) == want
         cached = search._CALL_LISTS
-        assert cached.calls == sum(map(len, cached.values())) <= search.CALL_CACHE_CAP
+        assert sum(map(len, cached.values())) <= search.CALL_CACHE_CAP
         held.append([len(calls) for calls in cached.values()])
     # ceiling c makes c + 3 calls: ceiling 40's are never kept, and the
     # oldest lists make room
